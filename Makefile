@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-runtime bench-smoke bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
+.PHONY: check vet build test race bench bench-runtime bench-smoke bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
 
-check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-smoke profile-shed bench-compare
+check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-smoke bench-harness profile-shed bench-compare
 
 # Pinned so `go run` resolves one known-good version from the module
 # cache or proxy. Offline (no proxy, cold cache) the probe fails and vet
@@ -96,6 +96,16 @@ bench-runtime:
 bench-smoke:
 	$(GO) run ./cmd/cepbench -runtime-bench -quick
 
+# The end-to-end benchmark BENCHMARK.json names (bench/README.md) is a Go
+# module of its own that the root `go test ./...` does not see:
+# bench-harness runs its unit tests (part of `make check`), bench-e2e the
+# benchmark itself, all four workloads through the real cepserved.
+bench-harness:
+	cd bench && $(GO) test ./...
+
+bench-e2e:
+	bash bench/run.sh
+
 # Perf trajectory (docs/PERFORMANCE.md): bench-baseline records
 # BENCH_engine.json (engine hot path) and BENCH_runtime.json (full
 # serving path: runtime+WAL+NDJSON) on this machine; bench-compare
@@ -113,8 +123,10 @@ bench-compare:
 # Profile an overloaded async-planner run and prove from the pprof
 # labels that shedding-set selection, the knapsack, and admission-table
 # compilation never execute on a serving worker's stack (they must only
-# appear under cep_role=shed_planner). Part of `make check`: if a future
-# change moves selection work back onto the hot path, this fails loudly.
+# appear under cep_role=shed_planner), and that no worker stack formats
+# or hashes strings (what the cost-model bookkeeping once did per partial
+# match and per epoch). Part of `make check`: if a future change moves
+# either back onto the hot path, this fails loudly.
 SHED_PROFILE ?= /tmp/cepshed-shed.pprof
 profile-shed:
 	$(GO) run ./cmd/cepbench -profile-shed $(SHED_PROFILE)
@@ -122,18 +134,20 @@ profile-shed:
 		function flush() { \
 			if (inworker && sel) { bad++; printf "profile-shed: FORBIDDEN selection work on worker stack:\n%s", block } \
 			if (sel && !inplanner) { stray++; printf "profile-shed: selection sample outside the shed_planner label:\n%s", block } \
-			inworker=0; inplanner=0; sel=0; block="" \
+			if (inworker && fmtw) { bad++; printf "profile-shed: FORBIDDEN string formatting/hashing on worker stack:\n%s", block } \
+			inworker=0; inplanner=0; sel=0; fmtw=0; block="" \
 		} \
 		/^-----------\+/ { flush(); next } \
 		{ block = block $$0 "\n" } \
 		/cep_role: +worker/ { inworker=1; workers++ } \
 		/cep_role: +shed_planner/ { inplanner=1; planner++ } \
 		/SelectSheddingSet|selectFromPlanCells|knapsack\.|CompileAdmitTable/ { sel=1 } \
+		/fmt\.Sprintf|hash\/maphash/ { fmtw=1 } \
 		END { \
 			flush(); \
 			if (workers == 0) { print "profile-shed: no cep_role=worker samples; pprof labeling is broken"; exit 1 } \
 			if (bad > 0 || stray > 0) { exit 1 } \
-			print "profile-shed: ok — no selection/knapsack work on " workers " worker sample block(s) (" planner " planner block(s) sampled)" \
+			print "profile-shed: ok — no selection/knapsack work and no Sprintf/maphash on " workers " worker sample block(s) (" planner " planner block(s) sampled)" \
 		}'
 
 # Grab a CPU profile from a running cepserved and open the pprof UI.

@@ -19,7 +19,8 @@ import (
 
 // This file is the engine benchmark-regression harness: -engine-bench
 // measures the raw Engine.Process hot path on the three canonical
-// workloads (sequence join, Kleene-heavy, negation), -bench-out writes
+// workloads (sequence join, Kleene-heavy, negation) plus the sequence
+// join with an adapting Hybrid attached, -bench-out writes
 // the result as BENCH_engine.json, and -bench-compare gates the current
 // build against a checked-in baseline, failing on >25% ns/event
 // regression. See docs/PERFORMANCE.md for the workflow.
@@ -79,12 +80,30 @@ type benchCase struct {
 	machine  *nfa.Machine
 	stream   event.Stream
 	deferred bool
+	// hybrid, when set, builds the strategy each run attaches to its
+	// engine and drives through the full per-event strategy protocol.
+	hybrid func() *core.Hybrid
 }
 
 func engineBenchCases() []benchCase {
 	ds1 := gen.DS1(gen.DS1Config{Events: 5000, Seed: 1, InterArrival: 30 * event.Microsecond})
+	// q1-ds1-hybrid-adapt prices the cost-model bookkeeping no bare-engine
+	// workload sees: classification and ancestor credits per created
+	// partial match and a fold every 250 µs of event time (1 ms window,
+	// 4 slices: ~600 folds over the stream). The bound is never violated,
+	// so nothing is shed and the engine does the work q1-ds1's would at
+	// that window.
+	adaptQ := nfa.MustCompile(query.Q1("1ms"))
+	adaptModel, err := core.Train(adaptQ, gen.DS1(gen.DS1Config{Events: 3000, Seed: 11, InterArrival: 30 * event.Microsecond}),
+		core.TrainConfig{Slices: 4, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
 	return []benchCase{
 		{name: "q1-ds1", machine: nfa.MustCompile(query.Q1("8ms")), stream: ds1},
+		{name: "q1-ds1-hybrid-adapt", machine: adaptQ, stream: ds1, hybrid: func() *core.Hybrid {
+			return core.NewHybrid(adaptModel.Clone(), core.Config{Bound: event.Second, Adapt: true})
+		}},
 		{
 			name:    "kleene-hotpaths",
 			machine: nfa.MustCompile(query.HotPaths("5 min", 2, 5)),
@@ -102,8 +121,19 @@ func measure(c benchCase) BenchWorkload {
 		for i := 0; i < b.N; i++ {
 			en := engine.New(c.machine, engine.DefaultCosts())
 			en.DeferredNegation = c.deferred
-			for _, e := range c.stream {
-				en.Process(e)
+			if c.hybrid == nil {
+				for _, e := range c.stream {
+					en.Process(e)
+				}
+			} else {
+				h := c.hybrid()
+				h.Attach(en)
+				for _, e := range c.stream {
+					h.AdmitEvent(e, e.Time)
+					res := en.Process(e)
+					h.Observe(&res, e.Time)
+					h.Control(e.Time, 0)
+				}
 			}
 			matches = en.Stats().Matches
 		}

@@ -20,7 +20,9 @@ import (
 // goroutines run under the pprof label cep_role=worker and the planner
 // under cep_role=shed_planner, so `make profile-shed` can prove from the
 // profile that shedding-set selection, the knapsack, and admission-table
-// compilation never execute on a worker's hot stack.
+// compilation never execute on a worker's hot stack. Online adaptation is
+// on, so the same profile shows whether the cost-model bookkeeping
+// formats or hashes anything per partial match or per epoch.
 func runProfileShed(out string) int {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	training := gen.DS1(gen.DS1Config{Events: 3000, Seed: 11, InterArrival: 40 * event.Microsecond})
@@ -41,15 +43,16 @@ func runProfileShed(out string) int {
 		fmt.Fprintf(os.Stderr, "cepbench: %v\n", err)
 		return 1
 	}
-	var plansApplied, dropped uint64
+	var plansApplied, dropped, folds uint64
 	for iter := 0; iter < 4; iter++ {
 		rt := runtime.New(m, runtime.Config{
 			Shards: 1,
 			NewStrategy: func(int) shed.Strategy {
-				return core.NewHybrid(model, core.Config{
+				return core.NewHybrid(model.Clone(), core.Config{
 					Bound:       event.Time(1),
 					DelayEvents: 500,
 					AsyncPlan:   true,
+					Adapt:       true,
 				})
 			},
 		})
@@ -59,13 +62,14 @@ func runProfileShed(out string) int {
 		snap := rt.Snapshot()
 		plansApplied += snap.PlansApplied
 		dropped += snap.DroppedPMs
+		folds += snap.AdaptFolds
 	}
 	pprof.StopCPUProfile()
-	if plansApplied == 0 || dropped == 0 {
-		fmt.Fprintf(os.Stderr, "cepbench: profile-shed run applied %d plans, dropped %d PMs; the profile does not exercise the planner\n",
-			plansApplied, dropped)
+	if plansApplied == 0 || dropped == 0 || folds == 0 {
+		fmt.Fprintf(os.Stderr, "cepbench: profile-shed run applied %d plans, dropped %d PMs, folded %d epochs; the profile does not exercise the planner and the adapter\n",
+			plansApplied, dropped, folds)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "cepbench: shed profile written to %s (%d plans applied, %d PMs dropped)\n", out, plansApplied, dropped)
+	fmt.Fprintf(os.Stderr, "cepbench: shed profile written to %s (%d plans applied, %d PMs dropped, %d epochs folded)\n", out, plansApplied, dropped, folds)
 	return 0
 }

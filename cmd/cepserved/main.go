@@ -250,9 +250,16 @@ func main() {
 	var emitMu sync.Mutex
 	if *emit {
 		out := bufio.NewWriter(os.Stdout)
+		prefixes := map[[2]string][]byte{} // {tenant, query} -> line opening; under emitMu
 		cfg.OnMatch = func(spec registry.QuerySpec, shard int, match engine.Match) {
 			emitMu.Lock()
-			fmt.Fprintf(out, `{"tenant":%q,"query":%q,"match":`, spec.Tenant, spec.Name)
+			key := [2]string{spec.Tenant, spec.Name}
+			prefix, ok := prefixes[key]
+			if !ok {
+				prefix = matchLinePrefix(spec.Tenant, spec.Name)
+				prefixes[key] = prefix
+			}
+			out.Write(prefix)
 			out.Write(runtime.EncodeMatch(shard, match))
 			out.WriteString("}\n")
 			out.Flush()
@@ -260,11 +267,11 @@ func main() {
 		}
 	}
 
-	// Hybrid strategies train a cost model per shard inside the runtime,
-	// which can take several seconds on large training streams — say so,
-	// or the silence before the listener comes up looks like a hang.
+	// Hybrid strategies train a cost model per query inside the runtime,
+	// which can take seconds on large training streams — say so, or the
+	// silence before the listener comes up looks like a hang.
 	if len(train) > 0 {
-		log.Printf("cepserved: starting %d shards per query (strategy %s may train on %d events per shard)",
+		log.Printf("cepserved: starting %d shards per query (strategy %s may train on %d events per query)",
 			*shards, *strategy, len(train))
 	}
 	reg, err := registry.Open(cfg)
@@ -395,7 +402,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("cepserved: tcp: %v", err)
 		}
-		log.Printf("cepserved: NDJSON TCP on %s (idle timeout %s)", *tcpAddr, *tcpIdle)
+		log.Printf("cepserved: NDJSON TCP on %s (idle timeout %s)", tcpLn.Addr(), *tcpIdle)
 		go srv.serveTCP(ctx, tcpLn)
 	}
 
@@ -1103,6 +1110,8 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 	// throughput, and class-bucket index occupancy.
 	counter("admission_ns_total", "Sampled wall-clock nanoseconds spent in AdmitEvent (extrapolated from every 64th event).",
 		func(ss runtime.ShardSnapshot) uint64 { return uint64(ss.AdmissionNs) })
+	counter("adapt_folds_total", "Online-adaptation epochs folded into the cost model (one per window/slices of event time).",
+		func(ss runtime.ShardSnapshot) uint64 { return ss.AdaptFolds })
 	counter("shed_plans_built_total", "Shedding plans built by the async planner goroutine.",
 		func(ss runtime.ShardSnapshot) uint64 { return ss.PlansBuilt })
 	counter("shed_plans_applied_total", "Planner plans applied by the worker.",
@@ -1243,9 +1252,20 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 	p.SampleUint("cepshed_ndjson_intern_high_water", intern.HighWater)
 }
 
+// matchLinePrefix renders the opening of a -print-matches line. Tenant
+// and query names may hold any byte but '/', so they go through
+// encoding/json (Go's %q escapes are not JSON).
+func matchLinePrefix(tenant, query string) []byte {
+	t, _ := json.Marshal(tenant) // strings always marshal
+	q, _ := json.Marshal(query)
+	return []byte(`{"tenant":` + string(t) + `,"query":` + string(q) + `,"match":`)
+}
+
 // strategyFactory builds the per-shard strategy constructor. Every shard
-// gets its own instance (strategies are stateful); model-based
-// strategies train per shard so online adaptation never shares state.
+// gets its own instance (strategies are stateful). Hybrid trains its cost
+// model once per factory (training is seeded: every shard would get the
+// same model) and hands each shard a clone, so online adaptation never
+// shares state.
 func strategyFactory(name string, m *nfa.Machine, train event.Stream, bound event.Time, seed int64) (func(int) shed.Strategy, error) {
 	needTrain := func() error {
 		if len(train) == 0 {
@@ -1291,9 +1311,17 @@ func strategyFactory(name string, m *nfa.Machine, train event.Stream, bound even
 		} else if name == "HyS" {
 			mode = core.ModeStateOnly
 		}
+		var (
+			once     sync.Once
+			model    *core.Model
+			trainErr error
+		)
 		return func(i int) shed.Strategy {
-			model := core.MustTrain(m, train, core.TrainConfig{Slices: 4, Seed: 1})
-			return core.NewHybrid(model, core.Config{Bound: bound, Mode: mode, Adapt: true, AsyncPlan: true})
+			once.Do(func() { model, trainErr = core.Train(m, train, core.TrainConfig{Slices: 4, Seed: 1}) })
+			if trainErr != nil {
+				panic(trainErr) // as MustTrain: every shard fails the same way
+			}
+			return core.NewHybrid(model.Clone(), core.Config{Bound: bound, Mode: mode, Adapt: true, AsyncPlan: true})
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", name)

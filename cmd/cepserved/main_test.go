@@ -207,6 +207,7 @@ func TestWritePrometheusExposesRobustnessSeries(t *testing.T) {
 		"cepshed_ndjson_intern_high_water",
 		// Shed decision path series (docs/PERFORMANCE.md).
 		"cepshed_admission_ns_total",
+		"cepshed_adapt_folds_total",
 		"cepshed_shed_plans_built_total",
 		"cepshed_shed_plans_applied_total",
 		"cepshed_shed_plans_stale_total",

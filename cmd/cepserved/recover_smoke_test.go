@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -102,14 +103,23 @@ type stats struct {
 type serverProc struct {
 	cmd  *exec.Cmd
 	addr string
+	// tcpAddr receives the bound address of the -tcp listener, which the
+	// server logs after the HTTP one.
+	tcpAddr chan string
 }
 
 // startServer launches the binary and scrapes the actual listen address
 // from its "HTTP on host:port" log line (the server binds :0 in tests).
 func startServer(t *testing.T, bin string, args []string) *serverProc {
+	return startServerStdout(t, bin, args, os.Stderr)
+}
+
+// startServerStdout is startServer with the server's standard output
+// (match lines, final snapshot) going to stdout.
+func startServerStdout(t *testing.T, bin string, args []string, stdout io.Writer) *serverProc {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
+	cmd.Stdout = stdout
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -118,25 +128,31 @@ func startServer(t *testing.T, bin string, args []string) *serverProc {
 		t.Fatal(err)
 	}
 	addrCh := make(chan string, 1)
+	tcpCh := make(chan string, 1)
+	// loggedAddr sends the address following marker in line, if any, to ch.
+	loggedAddr := func(line, marker string, ch chan string) {
+		if i := strings.Index(line, marker); i >= 0 {
+			rest := line[i+len(marker):]
+			if j := strings.IndexByte(rest, ' '); j > 0 {
+				select {
+				case ch <- rest[:j]:
+				default:
+				}
+			}
+		}
+	}
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
 			t.Log(line)
-			if i := strings.Index(line, "HTTP on "); i >= 0 {
-				rest := line[i+len("HTTP on "):]
-				if j := strings.IndexByte(rest, ' '); j > 0 {
-					select {
-					case addrCh <- rest[:j]:
-					default:
-					}
-				}
-			}
+			loggedAddr(line, "HTTP on ", addrCh)
+			loggedAddr(line, "NDJSON TCP on ", tcpCh)
 		}
 	}()
 	select {
 	case addr := <-addrCh:
-		return &serverProc{cmd: cmd, addr: addr}
+		return &serverProc{cmd: cmd, addr: addr, tcpAddr: tcpCh}
 	case <-time.After(60 * time.Second):
 		cmd.Process.Kill()
 		t.Fatal("server never logged its HTTP address")

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
-	"cepshed/internal/sketch"
 )
 
 // Adapter performs online adaptation of the cost model (§V-B): it tracks
 // per-class creation counts and per-(class, slice) contribution and
-// consumption credits through count-min sketches and, at the end of each
-// time-slice epoch, folds them into the estimates with
+// consumption credits and, at the end of each time-slice epoch, folds
+// them into the estimates with
 //
 //	Γnew = (1−w)·Γold + w·Γincremented,   w = 0.5
 //
@@ -21,118 +20,133 @@ import (
 // land in the ancestor's CURRENT slice so the estimates keep describing
 // remaining value. Classes that create members but earn no credits decay
 // — that is how the model notices a distribution change (Fig 12).
+//
+// The counts are exact: the key domain is the model's own cell grid (a
+// few hundred cells), so they live in flat arrays indexed by cell, and
+// recording a credit neither formats, hashes nor allocates.
 type Adapter struct {
 	model *Model
 	// W is the update weight (paper: 0.5).
 	W float64
 
-	contribCnt *sketch.CountMin // per (state, class, slice)
-	consumeCnt *sketch.CountMin // per (state, class, slice)
-	createdCnt *sketch.CountMin // per (state, class)
+	// A (state, class) pair is row base[state]+class; created holds one
+	// counter per row, contrib and consume one per (row, slice) at
+	// row*slices+slice. dirty is set once any counter moved this epoch.
+	base                      []int
+	slices                    int
+	created, contrib, consume []uint64
+	dirty                     bool
 
-	epochLen  event.Time
-	nextFold  event.Time
-	epochSeqs uint64
-	nextSeq   uint64
-	folds     uint64
+	// An epoch is epochLen of event time (time windows) or of sequence
+	// numbers (count windows); nextFold is where the current one ends.
+	byTime             bool
+	epochLen, nextFold uint64
+	// folds is read by stats threads (Hybrid.PlanStats) while the worker
+	// folds.
+	folds atomic.Uint64
 }
-
-type cellKey struct{ state, class, slice int }
-
-func (k cellKey) String() string {
-	return fmt.Sprintf("%d:%d:%d", k.state, k.class, k.slice)
-}
-
-func classKey(state, class int) string { return fmt.Sprintf("%d:%d", state, class) }
 
 // NewAdapter builds an adapter over a trained model.
 func NewAdapter(model *Model) *Adapter {
 	a := &Adapter{
-		model:      model,
-		W:          0.5,
-		contribCnt: sketch.NewCountMinSized(4, 512),
-		consumeCnt: sketch.NewCountMinSized(4, 512),
-		createdCnt: sketch.NewCountMinSized(4, 256),
+		model:    model,
+		W:        0.5,
+		base:     make([]int, len(model.states)),
+		slices:   model.cfg.Slices,
+		byTime:   model.sliceLen > 0,
+		epochLen: uint64(model.sliceEvents),
 	}
-	if model.sliceLen > 0 {
-		a.epochLen = model.sliceLen
-	} else {
-		a.epochSeqs = uint64(model.sliceEvents)
+	if a.byTime {
+		a.epochLen = uint64(model.sliceLen)
 	}
+	rows := 0
+	for s, sm := range model.states {
+		a.base[s] = rows
+		rows += sm.k
+	}
+	a.created = make([]uint64, rows)
+	a.contrib = make([]uint64, rows*a.slices)
+	a.consume = make([]uint64, rows*a.slices)
 	return a
 }
 
-// scale quantizes float increments into sketch counts.
+// countScale quantizes float increments into integer counts.
 const countScale = 16
+
+// row returns the counter row of a classified partial match, or -1 when
+// its class is not one of the model's (unclassified, or restored from a
+// snapshot taken under a differently trained model).
+func (a *Adapter) row(pm *engine.PartialMatch) int {
+	s := pm.State()
+	if pm.Class < 0 || pm.Class >= a.model.states[s].k {
+		return -1
+	}
+	return a.base[s] + pm.Class
+}
+
+// credit adds delta to the cell of every classified ancestor from pm
+// upward, at the ancestor's current slice.
+func (a *Adapter) credit(counts []uint64, pm *engine.PartialMatch, delta uint64, now event.Time, nowSeq uint64) {
+	for anc := pm; anc != nil; anc = anc.Parent() {
+		if r := a.row(anc); r >= 0 {
+			counts[r*a.slices+a.model.SliceOf(anc, now, nowSeq)] += delta
+			a.dirty = true
+		}
+	}
+}
 
 // OnCreate records a new partial match: its class's creation count rises,
 // and its resource cost is credited to every ancestor's cell at the
 // ancestor's current slice ("the counts for the class and time slice of
 // the originating partial matches are incremented", §V-B).
 func (a *Adapter) OnCreate(pm *engine.PartialMatch, now event.Time, nowSeq uint64) {
-	if pm.Class >= 0 {
-		a.createdCnt.Add(classKey(pm.State(), pm.Class), 1)
+	if r := a.row(pm); r >= 0 {
+		a.created[r]++
+		a.dirty = true
 	}
-	omega := uint64(a.model.omega(pm) * countScale)
-	for anc := pm.Parent(); anc != nil; anc = anc.Parent() {
-		if anc.Class < 0 {
-			continue
-		}
-		cell := cellKey{anc.State(), anc.Class, a.model.SliceOf(anc, now, nowSeq)}
-		a.consumeCnt.Add(cell.String(), omega)
-	}
+	a.credit(a.consume, pm.Parent(), uint64(a.model.omega(pm)*countScale), now, nowSeq)
 }
 
 // OnMatch records a complete match: every ancestor of the source run
 // gains contribution in its current slice.
 func (a *Adapter) OnMatch(m engine.Match, now event.Time, nowSeq uint64) {
-	for anc := m.Source; anc != nil; anc = anc.Parent() {
-		if anc.Class < 0 {
-			continue
-		}
-		cell := cellKey{anc.State(), anc.Class, a.model.SliceOf(anc, now, nowSeq)}
-		a.contribCnt.Add(cell.String(), countScale)
-	}
+	a.credit(a.contrib, m.Source, countScale, now, nowSeq)
 }
 
 // MaybeFold folds accumulated counts into the model at slice-epoch
-// boundaries and resets the sketches.
+// boundaries and resets the counters. The first call only starts the
+// first epoch.
 func (a *Adapter) MaybeFold(now event.Time, nowSeq uint64) {
-	if a.epochLen > 0 {
-		if a.nextFold == 0 {
-			a.nextFold = now + a.epochLen
-			return
-		}
-		if now < a.nextFold {
-			return
-		}
-		a.nextFold = now + a.epochLen
-	} else {
-		if a.nextSeq == 0 {
-			a.nextSeq = nowSeq + a.epochSeqs
-			return
-		}
-		if nowSeq < a.nextSeq {
-			return
-		}
-		a.nextSeq = nowSeq + a.epochSeqs
+	pos := nowSeq
+	if a.byTime {
+		pos = uint64(now)
 	}
-	a.fold()
+	if pos < a.nextFold {
+		return
+	}
+	started := a.nextFold != 0
+	a.nextFold = pos + a.epochLen
+	if started {
+		a.fold()
+	}
 }
 
 func (a *Adapter) fold() {
-	a.folds++
-	for state := range a.model.states {
-		for class := 0; class < a.model.NumClasses(state); class++ {
-			created := a.createdCnt.Count(classKey(state, class))
+	a.folds.Add(1)
+	if !a.dirty {
+		return // nothing created or credited: every estimate stands
+	}
+	for state, sm := range a.model.states {
+		for class := 0; class < sm.k; class++ {
+			r := a.base[state] + class
+			created := float64(a.created[r])
 			if created == 0 {
 				continue // no evidence this epoch
 			}
-			for slice := 0; slice < a.model.cfg.Slices; slice++ {
-				key := cellKey{state, class, slice}.String()
-				incContrib := float64(a.contribCnt.Count(key)) / countScale / float64(created)
-				incConsume := float64(a.consumeCnt.Count(key)) / countScale / float64(created)
-				oldC, oldW := a.model.Estimate(state, class, slice)
+			for slice := 0; slice < a.slices; slice++ {
+				incContrib := float64(a.contrib[r*a.slices+slice]) / countScale / created
+				incConsume := float64(a.consume[r*a.slices+slice]) / countScale / created
+				oldC, oldW := sm.contrib[class][slice], sm.consume[class][slice]
 				newC := (1-a.W)*oldC + a.W*incContrib
 				newW := (1-a.W)*oldW + a.W*incConsume
 				if !a.model.cfg.ResourceCosts {
@@ -144,10 +158,11 @@ func (a *Adapter) fold() {
 			}
 		}
 	}
-	a.contribCnt.Reset()
-	a.consumeCnt.Reset()
-	a.createdCnt.Reset()
+	clear(a.created)
+	clear(a.contrib)
+	clear(a.consume)
+	a.dirty = false
 }
 
 // Folds returns how many epochs have been folded (observability).
-func (a *Adapter) Folds() uint64 { return a.folds }
+func (a *Adapter) Folds() uint64 { return a.folds.Load() }

@@ -255,13 +255,13 @@ func TestAdapterMovesEstimates(t *testing.T) {
 	adapter := NewAdapter(model)
 	before, _ := model.Estimate(0, 0, 0)
 	// Manually drive one epoch with heavy contribution on cell (0,0,0).
-	adapter.createdCnt.Add(classKey(0, 0), 10)
-	adapter.contribCnt.Add(cellKey{0, 0, 0}.String(), 10*countScale*100) // 100 matches per PM
+	adapter.created[adapter.base[0]] = 10
+	adapter.contrib[adapter.base[0]*adapter.slices] = 10 * countScale * 100 // 100 matches per PM
+	adapter.dirty = true
 	adapter.fold()
 	after, _ := model.Estimate(0, 0, 0)
-	want := 0.5*before + 0.5*100
-	if after < want*0.9 || after > want*1.1 {
-		t.Errorf("estimate %v -> %v, want ~%v", before, after, want)
+	if want := 0.5*before + 0.5*100; after != want {
+		t.Errorf("estimate %v -> %v, want exactly %v", before, after, want)
 	}
 }
 

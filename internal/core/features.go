@@ -8,6 +8,8 @@
 package core
 
 import (
+	"slices"
+
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
 	"cepshed/internal/nfa"
@@ -125,8 +127,15 @@ func highCardinalityAttrs(training event.Stream) map[typeAttr]bool {
 // the predicate attributes of the last bound event of every bound state,
 // Kleene repetition counts, and the witness flag.
 func (fs *featureSpec) pmFeatures(pm *engine.PartialMatch) []float64 {
+	return fs.pmFeaturesInto(pm, make([]float64, 0, fs.dims[pm.State()]))
+}
+
+// pmFeaturesInto is pmFeatures writing into a caller-owned buffer of
+// capacity maxDims — the per-partial-match classification hook reuses
+// one scratch buffer so creating a match never heap-allocates here.
+func (fs *featureSpec) pmFeaturesInto(pm *engine.PartialMatch, out []float64) []float64 {
 	s := pm.State()
-	out := make([]float64, 0, fs.dims[s])
+	out = out[:0]
 	for t := 0; t <= s; t++ {
 		var ev *event.Event
 		if reps := pm.Reps(t); len(reps) > 0 {
@@ -174,6 +183,10 @@ func (fs *featureSpec) eventOwnFeaturesInto(s int, e *event.Event, buf []float64
 	}
 	return buf
 }
+
+// maxDims returns the widest feature vector across states — the scratch-
+// buffer capacity a classification can need.
+func (fs *featureSpec) maxDims() int { return slices.Max(fs.dims) }
 
 // maxOwnDims returns the widest own-attribute span across states — the
 // scratch-buffer capacity an admission decision can need.

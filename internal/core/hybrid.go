@@ -77,9 +77,11 @@ type Hybrid struct {
 	// table is the compiled admission filter for `current` (admit.go),
 	// published by atomic pointer swap so the async planner can install a
 	// new one while AdmitEvent reads the old. ownBuf is the per-event
-	// feature scratch that keeps the decision allocation-free.
+	// feature scratch that keeps the decision allocation-free; pmBuf is
+	// the same for classifying each new partial match.
 	table  atomic.Pointer[AdmitTable]
 	ownBuf []float64
+	pmBuf  []float64
 
 	// Async-planner state (planner.go). planPending is the built-and-not-
 	// yet-applied plan; planInFlight serializes to at most one build;
@@ -113,6 +115,7 @@ func NewHybrid(model *Model, cfg Config) *Hybrid {
 		cfg:       cfg,
 		sinceShed: cfg.DelayEvents,
 		ownBuf:    make([]float64, model.spec.maxOwnDims()),
+		pmBuf:     make([]float64, 0, model.spec.maxDims()),
 	}
 	if cfg.Adapt {
 		h.adapter = NewAdapter(model)
@@ -144,7 +147,7 @@ func (h *Hybrid) Attach(en *engine.Engine) {
 	h.en = en
 	prev := en.OnCreate
 	en.OnCreate = func(pm *engine.PartialMatch) {
-		pm.Class = h.model.Classify(pm)
+		pm.Class = h.model.classifyInto(pm, h.pmBuf)
 		if h.adapter != nil {
 			h.adapter.OnCreate(pm, h.now, h.nowSeq)
 		}
@@ -324,11 +327,13 @@ type FixedRatioHybrid struct {
 	period  int
 	sinceGC int
 
-	// Reused scratch: per-event own features (ownBuf), the population
+	// Reused scratch: per-event own features (ownBuf), per-partial-match
+	// classifier features (pmBuf), the population
 	// cells of the last trigger (cellBuf), the per-cell drop budgets and
 	// the covered bucket pairs (budgets/pairBuf/pairSeen) — dense arrays
 	// replacing the per-PM shedSet map of the previous implementation.
 	ownBuf   []float64
+	pmBuf    []float64
 	cellBuf  []engine.CellCount
 	ranked   []rankedCell
 	budgets  []int32
@@ -355,6 +360,7 @@ func NewFixedRatioHybrid(model *Model, ratio float64, input bool, seed int64) *F
 		tracker: shed.RatioTracker{Target: ratio},
 		period:  32,
 		ownBuf:  make([]float64, 0, model.spec.maxOwnDims()),
+		pmBuf:   make([]float64, 0, model.spec.maxDims()),
 	}
 }
 
@@ -371,7 +377,7 @@ func (f *FixedRatioHybrid) Attach(en *engine.Engine) {
 	f.en = en
 	prev := en.OnCreate
 	en.OnCreate = func(pm *engine.PartialMatch) {
-		pm.Class = f.model.Classify(pm)
+		pm.Class = f.model.classifyInto(pm, f.pmBuf)
 		f.tracker.Seen(1)
 		if prev != nil {
 			prev(pm)

@@ -98,6 +98,30 @@ type stateModel struct {
 	regions [][]mlkit.Region
 }
 
+// Clone returns a model that shares everything training fixed (automaton,
+// feature spec, classifiers, regions, class frequencies) and owns a copy
+// of the per-cell estimates — the only part online adaptation mutates —
+// so one training run can serve many independently adapting strategies.
+func (model *Model) Clone() *Model {
+	c := *model
+	c.states = make([]*stateModel, len(model.states))
+	for s, sm := range model.states {
+		cs := *sm
+		cs.contrib = cloneCells(sm.contrib)
+		cs.consume = cloneCells(sm.consume)
+		c.states[s] = &cs
+	}
+	return &c
+}
+
+func cloneCells(cells [][]float64) [][]float64 {
+	out := make([][]float64, len(cells))
+	for i, row := range cells {
+		out[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
 // pmRecord is one training observation: the per-slice contribution and
 // consumption a partial match generated over its lifetime.
 type pmRecord struct {
@@ -445,11 +469,17 @@ func (model *Model) SliceOf(pm *engine.PartialMatch, now event.Time, nowSeq uint
 // Classify assigns a partial match to its class (§V-B online use of the
 // per-state classifier). The per-match decision is O(tree depth).
 func (model *Model) Classify(pm *engine.PartialMatch) int {
+	return model.classifyInto(pm, make([]float64, 0, model.spec.dim(pm.State())))
+}
+
+// classifyInto is Classify with the feature vector built in a caller-
+// owned scratch buffer (capacity featureSpec.maxDims).
+func (model *Model) classifyInto(pm *engine.PartialMatch, buf []float64) int {
 	sm := model.states[pm.State()]
 	if sm.tree == nil {
 		return 0
 	}
-	return sm.tree.Predict(model.spec.pmFeatures(pm))
+	return sm.tree.Predict(model.spec.pmFeaturesInto(pm, buf))
 }
 
 // EventCandidateClasses returns the classes a raw event COULD fall into

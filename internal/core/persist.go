@@ -13,9 +13,10 @@ import (
 // had accumulated instead of reverting to the offline estimates.
 //
 // Deliberately NOT persisted:
-//   - the adapter's streaming sketches: their hash seeds are per-process
-//     (maphash), so the partially accumulated epoch cannot be carried
-//     over. Losing it costs at most one adaptation epoch of learning.
+//   - the adapter's counters for the epoch in flight: by choice, not
+//     necessity — they are plain arrays now — because what is lost is at
+//     most one adaptation epoch (window/Slices of event time) of
+//     learning, which is not worth a blob-layout version.
 //   - the classifier, regions, and class frequencies: training is
 //     deterministic (seeded), so the restarted shard retrains the exact
 //     same structure; only the adapted estimates differ from it.

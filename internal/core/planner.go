@@ -296,7 +296,12 @@ func casMax(g *atomic.Int64, v int64) {
 
 // PlanStats reports the planner counters; safe from any goroutine.
 func (h *Hybrid) PlanStats() shed.PlanStats {
+	var folds uint64
+	if h.adapter != nil {
+		folds = h.adapter.Folds()
+	}
 	return shed.PlanStats{
+		AdaptFolds:   folds,
 		PlansBuilt:   h.pstats.built.Load(),
 		PlansApplied: h.pstats.applied.Load(),
 		PlansStale:   h.pstats.stale.Load(),

@@ -8,6 +8,9 @@ import (
 	"cepshed/internal/knapsack"
 )
 
+// cellKey names one cost-model cell.
+type cellKey struct{ state, class, slice int }
+
 // SheddingSet is the outcome of shedding-set selection (§IV-B): the
 // (state, class, slice) cells whose live partial matches are to be shed,
 // plus the (state, class) pairs driving the input-based filter ρI.

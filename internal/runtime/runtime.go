@@ -812,8 +812,10 @@ type ShardSnapshot struct {
 	// worst worker pause a shedding trigger caused. ClassBuckets/
 	// ClassLivePMs/ClassDeadPMs are the engine's class-bucket index
 	// occupancy (the structure bucketed drops and population snapshots
-	// read), published at batch boundaries.
+	// read), published at batch boundaries. AdaptFolds counts the
+	// online-adaptation epochs the strategy folded into its cost model.
 	AdmissionNs     int64  `json:"admission_ns"`
+	AdaptFolds      uint64 `json:"adapt_folds"`
 	PlansBuilt      uint64 `json:"shed_plans_built"`
 	PlansApplied    uint64 `json:"shed_plans_applied"`
 	PlansStale      uint64 `json:"shed_plans_stale"`
@@ -911,6 +913,7 @@ type Snapshot struct {
 	// except the *Max gauges (worst shard) and PlanBuildNsLast (most
 	// recent nonzero build, any shard).
 	AdmissionNs     int64  `json:"admission_ns"`
+	AdaptFolds      uint64 `json:"adapt_folds"`
 	PlansBuilt      uint64 `json:"shed_plans_built"`
 	PlansApplied    uint64 `json:"shed_plans_applied"`
 	PlansStale      uint64 `json:"shed_plans_stale"`
@@ -972,6 +975,7 @@ func (r *Runtime) Snapshot() Snapshot {
 			s.SnapPauseMaxNs = ss.SnapPauseMaxNs
 		}
 		s.AdmissionNs += ss.AdmissionNs
+		s.AdaptFolds += ss.AdaptFolds
 		s.PlansBuilt += ss.PlansBuilt
 		s.PlansApplied += ss.PlansApplied
 		s.PlansStale += ss.PlansStale

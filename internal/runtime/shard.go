@@ -1176,6 +1176,7 @@ func (s *shard) snapshot() ShardSnapshot {
 		BusyNs:      s.busyNs.Load(),
 
 		AdmissionNs:     s.admitNs.Load(),
+		AdaptFolds:      plan.AdaptFolds,
 		PlansBuilt:      plan.PlansBuilt,
 		PlansApplied:    plan.PlansApplied,
 		PlansStale:      plan.PlansStale,

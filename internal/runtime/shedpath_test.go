@@ -98,7 +98,8 @@ func TestFixedRatioConservation(t *testing.T) {
 
 // TestAsyncPlannerThroughRuntime exercises the full wiring: a Hybrid
 // strategy with AsyncPlan under a violated bound must report planner
-// activity and sampled admission time through Runtime.Snapshot.
+// activity, sampled admission time and adaptation epochs through
+// Runtime.Snapshot.
 func TestAsyncPlannerThroughRuntime(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	model := trainTestModel(t, m)
@@ -112,6 +113,7 @@ func TestAsyncPlannerThroughRuntime(t *testing.T) {
 				Bound:       event.Time(1),
 				DelayEvents: 200,
 				AsyncPlan:   true,
+				Adapt:       true,
 			})
 		},
 	})
@@ -151,5 +153,8 @@ func TestAsyncPlannerThroughRuntime(t *testing.T) {
 	}
 	if snap.ShedStallMaxNs <= 0 {
 		t.Error("no worker shed-stall recorded despite planner activity")
+	}
+	if snap.AdaptFolds == 0 {
+		t.Error("no adaptation epochs reported over a stream spanning many windows")
 	}
 }

@@ -68,6 +68,10 @@ type PlanStats struct {
 	// caused (the whole select+drop+compile for a synchronous trigger;
 	// only snapshot/launch/apply for an async one).
 	StallNsMax int64
+	// AdaptFolds counts online-adaptation epochs folded into the cost
+	// model (§V-B); its rate is the epoch rate, window/Slices of event
+	// time. Zero for strategies that do not adapt.
+	AdaptFolds uint64
 }
 
 // PlanReporter is implemented by strategies that report shed-planner
