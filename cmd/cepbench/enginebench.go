@@ -19,8 +19,9 @@ import (
 
 // This file is the engine benchmark-regression harness: -engine-bench
 // measures the raw Engine.Process hot path on the three canonical
-// workloads (sequence join, Kleene-heavy, negation) plus the sequence
-// join with an adapting Hybrid attached, -bench-out writes
+// workloads (sequence join, Kleene-heavy, negation), the sequence
+// pattern without its equi-joins (nothing for the key index to prune)
+// and the sequence join with an adapting Hybrid attached, -bench-out writes
 // the result as BENCH_engine.json, and -bench-compare gates the current
 // build against a checked-in baseline, failing on >25% ns/event
 // regression. See docs/PERFORMANCE.md for the workflow.
@@ -99,8 +100,18 @@ func engineBenchCases() []benchCase {
 	if err != nil {
 		panic(err)
 	}
+	// q1-ds1-nojoin is the other side of the key index: no transition
+	// leads with an equi-join, so every match sits on the unkeyed chain
+	// and every B and C event visits all of them — the pre-index walk,
+	// which must not pay for the index it bypasses. The window is 1 ms
+	// because nothing correlates the events: it yields 1 646 matches
+	// against q1-ds1's 1 131, so the two rows weigh matching and
+	// allocation alike.
+	nojoin := nfa.MustCompile(query.MustParse(
+		`PATTERN SEQ(A a, B b, C c) WHERE a.V + b.V = c.V WITHIN 1ms`))
 	return []benchCase{
 		{name: "q1-ds1", machine: nfa.MustCompile(query.Q1("8ms")), stream: ds1},
+		{name: "q1-ds1-nojoin", machine: nojoin, stream: ds1},
 		{name: "q1-ds1-hybrid-adapt", machine: adaptQ, stream: ds1, hybrid: func() *core.Hybrid {
 			return core.NewHybrid(adaptModel.Clone(), core.Config{Bound: event.Second, Adapt: true})
 		}},

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -63,10 +64,19 @@ func TestEmitSmoke(t *testing.T) {
 	const tenant = "a\x01\"b"
 	body, _ := json.Marshal(map[string]any{"name": tenant, "priority": 1})
 	httpDo(t, "PUT", base+"/tenants", string(body), http.StatusNoContent)
-	addQuery(t, base, registry.QuerySpec{
+	spec, _ := json.Marshal(registry.QuerySpec{
 		Tenant: tenant, Name: "pairs\t\xff",
 		Query: "PATTERN SEQ(X x, Y y) WHERE x.ID = y.ID WITHIN 100ms",
 	})
+	// The registration response names the tenant too and must be JSON.
+	var created struct{ ID, Fingerprint string }
+	resp := httpDo(t, "POST", base+"/queries?wait=1", string(spec), http.StatusCreated)
+	if err := json.Unmarshal(resp, &created); err != nil {
+		t.Fatalf("POST /queries response is not JSON: %v\n%q", err, resp)
+	}
+	if !strings.HasPrefix(created.ID, tenant+"/pairs\t") || len(created.Fingerprint) != 16 {
+		t.Errorf("POST /queries response %q: id %q fingerprint %q", resp, created.ID, created.Fingerprint)
+	}
 
 	var tcpAddr string
 	select {

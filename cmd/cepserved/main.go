@@ -726,7 +726,12 @@ func (s *server) mux() *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
-		fmt.Fprintf(w, `{"id":%q,"fingerprint":"%016x"}`+"\n", spec.ID(), in.Fingerprint())
+		// encoding/json, not %q: Go quoting renders a control byte in a
+		// tenant or query name as \x01, which no JSON parser accepts.
+		json.NewEncoder(w).Encode(struct {
+			ID          string `json:"id"`
+			Fingerprint string `json:"fingerprint"`
+		}{spec.ID(), fmt.Sprintf("%016x", in.Fingerprint())})
 	})))
 	mux.Handle("DELETE /queries/{tenant}/{name}", withTimeout(s.adminTO, s.auth(func(w http.ResponseWriter, r *http.Request) {
 		purge := r.URL.Query().Get("purge") == "1"
@@ -1130,6 +1135,12 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ClassLivePMs) })
 	gauge("class_dead_pms", "Dead entries awaiting bucket compaction (lazy-retirement debt).",
 		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ClassDeadPMs) })
+	// Useful work over attempts: visited/(visited+pruned) is the share of
+	// stored matches an event had to be tested against.
+	counter("index_visited_total", "Partial-match index entries events were dispatched to (predicates ran).",
+		func(ss runtime.ShardSnapshot) uint64 { return ss.IndexVisited })
+	counter("index_pruned_total", "Live index entries skipped because their equi-join key differs from the event's.",
+		func(ss runtime.ShardSnapshot) uint64 { return ss.IndexPruned })
 
 	// Per-query series: ladder level, arbiter imposition, recovery floor
 	// skips, latency quantiles.

@@ -82,3 +82,47 @@ func TestBatchedNoExtendProcessResolvedDoesNotAllocate(t *testing.T) {
 		t.Fatalf("no-extend processing changed live state: %d", en.LiveCount())
 	}
 }
+
+// Both sides of the key index stay allocation-free for events that extend
+// nothing: an event whose key differs (or is missing) prunes the keyed
+// chain without evaluating anything, and an event that lacks an
+// attribute an unkeyed match's predicate reads fails that predicate with
+// a prebuilt error.
+func TestKeyedAndUnkeyedNoExtendDoNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		q      *query.Query
+		pruned bool
+	}{
+		{name: "keyed", q: query.Q1("8ms"), pruned: true},
+		{name: "unkeyed", q: query.MustParse(`PATTERN SEQ(A a, B b, C c) WHERE a.V <= b.V AND a.V + b.V = c.V WITHIN 8ms`)},
+	} {
+		en := New(nfa.MustCompile(tc.q), DefaultCosts())
+		for _, e := range mkStream(
+			event.New("A", event.Millisecond, attrsIV(1, 2)),
+			event.New("A", event.Millisecond, attrsIV(2, 3)),
+			event.New("B", event.Millisecond, attrsIV(1, 2)),
+		) {
+			en.Process(e)
+		}
+		live := en.LiveCount()
+		for _, e := range []*event.Event{
+			event.New("B", event.Millisecond, nil), // no ID, no V
+			event.New("C", event.Millisecond, nil),
+			event.New("C", event.Millisecond, attrsIV(99, 99)),
+		} {
+			e.Seq = 100
+			before := en.IndexStats()
+			if allocs := testing.AllocsPerRun(100, func() { en.Process(e) }); allocs != 0 {
+				t.Errorf("%s: %s allocated %.1f times per Process", tc.name, e, allocs)
+			}
+			after := en.IndexStats()
+			if tc.pruned != (after.Pruned > before.Pruned) || tc.pruned == (after.Visited > before.Visited) {
+				t.Errorf("%s: %s moved index stats %+v -> %+v", tc.name, e, before, after)
+			}
+		}
+		if en.LiveCount() != live {
+			t.Fatalf("%s: no-extend processing changed live state", tc.name)
+		}
+	}
+}

@@ -9,13 +9,16 @@ import (
 	"cepshed/internal/gen"
 	"cepshed/internal/nfa"
 	"cepshed/internal/query"
+	"cepshed/internal/vclock"
 )
 
-// This file is the satellite differential harness for the type-indexed
-// hot path: every scenario runs the same randomized stream through the
-// indexed engine and the reference exhaustive-scan engine (legacy.go),
-// asserting event-by-event identical matches and virtual work, identical
-// DropIf outcomes, and identical final stats and partial-match state.
+// This file is the satellite differential harness for the type- and
+// key-indexed hot path: every scenario runs the same randomized stream
+// through the indexed engine and the reference exhaustive-scan engine
+// (legacy.go), asserting event-by-event identical matches and virtual
+// work, identical DropIf/DropClasses outcomes, and identical final stats
+// (PredEvals included: the index charges what it skips) and
+// partial-match state. keyindex_test.go adds the key-index scenarios.
 // make check runs it under -race.
 
 // bikeStream generates a Kleene-heavy random stream for HotPaths: trips
@@ -92,10 +95,24 @@ func runDifferential(t *testing.T, q *query.Query, deferred bool, s event.Stream
 			}
 		}
 		if dropEvery > 0 && i%dropEvery == dropEvery-1 {
-			ni, ci := indexed.DropIf(dropPM)
-			ns, cs := scan.DropIf(dropPM)
+			// Alternate the two shedding entry points: the full-store DropIf
+			// and the class-bucketed DropClasses (no OnCreate here, so every
+			// match is in class 0 of its state).
+			drop := func(en *Engine) (int, vclock.Cost) { return en.DropIf(dropPM) }
+			if (i/dropEvery)%2 == 1 {
+				pairs := make([][2]int, len(m.States))
+				for st := range pairs {
+					pairs[st] = [2]int{st, 0}
+				}
+				drop = func(en *Engine) (int, vclock.Cost) { return en.DropClasses(pairs, dropPM) }
+			}
+			ni, ci := drop(indexed)
+			ns, cs := drop(scan)
 			if ni != ns || ci != cs {
-				t.Fatalf("event %d: DropIf diverged: indexed (%d, %d), scan (%d, %d)", i, ni, ci, ns, cs)
+				t.Fatalf("event %d: drop diverged: indexed (%d, %d), scan (%d, %d)", i, ni, ci, ns, cs)
+			}
+			if err := checkIndex(indexed); err != nil {
+				t.Fatalf("event %d: %v", i, err)
 			}
 		}
 		if indexed.LiveCount() != scan.LiveCount() {
@@ -103,6 +120,9 @@ func runDifferential(t *testing.T, q *query.Query, deferred bool, s event.Stream
 		}
 	}
 
+	if err := checkIndex(indexed); err != nil {
+		t.Fatal(err)
+	}
 	fi, fs := pmFingerprint(indexed), pmFingerprint(scan)
 	if len(fi) != len(fs) {
 		t.Fatalf("final PM count diverged: indexed %d, scan %d", len(fi), len(fs))

@@ -6,12 +6,14 @@
 // state-based load shedding.
 //
 // The hot path is organized around two auxiliary structures (see
-// docs/PERFORMANCE.md): a type index mapping each event type to the
+// docs/PERFORMANCE.md): an index mapping each event type — and, where
+// the query leads with an equi-join, each join-key value — to the
 // partial matches that can react to it, and a start-ordered expiry ring
 // that pops whole expired start groups off its front. Physical work per
 // event is proportional to the matches that actually react; the virtual
-// cost model still charges the paper's PerScan for every live match, so
-// shedding economics are unchanged.
+// cost model still charges the paper's PerScan for every live match and
+// one PerPredicate for every equi-join the index skipped, so shedding
+// economics are unchanged.
 package engine
 
 import (
@@ -62,6 +64,13 @@ type Engine struct {
 	ring      expiryRing
 	groupPool []*startGroup
 
+	// indexVisited/indexPruned count the index entries reactBucket walked
+	// and the ones the key index let it skip (IndexStats). Kept out of
+	// Stats: they describe physical work, which the scan oracle does
+	// differently.
+	indexVisited uint64
+	indexPruned  uint64
+
 	// classes is the class-bucketed partial-match index (classindex.go):
 	// shedding's view of the store, maintained on every path (witnesses
 	// and the reference scan engine included). dropEpoch fences async
@@ -70,17 +79,11 @@ type Engine struct {
 	dropEpoch uint64
 
 	reacts       []stateReact
-	reactBuf     []typeFlag
 	witnessSpots map[string][]witnessSpot
 
 	// typeRes memoizes per-event-type dispatch resolution (bucket,
-	// witness spots, run-start check) for the batched hot path. indexGen
-	// is bumped whenever indexPM creates a new bucket, invalidating the
-	// cached nil-bucket entries; non-nil bucket pointers are stable for
-	// the engine's lifetime, so only the nil→bucket transition can go
-	// stale.
-	typeRes  map[string]*TypeRes
-	indexGen uint64
+	// witness spots, run-start check) for the batched hot path.
+	typeRes map[string]*TypeRes
 
 	// snapRef is the at-most-one in-flight by-reference snapshot capture
 	// (snapref.go); its pms stay pinned against recycling until Release.
@@ -128,19 +131,34 @@ func New(m *nfa.Machine, costs Costs) *Engine {
 	en.index = make(map[string]*typeBucket, 8)
 	en.classes.byState = make([][]*classBucket, len(m.States))
 	en.reacts = make([]stateReact, len(m.States))
+	// One bucket per event type some state reacts to, created up front: a
+	// bucket pointer (also cached in TypeRes) is stable for the engine's
+	// lifetime, and a type without one never gets one.
+	reactionTo := func(typ string, k *nfa.JoinKey) reaction {
+		b := en.index[typ]
+		if b == nil {
+			b = &typeBucket{unkeyed: emptyChain}
+			en.index[typ] = b
+		}
+		if k != nil {
+			b.attr = k.EventAttr // one per type (nfa.assignJoinKeys)
+		}
+		return reaction{b: b, key: k}
+	}
 	n := len(m.States)
 	for s := range m.States {
 		st := &m.States[s]
 		d := &en.reacts[s]
 		if st.Comp.Kleene {
-			d.takeType = st.Comp.Type
+			d.take = reactionTo(st.Comp.Type, st.TakeKey)
 			d.minReps = st.Comp.MinReps
 			d.maxReps = st.Comp.MaxReps
 		}
 		if s+1 < n {
-			d.proceedType = m.States[s+1].Comp.Type
-			for gi := range m.States[s+1].Guards {
-				d.guardTypes = append(d.guardTypes, m.States[s+1].Guards[gi].Comp.Type)
+			nx := &m.States[s+1]
+			d.proceed = reactionTo(nx.Comp.Type, nx.EnterKey)
+			for gi := range nx.Guards {
+				d.guards = append(d.guards, reactionTo(nx.Guards[gi].Comp.Type, nx.Guards[gi].Key))
 			}
 		}
 	}
@@ -185,8 +203,6 @@ type Result struct {
 // owned by the engine that issued it and must not be used with another
 // engine (in particular not across a supervisor rebuild).
 type TypeRes struct {
-	t       string
-	gen     uint64 // indexGen when bucket was last looked up
 	bucket  *typeBucket
 	spots   []witnessSpot
 	isStart bool
@@ -202,8 +218,6 @@ func (en *Engine) ResolveType(t string) *TypeRes {
 		en.typeRes = make(map[string]*TypeRes, 8)
 	}
 	tr := &TypeRes{
-		t:       t,
-		gen:     en.indexGen,
 		bucket:  en.index[t],
 		spots:   en.witnessSpots[t],
 		isStart: t == en.m.States[0].Comp.Type,
@@ -248,17 +262,8 @@ func (en *Engine) ProcessResolved(e *event.Event, tr *TypeRes) Result {
 	// buckets and not re-scanned for this event.
 	if en.useScan {
 		en.scanReact(e, &res)
-	} else {
-		// Revalidate a cached miss: an earlier event in this batch may
-		// have registered the first match reacting to this type, creating
-		// the bucket after tr was resolved.
-		if tr.bucket == nil && tr.gen != en.indexGen {
-			tr.bucket = en.index[tr.t]
-			tr.gen = en.indexGen
-		}
-		if b := tr.bucket; b != nil {
-			en.reactBucket(b, e, &res)
-		}
+	} else if b := tr.bucket; b != nil {
+		en.reactBucket(b, e, &res)
 	}
 
 	// Deferred negation: store the event as a witness for every guard of
@@ -328,19 +333,61 @@ func (en *Engine) ProcessResolved(e *event.Event, tr *TypeRes) Result {
 }
 
 // reactBucket dispatches e to every partial match whose bucket entry
-// says it can react, in registration order.
+// says it can react, in registration order: the unkeyed chain merged by
+// bucket position with the chain of e's join-key value. Keyed entries of
+// any other value are not visited. The scan would have run each of their
+// flagged reactions up to its leading equi-join and seen it fail (two
+// values with different canonical forms are never Equal; an event
+// without the attribute fails it with an error), so that is what they
+// are charged: one PerPredicate and one PredEvals per reaction, taken
+// from the running unit counts before any reaction of this event
+// registers a branch. The walk itself only prunes — every visited match
+// still evaluates its full conjunctions.
 func (en *Engine) reactBucket(b *typeBucket, e *event.Event, res *Result) {
 	if b.dead > 32 && b.dead*2 > len(b.entries) {
 		en.compactBucket(b)
 	}
+	// ents is taken before the walk: branches registered by this event
+	// land past its end and are not re-scanned. A chain position of -1
+	// (tail) or past end (a tail this event linked a branch to) reads as
+	// end.
 	ents := b.entries
-	for i, n := 0, len(ents); i < n; i++ {
-		ent := &ents[i]
-		pm := ent.pm
-		if pm.gen != ent.gen || pm.dead {
+	end := int32(len(ents))
+	at := func(i int32) int32 {
+		if uint32(i) >= uint32(end) {
+			return end
+		}
+		return i
+	}
+	i, j := at(b.unkeyed.head), end
+	if b.units > 0 {
+		units, pruned := b.units, b.keyedLive
+		if v := canonical(e.Attrs[b.attr]); v.kind != event.KindNone {
+			if k := b.slot(v); k >= 0 {
+				kc := &b.keys[k]
+				j = at(kc.head)
+				units -= kc.units
+				pruned -= kc.live
+			}
+		}
+		res.Work += vclock.Cost(units) * en.costs.PerPredicate
+		en.stats.PredEvals += uint64(units)
+		en.indexPruned += uint64(pruned)
+	}
+	for i < end || j < end {
+		var ent *indexEntry
+		if i < j {
+			ent = &ents[i]
+			i = at(ent.next)
+		} else {
+			ent = &ents[j]
+			j = at(ent.next)
+		}
+		if !ent.live() {
 			continue
 		}
-		en.react(pm, ent.flags, e, res)
+		en.indexVisited++
+		en.react(ent.pm, ent.flags, e, res)
 	}
 }
 
@@ -636,11 +683,7 @@ func (en *Engine) Flush() {
 	en.witnesses = nil
 	en.live, en.deadPMs, en.deadWitnesses = 0, 0, 0
 	for _, b := range en.index {
-		for i := range b.entries {
-			b.entries[i] = indexEntry{}
-		}
-		b.entries = b.entries[:0]
-		b.dead = 0
+		b.reset()
 	}
 	en.indexDead = 0
 	en.resetClassIndex()

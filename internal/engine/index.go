@@ -1,17 +1,21 @@
 package engine
 
 import (
+	"math"
+
 	"cepshed/internal/event"
+	"cepshed/internal/nfa"
 	"cepshed/internal/query"
 	"cepshed/internal/vclock"
 )
 
-// This file implements the type-indexed partial-match store and the
-// start-ordered expiry ring. Both rest on one structural invariant of
+// This file implements the type- and key-indexed partial-match store and
+// the start-ordered expiry ring. Both rest on one structural invariant of
 // the engine: a registered partial match is immutable except for its
 // dead flag (extension always branches), so the set of event types it
-// can react to — and its window-start coordinates — are fixed at
-// registration time.
+// can react to, the value its leading equi-join compares the event
+// against, and its window-start coordinates are fixed at registration
+// time.
 
 // Reaction flags: what a partial match does when an event of the
 // indexed type arrives.
@@ -22,90 +26,263 @@ const (
 )
 
 // indexEntry is one bucket slot. gen snapshots the match's recycle
-// generation so entries pointing at a reused object are skipped.
+// generation so entries pointing at a reused object are skipped. next
+// links the entries of one chain — the unkeyed entries, or those of one
+// join-key value — in registration order (-1 at the tail); key is the
+// typeBucket.keys slot of the entry's chain, -1 for the unkeyed one.
 type indexEntry struct {
 	pm    *PartialMatch
 	gen   uint32
+	next  int32
+	key   int32
 	flags uint8
 }
 
+func (ent *indexEntry) live() bool { return ent.pm.gen == ent.gen && !ent.pm.dead }
+
+// chain is a linked list threaded through typeBucket.entries.
+type chain struct{ head, tail int32 }
+
+var emptyChain = chain{head: -1, tail: -1}
+
+// keyChain is the chain of one join-key value. units is the number of
+// predicate evaluations the exhaustive scan spends on its live entries
+// for an event of another key: one per flagged reaction.
+type keyChain struct {
+	chain
+	val   joinVal
+	units int
+	live  int
+}
+
 // typeBucket holds, in registration order, every live match that can
-// react to one event type. dead counts entries whose match has died
-// (compacted lazily).
+// react to one event type; dead counts entries whose match has died
+// (compacted lazily). A match all of whose reactions to the type lead
+// with an equi-join on the event's attr and the same bound value
+// (nfa.JoinKey) is chained under that value, and an event walks only the
+// chain of its own attr value, merged with the unkeyed chain. The rest —
+// no leading equi-join, reactions that disagree, or a bound value that
+// is not there — are on the unkeyed chain, which every event of the type
+// walks. Key values arrive from outside the program: compaction unlinks
+// the chains it empties, so keys, num and str hold O(live matches)
+// values, not one per value ever seen.
 type typeBucket struct {
 	entries []indexEntry
 	dead    int
+	unkeyed chain
+
+	attr      string     // event attribute keyed entries join on, "" if none can
+	keys      []keyChain // slots; num and str map a value to its slot
+	freeKeys  []int32
+	num       map[uint64]int32
+	str       map[string]int32
+	units     int // Σ keyChain.units
+	keyedLive int // Σ keyChain.live
 }
 
-// stateReact is the per-state reaction descriptor computed at New: which
-// event types a match resting in this state responds to. The dynamic
-// parts (repetition count vs Min/MaxReps) are evaluated per match at
-// registration.
-type stateReact struct {
-	takeType string // non-empty iff the state is Kleene
-	minReps  int
-	maxReps  int
-
-	proceedType string   // type of the next state ("" at the final state)
-	guardTypes  []string // types guarding the gap to the next state
+// joinVal is the canonical form of a join-key value: two values whose
+// joinVals differ are never event.Value.Equal, so a key lookup can only
+// skip matches the equi-join would have rejected. The converse does not
+// hold (ints beyond 2^53 share a float), which is fine: the visited
+// match still evaluates the predicate itself. The zero joinVal means "no
+// key": absent, or NaN (equal to nothing).
+type joinVal struct {
+	kind event.Kind // KindNone, KindFloat (any numeric), or KindString
+	num  uint64
+	str  string
 }
 
-// typeFlag pairs an event type with merged reaction flags.
-type typeFlag struct {
-	t string
-	f uint8
+func canonical(v event.Value) joinVal {
+	switch v.Kind {
+	case event.KindInt, event.KindFloat:
+		f := v.AsFloat()
+		if f != f {
+			return joinVal{}
+		}
+		if f == 0 {
+			return joinVal{kind: event.KindFloat} // -0 = +0
+		}
+		return joinVal{kind: event.KindFloat, num: math.Float64bits(f)}
+	case event.KindString:
+		return joinVal{kind: event.KindString, str: v.S}
+	}
+	return joinVal{}
 }
 
-// reactionsOf returns the (type, flags) pairs match pm reacts to,
-// deduplicated by type. The result aliases en.reactBuf and is valid
-// until the next call.
-func (en *Engine) reactionsOf(pm *PartialMatch) []typeFlag {
-	buf := en.reactBuf[:0]
-	d := &en.reacts[pm.cur]
-	if !en.DeferredNegation {
-		for _, t := range d.guardTypes {
-			buf = addTypeFlag(buf, t, reactGuard)
+// boundKey evaluates the bound side of a JoinKey against a match.
+func boundKey(pm *PartialMatch, k *nfa.JoinKey) joinVal {
+	if k == nil {
+		return joinVal{}
+	}
+	var e *event.Event
+	if k.Rep == nfa.RepSingle {
+		e = pm.singles[k.State]
+	} else if reps := pm.kleene[k.State]; len(reps) > 0 {
+		e = reps[0]
+		if k.Rep == nfa.RepLast {
+			e = reps[len(reps)-1]
 		}
 	}
-	if d.takeType != "" && (d.maxReps == 0 || len(pm.kleene[pm.cur]) < d.maxReps) {
-		buf = addTypeFlag(buf, d.takeType, reactTake)
+	if e == nil {
+		return joinVal{}
 	}
-	if d.proceedType != "" && (d.takeType == "" || len(pm.kleene[pm.cur]) >= d.minReps) {
-		buf = addTypeFlag(buf, d.proceedType, reactProceed)
+	return canonical(e.Attrs[k.BoundAttr])
+}
+
+// slot returns the keys slot of value v, or -1 if v has no chain.
+func (b *typeBucket) slot(v joinVal) int32 {
+	var k int32
+	var ok bool
+	if v.kind == event.KindString {
+		k, ok = b.str[v.str]
+	} else {
+		k, ok = b.num[v.num]
 	}
-	en.reactBuf = buf
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// addSlot starts an empty chain for value v.
+func (b *typeBucket) addSlot(v joinVal) int32 {
+	var k int32
+	if n := len(b.freeKeys); n > 0 {
+		k, b.freeKeys = b.freeKeys[n-1], b.freeKeys[:n-1]
+	} else {
+		k = int32(len(b.keys))
+		b.keys = append(b.keys, keyChain{})
+	}
+	b.keys[k] = keyChain{chain: emptyChain, val: v}
+	if v.kind == event.KindString {
+		if b.str == nil {
+			b.str = make(map[string]int32)
+		}
+		b.str[v.str] = k
+	} else {
+		if b.num == nil {
+			b.num = make(map[uint64]int32)
+		}
+		b.num[v.num] = k
+	}
+	return k
+}
+
+// link appends entry i to chain c.
+func (b *typeBucket) link(c *chain, i int32) {
+	if c.tail >= 0 {
+		b.entries[c.tail].next = i
+	} else {
+		c.head = i
+	}
+	c.tail = i
+}
+
+// reaction is one way a match resting in a state responds to an event
+// type: the type's bucket (created at New, so a bucket pointer stands for
+// its type) and the reaction's join key.
+type reaction struct {
+	b   *typeBucket
+	key *nfa.JoinKey
+}
+
+// stateReact is the per-state reaction descriptor computed at New. The
+// dynamic parts (repetition count vs Min/MaxReps, the key's value) are
+// evaluated per match at registration.
+type stateReact struct {
+	take    reaction // b non-nil iff the state is Kleene
+	minReps int
+	maxReps int
+
+	proceed reaction   // into the next state (b nil at the final state)
+	guards  []reaction // eager guards of the gap to the next state
+}
+
+// typeFlag pairs a type bucket with merged reaction flags, the number of
+// reactions merged (units) and the value they are keyed on.
+type typeFlag struct {
+	b     *typeBucket
+	key   joinVal
+	units int
+	f     uint8
+}
+
+// reactionsOf appends the reactions of match pm, deduplicated by type, to
+// buf. Callers pass a stack array: typeFlag is mostly pointers, and
+// filling an engine-owned (heap) buffer on every register and death
+// paid a GC write barrier per field.
+func (en *Engine) reactionsOf(pm *PartialMatch, buf []typeFlag) []typeFlag {
+	d := &en.reacts[pm.cur]
+	if !en.DeferredNegation {
+		for _, g := range d.guards {
+			buf = addReaction(buf, pm, g, reactGuard)
+		}
+	}
+	if d.take.b != nil && (d.maxReps == 0 || len(pm.kleene[pm.cur]) < d.maxReps) {
+		buf = addReaction(buf, pm, d.take, reactTake)
+	}
+	if d.proceed.b != nil && (d.take.b == nil || len(pm.kleene[pm.cur]) >= d.minReps) {
+		buf = addReaction(buf, pm, d.proceed, reactProceed)
+	}
 	return buf
 }
 
-func addTypeFlag(buf []typeFlag, t string, f uint8) []typeFlag {
+// addReaction merges one reaction into buf. The merged entry stays keyed
+// only while every reaction to the type carries the same key value.
+func addReaction(buf []typeFlag, pm *PartialMatch, r reaction, f uint8) []typeFlag {
+	key := boundKey(pm, r.key)
 	for i := range buf {
-		if buf[i].t == t {
-			buf[i].f |= f
+		if tf := &buf[i]; tf.b == r.b {
+			tf.f |= f
+			tf.units++
+			if tf.key != key {
+				tf.key = joinVal{}
+			}
 			return buf
 		}
 	}
-	return append(buf, typeFlag{t: t, f: f})
+	// Field by field into the slot: composing the struct first makes the
+	// copy read back what narrower stores just wrote, which stalls.
+	buf = append(buf, typeFlag{})
+	tf := &buf[len(buf)-1]
+	tf.b, tf.key, tf.units, tf.f = r.b, key, 1, f
+	return buf
 }
 
 // indexPM adds a freshly registered match to the buckets of every type
-// it reacts to. Bucket order is registration order, which preserves the
+// it reacts to. Bucket order is registration order, and reactBucket
+// merges the two chains it walks by bucket position, which preserves the
 // exhaustive scan's reaction (and therefore match emission) order.
 func (en *Engine) indexPM(pm *PartialMatch) {
-	for _, tf := range en.reactionsOf(pm) {
-		b := en.index[tf.t]
-		if b == nil {
-			b = &typeBucket{}
-			en.index[tf.t] = b
-			// Invalidate cached TypeRes entries that resolved this type to
-			// "no bucket" (engine.ResolveType).
-			en.indexGen++
+	var buf [4]typeFlag
+	rs := en.reactionsOf(pm, buf[:0])
+	for i := range rs {
+		tf := &rs[i]
+		b := tf.b
+		at := int32(len(b.entries))
+		ent := indexEntry{pm: pm, gen: pm.gen, next: -1, key: -1, flags: tf.f}
+		c := &b.unkeyed
+		if tf.key.kind != event.KindNone {
+			k := b.slot(tf.key)
+			if k < 0 {
+				k = b.addSlot(tf.key)
+			}
+			kc := &b.keys[k]
+			kc.units += tf.units
+			kc.live++
+			b.units += tf.units
+			b.keyedLive++
+			ent.key = k
+			c = &kc.chain
 		}
-		b.entries = append(b.entries, indexEntry{pm: pm, gen: pm.gen, flags: tf.f})
+		b.entries = append(b.entries, ent)
+		b.link(c, at)
 	}
 }
 
 // noteDead records a match's death for lazy cleanup: live counter, sweep
-// counters, and the dead tallies of every bucket holding it.
+// counters, and the dead tallies and charge units of every bucket
+// holding it.
 func (en *Engine) noteDead(pm *PartialMatch) {
 	en.live--
 	en.deadPMs++
@@ -119,28 +296,90 @@ func (en *Engine) noteDead(pm *PartialMatch) {
 	if en.useScan {
 		return
 	}
-	for _, tf := range en.reactionsOf(pm) {
-		if b := en.index[tf.t]; b != nil {
-			b.dead++
-			en.indexDead++
+	var buf [4]typeFlag
+	rs := en.reactionsOf(pm, buf[:0])
+	for i := range rs {
+		tf := &rs[i]
+		b := tf.b
+		b.dead++
+		en.indexDead++
+		if tf.key.kind == event.KindNone {
+			continue
+		}
+		if k := b.slot(tf.key); k >= 0 {
+			kc := &b.keys[k]
+			kc.units -= tf.units
+			kc.live--
+			b.units -= tf.units
+			b.keyedLive--
 		}
 	}
 }
 
-// compactBucket drops dead and stale entries in place.
+// compactBucket drops dead and stale entries in place, relinks the
+// chains over the survivors and unlinks the key values left without any.
 func (en *Engine) compactBucket(b *typeBucket) {
-	live := b.entries[:0]
-	for _, ent := range b.entries {
-		if ent.pm.gen == ent.gen && !ent.pm.dead {
-			live = append(live, ent)
+	b.unkeyed = emptyChain
+	for k := range b.keys {
+		b.keys[k].chain = emptyChain
+	}
+	old := b.entries
+	b.entries = old[:0]
+	for _, ent := range old {
+		if !ent.live() {
+			continue
+		}
+		at := int32(len(b.entries))
+		ent.next = -1
+		b.entries = append(b.entries, ent)
+		if ent.key < 0 {
+			b.link(&b.unkeyed, at)
+		} else {
+			b.link(&b.keys[ent.key].chain, at)
 		}
 	}
-	for i := len(live); i < len(b.entries); i++ {
-		b.entries[i] = indexEntry{}
+	clear(old[len(b.entries):])
+	for k := range b.keys {
+		kc := &b.keys[k]
+		if kc.head >= 0 || kc.val.kind == event.KindNone {
+			continue // in use, or already on the free list
+		}
+		if kc.val.kind == event.KindString {
+			delete(b.str, kc.val.str)
+		} else {
+			delete(b.num, kc.val.num)
+		}
+		kc.val = joinVal{}
+		b.freeKeys = append(b.freeKeys, int32(k))
 	}
-	b.entries = live
 	en.indexDead -= b.dead
 	b.dead = 0
+}
+
+// reset empties the bucket (Flush), keeping its storage.
+func (b *typeBucket) reset() {
+	clear(b.entries)
+	clear(b.keys)
+	clear(b.num)
+	clear(b.str)
+	*b = typeBucket{
+		entries: b.entries[:0], unkeyed: emptyChain, attr: b.attr,
+		keys: b.keys[:0], freeKeys: b.freeKeys[:0], num: b.num, str: b.str,
+	}
+}
+
+// IndexStats is the physical work of the type/key index: Visited counts
+// the entries events walked (and ran predicates against), Pruned the
+// live keyed entries they skipped because the join key differed.
+// Visited/(Visited+Pruned) is the share of attempts that could succeed.
+type IndexStats struct {
+	Visited uint64
+	Pruned  uint64
+}
+
+// IndexStats returns the index work counters.
+func (en *Engine) IndexStats() IndexStats {
+	return IndexStats{Visited: en.indexVisited, Pruned: en.indexPruned}
 }
 
 // startGroup collects every match (and witness) whose run started at one
@@ -151,6 +390,9 @@ type startGroup struct {
 	startTime event.Time
 	startSeq  uint64
 	members   []groupMember
+	// inline backs members for the common small group, so a start group
+	// is one allocation.
+	inline [4]groupMember
 }
 
 type groupMember struct {
@@ -222,7 +464,9 @@ func (en *Engine) newGroup() *startGroup {
 		en.groupPool = en.groupPool[:k]
 		return g
 	}
-	return &startGroup{}
+	g := &startGroup{}
+	g.members = g.inline[:0]
+	return g
 }
 
 func (en *Engine) freeGroup(g *startGroup) {

@@ -8,7 +8,9 @@ import (
 // Explain renders the compiled automaton as a human-readable plan: one
 // block per state with its event type, Kleene bounds, the predicates
 // evaluated at each moment (bind / incremental / completion), and the
-// negation guards active while waiting for the state.
+// negation guards active while waiting for the state. The predicate a
+// transition is indexed on (JoinKey) carries a [key] mark; a transition
+// without one is listed as unkeyed.
 func (m *Machine) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", m.Query)
@@ -41,19 +43,39 @@ func (m *Machine) Explain() string {
 						b.WriteString(" AND ")
 					}
 					b.WriteString(p.String())
+					if i == 0 && g.Key != nil {
+						b.WriteString(" [key]")
+					}
 				}
+			}
+			if g.Key == nil {
+				b.WriteString(" (unkeyed)")
 			}
 			b.WriteByte('\n')
 		}
-		for _, p := range st.Incremental {
-			fmt.Fprintf(&b, "  on each repetition: %s\n", p)
+		for i, p := range st.Incremental {
+			fmt.Fprintf(&b, "  on each repetition: %s%s\n", p, keyMark(i == 0 && st.TakeKey != nil))
 		}
-		for _, p := range st.Bind {
-			fmt.Fprintf(&b, "  on bind: %s\n", p)
+		for i, p := range st.Bind {
+			fmt.Fprintf(&b, "  on bind: %s%s\n", p, keyMark(i == 0 && st.EnterKey != nil && !st.Comp.Kleene))
+		}
+		if st.Comp.Kleene && st.TakeKey == nil {
+			b.WriteString("  take: unkeyed\n")
+		}
+		// Binding state 0 starts a run; no stored match reacts to it.
+		if s > 0 && st.EnterKey == nil {
+			b.WriteString("  enter: unkeyed\n")
 		}
 	}
 	for _, p := range m.Completion {
 		fmt.Fprintf(&b, "on completion: %s\n", p)
 	}
 	return b.String()
+}
+
+func keyMark(keyed bool) string {
+	if keyed {
+		return " [key]"
+	}
+	return ""
 }

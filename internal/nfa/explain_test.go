@@ -14,8 +14,9 @@ func TestExplainQ1(t *testing.T) {
 		"state 0: A a",
 		"state 1: B b",
 		"state 2: C c [final]",
-		"on bind: a.ID = b.ID",
-		"on bind: (a.V+b.V) = c.V",
+		"on bind: a.ID = b.ID [key]\n",
+		"on bind: a.ID = c.ID [key]\n",
+		"on bind: (a.V+b.V) = c.V\n",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Explain missing %q:\n%s", frag, out)
@@ -32,8 +33,35 @@ func TestExplainKleeneAndGuards(t *testing.T) {
 		t.Errorf("incremental predicates missing:\n%s", out)
 	}
 	out = MustCompile(query.Q4("8ms")).Explain()
-	if !strings.Contains(out, "guard: NOT B b when a.ID = b.ID") {
+	if !strings.Contains(out, "guard: NOT B b when a.ID = b.ID [key]\n") {
 		t.Errorf("guard missing:\n%s", out)
+	}
+}
+
+func TestExplainMarksKeys(t *testing.T) {
+	out := MustCompile(query.HotPaths("1h", 2, 5)).Explain()
+	for _, frag := range []string{
+		"on each repetition: a[i+1].bike = a[i].bike [key]\n",
+		"on each repetition: a[i+1].start = a[i].end\n",
+		"on bind: a[last].bike = b.bike [key]\n",
+	} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("Explain missing %q:\n%s", frag, out)
+		}
+	}
+	if strings.Contains(out, "unkeyed") {
+		t.Errorf("HotPaths is keyed throughout:\n%s", out)
+	}
+	// Q2's final state has no leading equi-join.
+	out = MustCompile(query.Q2("8ms", 1, 3)).Explain()
+	if !strings.Contains(out, "on bind: (a.V+c.V) = d.V\n  enter: unkeyed\n") {
+		t.Errorf("unkeyed final state not reported:\n%s", out)
+	}
+	out = MustCompile(query.MustParse(`PATTERN SEQ(A a, NOT B n, A+ b[]) WHERE b[i].V > a.V WITHIN 1ms`)).Explain()
+	for _, frag := range []string{"guard: NOT B n (unkeyed)\n", "take: unkeyed\n", "enter: unkeyed\n"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("Explain missing %q:\n%s", frag, out)
+		}
 	}
 }
 

@@ -49,7 +49,41 @@ type State struct {
 	// these).
 	BindC        []query.CompiledPredicate
 	IncrementalC []query.CompiledPredicate
+
+	// EnterKey is the equi-join a match resting in the previous state is
+	// indexed under for events of this state's type: the leading
+	// predicate of the conjunction that binds the state (Bind, or
+	// Incremental's first-repetition run for a Kleene state). TakeKey is
+	// the same for a Kleene take from this state (Incremental). Nil means
+	// the reaction is unkeyed: every event of the type visits the match.
+	EnterKey *JoinKey
+	TakeKey  *JoinKey
 }
+
+// JoinKey is the equi-join a reaction's predicate conjunction leads
+// with, in the engine's terms: the arriving event's EventAttr must equal
+// BoundAttr of the event selected by (State, Rep) in the partial match.
+// Only the first predicate of a conjunction qualifies — it is the one
+// every visit evaluates, so a match pruned on it is charged exactly one
+// predicate evaluation, which is what the scan would have spent.
+type JoinKey struct {
+	EventAttr string
+	State     int
+	Rep       RepSel
+	BoundAttr string
+}
+
+// RepSel selects the event a JoinKey reads at its state.
+type RepSel uint8
+
+const (
+	// RepSingle is the binding of a non-Kleene state.
+	RepSingle RepSel = iota
+	// RepFirst is the first repetition of a Kleene state.
+	RepFirst
+	// RepLast is the latest repetition of a Kleene state.
+	RepLast
+)
 
 // Guard is a negation guard.
 type Guard struct {
@@ -57,6 +91,9 @@ type Guard struct {
 	Preds []*query.Predicate
 	// PredsC is the compiled form of Preds.
 	PredsC []query.CompiledPredicate
+	// Key is the equi-join Preds leads with (nil: unkeyed), see
+	// State.EnterKey.
+	Key *JoinKey
 }
 
 // Compile builds the machine for q.
@@ -93,7 +130,69 @@ func Compile(q *query.Query) (*Machine, error) {
 	if len(m.States) == 0 {
 		return nil, fmt.Errorf("nfa: no positive components")
 	}
+	m.assignJoinKeys()
 	return m, nil
+}
+
+// assignJoinKeys derives every reaction's JoinKey from the leading
+// predicate of its conjunction. The engine keeps one key index per event
+// type and reads the key attribute off an arriving event once, so the
+// first keyed reaction of a type (in state order) fixes the attribute
+// for that type; reactions to the same type that join on another
+// attribute stay unkeyed.
+func (m *Machine) assignJoinKeys() {
+	attrOf := map[string]string{}
+	claim := func(typ string, k *JoinKey) *JoinKey {
+		if k == nil {
+			return nil
+		}
+		if a, ok := attrOf[typ]; ok && a != k.EventAttr {
+			return nil
+		}
+		attrOf[typ] = k.EventAttr
+		return k
+	}
+	for s := range m.States {
+		st := &m.States[s]
+		typ := st.Comp.Type
+		for gi := range st.Guards {
+			g := &st.Guards[gi]
+			g.Key = claim(g.Comp.Type, m.leadingJoin(g.Preds))
+		}
+		if st.Comp.Kleene {
+			st.TakeKey = claim(typ, m.leadingJoin(st.Incremental))
+			// Entering binds the first repetition: a key that reads the
+			// state's own (still empty) repetitions has no value yet.
+			if k := st.TakeKey; s > 0 && k != nil && k.State != s {
+				st.EnterKey = k
+			}
+		} else if s > 0 {
+			st.EnterKey = claim(typ, m.leadingJoin(st.Bind))
+		}
+	}
+}
+
+// leadingJoin translates the first predicate of a conjunction into a
+// JoinKey, or nil if it is not an equi-join.
+func (m *Machine) leadingJoin(preds []*query.Predicate) *JoinKey {
+	if len(preds) == 0 {
+		return nil
+	}
+	ej, ok := preds[0].EquiJoin()
+	if !ok {
+		return nil
+	}
+	c := ej.Bound.Component()
+	k := &JoinKey{EventAttr: ej.EventAttr, State: m.PosState[c.Pos], BoundAttr: ej.Bound.Attr}
+	switch {
+	case !c.Kleene:
+		k.Rep = RepSingle
+	case ej.Bound.Index == query.IdxFirst:
+		k.Rep = RepFirst
+	default:
+		k.Rep = RepLast
+	}
+	return k
 }
 
 // MustCompile compiles and panics on error.

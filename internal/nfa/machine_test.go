@@ -88,3 +88,54 @@ func TestCompileClusterQuery(t *testing.T) {
 		}
 	}
 }
+
+func TestJoinKeys(t *testing.T) {
+	key := func(attr string, state int, rep RepSel, bound string) *JoinKey {
+		return &JoinKey{EventAttr: attr, State: state, Rep: rep, BoundAttr: bound}
+	}
+	same := func(a, b *JoinKey) bool {
+		return (a == nil) == (b == nil) && (a == nil || *a == *b)
+	}
+	type stateKeys struct{ enter, take *JoinKey }
+	cases := []struct {
+		name string
+		q    *query.Query
+		want []stateKeys
+	}{
+		{"Q1", query.Q1("8ms"), []stateKeys{
+			{}, {enter: key("ID", 0, RepSingle, "ID")}, {enter: key("ID", 0, RepSingle, "ID")}}},
+		// Q2's final state leads with a.V + c.V = d.V: unkeyed.
+		{"Q2", query.Q2("8ms", 1, 3), []stateKeys{
+			{},
+			{enter: key("ID", 0, RepSingle, "ID"), take: key("ID", 0, RepSingle, "ID")},
+			{enter: key("ID", 0, RepSingle, "ID")},
+			{}}},
+		// The take reads the state's own latest repetition; a run start
+		// is not an index reaction, so state 0 has no enter key.
+		{"HotPaths", query.HotPaths("1h", 2, 5), []stateKeys{
+			{take: key("bike", 0, RepLast, "bike")}, {enter: key("bike", 0, RepLast, "bike")}}},
+		// Entering a Kleene state whose key reads its own repetitions is
+		// the vacuous first repetition: unkeyed.
+		{"own-reps", query.MustParse(`PATTERN SEQ(A a, B+ b[], C c)
+			WHERE b[i+1].x = b[i].x AND b[1].x = c.x WITHIN 1ms`), []stateKeys{
+			{}, {take: key("x", 1, RepLast, "x")}, {enter: key("x", 1, RepFirst, "x")}}},
+		// One key attribute per event type: A's take claims ID, so the
+		// proceed on V (same type) stays unkeyed.
+		{"split", query.MustParse(`PATTERN SEQ(A+ a[], A b)
+			WHERE a[i+1].ID = a[i].ID AND a[last].V = b.V WITHIN 1ms`), []stateKeys{
+			{take: key("ID", 0, RepLast, "ID")}, {}}},
+	}
+	for _, c := range cases {
+		m := MustCompile(c.q)
+		for s, w := range c.want {
+			st := &m.States[s]
+			if !same(st.EnterKey, w.enter) || !same(st.TakeKey, w.take) {
+				t.Errorf("%s state %d: enter %+v take %+v, want %+v / %+v", c.name, s, st.EnterKey, st.TakeKey, w.enter, w.take)
+			}
+		}
+	}
+	g := MustCompile(query.Q4("8ms")).States[1].Guards[0]
+	if !same(g.Key, key("ID", 0, RepSingle, "ID")) {
+		t.Errorf("Q4 guard key = %+v", g.Key)
+	}
+}

@@ -203,3 +203,69 @@ func (q *Query) NegationPredicates(pos int) []*Predicate {
 	}
 	return out
 }
+
+// EquiJoin describes a predicate of the form bound.f = cand.g: an
+// equality between an attribute of an event the match bound earlier and
+// an attribute of the candidate event the predicate is evaluated
+// against. The engine files partial matches under the bound side's value
+// so a candidate only visits the matches that can pass the test.
+type EquiJoin struct {
+	// Bound reads the already-bound event: a non-Kleene variable, or a
+	// Kleene variable indexed [1], [last], or [i] (when paired with
+	// [i+1]: the latest repetition).
+	Bound *FieldRef
+	// EventAttr is the attribute read off the candidate event.
+	EventAttr string
+}
+
+// EquiJoin reports whether p is an equi-join between a bound position
+// and the candidate event. The candidate is the event bound at the
+// anchor position (bind predicates), the repetition being taken
+// (incremental predicates), or the event of the negated type (negation
+// predicates); completion predicates have none.
+func (p *Predicate) EquiJoin() (EquiJoin, bool) {
+	cmp, ok := p.Expr.(*Compare)
+	if !ok || cmp.Op != CmpEq {
+		return EquiJoin{}, false
+	}
+	l, lok := cmp.L.(*FieldRef)
+	r, rok := cmp.R.(*FieldRef)
+	if !lok || !rok || l.comp == nil || r.comp == nil {
+		return EquiJoin{}, false
+	}
+	switch {
+	case p.readsCandidate(l) && p.readsBound(r):
+		return EquiJoin{Bound: r, EventAttr: l.Attr}, true
+	case p.readsCandidate(r) && p.readsBound(l):
+		return EquiJoin{Bound: l, EventAttr: r.Attr}, true
+	}
+	return EquiJoin{}, false
+}
+
+// readsCandidate reports whether r resolves to the event p is evaluated
+// against rather than to one the match already holds.
+func (p *Predicate) readsCandidate(r *FieldRef) bool {
+	switch p.Kind {
+	case AnchorNegation:
+		return r.comp.Negated
+	case AnchorIncremental:
+		return r.comp.Pos == p.AnchorPos && r.Index == IdxCurrent
+	case AnchorBind:
+		return r.comp.Pos == p.AnchorPos && !r.comp.Kleene
+	}
+	return false
+}
+
+// readsBound reports whether r resolves to an event bound before the
+// candidate arrived, whose value is therefore fixed for the lifetime of
+// the (immutable) partial match.
+func (p *Predicate) readsBound(r *FieldRef) bool {
+	c := r.comp
+	if c.Negated || c.Pos > p.AnchorPos {
+		return false
+	}
+	if !c.Kleene {
+		return c.Pos < p.AnchorPos
+	}
+	return r.Index == IdxFirst || r.Index == IdxLast || r.Index == IdxPrev
+}

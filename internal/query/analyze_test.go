@@ -142,3 +142,38 @@ func TestClusterTasksAnchors(t *testing.T) {
 		}
 	}
 }
+
+func TestEquiJoin(t *testing.T) {
+	type want struct {
+		bound, attr string // "" bound: not an equi-join
+	}
+	cases := []struct {
+		q    *Query
+		want []want
+	}{
+		{Q1("8ms"), []want{{"a.ID", "ID"}, {"a.ID", "ID"}, {}}},
+		{Q2("8ms", 1, 3), []want{{"a.ID", "ID"}, {"a.ID", "ID"}, {"a.V", "V"}, {}}},
+		// Negation: the candidate is the negated variable.
+		{Q4("8ms"), []want{{"a.ID", "ID"}, {"a.ID", "ID"}, {"c.ID", "ID"}}},
+		// [i] paired with [i+1] is the bound side; [last] before the
+		// anchor too; IN is not a comparison.
+		{HotPaths("1h", 2, 5), []want{{"a[i].bike", "bike"}, {"a[i].end", "start"}, {"a[last].bike", "bike"}, {}}},
+		{MustParse(`PATTERN SEQ(A a, A+ b[], B c)
+			WHERE c.x = a.y AND a.V < c.V AND b[1].V = c.V AND a.ID = 3 AND a.V = a.ID + c.V
+			AND c.V = c.ID AND AVG(b[].V) = a.V WITHIN 1ms`),
+			[]want{{"a.y", "x"}, {}, {"b[1].V", "V"}, {}, {}, {}, {}}},
+	}
+	for qi, c := range cases {
+		for pi, p := range c.q.Where {
+			ej, ok := p.EquiJoin()
+			w := c.want[pi]
+			if ok != (w.bound != "") {
+				t.Errorf("q%d %s: EquiJoin ok = %v", qi, p, ok)
+				continue
+			}
+			if ok && (ej.Bound.String() != w.bound || ej.EventAttr != w.attr) {
+				t.Errorf("q%d %s: bound %s event attr %s, want %s / %s", qi, p, ej.Bound, ej.EventAttr, w.bound, w.attr)
+			}
+		}
+	}
+}

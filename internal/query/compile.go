@@ -129,6 +129,12 @@ func compileRef(r *FieldRef) valProg {
 	}
 	attr := r.Attr
 	errUnbound := fmt.Errorf("query: variable %s is not bound", r.Var)
+	// Events come from outside the program, so a missing attribute is an
+	// ordinary outcome, evaluated once per partial match the event meets:
+	// the error is built here, not per evaluation (callers only test it
+	// for nil and IsVacuous). It names the component's declared type, which
+	// is the type of every event the engine resolves the reference to.
+	errNoAttr := fmt.Errorf("query: event %s has no attribute %s", c.Type, attr)
 	// getAttr is the shared slow-path helper; the two hottest reference
 	// kinds (negated/current and non-Kleene single) inline the attribute
 	// lookup to avoid an extra indirect call per evaluation.
@@ -138,7 +144,7 @@ func compileRef(r *FieldRef) valProg {
 		}
 		v, ok := e.Get(attr)
 		if !ok {
-			return event.Value{}, fmt.Errorf("query: event %s has no attribute %s", e.Type, attr)
+			return event.Value{}, errNoAttr
 		}
 		return v, nil
 	}
@@ -151,7 +157,7 @@ func compileRef(r *FieldRef) valProg {
 			}
 			v, ok := e.Attrs[attr]
 			if !ok {
-				return event.Value{}, fmt.Errorf("query: event %s has no attribute %s", e.Type, attr)
+				return event.Value{}, errNoAttr
 			}
 			return v, nil
 		}
@@ -164,7 +170,7 @@ func compileRef(r *FieldRef) valProg {
 			}
 			v, ok := e.Attrs[attr]
 			if !ok {
-				return event.Value{}, fmt.Errorf("query: event %s has no attribute %s", e.Type, attr)
+				return event.Value{}, errNoAttr
 			}
 			return v, nil
 		}

@@ -38,8 +38,11 @@ func randomEvent(rng *rand.Rand, typ string, attrs []string) *event.Event {
 
 // TestCompiledMatchesInterpreter checks, for every predicate of every
 // paper query (plus grammar-corner queries), that the compiled program
-// and the AST interpreter agree on result, error presence, error text,
-// and vacuousness across randomized bindings.
+// and the AST interpreter agree on result, error presence and
+// vacuousness across randomized bindings. Error text is not compared:
+// the compiled program returns errors built at compile time (a missing
+// attribute names the component's declared type, the interpreter the
+// event's), and the engine only ever tests them for nil and IsVacuous.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	queries := []*Query{
 		Q1("8ms"),
@@ -87,13 +90,8 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("q%d trial %d pred %d (%s): err %v vs %v", qi, trial, pi, p, wantErr, gotErr)
 				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("q%d trial %d pred %d: error text %q vs %q", qi, trial, pi, wantErr, gotErr)
-					}
-					if IsVacuous(wantErr) != IsVacuous(gotErr) {
-						t.Fatalf("q%d trial %d pred %d: vacuous divergence", qi, trial, pi)
-					}
+				if IsVacuous(wantErr) != IsVacuous(gotErr) {
+					t.Fatalf("q%d trial %d pred %d: vacuous divergence", qi, trial, pi)
 				}
 			}
 		}
@@ -110,5 +108,29 @@ func TestCompiledPredicateSrc(t *testing.T) {
 	}
 	if got := CompilePredicates(nil); got != nil {
 		t.Fatal("empty conjunction should compile to nil")
+	}
+}
+
+// An event without a referenced attribute is ordinary input; evaluating
+// a predicate against it must not allocate (it used to format an error
+// per evaluation, which the engine then threw away).
+func TestMissingAttributeDoesNotAllocate(t *testing.T) {
+	for _, q := range []*Query{Q1("8ms"), Q4("8ms"), HotPaths("5 min", 2, 5)} {
+		b := &testBinding{singles: map[int]*event.Event{}, kleene: map[int][]*event.Event{}}
+		bare := event.New("X", 0, nil)
+		for _, c := range q.Pattern {
+			b.singles[c.Pos] = bare
+			b.kleene[c.Pos] = []*event.Event{bare, bare}
+		}
+		b.current = bare
+		for _, p := range q.Where {
+			cp := CompilePredicate(p)
+			if _, err := cp.Eval(b); err == nil || IsVacuous(err) {
+				t.Fatalf("%s against attribute-less events: err = %v", p, err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { cp.Eval(b) }); allocs != 0 {
+				t.Errorf("%s: %.0f allocations per evaluation on the missing-attribute path", p, allocs)
+			}
+		}
 	}
 }

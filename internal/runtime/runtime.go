@@ -814,6 +814,9 @@ type ShardSnapshot struct {
 	// occupancy (the structure bucketed drops and population snapshots
 	// read), published at batch boundaries. AdaptFolds counts the
 	// online-adaptation epochs the strategy folded into its cost model.
+	// IndexVisited/IndexPruned are the engine's dispatch-index work
+	// (engine.IndexStats): entries events ran predicates against, and
+	// live entries skipped because their equi-join key differed.
 	AdmissionNs     int64  `json:"admission_ns"`
 	AdaptFolds      uint64 `json:"adapt_folds"`
 	PlansBuilt      uint64 `json:"shed_plans_built"`
@@ -825,6 +828,8 @@ type ShardSnapshot struct {
 	ClassBuckets    int64  `json:"class_buckets"`
 	ClassLivePMs    int64  `json:"class_live_pms"`
 	ClassDeadPMs    int64  `json:"class_dead_pms"`
+	IndexVisited    uint64 `json:"index_visited"`
+	IndexPruned     uint64 `json:"index_pruned"`
 
 	// Durability state; all zero when the shard runs without a
 	// checkpoint store.
@@ -923,6 +928,8 @@ type Snapshot struct {
 	ClassBuckets    int64  `json:"class_buckets"`
 	ClassLivePMs    int64  `json:"class_live_pms"`
 	ClassDeadPMs    int64  `json:"class_dead_pms"`
+	IndexVisited    uint64 `json:"index_visited"`
+	IndexPruned     uint64 `json:"index_pruned"`
 
 	// InputShedRatio is shed / offered events; PMShedRatio is dropped /
 	// created partial matches (the paper's ρI and ρS realized ratios).
@@ -991,6 +998,8 @@ func (r *Runtime) Snapshot() Snapshot {
 		s.ClassBuckets += ss.ClassBuckets
 		s.ClassLivePMs += ss.ClassLivePMs
 		s.ClassDeadPMs += ss.ClassDeadPMs
+		s.IndexVisited += ss.IndexVisited
+		s.IndexPruned += ss.IndexPruned
 	}
 	s.DegradationLevel = r.DegradationLevel()
 	s.Quarantined = r.dlq.count()

@@ -118,12 +118,15 @@ type shard struct {
 	// timed and charged for the whole stride (timing each one would cost
 	// more than the decision itself). admitSeq is worker-owned.
 	// classBuckets/classLive/classDead mirror the engine's class-bucket
-	// index occupancy, published at batch boundaries like the PM stats.
+	// index occupancy, indexVisited/indexPruned its dispatch-index work
+	// counters, published at batch boundaries like the PM stats.
 	admitNs      atomic.Int64
 	admitSeq     uint64
 	classBuckets atomic.Int64
 	classLive    atomic.Int64
 	classDead    atomic.Int64
+	indexVisited atomic.Uint64
+	indexPruned  atomic.Uint64
 
 	// busyNs accumulates wall time the worker spent consuming batches
 	// (engine work + WAL + delivery; queue waiting excluded). Measured at
@@ -148,6 +151,7 @@ type shard struct {
 	// restarts.
 	pmCreatedBase uint64
 	pmDroppedBase uint64
+	indexBase     engine.IndexStats
 
 	matches []engine.Match // collected matches (worker-only until Close)
 
@@ -509,6 +513,9 @@ func (s *shard) syncEngineStats() {
 	s.classBuckets.Store(int64(cs.Buckets))
 	s.classLive.Store(int64(cs.Live))
 	s.classDead.Store(int64(cs.Dead))
+	is := s.en.IndexStats()
+	s.indexVisited.Store(s.indexBase.Visited + is.Visited)
+	s.indexPruned.Store(s.indexBase.Pruned + is.Pruned)
 }
 
 // process handles one dequeued event: the WAL append, ρI admission, the
@@ -1186,6 +1193,8 @@ func (s *shard) snapshot() ShardSnapshot {
 		ClassBuckets:    s.classBuckets.Load(),
 		ClassLivePMs:    s.classLive.Load(),
 		ClassDeadPMs:    s.classDead.Load(),
+		IndexVisited:    s.indexVisited.Load(),
+		IndexPruned:     s.indexPruned.Load(),
 
 		Recovering:     s.recovering.Load(),
 		Snapshots:      s.snapshots.Load(),

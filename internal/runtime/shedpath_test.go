@@ -92,6 +92,11 @@ func TestFixedRatioConservation(t *testing.T) {
 					t.Errorf("shard %d: live PMs but no class buckets", ss.Shard)
 				}
 			}
+			// Q1 joins on ID with ten IDs per shard-worth of stream: the
+			// dispatch index must report both work done and work skipped.
+			if snap.IndexVisited == 0 || snap.IndexPruned == 0 {
+				t.Errorf("index counters not published: visited %d, pruned %d", snap.IndexVisited, snap.IndexPruned)
+			}
 		})
 	}
 }

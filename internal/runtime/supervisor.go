@@ -403,6 +403,9 @@ func (s *shard) rebuild() (ok bool) {
 	st := s.en.Stats()
 	s.pmCreatedBase += st.CreatedPMs
 	s.pmDroppedBase += st.DroppedPMs
+	is := s.en.IndexStats()
+	s.indexBase.Visited += is.Visited
+	s.indexBase.Pruned += is.Pruned
 	en := engine.New(s.m, s.cfg.Costs)
 	en.DeferredNegation = s.cfg.DeferredNegation
 	var strat shed.Strategy = shed.None{}
