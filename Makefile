@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-runtime bench-smoke bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
+.PHONY: check vet build test race loc bench bench-runtime bench-smoke bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
 
 check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-smoke bench-harness profile-shed bench-compare
 
@@ -29,6 +29,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines under internal/ and cmd/: the size figure CHANGES.md
+# quotes, from one command.
+loc:
+	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # The chaos suite (docs/ROBUSTNESS.md + docs/DURABILITY.md +
 # docs/CLUSTER.md): supervisor recovery, circuit breaker failover,

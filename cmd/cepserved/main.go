@@ -130,7 +130,6 @@ func main() {
 		bound     = flag.Duration("bound", 2*time.Millisecond, "default wall-clock latency bound θ (per-tenant/per-query overrides via the admin API)")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		emit      = flag.Bool("print-matches", false, "write detected matches as NDJSON to stdout")
-		noRecover = flag.Bool("no-recover", false, "disable the shard supervisor (panics crash the process; for debugging)")
 		stateDir  = flag.String("state-dir", "", "directory for per-query checkpoints, WALs, and the registry manifest (empty: no durability; see docs/DURABILITY.md)")
 		ckptEvery = flag.Int("checkpoint-every", 32768, "events between per-shard snapshots (bounds replay time after a crash, not data loss)")
 		walFlush  = flag.Int("wal-flush", 1024, "max WAL records per flush group; 1 flushes every record (group commit: a crash loses at most one unflushed group)")
@@ -234,9 +233,6 @@ func main() {
 			return strategyFactory(name, m, train, event.Time(b.Nanoseconds()), *seed)
 		},
 		Logf: log.Printf,
-	}
-	if *noRecover {
-		cfg.TuneRuntime = func(_ registry.QuerySpec, rc *runtime.Config) { rc.DisableRecovery = true }
 	}
 	if *stateDir != "" {
 		cfg.Durability = &checkpoint.Config{

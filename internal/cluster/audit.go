@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"sort"
+
+	"cepshed/internal/shed"
 )
 
 // Cluster-wide conservation audit.
@@ -40,8 +42,9 @@ import (
 // as skipped rather than asserting a stale identity.
 
 // Ledger is one node's slice of the cluster conservation state. Router
-// tier counters come from the Node; engine tier counters from the
-// registry snapshot. Evaluate is a pure function over ledgers, so a
+// tier counters come from the Node, the door tier from the registry's
+// disposition ledger (docs/ROBUSTNESS.md), engine tier counters from
+// the registry snapshot. Evaluate is a pure function over ledgers, so a
 // test can include a dead node's last pre-kill ledger.
 type Ledger struct {
 	Node string `json:"node"`
@@ -88,6 +91,7 @@ type Ledger struct {
 // LocalLedger snapshots this node's conservation ledger.
 func (n *Node) LocalLedger() Ledger {
 	snap := n.reg.Snapshot()
+	d := n.reg.Dispositions()
 	l := Ledger{
 		Node:          n.cfg.Self,
 		EdgePairs:     n.edgePairs.Load(),
@@ -95,11 +99,11 @@ func (n *Node) LocalLedger() Ledger {
 		RecvShed:      n.recvShed.Load(),
 		RecvBadLines:  n.recvBadLines.Load(),
 		RouterDropped: n.forwardDrop.Load(),
-		Delivered:     n.delivered.Load(),
-		DoorRejected:  n.doorRejected.Load(),
-		ArbiterShed:   n.arbiterShed.Load(),
-		FloorSkipped:  n.floorSkipped.Load(),
-		Unrouted:      n.unroutedPairs.Load(),
+		Delivered:     d[shed.Delivered],
+		DoorRejected:  d[shed.Rejected],
+		ArbiterShed:   d[shed.ShedImposed],
+		FloorSkipped:  d[shed.FloorSkipped],
+		Unrouted:      d[shed.Unrouted],
 		InFlight:      n.inFlight.Load(),
 		ForwardedOut:  n.forwardedOut.Load(),
 		ForwardedIn:   n.forwardedIn.Load(),

@@ -117,7 +117,7 @@ func (n *Node) MoveSlot(tenant, query string, slot int, target string) error {
 // Retries are safe because the hid makes the import idempotent; they
 // stop early when the detector declares the target down.
 func (n *Node) postHandoffRetried(spec NodeSpec, tenant, query, hid string, frame []byte) (*handoffResp, error) {
-	rng := rand.New(rand.NewSource(int64(nameHash(spec.Name)) ^ n.cfg.AdmissionSeed))
+	rng := rand.New(rand.NewSource(int64(nameHash(spec.Name))))
 	var lastErr error
 	for attempt := 0; attempt <= n.cfg.ForwardRetries; attempt++ {
 		if attempt > 0 {

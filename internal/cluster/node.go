@@ -70,9 +70,7 @@ type Config struct {
 	// calls (forward, handoff, placement) — pair it with the server's
 	// -admin-token so cluster traffic passes the same door.
 	AuthToken string
-	// AdmissionSeed fixes the degraded-mode router gate's sampling.
-	AdmissionSeed int64
-	Logf          func(format string, args ...any)
+	Logf      func(format string, args ...any)
 }
 
 // Node is the cluster runtime for one process: placement view, failure
@@ -84,7 +82,7 @@ type Node struct {
 	reg   *registry.Registry
 	place *Placement
 	det   *Detector
-	gate  *shed.RouterAdmission
+	gate  *shed.AdmissionController // degraded-mode router gate, see routerAdmit
 	hc    *http.Client
 
 	// peerMu guards peers and cfg.Topology against topology reloads.
@@ -130,17 +128,14 @@ type Node struct {
 
 	// Audit ledger counters (see audit.go): every (event, query) pair
 	// that enters the cluster at this node's edge, and every final
-	// disposition recorded at this node, wherever the pair came from.
+	// disposition the ROUTER gives one at this node, wherever the pair
+	// came from. What the local registry made of the pairs that reached it
+	// is read from its disposition ledger, not mirrored here.
 	edgePairs     atomic.Uint64 // pairs created at this node's ingest edge
 	edgeShed      atomic.Uint64 // router-admission refusals at the edge
 	recvShed      atomic.Uint64 // router-admission refusals of forwarded events
 	recvBadLines  atomic.Uint64 // undecodable forwarded lines (sender bug)
 	redirectLocal atomic.Uint64 // forwarded pairs that came back home after a NACK
-	delivered     atomic.Uint64 // pairs delivered into an engine queue here
-	doorRejected  atomic.Uint64 // pairs refused by the shard door here
-	arbiterShed   atomic.Uint64 // pairs shed by the arbiter gate here
-	floorSkipped  atomic.Uint64 // pairs below the recovery floor here
-	unroutedPairs atomic.Uint64 // events matching no registered query
 }
 
 type peerLink struct {
@@ -202,7 +197,7 @@ func New(cfg Config) (*Node, error) {
 		self:  self,
 		reg:   cfg.Registry,
 		place: NewPlacement(cfg.Topology.Names()),
-		gate:  shed.NewRouterAdmission(cfg.AdmissionSeed),
+		gate:  shed.NewAdmissionController(routerHighWater, routerFullWater),
 		hc:    hc,
 		peers: map[string]*peerLink{},
 		dedup: map[string]*dedupWindow{},
@@ -318,14 +313,12 @@ func (n *Node) probe(spec NodeSpec) error {
 
 func (n *Node) onPeerDown(name string) {
 	n.place.SetDown(name, true)
-	n.gate.SetDegraded(true)
 	n.failovers.Add(1)
 	go n.failover(name)
 }
 
 func (n *Node) onPeerUp(name string) {
 	n.place.SetDown(name, false)
-	n.gate.SetDegraded(n.place.AnyDown())
 	// The revived peer missed every override recorded while it was
 	// dead — push our view so it doesn't reclaim migrated slots.
 	go n.pushPlacement(name)
@@ -501,7 +494,7 @@ func (n *Node) Status() Status {
 	s.Retries = n.retriesTotal.Load()
 	s.Redirects = n.redirects.Load()
 	s.DupBatches = n.dupBatches.Load()
-	s.RouterShed = n.gate.Dropped()
+	s.RouterShed = n.edgeShed.Load() + n.recvShed.Load()
 	s.HandoffsOut = n.handoffsOut.Load()
 	s.HandoffsIn = n.handoffsIn.Load()
 	s.HandoffFailed = n.handoffFailed.Load()

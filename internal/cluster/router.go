@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"cepshed/internal/event"
@@ -64,12 +65,6 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 		return res
 	}
 	fill := -1.0
-	localFill := func() float64 {
-		if fill < 0 {
-			fill = n.localFill()
-		}
-		return fill
-	}
 	var groups []localGroup
 	for _, item := range batch {
 		e := item.E
@@ -89,9 +84,8 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 				return
 			}
 			if owner == n.cfg.Self {
-				if !n.gate.Admit(localFill()) {
+				if !n.routerAdmit(&fill, &n.edgeShed) {
 					res.ShedPairs++
-					n.edgeShed.Add(1)
 					return
 				}
 				if !stamped {
@@ -139,28 +133,44 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 		})
 		if routed == 0 {
 			res.Unrouted++
-			n.unroutedPairs.Add(1)
-			n.reg.NoteUnrouted(1)
 		}
 	}
 	for i := range groups {
-		or := groups[i].in.OfferSlot(groups[i].slot, groups[i].evs)
-		res.Deliveries += or.Deliveries
-		res.DoorRejected += or.DoorRejected
-		res.ArbiterShed += or.ArbiterShed
-		res.FloorSkipped += or.FloorSkipped
-		n.noteDispositions(or)
+		res.Add(groups[i].in.OfferSlot(groups[i].slot, groups[i].evs))
 	}
 	return res
 }
 
-// noteDispositions folds one OfferSlot result into the node's audit
-// ledger.
-func (n *Node) noteDispositions(or registry.OfferResult) {
-	n.delivered.Add(uint64(or.Deliveries))
-	n.doorRejected.Add(uint64(or.DoorRejected))
-	n.arbiterShed.Add(uint64(or.ArbiterShed))
-	n.floorSkipped.Add(uint64(or.FloorSkipped))
+// Degraded-mode router thresholds: begin shedding at 50% aggregate fill
+// and refuse everything at 90%, versus the runtime ladder's 0.75/0.95 —
+// the router sheds FIRST so survivor queues keep headroom for the
+// failed-over slots' replay burst.
+const (
+	routerHighWater = 0.5
+	routerFullWater = 0.9
+)
+
+// routerAdmit is the router's admission gate, the same helper on both
+// of its sides: the ingest edge (shed = edgeShed) and the receipt of a
+// forward (shed = recvShed). A healthy cluster never consults it. While
+// a peer is down the survivors carry its slots on top of their own, and
+// waiting for each runtime's ladder to saturate would mean the extra
+// load already sits in shard queues, inflating θ for every tenant — so
+// the router refuses first, before a pair costs a queue slot, with the
+// ladder's fill-ramp controller at the lower marks above. fill caches
+// localFill across one batch (< 0: not read yet).
+func (n *Node) routerAdmit(fill *float64, shed *atomic.Uint64) bool {
+	if !n.Degraded() {
+		return true
+	}
+	if *fill < 0 {
+		*fill = n.localFill()
+	}
+	if n.gate.Admit(*fill) {
+		return true
+	}
+	shed.Add(1)
+	return false
 }
 
 // localFill is the max aggregate queue fill across local runtimes —
@@ -179,7 +189,7 @@ func (n *Node) localFill() float64 {
 // for the same (query, slot) into one numbered forward batch.
 func (n *Node) forwarder(pl *peerLink) {
 	defer n.wg.Done()
-	rng := rand.New(rand.NewSource(int64(nameHash(pl.spec.Name)) ^ n.cfg.AdmissionSeed))
+	rng := rand.New(rand.NewSource(int64(nameHash(pl.spec.Name))))
 	var pending *fwdItem
 	drain := func() {
 		for {
@@ -304,7 +314,9 @@ func (n *Node) sendBatch(pl *peerLink, it fwdItem, body []byte, count int, rng *
 			if owner == n.cfg.Self {
 				// The slot came home (failover or handoff landed it here
 				// while the batch was in flight): accept it locally.
-				n.acceptRedirectHome(it, body)
+				if !n.acceptRedirectHome(it, body) {
+					drop("query removed while the batch was in flight")
+				}
 				return
 			}
 			if owner == pl.spec.Name {
@@ -357,26 +369,25 @@ func (n *Node) sendBatch(pl *peerLink, it fwdItem, body []byte, count int, rng *
 
 // acceptRedirectHome lands a forward batch whose slot moved back to
 // this node while the batch was queued: decode and offer locally, as
-// if it had never left.
-func (n *Node) acceptRedirectHome(it fwdItem, body []byte) {
+// if it had never left. It reports false, having disposed of nothing,
+// when the query is no longer registered here.
+func (n *Node) acceptRedirectHome(it fwdItem, body []byte) bool {
 	in, ok := n.reg.Get(it.tenant, it.query)
 	if !ok {
-		n.forwardDrop.Add(1)
-		return
+		return false
 	}
-	_, kept, shed, bad := n.offerForwarded(in, it.slot, bytes.NewReader(body))
-	n.redirectLocal.Add(uint64(kept))
-	n.edgeShed.Add(uint64(shed))
-	n.recvBadLines.Add(uint64(bad))
+	or, _ := n.offerForwarded(in, it.slot, bytes.NewReader(body), &n.edgeShed)
+	n.redirectLocal.Add(uint64(or.Events))
+	return true
 }
 
 // offerForwarded decodes NDJSON event lines and offers them into one
-// local slot, applying receiver-side admission (only while degraded)
-// and owner-side seq stamping. Shared by HandleForward and the
-// redirect-home path. Returns the offer result, how many events were
-// kept (stamped and offered), how many the router gate shed, and how
-// many lines were undecodable.
-func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader) (or registry.OfferResult, kept, shed, bad int) {
+// local slot, applying router admission (counted in shed) and
+// owner-side seq stamping. Shared by HandleForward and the
+// redirect-home path. Undecodable lines are counted in recvBadLines;
+// or.Events is how many events were stamped and offered, refused how
+// many the router gate turned away.
+func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader, shed *atomic.Uint64) (or registry.OfferResult, refused int) {
 	fill := -1.0
 	dec := runtime.NewLineDecoder(r, 0)
 	var evs []*event.Event
@@ -385,32 +396,25 @@ func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader) (or 
 		if err != nil {
 			var lerr *runtime.LineError
 			if errors.As(err, &lerr) {
-				bad++ // bad line: sender-side bug, skip rather than poison
+				n.recvBadLines.Add(1) // bad line: sender-side bug, skip rather than poison
 				continue
 			}
 			if err != io.EOF {
-				bad++
+				n.recvBadLines.Add(1)
 			}
 			break
 		}
 		if !hasTime {
 			n.cfg.StampTime(e)
 		}
-		if n.gate.Degraded() {
-			if fill < 0 {
-				fill = n.localFill()
-			}
-			if !n.gate.Admit(fill) {
-				shed++
-				continue
-			}
+		if !n.routerAdmit(&fill, shed) {
+			refused++
+			continue
 		}
 		n.cfg.StampSeq(e)
 		evs = append(evs, e)
 	}
-	or = in.OfferSlot(slot, evs)
-	n.noteDispositions(or)
-	return or, len(evs), shed, bad
+	return in.OfferSlot(slot, evs), refused
 }
 
 // seenBatch atomically checks-and-marks one (sender, batch) pair in
@@ -484,13 +488,11 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"dup":true}`+"\n")
 		return
 	}
-	or, kept, shed, bad := n.offerForwarded(in, hdr.Slot, br)
-	n.forwardedIn.Add(uint64(kept))
-	n.recvShed.Add(uint64(shed))
-	n.recvBadLines.Add(uint64(bad))
+	or, refused := n.offerForwarded(in, hdr.Slot, br, &n.recvShed)
+	n.forwardedIn.Add(uint64(or.Events))
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"shed":%d}`+"\n",
-		or.Deliveries, or.DoorRejected, shed+or.ArbiterShed+or.FloorSkipped)
+		or.Deliveries, or.DoorRejected, refused+or.ArbiterShed+or.FloorSkipped)
 }
 
 // urlEscape covers the characters query IDs may contain; IDs are

@@ -48,41 +48,6 @@ func TestNoExtendProcessDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// The batched dispatch path the shard hot loop actually runs — resolve
-// the type once, then ProcessResolved for the run of equal-typed events
-// — must stay allocation-free for no-extend events, same as Process.
-// This is the guard for the type-run cache: if ResolveType started
-// allocating per call, or ProcessResolved stopped sharing the engine's
-// scratch bindings, batching would quietly cost more than it saves.
-func TestBatchedNoExtendProcessResolvedDoesNotAllocate(t *testing.T) {
-	m := nfa.MustCompile(query.Q1("8ms"))
-	en := New(m, DefaultCosts())
-	for _, e := range mkStream(
-		event.New("A", event.Millisecond, attrsIV(1, 2)),
-		event.New("A", event.Millisecond, attrsIV(2, 3)),
-		event.New("A", event.Millisecond, attrsIV(3, 4)),
-	) {
-		en.Process(e)
-	}
-
-	noBind := event.New("B", event.Millisecond, attrsIV(99, 1))
-	noBind.Seq = 101
-	tr := en.ResolveType(noBind.Type)
-	if allocs := testing.AllocsPerRun(100, func() {
-		en.ProcessResolved(noBind, tr)
-	}); allocs != 0 {
-		t.Errorf("no-extend event allocated %.1f times per ProcessResolved", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		en.ProcessResolved(noBind, en.ResolveType(noBind.Type))
-	}); allocs != 0 {
-		t.Errorf("ResolveType+ProcessResolved allocated %.1f times per event", allocs)
-	}
-	if en.LiveCount() != 3 {
-		t.Fatalf("no-extend processing changed live state: %d", en.LiveCount())
-	}
-}
-
 // Both sides of the key index stay allocation-free for events that extend
 // nothing: an event whose key differs (or is missing) prunes the keyed
 // chain without evaluating anything, and an event that lacks an

@@ -156,7 +156,7 @@ func (en *Engine) DropEpoch() uint64 { return en.dropEpoch }
 // match removed. The bucketed walk only touches the covered buckets
 // physically; the PerScan charge over the full live population is
 // applied arithmetically, exactly like the per-event scan charge in
-// ProcessResolved.
+// Process.
 func (en *Engine) DropClasses(pairs [][2]int, shed func(*PartialMatch) bool) (int, vclock.Cost) {
 	liveBefore := en.live
 	var cur DropCursor

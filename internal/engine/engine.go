@@ -78,12 +78,12 @@ type Engine struct {
 	classes   classIndex
 	dropEpoch uint64
 
-	reacts       []stateReact
-	witnessSpots map[string][]witnessSpot
+	reacts []stateReact
 
-	// typeRes memoizes per-event-type dispatch resolution (bucket,
-	// witness spots, run-start check) for the batched hot path.
-	typeRes map[string]*TypeRes
+	// types is the per-event-type dispatch table, complete at New: a type
+	// no state reacts to, no guard negates and no run starts on is absent,
+	// and reads back as the zero typeRes.
+	types map[string]typeRes
 
 	// snapRef is the at-most-one in-flight by-reference snapshot capture
 	// (snapref.go); its pms stay pinned against recycling until Release.
@@ -105,6 +105,15 @@ type Engine struct {
 	// them through the query.Binding interface never heap-allocates.
 	b  binding
 	pb provisionalBinding
+}
+
+// typeRes is what Process needs to know about one event type: the
+// bucket of partial matches reacting to it, the negation guards it is a
+// deferred witness for, and whether it starts a new run.
+type typeRes struct {
+	bucket  *typeBucket
+	spots   []witnessSpot
+	isStart bool
 }
 
 // witnessSpot locates one negation guard for deferred-witness creation.
@@ -132,8 +141,8 @@ func New(m *nfa.Machine, costs Costs) *Engine {
 	en.classes.byState = make([][]*classBucket, len(m.States))
 	en.reacts = make([]stateReact, len(m.States))
 	// One bucket per event type some state reacts to, created up front: a
-	// bucket pointer (also cached in TypeRes) is stable for the engine's
-	// lifetime, and a type without one never gets one.
+	// bucket pointer is stable for the engine's lifetime, and a type
+	// without one never gets one.
 	reactionTo := func(typ string, k *nfa.JoinKey) reaction {
 		b := en.index[typ]
 		if b == nil {
@@ -162,13 +171,21 @@ func New(m *nfa.Machine, costs Costs) *Engine {
 			}
 		}
 	}
-	en.witnessSpots = make(map[string][]witnessSpot)
+	en.types = make(map[string]typeRes, len(en.index)+1)
+	for typ, b := range en.index {
+		en.types[typ] = typeRes{bucket: b}
+	}
 	for s := range m.States {
 		for gi := range m.States[s].Guards {
 			g := &m.States[s].Guards[gi]
-			en.witnessSpots[g.Comp.Type] = append(en.witnessSpots[g.Comp.Type], witnessSpot{state: s, guard: g})
+			tr := en.types[g.Comp.Type]
+			tr.spots = append(tr.spots, witnessSpot{state: s, guard: g})
+			en.types[g.Comp.Type] = tr
 		}
 	}
+	tr := en.types[m.States[0].Comp.Type]
+	tr.isStart = true
+	en.types[m.States[0].Comp.Type] = tr
 	return en
 }
 
@@ -195,48 +212,10 @@ type Result struct {
 	Matches []Match
 }
 
-// TypeRes is a memoized dispatch resolution for one event type: the
-// reactive bucket, the deferred-negation witness spots, and whether the
-// type can start a new run. Obtain one from ResolveType and pass it to
-// ProcessResolved; a shard processing a type-clustered batch resolves
-// once per run of equal types instead of once per event. A TypeRes is
-// owned by the engine that issued it and must not be used with another
-// engine (in particular not across a supervisor rebuild).
-type TypeRes struct {
-	bucket  *typeBucket
-	spots   []witnessSpot
-	isStart bool
-}
-
-// ResolveType returns the memoized dispatch resolution for an event
-// type, creating and caching it on first use.
-func (en *Engine) ResolveType(t string) *TypeRes {
-	if tr := en.typeRes[t]; tr != nil {
-		return tr
-	}
-	if en.typeRes == nil {
-		en.typeRes = make(map[string]*TypeRes, 8)
-	}
-	tr := &TypeRes{
-		bucket:  en.index[t],
-		spots:   en.witnessSpots[t],
-		isStart: t == en.m.States[0].Comp.Type,
-	}
-	en.typeRes[t] = tr
-	return tr
-}
-
 // Process evaluates the next stream event. Events must be fed in
 // non-decreasing time (and sequence) order.
 func (en *Engine) Process(e *event.Event) Result {
-	return en.ProcessResolved(e, en.ResolveType(e.Type))
-}
-
-// ProcessResolved is Process with the per-type dispatch work hoisted
-// out: tr must be ResolveType(e.Type) of this engine. The batched shard
-// hot path resolves each run of same-type events once and reuses tr
-// across the run.
-func (en *Engine) ProcessResolved(e *event.Event, tr *TypeRes) Result {
+	tr := en.types[e.Type]
 	if en.OnCreate != nil {
 		en.pool = false
 	}

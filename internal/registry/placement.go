@@ -4,32 +4,26 @@ import (
 	"fmt"
 
 	"cepshed/internal/event"
+	"cepshed/internal/shed"
 )
 
 // Placement hooks: the cluster router owns the decision of WHERE an
 // (event, query) pair runs, so it needs the registry to expose the
 // routing inputs (which queries subscribe to a type, which shard slot
-// an event hashes to) and a direct per-slot offer that still applies
-// the per-query accounting the normal fan-out path would (type stats,
-// recovery floor, arbiter gate). Everything here stays lock-free on
-// the hot path: route-table loads and atomics only.
+// an event hashes to) and the per-slot offer the fan-out path itself
+// ends in. Everything here stays lock-free on the hot path: route-table
+// loads and atomics only.
 
 // RouteEach calls visit for every active (ready, unpaused) instance
 // subscribed to the event's type and returns the number visited. A
-// zero return means the event is unrouted; the caller decides whether
-// to count it (see NoteUnrouted) — the cluster ingest tier counts an
-// event unrouted only on the node that owns none of its pairs.
+// zero return means the event is unrouted, and has been counted so.
 func (g *Registry) RouteEach(e *event.Event, visit func(in *Instance)) int {
-	refs := g.route.Load().byType[e.Type]
+	refs := g.subscribers(g.route.Load(), e)
 	for _, ref := range refs {
 		visit(ref.inst)
 	}
 	return len(refs)
 }
-
-// NoteUnrouted adds n to the registry's unrouted-event counter on
-// behalf of an external router that bypassed OfferBatch.
-func (g *Registry) NoteUnrouted(n int) { g.unrouted.Add(uint64(n)) }
 
 // ActiveInstances returns the current route table's active (ready,
 // unpaused) instances, sorted by id. The slice is shared with the
@@ -47,38 +41,45 @@ func (in *Instance) ShardSlot(e *event.Event) int { return in.rt.ShardIndexFor(e
 // placement space the cluster distributes across nodes.
 func (in *Instance) NumSlots() int { return in.rt.NumShards() }
 
-// OfferSlot offers a batch to one specific shard slot, applying the
-// same per-(event, query) accounting as Registry.OfferBatch: type
-// stats, the recovery sequence floor, and the arbiter's imposed gate.
+// OfferSlot runs one query's admission chain over a batch and offers
+// what it admits to shard slot — slot < 0: each event to the shard its
+// key hashes to. It is the one place the query's ledger is added to.
 // Events must already be stamped (seq assigned by this node — the slot
-// owner stamps, forwarded events arrive unstamped). The events slice
-// is filtered in place; callers must own it.
+// owner stamps, forwarded events arrive unstamped). The events slice is
+// filtered in place; callers must own it.
 func (in *Instance) OfferSlot(slot int, events []*event.Event) OfferResult {
-	var res OfferResult
-	res.Events = len(events)
+	res := OfferResult{Events: len(events)}
 	kept := events[:0]
 	for _, e := range events {
-		if ts := in.typeStats[e.Type]; ts != nil {
-			ts.offered.Add(1)
-		}
-		if in.hasFloor.Load() && e.Seq < in.floor.Load() {
-			in.floorSkips.Add(1)
+		switch in.admit(e) {
+		case shed.FloorSkipped:
 			res.FloorSkipped++
-			continue
-		}
-		if in.gate.ShouldDrop(e.Type) {
-			in.imposedDrops.Add(1)
+		case shed.ShedImposed:
 			res.ArbiterShed++
-			continue
+		default:
+			kept = append(kept, e)
 		}
-		kept = append(kept, e)
 	}
-	if len(kept) > 0 {
-		n := in.rt.OfferBatchToShard(slot, kept)
-		res.Deliveries += n
-		res.DoorRejected += len(kept) - n
+	if slot < 0 {
+		res.Deliveries = in.rt.OfferBatch(kept)
+	} else {
+		res.Deliveries = in.rt.OfferBatchToShard(slot, kept)
 	}
+	res.DoorRejected = len(kept) - res.Deliveries
+	in.disp.Add(shed.Delivered, res.Deliveries)
+	in.disp.Add(shed.Rejected, res.DoorRejected)
+	in.disp.Add(shed.ShedImposed, res.ArbiterShed)
+	in.disp.Add(shed.FloorSkipped, res.FloorSkipped)
 	return res
+}
+
+// Dispositions reads the query's ledger, with the engine tier filled in
+// from its runtime's per-shard counters.
+func (in *Instance) Dispositions() shed.Counts {
+	c, rs := in.disp.Counts(), in.rt.Snapshot()
+	c[shed.Processed], c[shed.ShedInput], c[shed.ShedState], c[shed.Quarantined] =
+		rs.EventsProcessed, rs.EventsShed, rs.DroppedPMs, rs.ShardQuarantined
+	return c
 }
 
 // StateDirName returns the per-query state subdirectory name

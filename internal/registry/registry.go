@@ -171,9 +171,9 @@ type Instance struct {
 
 	// floor is the exactly-once gate after recovery: events with
 	// Seq < floor were already applied by this instance's restored state
-	// and are dropped at fan-out (hasFloor distinguishes floor 0).
-	hasFloor atomic.Bool
-	floor    atomic.Uint64
+	// and are dropped at fan-out. Zero: nothing was restored (a restored
+	// floor is the highest restored seq + 1).
+	floor atomic.Uint64
 
 	// gate carries the arbiter's imposed per-event-type drop
 	// probabilities; clear (the fast path) when nothing is imposed.
@@ -184,10 +184,10 @@ type Instance struct {
 	// counters are atomics.
 	typeStats map[string]*typeStat
 
-	// imposedDrops counts events the arbiter gate dropped for this
-	// query; floorSkips counts events below the recovery floor.
-	imposedDrops atomic.Uint64
-	floorSkips   atomic.Uint64
+	// disp counts the door-tier disposition of every pair routed to
+	// this query (OfferSlot is the one place it is added to); it feeds the
+	// registry's ledger, which outlives Remove.
+	disp *shed.Ledger
 
 	// Arbiter scratch, owned by the arbiter goroutine (see arbiter.go).
 	arb arbScratch
@@ -265,7 +265,9 @@ type Registry struct {
 	edgeLetters []runtime.DeadLetter
 	edgeTotal   uint64
 
-	unrouted atomic.Uint64
+	// disp is the registry-wide disposition ledger: every instance's
+	// ledger feeds it, and Unrouted is counted here directly.
+	disp shed.Ledger
 
 	fanPool sync.Pool // [][]*event.Event scratch for OfferBatch
 }
@@ -450,11 +452,12 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 	}
 
 	in := &Instance{
-		spec:    spec,
-		fp:      checkpoint.Fingerprint("registry", spec.Tenant, spec.Name, spec.Query),
-		m:       m,
-		readyCh: make(chan struct{}),
+		spec:      spec,
+		fp:        checkpoint.Fingerprint("registry", spec.Tenant, spec.Name, spec.Query),
+		m:         m,
+		readyCh:   make(chan struct{}),
 		typeStats: map[string]*typeStat{},
+		disp:      shed.NewLedger(&g.disp),
 	}
 	seen := map[string]bool{}
 	for i := range q.Pattern {
@@ -528,7 +531,6 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 		in.rt.WaitRecovered()
 		if info := in.rt.RecoveryInfo(); info.Restored {
 			in.floor.Store(info.MaxSeq + 1)
-			in.hasFloor.Store(true)
 		}
 		g.mu.Lock()
 		if g.insts[spec.ID()] == in && !g.closed {
@@ -645,38 +647,36 @@ func (g *Registry) rebuildRouteLocked() {
 	g.route.Store(rt)
 }
 
-// OfferResult accounts one OfferBatch call. Deliveries/DoorRejected/
-// ArbiterShed/FloorSkipped count (event, query) pairs — one event
-// fanned out to three queries contributes three pairs — while Events
-// and Unrouted count input events.
+// OfferResult accounts one OfferBatch or OfferSlot call. Events and
+// Unrouted count input events; the rest count (event, query) pairs —
+// one event fanned out to three queries contributes three — by the
+// shed.Disposition they ended in.
 type OfferResult struct {
 	// Events is the input batch size.
 	Events int
-	// Deliveries is how many (event, query) pairs a query's runtime
-	// accepted into a shard queue.
-	Deliveries int
-	// DoorRejected counts pairs refused by a query's degradation ladder
-	// or failed shards — the overload signal.
-	DoorRejected int
-	// ArbiterShed counts pairs dropped by the cross-query arbiter's
-	// gates (deliberate, budgeted shedding — not overload backpressure).
-	ArbiterShed int
-	// FloorSkipped counts pairs below a recovered query's sequence
-	// floor: already durable in that query's state, dropped to keep
-	// recovery exactly-once.
-	FloorSkipped int
+	// Deliveries (shed.Delivered), DoorRejected (shed.Rejected: the
+	// overload signal), ArbiterShed (shed.ShedImposed: deliberate,
+	// budgeted shedding, not backpressure), FloorSkipped.
+	Deliveries, DoorRejected, ArbiterShed, FloorSkipped int
 	// Unrouted counts events no registered query subscribes to.
 	Unrouted int
 }
 
-// Overloaded reports whether any (event, query) pair hit backpressure.
-func (r OfferResult) Overloaded() bool { return r.DoorRejected > 0 }
+// Add folds another call's pairs into r; Events and Unrouted, which
+// count input events, are the caller's to keep.
+func (r *OfferResult) Add(o OfferResult) {
+	r.Deliveries += o.Deliveries
+	r.DoorRejected += o.DoorRejected
+	r.ArbiterShed += o.ArbiterShed
+	r.FloorSkipped += o.FloorSkipped
+}
 
 // MinDegradation returns the lowest degradation-ladder level across
 // active (ready, unpaused) queries, or -1 when none are active. It is
 // the whole-server load-rejection signal — reject new input only when
-// EVERY serving query refuses it — and, unlike Snapshot, costs one
-// atomic load per query.
+// EVERY serving query refuses it. Each query's ladder is refreshed from
+// its live signals (a walk over its shards and a clock read): a server
+// answering 429 offers nothing, so nothing else would de-escalate it.
 func (g *Registry) MinDegradation() int {
 	rt := g.route.Load()
 	min := -1
@@ -707,58 +707,57 @@ func (g *Registry) putFan(s [][]*event.Event) {
 	g.fanPool.Put(s[:cap(s)])
 }
 
+// admit is the per-query half of the admission chain
+// (docs/ROBUSTNESS.md): demand accounting first, so a shed class keeps
+// reporting its true weight to the arbiter, then the recovery floor,
+// then the arbiter's imposed gate. shed.Delivered means "not refused
+// here" — the runtime's door has the last word.
+func (in *Instance) admit(e *event.Event) shed.Disposition {
+	if ts := in.typeStats[e.Type]; ts != nil {
+		ts.offered.Add(1)
+	}
+	if e.Seq < in.floor.Load() {
+		return shed.FloorSkipped
+	}
+	if in.gate.ShouldDrop(e.Type) {
+		return shed.ShedImposed
+	}
+	return shed.Delivered
+}
+
+// subscribers returns the active instances subscribed to the event's
+// type, counting the event unrouted when there are none.
+func (g *Registry) subscribers(rt *routeTable, e *event.Event) []routeRef {
+	refs := rt.byType[e.Type]
+	if len(refs) == 0 {
+		g.disp.Add(shed.Unrouted, 1)
+	}
+	return refs
+}
+
 // OfferBatch fans a decoded batch out to every subscribed query: one
-// route-table load covers the whole batch, each query receives its
-// events as one batched OfferBatch handoff (order preserved per
-// query), and per-(query, type) gates/floors are applied inline.
-// Blocking semantics per query match runtime.OfferBatch: a query whose
-// shard queues are full exerts backpressure on the caller; queries at
+// route-table load covers the whole batch, and each query receives its
+// events as one OfferSlot call (order preserved per query). Blocking
+// semantics per query match runtime.OfferBatch: a query whose shard
+// queues are full exerts backpressure on the caller; queries at
 // LevelReject refuse their pairs without blocking anyone else.
 func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
-	var res OfferResult
-	res.Events = len(events)
-	if len(events) == 0 {
-		return res
-	}
+	res := OfferResult{Events: len(events)}
 	rt := g.route.Load()
-	if len(rt.insts) == 0 {
-		res.Unrouted = len(events)
-		g.unrouted.Add(uint64(len(events)))
-		return res
-	}
 	fan := g.getFan(len(rt.insts))
 	for _, e := range events {
-		refs := rt.byType[e.Type]
+		refs := g.subscribers(rt, e)
 		if len(refs) == 0 {
 			res.Unrouted++
-			g.unrouted.Add(1)
-			continue
 		}
 		for _, ref := range refs {
-			in := ref.inst
-			if ts := in.typeStats[e.Type]; ts != nil {
-				ts.offered.Add(1)
-			}
-			if in.hasFloor.Load() && e.Seq < in.floor.Load() {
-				in.floorSkips.Add(1)
-				res.FloorSkipped++
-				continue
-			}
-			if in.gate.ShouldDrop(e.Type) {
-				in.imposedDrops.Add(1)
-				res.ArbiterShed++
-				continue
-			}
 			fan[ref.idx] = append(fan[ref.idx], e)
 		}
 	}
 	for idx, sub := range fan {
-		if len(sub) == 0 {
-			continue
+		if len(sub) > 0 {
+			res.Add(rt.insts[idx].OfferSlot(-1, sub))
 		}
-		n := rt.insts[idx].rt.OfferBatch(sub)
-		res.Deliveries += n
-		res.DoorRejected += len(sub) - n
 	}
 	g.putFan(fan)
 	return res
@@ -906,10 +905,10 @@ func (g *Registry) RecoveryInfo() RecoveryInfo {
 
 // InstanceStatus is the per-query slice of a registry snapshot.
 type InstanceStatus struct {
-	Spec        QuerySpec          `json:"spec"`
-	Fingerprint string             `json:"fingerprint"`
-	Ready       bool               `json:"ready"`
-	Types       []string           `json:"types"`
+	Spec        QuerySpec `json:"spec"`
+	Fingerprint string    `json:"fingerprint"`
+	Ready       bool      `json:"ready"`
+	Types       []string  `json:"types"`
 	// Imposed is the arbiter's current drop probability per event type
 	// (absent types: zero).
 	Imposed      map[string]float64 `json:"imposed,omitempty"`
@@ -948,8 +947,11 @@ type Snapshot struct {
 	MinDegradation int `json:"min_degradation"`
 
 	// ImposedDrops counts arbiter-gate drops over all queries; Unrouted
-	// counts events no query subscribed to; EdgeQuarantined counts
-	// pre-routing quarantines (also included in Quarantined).
+	// counts events no query subscribed to. Both, and AdmissionRejected
+	// above, read the registry's disposition ledger, so unlike the other
+	// totals they keep what a since-removed query contributed.
+	// EdgeQuarantined counts pre-routing quarantines (also included in
+	// Quarantined).
 	ImposedDrops    uint64 `json:"imposed_drops"`
 	Unrouted        uint64 `json:"unrouted"`
 	EdgeQuarantined uint64 `json:"edge_quarantined"`
@@ -964,13 +966,14 @@ func (g *Registry) Snapshot() Snapshot {
 	first := true
 	for _, in := range g.instances() {
 		rs := in.rt.Snapshot()
+		d := in.disp.Counts()
 		st := InstanceStatus{
 			Spec:         in.spec,
 			Fingerprint:  fmt.Sprintf("%016x", in.fp),
 			Ready:        in.ready.Load(),
 			Types:        in.types,
-			ImposedDrops: in.imposedDrops.Load(),
-			FloorSkips:   in.floorSkips.Load(),
+			ImposedDrops: d[shed.ShedImposed],
+			FloorSkips:   d[shed.FloorSkipped],
 			Runtime:      rs,
 		}
 		if pm := in.gate.Probs(); len(pm) > 0 {
@@ -991,11 +994,9 @@ func (g *Registry) Snapshot() Snapshot {
 		s.ColdStarts += rs.ColdStarts
 		s.Restarts += rs.Restarts
 		s.Quarantined += rs.Quarantined
-		s.AdmissionRejected += rs.AdmissionRejected
 		s.FailedShards += rs.FailedShards
 		s.WALErrors += rs.WALErrors
 		s.Recovering = s.Recovering || rs.Recovering
-		s.ImposedDrops += st.ImposedDrops
 		if in.ready.Load() && !in.spec.Paused {
 			lvl := rs.DegradationLevel
 			if first || lvl > s.MaxDegradation {
@@ -1011,9 +1012,14 @@ func (g *Registry) Snapshot() Snapshot {
 	s.EdgeQuarantined = g.edgeTotal
 	g.edgeMu.Unlock()
 	s.Quarantined += s.EdgeQuarantined
-	s.Unrouted = g.unrouted.Load()
+	d := g.disp.Counts()
+	s.AdmissionRejected, s.ImposedDrops, s.Unrouted = d[shed.Rejected], d[shed.ShedImposed], d[shed.Unrouted]
 	return s
 }
+
+// Dispositions reads the registry-wide door-tier ledger: the sum of
+// every query's, removed queries included, plus Unrouted.
+func (g *Registry) Dispositions() shed.Counts { return g.disp.Counts() }
 
 // Close stops the arbiter and drains every query gracefully (final
 // snapshots included when durable). Idempotent.

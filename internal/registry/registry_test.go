@@ -10,6 +10,7 @@ import (
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
 	"cepshed/internal/runtime"
+	"cepshed/internal/shed"
 )
 
 const q1Text = `PATTERN SEQ(A a, B b, C c) WHERE a.ID = b.ID AND a.ID = c.ID AND a.V + b.V = c.V WITHIN 8ms`
@@ -554,7 +555,7 @@ func TestArbiterIsolation(t *testing.T) {
 
 	// Wait until the arbiter has imposed drops on the aggressor.
 	deadline := time.Now().Add(10 * time.Second)
-	for bad.imposedDrops.Load() == 0 {
+	for bad.disp.Counts()[shed.ShedImposed] == 0 {
 		if time.Now().After(deadline) {
 			close(stop)
 			wg.Wait()
@@ -567,7 +568,7 @@ func TestArbiterIsolation(t *testing.T) {
 	wg.Wait()
 
 	// Isolation: the victim tenant saw no imposed drops and no gate.
-	if n := good.imposedDrops.Load(); n != 0 {
+	if n := good.disp.Counts()[shed.ShedImposed]; n != 0 {
 		t.Fatalf("victim tenant got %d imposed drops", n)
 	}
 	if pm := good.gate.Probs(); pm != nil {

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"cepshed/internal/checkpoint"
 	"cepshed/internal/engine"
@@ -314,65 +313,13 @@ func (r *Runtime) ShardIndexFor(e *event.Event) int {
 // router needs this because it computes the slot itself (ShardIndexFor)
 // to pick the owning node — re-hashing here could disagree for queries
 // on the round-robin fallback, where the key function is a counter, not
-// a pure function of the event. Semantics otherwise match OfferBatch:
-// blocking backpressure, door rejection at ladder levels 2–3, counted
-// rejections, returns the number accepted.
+// a pure function of the event. A slot the runtime does not have
+// accepts nothing.
 func (r *Runtime) OfferBatchToShard(slot int, events []*event.Event) int {
-	if len(events) == 0 {
-		return 0
-	}
 	if slot < 0 || slot >= len(r.shards) {
 		return 0
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed.Load() {
-		return 0
-	}
-	lvl, fill := LevelNormal, 0.0
-	if r.cfg.Bound > 0 {
-		lvl, fill = r.updateLevel()
-		if lvl >= LevelReject {
-			r.admissionRejected.Add(uint64(len(events)))
-			return 0
-		}
-	}
-	sh := r.shards[slot]
-	if sh.failed.Load() {
-		sh = r.fallbackFor(sh.id)
-	}
-	if sh == nil {
-		r.admissionRejected.Add(uint64(len(events)))
-		return 0
-	}
-	enq := time.Now()
-	var g []item
-	for _, e := range events {
-		if lvl == LevelAdmission && !r.admit.Admit(fill) {
-			r.admissionRejected.Add(1)
-			continue
-		}
-		if g == nil {
-			g = getItems()
-		}
-		g = append(g, item{e: e, enq: enq})
-	}
-	if g == nil {
-		return 0
-	}
-	n := len(g)
-	if n == 1 {
-		one := g[0]
-		putItems(g)
-		sh.depth.Add(1)
-		sh.ch <- batch{one: one}
-		r.wakeOne()
-		return 1
-	}
-	sh.depth.Add(int64(n))
-	sh.ch <- batch{items: g}
-	r.wakeOne()
-	return n
+	return r.offer(slot, events, true)
 }
 
 // ShardExported reports whether slot i is currently frozen/exported.

@@ -74,6 +74,18 @@ const (
 // level with no traffic left to decay it.
 const ladderStale = 500 * time.Millisecond
 
+// smoothWeight is the EWMA weight w applied to new latency samples,
+// smoothed = w·sample + (1−w)·smoothed: the paper's adaptation weight.
+const smoothWeight = 0.5
+
+// Ladder water marks, as fractions of aggregate queue capacity in use:
+// from highWater on, LevelAdmission rejects offers probabilistically;
+// from rejectWater on, LevelReject refuses all input.
+const (
+	highWater   = 0.75
+	rejectWater = 0.95
+)
+
 // maxDeadLetterPayload bounds the payload rendering retained per dead
 // letter.
 const maxDeadLetterPayload = 160
@@ -102,30 +114,20 @@ type Config struct {
 	// strategies that charge shedding overhead keep functioning, but
 	// latency fed to the control loop is wall-clock.
 	Costs engine.Costs
-	// KeyAttr is the partition attribute; events hash to shards by its
-	// value. Empty: inferred from the query's equality predicates via
-	// InferPartitionKey, falling back to round-robin (approximate for
-	// multi-shard runs; exact for Shards = 1).
-	KeyAttr string
-	// KeySalt perturbs the key hash, effectively rekeying shard
-	// ownership from `key` to `(salt, key)`. A multi-query registry sets
+	// KeySalt perturbs the hash of the partition key (InferPartitionKey;
+	// without one, events go round-robin — exact only for Shards = 1),
+	// rekeying shard ownership from `key` to `(salt, key)`. A registry sets
 	// it to the query fingerprint so the same correlation key lands on
 	// different shard indices for different queries — one hot key cannot
 	// pile every query's work onto the same worker. Zero (the
 	// single-query default) leaves the hash untouched.
 	KeySalt uint64
-	// KeyFunc overrides partitioning entirely when non-nil.
-	KeyFunc func(*event.Event) uint64
 	// NewStrategy builds the per-shard shedding strategy (nil strategy /
 	// nil factory: no shedding). Each shard needs its OWN instance:
 	// strategies are stateful and are only ever called by the single
 	// worker currently servicing the shard. The supervisor calls the
 	// factory again when it rebuilds a shard after a panic.
 	NewStrategy func(shard int) shed.Strategy
-	// SmoothWeight is the EWMA weight w applied to new latency samples,
-	// smoothed = w·sample + (1−w)·smoothed (default 0.5, the paper's
-	// adaptation weight).
-	SmoothWeight float64
 	// DeferredNegation selects witness-based negation semantics.
 	DeferredNegation bool
 	// CollectMatches keeps every match in memory so Matches() can return
@@ -141,13 +143,6 @@ type Config struct {
 	// admission control never engages); the per-shard strategies still
 	// run whatever bound they were built with.
 	Bound time.Duration
-	// HighWater is the aggregate queue-fill fraction where admission
-	// control (LevelAdmission) starts rejecting probabilistically
-	// (default 0.75).
-	HighWater float64
-	// RejectWater is the fill fraction where the ladder escalates to
-	// LevelReject and refuses all input (default 0.95).
-	RejectWater float64
 	// Restart tunes the shard supervisor's backoff and circuit breaker;
 	// zero value: defaults (see RestartPolicy).
 	Restart RestartPolicy
@@ -155,10 +150,6 @@ type Config struct {
 	// DeadLetters() (default 256). The total count is unbounded and
 	// monotone.
 	DeadLetterCap int
-	// DisableRecovery turns the shard supervisor off: a worker panic
-	// propagates and crashes the process. Useful when debugging engine
-	// bugs that quarantining would mask.
-	DisableRecovery bool
 	// BeforeProcess, when set, runs on the worker servicing the shard,
 	// after ρI admission and immediately before the engine processes the
 	// event.
@@ -190,15 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Costs == (engine.Costs{}) {
 		c.Costs = engine.DefaultCosts()
-	}
-	if c.SmoothWeight <= 0 || c.SmoothWeight > 1 {
-		c.SmoothWeight = 0.5
-	}
-	if c.HighWater <= 0 || c.HighWater >= 1 {
-		c.HighWater = 0.75
-	}
-	if c.RejectWater <= c.HighWater || c.RejectWater > 1 {
-		c.RejectWater = 0.95
 	}
 	if c.DeadLetterCap <= 0 {
 		c.DeadLetterCap = 256
@@ -260,18 +242,11 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
 		dlq:    newDeadLetters(cfg.DeadLetterCap),
-		admit:  shed.NewAdmissionController(cfg.HighWater, cfg.RejectWater, 0x5eed),
+		admit:  shed.NewAdmissionController(highWater, rejectWater),
+		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
 	}
 	r.workers = cfg.Workers
 	r.wake = make(chan struct{}, cfg.Workers)
-	r.key = cfg.KeyFunc
-	if r.key == nil {
-		attr := cfg.KeyAttr
-		if attr == "" {
-			attr = InferPartitionKey(m.Query)
-		}
-		r.key = keyByAttr(attr, cfg.KeySalt)
-	}
 	var dur checkpoint.Config
 	if cfg.Durability != nil {
 		dur = cfg.Durability.WithDefaults()
@@ -464,154 +439,96 @@ func (r *Runtime) logf(format string, args ...any) {
 	}
 }
 
-// Offer routes the event to its shard and blocks while that shard's
-// queue is full — this blocking IS the backpressure signal; a
-// rate-limited producer that cannot tolerate blocking should use
-// TryOffer. After Close the event is rejected and Offer returns false,
-// so producers may race a shutdown without coordination. Offer also
-// returns false when the degradation ladder is rejecting at the door
-// (levels 2–3) or when every shard has failed; those rejections are
-// counted in Snapshot.AdmissionRejected.
-func (r *Runtime) Offer(e *event.Event) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed.Load() {
-		return false
-	}
-	if !r.admitAtDoor() {
-		return false
-	}
-	sh := r.shardFor(e)
-	if sh == nil {
-		r.admissionRejected.Add(1)
-		return false
-	}
-	sh.depth.Add(1)
-	sh.ch <- batch{one: item{e: e, enq: time.Now()}}
-	r.wakeOne()
-	return true
-}
-
-// TryOffer is the non-blocking variant: it returns false (counting the
-// event as an overflow drop) instead of blocking when the shard queue is
-// full. Like Offer it rejects events after Close and while the ladder is
-// rejecting at the door.
-func (r *Runtime) TryOffer(e *event.Event) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed.Load() {
-		return false
-	}
-	if !r.admitAtDoor() {
-		return false
-	}
-	sh := r.shardFor(e)
-	if sh == nil {
-		r.admissionRejected.Add(1)
-		return false
-	}
-	sh.depth.Add(1)
-	select {
-	case sh.ch <- batch{one: item{e: e, enq: time.Now()}}:
-		r.wakeOne()
-		return true
-	default:
-		sh.depth.Add(-1)
-		sh.overflow.Add(1)
-		return false
-	}
-}
-
-// OfferBatch routes a slice of events to their shards in one pass: one
-// lock acquisition, one clock read, and one degradation-ladder update
-// cover the whole slice, and each shard receives its events as a single
-// queued batch instead of one channel operation per event. Per-event
-// semantics match Offer — blocking backpressure, door rejection at
-// ladder levels 2–3 (per event at LevelAdmission, so the admission
-// probability still applies), counted rejections — and the return value
-// is how many events were accepted. Order is preserved per shard, the
-// only order the runtime guarantees. One batch may briefly push a
+// offer is the runtime's one door — the only producer-side code that
+// updates the degradation ladder, flips the admission coin and sends on
+// a shard channel; the entry points below wrap it (the chain it is the
+// last link of: docs/ROBUSTNESS.md). One lock acquisition, one clock
+// read and one ladder update cover the call. Each event is refused at
+// LevelReject, refused with a probability that ramps with queue fill at
+// LevelAdmission, and otherwise goes to shard slot (slot < 0: the shard
+// its key hashes to) or, if that shard has failed, to the next healthy
+// one; with none left, or after Close, it is refused too. Refusals count
+// in Snapshot.AdmissionRejected. A lone event travels as batch{one:} —
+// no slice, no pool round trip; a longer call's events reach each shard
+// as one queued batch, in order. A full queue blocks the caller when
+// block is set — that IS the backpressure signal — and otherwise costs
+// the events, counted as overflow drops. One batch may briefly push a
 // shard's queued-event count past QueueLen (the channel bounds batches,
 // not events); the ladder's fill signal sees that surplus, which errs
-// toward shedding earlier, never later.
-func (r *Runtime) OfferBatch(events []*event.Event) int {
+// toward shedding earlier, never later. Returns the number accepted.
+func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted int) {
 	if len(events) == 0 {
-		return 0
+		return 0 // everything was shed upstream: not worth a ladder update
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	lvl, fill := r.updateLevel()
 	if r.closed.Load() {
-		return 0
+		lvl = LevelReject // a closed door refuses everything
 	}
-	lvl, fill := LevelNormal, 0.0
-	if r.cfg.Bound > 0 {
-		lvl, fill = r.updateLevel()
-		if lvl >= LevelReject {
-			r.admissionRejected.Add(uint64(len(events)))
-			return 0
+	send := func(sh *shard, b batch, n int) {
+		sh.depth.Add(int64(n))
+		if block {
+			sh.ch <- b
+		} else {
+			select {
+			case sh.ch <- b:
+			default:
+				sh.depth.Add(int64(-n))
+				sh.overflow.Add(uint64(n))
+				if b.items != nil {
+					putItems(b.items)
+				}
+				return
+			}
 		}
+		r.wakeOne()
+		accepted += n
 	}
 	enq := time.Now()
-	accepted := 0
-	var groups [][]item
+	rejected := 0
+	var groups [][]item // a multi-event call's per-shard batches
 	for _, e := range events {
-		if lvl == LevelAdmission && !r.admit.Admit(fill) {
-			r.admissionRejected.Add(1)
-			continue
+		var sh *shard
+		if lvl < LevelReject && (lvl < LevelAdmission || r.admit.Admit(fill)) {
+			sh = r.shardFor(slot, e)
 		}
-		sh := r.shardFor(e)
-		if sh == nil {
-			r.admissionRejected.Add(1)
-			continue
+		switch {
+		case sh == nil:
+			rejected++
+		case len(events) == 1:
+			send(sh, batch{one: item{e: e, enq: enq}}, 1)
+		default:
+			if groups == nil {
+				groups = make([][]item, len(r.shards))
+			}
+			if groups[sh.id] == nil {
+				groups[sh.id] = getItems()
+			}
+			groups[sh.id] = append(groups[sh.id], item{e: e, enq: enq})
 		}
-		if groups == nil {
-			groups = make([][]item, len(r.shards))
-		}
-		if groups[sh.id] == nil {
-			groups[sh.id] = getItems()
-		}
-		groups[sh.id] = append(groups[sh.id], item{e: e, enq: enq})
-		accepted++
 	}
 	for id, g := range groups {
-		if g == nil {
-			continue
+		if g != nil {
+			send(r.shards[id], batch{items: g}, len(g))
 		}
-		sh := r.shards[id]
-		if len(g) == 1 {
-			one := g[0]
-			putItems(g)
-			sh.depth.Add(1)
-			sh.ch <- batch{one: one}
-			r.wakeOne()
-			continue
-		}
-		sh.depth.Add(int64(len(g)))
-		sh.ch <- batch{items: g}
-		r.wakeOne()
 	}
+	r.admissionRejected.Add(uint64(rejected))
 	return accepted
 }
 
-// admitAtDoor runs the degradation ladder's door checks: at LevelReject
-// everything is refused, at LevelAdmission offers are rejected with a
-// probability that ramps with queue fill. Cheap at LevelNormal — with
-// Bound = 0 it is a single comparison.
-func (r *Runtime) admitAtDoor() bool {
-	if r.cfg.Bound <= 0 {
-		return true
-	}
-	lvl, fill := r.updateLevel()
-	switch {
-	case lvl >= LevelReject:
-		r.admissionRejected.Add(1)
-		return false
-	case lvl == LevelAdmission && !r.admit.Admit(fill):
-		r.admissionRejected.Add(1)
-		return false
-	}
-	return true
-}
+// Offer routes the event to its shard, blocking while that shard's queue
+// is full, and reports whether the door accepted it (see offer); it is
+// safe to race against Close.
+func (r *Runtime) Offer(e *event.Event) bool { return r.offer(-1, []*event.Event{e}, true) == 1 }
+
+// TryOffer is Offer for producers that cannot block: a full queue drops
+// the event (counted as overflow) and returns false.
+func (r *Runtime) TryOffer(e *event.Event) bool { return r.offer(-1, []*event.Event{e}, false) == 1 }
+
+// OfferBatch is Offer for a slice of events, each routed by its key;
+// it returns how many were accepted.
+func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(-1, events, true) }
 
 // ladderSignals gathers the two inputs of the ladder: the worst
 // effective smoothed latency across shards (stale signals of drained
@@ -650,10 +567,10 @@ func (r *Runtime) levelFor(maxEwma, fill, scale float64) int {
 	if maxEwma > theta {
 		lvl = LevelShedding
 	}
-	if fill >= r.cfg.HighWater*scale || maxEwma > 4*theta {
+	if fill >= highWater*scale || maxEwma > 4*theta {
 		lvl = LevelAdmission
 	}
-	if fill >= r.cfg.RejectWater*scale || maxEwma > 8*theta {
+	if fill >= rejectWater*scale || maxEwma > 8*theta {
 		lvl = LevelReject
 	}
 	return lvl
@@ -661,8 +578,12 @@ func (r *Runtime) levelFor(maxEwma, fill, scale float64) int {
 
 // updateLevel recomputes the ladder level with hysteresis: escalation is
 // immediate, de-escalation requires the signals to clear thresholds
-// tightened by 30% so the level doesn't flap around a boundary.
+// tightened by 30% so the level doesn't flap around a boundary. With
+// Bound = 0 there is no ladder and it costs one comparison.
 func (r *Runtime) updateLevel() (int, float64) {
+	if r.cfg.Bound <= 0 {
+		return LevelNormal, 0
+	}
 	maxEwma, fill := r.ladderSignals()
 	raw := r.levelFor(maxEwma, fill, 1.0)
 	cur := int(r.level.Load())
@@ -684,9 +605,6 @@ func (r *Runtime) updateLevel() (int, float64) {
 // DegradationLevel returns the current ladder level (refreshed from the
 // live signals, so it de-escalates even when no offers arrive).
 func (r *Runtime) DegradationLevel() int {
-	if r.cfg.Bound <= 0 {
-		return LevelNormal
-	}
 	lvl, _ := r.updateLevel()
 	return lvl
 }
@@ -713,14 +631,15 @@ func (r *Runtime) Quarantine(reason, payload string) {
 // counts every dead letter ever recorded.
 func (r *Runtime) DeadLetters() []DeadLetter { return r.dlq.letters() }
 
-func (r *Runtime) shardFor(e *event.Event) *shard {
-	sh := r.shards[0]
-	if len(r.shards) > 1 {
-		sh = r.shards[r.key(e)%uint64(len(r.shards))]
+// shardFor resolves the shard an offer goes to: slot, or for slot < 0
+// the one the event's key hashes to; the next healthy shard when that
+// one has failed, nil when every shard has.
+func (r *Runtime) shardFor(slot int, e *event.Event) *shard {
+	if slot < 0 {
+		slot = r.ShardIndexFor(e)
 	}
+	sh := r.shards[slot]
 	if sh.failed.Load() {
-		// Key range of a failed shard routes to the next healthy shard;
-		// nil (every shard failed) makes Offer reject the event.
 		sh = r.fallbackFor(sh.id)
 	}
 	return sh
@@ -840,9 +759,9 @@ type ShardSnapshot struct {
 	// sync saves, just capture + finalize (flush, WAL rotation) for the
 	// off-hot-path async protocol. The snapshot-stall benchmark gates on
 	// the sync/async ratio of this gauge.
-	SnapPauseMaxNs int64 `json:"snap_pause_max_ns"`
-	SnapshotBytes  int64 `json:"snapshot_bytes"`
-	SnapshotUnixNs int64 `json:"snapshot_unix_ns"`
+	SnapPauseMaxNs int64  `json:"snap_pause_max_ns"`
+	SnapshotBytes  int64  `json:"snapshot_bytes"`
+	SnapshotUnixNs int64  `json:"snapshot_unix_ns"`
 	WALReplayed    uint64 `json:"wal_replayed"`
 	ColdStarts     uint64 `json:"cold_starts"`
 	// WALErrors counts WAL append/flush failures; the first one disables
@@ -884,8 +803,8 @@ type Snapshot struct {
 	// shards; Quarantined counts every dead letter ever recorded
 	// (including pre-runtime rejections fed through Quarantine, which no
 	// per-shard counter covers); AdmissionRejected counts offers refused
-	// at the door by the degradation ladder (levels 2–3, plus offers with
-	// no healthy shard left).
+	// at the door: by the degradation ladder (levels 2–3), for want of a
+	// healthy shard, or after Close.
 	DegradationLevel  int    `json:"degradation_level"`
 	Restarts          uint64 `json:"restarts"`
 	Quarantined       uint64 `json:"quarantined"`

@@ -91,14 +91,6 @@ type shard struct {
 	recent []time.Time
 	rng    *rand.Rand
 
-	// Type-run dispatch cache, claim-owned: events arrive in runs of
-	// equal types often enough (bursty sources, replayed partitions) that
-	// caching the last resolution skips even the memo map lookup. A
-	// TypeRes is owned by its issuing engine, so rebuild() must clear
-	// these when it swaps s.en.
-	lastType string
-	lastRes  *engine.TypeRes
-
 	// Async snapshot state (claim-owned except snapFinalize, which the
 	// background goroutine sets to request finalization). wakeFn pokes
 	// the worker pool so an idle shard finalizes promptly.
@@ -278,48 +270,13 @@ func (s *shard) needsService(now int64, closed bool) (ready, waiting bool) {
 	return true, false
 }
 
-// quantum services one claimed shard for a bounded slice of work; the
-// caller holds s.svc. Returns whether any work was done.
-func (s *shard) quantum(r *Runtime) bool {
-	if s.failed.Load() {
-		return s.forwardQuantum(r)
-	}
-	if s.cfg.DisableRecovery {
-		return s.quantumDirect(r)
-	}
-	return s.quantumSupervised(r)
-}
-
-// quantumDirect is the unsupervised quantum (Config.DisableRecovery): a
-// panic propagates and kills the process, matching the old run loop's
-// contract.
-func (s *shard) quantumDirect(r *Runtime) bool {
-	if s.needRecover {
-		// Unsupervised recovery: a replay panic propagates, matching the
-		// DisableRecovery contract for live processing.
-		s.needRecover = false
-		s.needRecoverFlag.Store(false)
-		s.curItem = item{}
-		s.recoverReplay(&s.curItem)
-	}
-	s.booted.Store(true)
-	s.signalRecovered()
-	s.settleSnapshot(false)
-	worked, closed := s.drainQuantum(s.cfg.SmoothWeight)
-	if closed {
-		s.finish()
-		s.markDone(r)
-	}
-	return worked
-}
-
 // drainQuantum is the batched consume loop: opportunistic receives
 // until batchBudget events are in hand or the queue is momentarily
 // empty, then one explicit endBatch; up to quantumBudget events per
 // call. Never blocks — an empty queue returns to the worker, which
 // sleeps on the wake channel instead of inside a shard claim. closed
 // reports that the input channel closed.
-func (s *shard) drainQuantum(w float64) (worked, closed bool) {
+func (s *shard) drainQuantum() (worked, closed bool) {
 	for consumed := 0; consumed < quantumBudget && !s.chClosed; {
 		n := 0
 		var t0 time.Time
@@ -336,7 +293,7 @@ func (s *shard) drainQuantum(w float64) (worked, closed bool) {
 					// is service time, charged to busyNs.
 					t0 = time.Now()
 				}
-				n += s.consumeBatch(b, w)
+				n += s.consumeBatch(b)
 			default:
 				break fill
 			}
@@ -365,7 +322,7 @@ func (s *shard) markDone(r *Runtime) {
 // consumeBatch processes every item of one received batch, maintaining
 // the poison-tracking fields for the supervisor's recover() and
 // returning the slice to the pool once fully consumed.
-func (s *shard) consumeBatch(b batch, w float64) int {
+func (s *shard) consumeBatch(b batch) int {
 	if b.ctl != nil {
 		// Control messages count into depth (the worker pool's "needs
 		// service" signal), so decrement like an event; curItem is cleared
@@ -378,7 +335,7 @@ func (s *shard) consumeBatch(b batch, w float64) int {
 	if b.items == nil {
 		s.curItem = b.one
 		s.depth.Add(-1)
-		s.process(b.one, w)
+		s.process(b.one)
 		return 1
 	}
 	items := b.items
@@ -387,7 +344,7 @@ func (s *shard) consumeBatch(b batch, w float64) int {
 		s.curIdx = i
 		s.curItem = items[i]
 		s.depth.Add(-1)
-		s.process(items[i], w)
+		s.process(items[i])
 	}
 	s.curBatch, s.curIdx = nil, 0
 	putItems(items)
@@ -522,7 +479,7 @@ func (s *shard) syncEngineStats() {
 // fault hook, the engine step, match delivery, the latency sample, the
 // strategy's control step, and the periodic snapshot. It is the only
 // code a supervisor-caught panic can come from.
-func (s *shard) process(it item, w float64) {
+func (s *shard) process(it item) {
 	if s.killed != nil && s.killed.Load() {
 		// Kill(): drain-and-discard so blocked producers unblock, but no
 		// event reaches the engine or the WAL — the crash already happened.
@@ -573,7 +530,7 @@ func (s *shard) process(it item, w float64) {
 		// nearly for free, which is exactly how shedding relieves the
 		// queue.
 		s.eventsShed.Add(1)
-		s.record(it.enq, w)
+		s.record(it.enq)
 		s.noteSnapshotProgress()
 		return
 	}
@@ -582,16 +539,7 @@ func (s *shard) process(it item, w float64) {
 		s.cfg.BeforeProcess(s.id, e)
 	}
 
-	// Batched predicate evaluation: resolve the type's reactive bucket
-	// and predicate chain once per run of equal types, not once per
-	// event. ProcessResolved revalidates the bucket against indexGen, so
-	// a run cached before the type's first bucket existed stays correct.
-	tr := s.lastRes
-	if tr == nil || e.Type != s.lastType {
-		tr = s.en.ResolveType(e.Type)
-		s.lastType, s.lastRes = e.Type, tr
-	}
-	res := s.en.ProcessResolved(e, tr)
+	res := s.en.Process(e)
 	s.processed.Add(1)
 	s.strat.Observe(&res, e.Time)
 
@@ -599,7 +547,7 @@ func (s *shard) process(it item, w float64) {
 		s.deliver(res.Matches, e.Seq, nil, false)
 	}
 
-	lat := s.record(it.enq, w)
+	lat := s.record(it.enq)
 	s.strat.Control(e.Time, lat)
 	s.noteSnapshotProgress()
 }
@@ -1113,15 +1061,11 @@ func (s *shard) finish() {
 			// restoring warm. An abandoned tmp file is what the write-rename
 			// protocol already tolerates.
 			func() {
-				if !s.cfg.DisableRecovery {
-					defer func() {
-						if p := recover(); p != nil {
-							if s.cfg.Logf != nil {
-								s.cfg.Logf("runtime: shard %d: final snapshot panicked: %v", s.id, p)
-							}
-						}
-					}()
-				}
+				defer func() {
+					if p := recover(); p != nil && s.cfg.Logf != nil {
+						s.cfg.Logf("runtime: shard %d: final snapshot panicked: %v", s.id, p)
+					}
+				}()
 				s.takeSnapshot()
 			}()
 			s.ckpt.Close()
@@ -1136,7 +1080,7 @@ func (s *shard) finish() {
 // smoothed latency as virtual time (both are nanoseconds, so the unit
 // maps 1:1). Taking enq instead of a duration lets one clock read serve
 // both the sample and the lastNs staleness stamp.
-func (s *shard) record(enq time.Time, w float64) event.Time {
+func (s *shard) record(enq time.Time) event.Time {
 	now := time.Now()
 	ns := now.Sub(enq).Nanoseconds()
 	if ns < 0 {
@@ -1145,7 +1089,7 @@ func (s *shard) record(enq time.Time, w float64) event.Time {
 	s.hist.Record(event.Time(ns))
 	s.global.Record(event.Time(ns))
 	prev := math.Float64frombits(s.ewma.Load())
-	sm := w*float64(ns) + (1-w)*prev
+	sm := smoothWeight*float64(ns) + (1-smoothWeight)*prev
 	s.ewma.Store(math.Float64bits(sm))
 	s.lastNs.Store(now.UnixNano())
 	return event.Time(sm)

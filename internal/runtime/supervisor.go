@@ -194,12 +194,16 @@ func (q *deadLetters) state() *checkpoint.DeadLetterState {
 	return st
 }
 
-// quantumSupervised is the supervised quantum: one bounded slice of the
-// processing loop through recover(). A clean pass that observes the
-// channel closed finishes the shard; a panic runs the full quarantine /
-// restart / breaker protocol and parks the shard behind a notBefore
-// backoff deadline instead of sleeping a goroutine.
-func (s *shard) quantumSupervised(r *Runtime) bool {
+// quantum services one claimed shard (the caller holds s.svc) for one
+// bounded slice of the processing loop, through recover(), and returns
+// whether any work was done. A clean pass that observes the channel
+// closed finishes the shard; a panic runs the full quarantine / restart
+// / breaker protocol and parks the shard behind a notBefore backoff
+// deadline instead of sleeping a goroutine; a failed shard only forwards.
+func (s *shard) quantum(r *Runtime) bool {
+	if s.failed.Load() {
+		return s.forwardQuantum(r)
+	}
 	pv, poison, worked, closed := s.quantumOnce()
 	if pv == nil {
 		if closed {
@@ -299,12 +303,11 @@ func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 	s.booted.Store(true)
 	s.signalRecovered()
 	s.settleSnapshot(false)
-	w := s.cfg.SmoothWeight
 	if len(s.rem) > 0 {
-		s.consumeRemainder(w)
+		s.consumeRemainder()
 		worked = true
 	}
-	dw, dc := s.drainQuantum(w)
+	dw, dc := s.drainQuantum()
 	return nil, item{}, worked || dw, dc
 }
 
@@ -323,7 +326,7 @@ func (s *shard) panicRemainder() []item {
 // back through processing. Each item is popped before it runs, so a
 // second poison among them quarantines cleanly and leaves the rest in
 // s.rem for the incarnation after that.
-func (s *shard) consumeRemainder(w float64) {
+func (s *shard) consumeRemainder() {
 	if len(s.rem) == 0 {
 		return
 	}
@@ -333,7 +336,7 @@ func (s *shard) consumeRemainder(w float64) {
 		s.rem = s.rem[1:]
 		s.curItem = it
 		s.depth.Add(-1)
-		s.process(it, w)
+		s.process(it)
 	}
 	s.rem = nil
 	s.endBatch()
@@ -416,7 +419,6 @@ func (s *shard) rebuild() (ok bool) {
 	}
 	strat.Attach(en)
 	s.en, s.strat = en, strat
-	s.lastType, s.lastRes = "", nil // TypeRes is owned by the old engine
 	s.stratName.Store(strat.Name())
 	if pr, ok := strat.(shed.PlanReporter); ok {
 		s.planRep.Store(pr)

@@ -1,10 +1,5 @@
 package shed
 
-import (
-	"math/rand"
-	"sync"
-)
-
 // AdmissionController is the degradation ladder's level-2 mechanism:
 // probabilistic rejection at the door, upstream of the per-shard
 // strategies. Where DropController reacts to the latency bound θ,
@@ -15,7 +10,7 @@ import (
 // rejects everything, so MaxDrop < 1 keeps a trickle of admissions
 // flowing for the EWMA signal to recover on.
 //
-// AdmissionController is safe for concurrent use: Offer runs on every
+// AdmissionController is safe for concurrent use: Admit runs on every
 // producer goroutine.
 type AdmissionController struct {
 	// High is the queue-fill fraction where rejection starts.
@@ -26,22 +21,16 @@ type AdmissionController struct {
 	// MaxDrop caps the rejection probability at Full.
 	MaxDrop float64
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	coin coin
 }
 
 // NewAdmissionController returns a controller ramping rejection between
 // the high and full fill marks, with the standard 0.9 probability cap.
-func NewAdmissionController(high, full float64, seed int64) *AdmissionController {
+func NewAdmissionController(high, full float64) *AdmissionController {
 	if full <= high {
 		full = high + 0.1
 	}
-	return &AdmissionController{
-		High:    high,
-		Full:    full,
-		MaxDrop: 0.9,
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &AdmissionController{High: high, Full: full, MaxDrop: 0.9}
 }
 
 // Admit decides one offer given the current aggregate queue fill in
@@ -49,12 +38,7 @@ func NewAdmissionController(high, full float64, seed int64) *AdmissionController
 // has penetrated the (High, Full) band.
 func (a *AdmissionController) Admit(fill float64) bool {
 	p := a.DropProbability(fill)
-	if p <= 0 {
-		return true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rng.Float64() >= p
+	return p <= 0 || a.coin.rand01() >= p
 }
 
 // DropProbability returns the rejection probability for a given fill.

@@ -3,7 +3,7 @@ package shed
 import "testing"
 
 func TestAdmissionDropProbabilityRamp(t *testing.T) {
-	a := NewAdmissionController(0.75, 0.95, 1)
+	a := NewAdmissionController(0.75, 0.95)
 	if p := a.DropProbability(0.5); p != 0 {
 		t.Errorf("below high water: p = %g, want 0", p)
 	}
@@ -23,7 +23,7 @@ func TestAdmissionDropProbabilityRamp(t *testing.T) {
 }
 
 func TestAdmissionAlwaysAdmitsBelowHighWater(t *testing.T) {
-	a := NewAdmissionController(0.75, 0.95, 7)
+	a := NewAdmissionController(0.75, 0.95)
 	for i := 0; i < 1000; i++ {
 		if !a.Admit(0.6) {
 			t.Fatal("rejected an offer below the high-water mark")
@@ -32,7 +32,7 @@ func TestAdmissionAlwaysAdmitsBelowHighWater(t *testing.T) {
 }
 
 func TestAdmissionRejectionRateTracksProbability(t *testing.T) {
-	a := NewAdmissionController(0.75, 0.95, 99)
+	a := NewAdmissionController(0.75, 0.95)
 	const n = 10000
 	rejected := 0
 	for i := 0; i < n; i++ {
@@ -47,7 +47,7 @@ func TestAdmissionRejectionRateTracksProbability(t *testing.T) {
 
 func TestAdmissionDegenerateBand(t *testing.T) {
 	// full <= high must not divide by zero; the constructor widens it.
-	a := NewAdmissionController(0.9, 0.9, 1)
+	a := NewAdmissionController(0.9, 0.9)
 	if a.Full <= a.High {
 		t.Fatalf("constructor kept degenerate band high=%g full=%g", a.High, a.Full)
 	}

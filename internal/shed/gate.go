@@ -10,8 +10,14 @@ import "sync/atomic"
 // value admits everything at the cost of a single nil check.
 type DropGate struct {
 	probs atomic.Pointer[map[string]float64]
-	rng   atomic.Uint64
+	coin  coin
 }
+
+// coin draws uniform [0,1) numbers from a splitmix64 stream over an
+// atomic counter: lock free, and statistically far better than a drop
+// coin needs. Every probabilistic link of the admission chain flips
+// one. The zero value is ready to use.
+type coin struct{ n atomic.Uint64 }
 
 // Set publishes a new table; nil or empty clears the gate back to the
 // admit-everything fast path. The map must not be mutated after Set.
@@ -46,13 +52,11 @@ func (g *DropGate) ShouldDrop(class string) bool {
 	if pr >= 1 {
 		return true
 	}
-	return g.rand01() < pr
+	return g.coin.rand01() < pr
 }
 
-// rand01 is a splitmix64 stream over an atomic counter: cheap, lock
-// free, and statistically far better than a drop coin needs.
-func (g *DropGate) rand01() float64 {
-	x := g.rng.Add(0x9e3779b97f4a7c15)
+func (c *coin) rand01() float64 {
+	x := c.n.Add(0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
