@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race loc bench bench-runtime bench-smoke bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
+.PHONY: check vet build test race loc bench bench-runtime bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
 
-check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-smoke bench-harness profile-shed bench-compare
+check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-harness profile-shed bench-compare
 
 # Pinned so `go run` resolves one known-good version from the module
 # cache or proxy. Offline (no proxy, cold cache) the probe fails and vet
@@ -30,10 +30,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Non-test Go lines under internal/ and cmd/: the size figure CHANGES.md
-# quotes, from one command.
+# Go lines under internal/ and cmd/, non-test beside test, so a move into
+# _test.go shows in the same command: the size figures CHANGES.md quotes.
 loc:
-	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@echo "non-test $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)  test $$(find internal cmd -name '*_test.go' | xargs cat | wc -l)"
 
 # The chaos suite (docs/ROBUSTNESS.md + docs/DURABILITY.md +
 # docs/CLUSTER.md): supervisor recovery, circuit breaker failover,
@@ -95,12 +95,6 @@ bench:
 bench-runtime:
 	$(GO) test -bench 'BenchmarkRuntimeShards|BenchmarkRuntimeSequentialBaseline' -run '^$$' .
 
-# Quarter-scale serving-path measurement; part of `make check` as a
-# smoke test that the bench harness itself stays runnable (numbers from
-# a -quick run are not comparable to the checked-in baselines).
-bench-smoke:
-	$(GO) run ./cmd/cepbench -runtime-bench -quick
-
 # The end-to-end benchmark BENCHMARK.json names (bench/README.md) is a Go
 # module of its own that the root `go test ./...` does not see:
 # bench-harness runs its unit tests (part of `make check`), bench-e2e the
@@ -112,18 +106,15 @@ bench-e2e:
 	bash bench/run.sh
 
 # Perf trajectory (docs/PERFORMANCE.md): bench-baseline records
-# BENCH_engine.json (engine hot path) and BENCH_runtime.json (full
-# serving path: runtime+WAL+NDJSON) on this machine; bench-compare
-# re-measures both and fails on a regression past each gate's tolerance
-# (skipping the hard gate when a baseline was recorded on different
-# hardware).
+# BENCH_engine.json (engine hot path) on this machine; bench-compare
+# re-measures it and fails on a regression past the gate's tolerance
+# (skipping the hard gate when the baseline was recorded on different
+# hardware). The serving path is measured by bench-e2e.
 bench-baseline:
 	$(GO) run ./cmd/cepbench -engine-bench -bench-out BENCH_engine.json
-	$(GO) run ./cmd/cepbench -runtime-bench -bench-out BENCH_runtime.json
 
 bench-compare:
 	$(GO) run ./cmd/cepbench -engine-bench -bench-compare BENCH_engine.json
-	$(GO) run ./cmd/cepbench -runtime-bench -bench-compare BENCH_runtime.json
 
 # Profile an overloaded async-planner run and prove from the pprof
 # labels that shedding-set selection, the knapsack, and admission-table

@@ -14,10 +14,8 @@
 //	cepbench -engine-bench -bench-out BENCH_engine.json     record a baseline
 //	cepbench -engine-bench -bench-compare BENCH_engine.json gate vs baseline
 //
-// Runtime (serving-path) harness, same flags with -runtime-bench:
-//
-//	cepbench -runtime-bench -bench-out BENCH_runtime.json
-//	cepbench -runtime-bench -quick                          smoke (no write/gate)
+// The serving path (runtime, WAL, NDJSON) is measured through the real
+// cepserved by the benchmark under bench/ (bench/README.md).
 package main
 
 import (
@@ -39,9 +37,8 @@ func main() {
 		csv   = flag.Bool("csv", false, "emit panels as CSV instead of tables")
 
 		engineBench  = flag.Bool("engine-bench", false, "measure Engine.Process on the canonical workloads")
-		runtimeBench = flag.Bool("runtime-bench", false, "measure the full serving path (runtime+WAL+NDJSON)")
-		benchOut     = flag.String("bench-out", "", "with -engine-bench/-runtime-bench: write the result as a JSON baseline")
-		benchCompare = flag.String("bench-compare", "", "with -engine-bench/-runtime-bench: gate against a JSON baseline")
+		benchOut     = flag.String("bench-out", "", "with -engine-bench: write the result as a JSON baseline")
+		benchCompare = flag.String("bench-compare", "", "with -engine-bench: gate against a JSON baseline")
 		profileShed  = flag.String("profile-shed", "", "record a CPU profile of an overloaded async-planner run to this file")
 	)
 	flag.Parse()
@@ -52,9 +49,6 @@ func main() {
 	}
 	if *engineBench {
 		os.Exit(runEngineBench(*benchOut, *benchCompare))
-	}
-	if *runtimeBench {
-		os.Exit(runRuntimeBench(*benchOut, *benchCompare, *quick))
 	}
 
 	if *list {

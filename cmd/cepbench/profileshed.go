@@ -15,8 +15,8 @@ import (
 )
 
 // runProfileShed records a CPU profile of an overloaded async-planner
-// run — the same workload shape as the shed-trigger-stall bench, driven
-// long enough to accumulate samples — and writes it to out. Worker
+// run — a bound violated from the first event, driven long enough to
+// accumulate samples — and writes it to out. Worker
 // goroutines run under the pprof label cep_role=worker and the planner
 // under cep_role=shed_planner, so `make profile-shed` can prove from the
 // profile that shedding-set selection, the knapsack, and admission-table
@@ -72,4 +72,17 @@ func runProfileShed(out string) int {
 	}
 	fmt.Fprintf(os.Stderr, "cepbench: shed profile written to %s (%d plans applied, %d PMs dropped, %d epochs folded)\n", out, plansApplied, dropped, folds)
 	return 0
+}
+
+// offerAll pushes a stream through the runtime the way cepserved does,
+// batching the handoff where the API allows it.
+func offerAll(r *runtime.Runtime, s event.Stream) {
+	const chunk = 256
+	for i := 0; i < len(s); i += chunk {
+		end := i + chunk
+		if end > len(s) {
+			end = len(s)
+		}
+		r.OfferBatch(s[i:end])
+	}
 }

@@ -51,17 +51,12 @@ type Config struct {
 	// OnStage, when set, runs at named points of the snapshot save
 	// protocol ("encoded", "tmp-written", "renamed", "rotated"). It
 	// exists for fault injection: a panic here models a crash at that
-	// point of the protocol. Setting OnStage forces synchronous saves
-	// (see SyncSave) so the whole protocol runs on the shard goroutine,
-	// where an injected panic is caught by the supervisor.
+	// point of the protocol. For a periodic snapshot the first three
+	// stages run on the background writer goroutine, where the shard
+	// contains the panic (the save fails, no worker restarts); "rotated"
+	// and every stage of a quiescent save (final snapshot, import
+	// commit) run on the claiming worker.
 	OnStage func(shard int, stage string)
-	// SyncSave forces the shard to run the full snapshot protocol
-	// (encode, write, rename, rotate) inline on its own goroutine,
-	// pausing event processing for the duration — the pre-async
-	// behavior. Off by default: snapshots are captured by reference and
-	// written on a background goroutine (docs/PERFORMANCE.md). Implied
-	// by OnStage != nil.
-	SyncSave bool
 }
 
 // WithDefaults returns the config with zero fields defaulted.
@@ -374,15 +369,6 @@ func (s *ShardStore) RotateWAL() error {
 	}
 	s.stage("rotated")
 	return nil
-}
-
-// SyncSaves reports whether this store requires the synchronous save
-// protocol. OnStage fault injection deliberately does NOT force sync:
-// chaos tests target the async protocol's background writer with it
-// (a stage panic there must be contained, not crash a worker), and
-// tests of the sync crash protocol set SyncSave explicitly.
-func (s *ShardStore) SyncSaves() bool {
-	return s.cfg.SyncSave
 }
 
 // Load reads the newest usable snapshot plus every readable WAL record

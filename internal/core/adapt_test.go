@@ -290,26 +290,41 @@ func TestHybridAdaptZeroExtraAlloc(t *testing.T) {
 		}
 	}
 
-	bare := engine.New(m, engine.DefaultCosts())
-	created := 0
-	bare.OnCreate = func(pm *engine.PartialMatch) {
-		pm.Class = classes[created]
-		created++
+	// AllocsPerRun reads a process-wide malloc counter, so anything else
+	// allocating in the test binary (parallel tests, the GC's own workers)
+	// inflates a sample. Interference only ever adds: the minimum of three
+	// fresh measurements per side estimates the undisturbed count.
+	minOf3 := func(measure func() float64) float64 {
+		best := measure()
+		for i := 0; i < 2; i++ {
+			best = min(best, measure())
+		}
+		return best
 	}
-	want := testing.AllocsPerRun(1, halves(func(e *event.Event) { bare.Process(e) }))
-
-	h := NewHybrid(model.Clone(), Config{Bound: event.Second, Adapt: true})
-	en := engine.New(m, engine.DefaultCosts())
-	h.Attach(en)
-	got := testing.AllocsPerRun(1, halves(func(e *event.Event) {
-		h.AdmitEvent(e, e.Time)
-		res := en.Process(e)
-		h.Observe(&res, e.Time)
-		h.Control(e.Time, 0)
-	}))
-	if h.adapter.Folds() == 0 {
-		t.Fatal("adapter never folded during the measured run")
-	}
+	want := minOf3(func() float64 {
+		bare := engine.New(m, engine.DefaultCosts())
+		created := 0
+		bare.OnCreate = func(pm *engine.PartialMatch) {
+			pm.Class = classes[created]
+			created++
+		}
+		return testing.AllocsPerRun(1, halves(func(e *event.Event) { bare.Process(e) }))
+	})
+	got := minOf3(func() float64 {
+		h := NewHybrid(model.Clone(), Config{Bound: event.Second, Adapt: true})
+		en := engine.New(m, engine.DefaultCosts())
+		h.Attach(en)
+		allocs := testing.AllocsPerRun(1, halves(func(e *event.Event) {
+			h.AdmitEvent(e, e.Time)
+			res := en.Process(e)
+			h.Observe(&res, e.Time)
+			h.Control(e.Time, 0)
+		}))
+		if h.adapter.Folds() == 0 {
+			t.Fatal("adapter never folded during the measured run")
+		}
+		return allocs
+	})
 	if want == 0 {
 		t.Fatal("bare engine allocated nothing; the stream creates no partial matches")
 	}

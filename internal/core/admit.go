@@ -9,12 +9,12 @@ import (
 
 // This file compiles a shedding set into a flat admission table so the
 // per-event input-shedding decision (ρI) is a handful of array lookups.
-// The interpreted decision re-derives the event's candidate classes from
-// the decision trees on every event; the compiled form does that
-// derivation once per shedding set instead: for each state whose type
-// the event carries, the regions of every SURVIVING class (not in the
-// set) are projected onto the state's own-attribute positions and laid
-// out flat. An event is admitted iff some surviving class's projected
+// The interpreted decision (the oracle in admit_test.go) re-derives the
+// event's candidate classes from the decision trees on every event; the
+// compiled form does that derivation once per shedding set instead: for
+// each state whose type the event carries, the regions of every
+// SURVIVING class (not in the set) are projected onto the state's
+// own-attribute positions and laid out flat. An event is admitted iff some surviving class's projected
 // region contains its attribute values — exactly the interpreted
 // predicate, with the set membership tests and the per-event slice
 // allocation compiled away.

@@ -35,6 +35,55 @@ func TestFNV1aMatchesStdlib(t *testing.T) {
 	}
 }
 
+// AdmitEventInterpreted is the reference ρI decision, re-deriving the
+// event's candidate classes from the model per event: the oracle the
+// differential suite checks the compiled admission table against. It
+// must agree with AdmitEvent bit-for-bit; it does not update strategy
+// state.
+func (h *Hybrid) AdmitEventInterpreted(e *event.Event) bool {
+	if !h.inputActive || h.current == nil {
+		return true
+	}
+	matched := false
+	for s := range h.model.machine.States {
+		if h.model.machine.States[s].Comp.Type != e.Type {
+			continue
+		}
+		matched = true
+		for _, class := range h.model.EventCandidateClasses(s, e) {
+			if !h.current.ContainsClass(s, class) {
+				return true // some use of the event survives
+			}
+		}
+	}
+	return !matched
+}
+
+// EventCandidateClasses returns the classes a raw event COULD fall into
+// as the newest event of a state-s partial match: the classes whose
+// decision-tree regions, projected onto the event's own attribute
+// positions, contain the event's values. Input-based shedding may discard
+// an event only when every candidate class is in the shedding set — the
+// event-level projection of the class predicates (§IV-C, §V-A).
+func (model *Model) EventCandidateClasses(state int, e *event.Event) []int {
+	sm := model.states[state]
+	if sm.tree == nil {
+		return []int{0}
+	}
+	own := model.spec.eventOwnFeaturesInto(state, e, nil)
+	lo, hi := model.spec.ownStart[state], model.spec.ownEnd[state]
+	var out []int
+	for c := 0; c < sm.k; c++ {
+		for _, r := range sm.regions[c] {
+			if regionCompatible(r, lo, hi, own) {
+				out = append(out, c)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // stringifyIDs converts the ID attribute to a string value, forcing the
 // admission path through the string-hash feature branch.
 func stringifyIDs(s event.Stream) event.Stream {

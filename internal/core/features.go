@@ -167,15 +167,10 @@ func (fs *featureSpec) pmFeaturesInto(pm *engine.PartialMatch, out []float64) []
 	return out
 }
 
-// eventOwnFeatures extracts the values an event would contribute to the
-// own-attribute positions of a state-s feature vector.
-func (fs *featureSpec) eventOwnFeatures(s int, e *event.Event) []float64 {
-	return fs.eventOwnFeaturesInto(s, e, make([]float64, 0, len(fs.attrs[s])))
-}
-
-// eventOwnFeaturesInto is eventOwnFeatures writing into a caller-owned
-// buffer — the per-event shed-decision paths reuse one scratch buffer so
-// admission never heap-allocates.
+// eventOwnFeaturesInto extracts the values an event would contribute to
+// the own-attribute positions of a state-s feature vector into a
+// caller-owned buffer — the per-event shed-decision paths reuse one
+// scratch buffer so admission never heap-allocates.
 func (fs *featureSpec) eventOwnFeaturesInto(s int, e *event.Event, buf []float64) []float64 {
 	buf = buf[:0]
 	for _, a := range fs.attrs[s] {

@@ -179,31 +179,6 @@ func (h *Hybrid) AdmitEvent(e *event.Event, now event.Time) bool {
 	return false
 }
 
-// AdmitEventInterpreted is the reference ρI decision, re-deriving the
-// event's candidate classes from the model per event — the pre-compiled
-// hot path, kept as the oracle the differential suite (and the
-// overload-admission benchmark's "before" side) checks the table
-// against. It must agree with AdmitEvent bit-for-bit; it does not update
-// strategy state.
-func (h *Hybrid) AdmitEventInterpreted(e *event.Event) bool {
-	if !h.inputActive || h.current == nil {
-		return true
-	}
-	matched := false
-	for s := range h.model.machine.States {
-		if h.model.machine.States[s].Comp.Type != e.Type {
-			continue
-		}
-		matched = true
-		for _, class := range h.model.EventCandidateClasses(s, e) {
-			if !h.current.ContainsClass(s, class) {
-				return true // some use of the event survives
-			}
-		}
-	}
-	return !matched
-}
-
 // Observe feeds complete matches into online adaptation.
 func (h *Hybrid) Observe(res *engine.Result, now event.Time) {
 	if h.adapter == nil {

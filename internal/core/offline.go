@@ -482,35 +482,10 @@ func (model *Model) classifyInto(pm *engine.PartialMatch, buf []float64) int {
 	return sm.tree.Predict(model.spec.pmFeaturesInto(pm, buf))
 }
 
-// EventCandidateClasses returns the classes a raw event COULD fall into
-// as the newest event of a state-s partial match: the classes whose
-// decision-tree regions, projected onto the event's own attribute
-// positions, contain the event's values. Input-based shedding may discard
-// an event only when every candidate class is in the shedding set — the
-// event-level projection of the class predicates (§IV-C, §V-A).
-func (model *Model) EventCandidateClasses(state int, e *event.Event) []int {
-	sm := model.states[state]
-	if sm.tree == nil {
-		return []int{0}
-	}
-	own := model.spec.eventOwnFeatures(state, e)
-	lo, hi := model.spec.ownStart[state], model.spec.ownEnd[state]
-	var out []int
-	for c := 0; c < sm.k; c++ {
-		for _, r := range sm.regions[c] {
-			if regionCompatible(r, lo, hi, own) {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // eventBestContribution is the highest ClassContribution among the
-// event's candidate classes at a state — EventCandidateClasses folded
-// with its consumer so the per-event utility path never materializes the
-// class list. buf is a caller-owned scratch for the own-feature values.
+// event's candidate classes at a state (the classes with a region
+// whose projection onto the event's own attribute positions contains
+// the event's values), without materializing the class list. buf is a caller-owned scratch for the own-feature values.
 func (model *Model) eventBestContribution(state int, e *event.Event, buf []float64) float64 {
 	sm := model.states[state]
 	if sm.tree == nil {

@@ -82,8 +82,7 @@ type planCounters struct {
 
 	// stallNsMax is the worst worker-side pause any shedding trigger
 	// caused: select+drop+compile for the sync path; snapshot, launch,
-	// and plan application for the async path. The shed-trigger-stall
-	// bench gates on the sync/async ratio of this gauge.
+	// and plan application for the async path.
 	stallNsMax atomic.Int64
 }
 

@@ -22,9 +22,8 @@ import (
 // The structure mirrors typeBucket: entries in registration order, a gen
 // guard against recycled objects, lazy per-bucket compaction. Unlike the
 // type index a match lives in exactly one class bucket, witnesses
-// included (witnesses are shed-eligible), and the index is maintained on
-// the reference scan path too — it is the source of truth for shedding,
-// not a dispatch optimization.
+// included (witnesses are shed-eligible): it is the source of truth for
+// shedding, not a dispatch optimization.
 
 // classEntry is one class-bucket slot; gen snapshots the match's recycle
 // generation so entries pointing at a reused object are skipped.
@@ -81,7 +80,7 @@ func (en *Engine) classIndexPM(pm *PartialMatch) {
 }
 
 // noteDeadClass records a match's death in its class bucket (called from
-// noteDead for every match, witnesses and scan engines included).
+// noteDead for every match, witnesses included).
 func (en *Engine) noteDeadClass(pm *PartialMatch) {
 	row := en.classes.byState[pm.cur]
 	c := effectiveClass(pm)

@@ -14,8 +14,8 @@ import (
 
 // This file is the satellite differential harness for the type- and
 // key-indexed hot path: every scenario runs the same randomized stream
-// through the indexed engine and the reference exhaustive-scan engine
-// (legacy.go), asserting event-by-event identical matches and virtual
+// through the indexed engine and the reference exhaustive-scan path
+// (legacy_test.go), asserting event-by-event identical matches and virtual
 // work, identical DropIf/DropClasses outcomes, and identical final stats
 // (PredEvals included: the index charges what it skips) and
 // partial-match state. keyindex_test.go adds the key-index scenarios.
@@ -75,13 +75,13 @@ func runDifferential(t *testing.T, q *query.Query, deferred bool, s event.Stream
 	t.Helper()
 	m := nfa.MustCompile(q)
 	indexed := New(m, DefaultCosts())
-	scan := newScanEngine(m, DefaultCosts())
+	scan := New(m, DefaultCosts())
 	indexed.DeferredNegation = deferred
 	scan.DeferredNegation = deferred
 
 	for i, e := range s {
 		ri := indexed.Process(e)
-		rs := scan.Process(e)
+		rs := scan.processScan(e)
 		if ri.Work != rs.Work {
 			t.Fatalf("event %d (%s): work diverged: indexed %d, scan %d", i, e, ri.Work, rs.Work)
 		}

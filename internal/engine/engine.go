@@ -49,10 +49,6 @@ type Engine struct {
 
 	stats Stats
 
-	// useScan selects the reference exhaustive-scan path (legacy.go) used
-	// by the differential tests; the type-indexed path is the default.
-	useScan bool
-
 	// live is len(pms) minus dead-but-unswept entries. deadPMs and
 	// deadWitnesses gate the compaction sweeps.
 	live          int
@@ -66,15 +62,14 @@ type Engine struct {
 
 	// indexVisited/indexPruned count the index entries reactBucket walked
 	// and the ones the key index let it skip (IndexStats). Kept out of
-	// Stats: they describe physical work, which the scan oracle does
-	// differently.
+	// Stats: they describe physical work, which the differential suite's
+	// scan oracle does differently.
 	indexVisited uint64
 	indexPruned  uint64
 
 	// classes is the class-bucketed partial-match index (classindex.go):
-	// shedding's view of the store, maintained on every path (witnesses
-	// and the reference scan engine included). dropEpoch fences async
-	// shed plans against populations that no longer exist.
+	// shedding's view of the store, witnesses included. dropEpoch fences
+	// async shed plans against populations that no longer exist.
 	classes   classIndex
 	dropEpoch uint64
 
@@ -216,34 +211,40 @@ type Result struct {
 // non-decreasing time (and sequence) order.
 func (en *Engine) Process(e *event.Event) Result {
 	tr := en.types[e.Type]
-	if en.OnCreate != nil {
-		en.pool = false
-	}
-	en.stats.Events++
-	res := Result{Work: en.costs.PerEvent}
-	w := &res.Work
-
-	// The paper's cost model charges one scan per live partial match per
-	// event (the O(|PM|) term shedding exists to contain). The type index
-	// avoids doing that scan physically, so the charge is applied
-	// arithmetically over the matches live at event arrival.
-	*w += vclock.Cost(len(en.pms)) * en.costs.PerScan
+	res := en.beginEvent()
 
 	// Window expiry first: pop expired start groups off the ring front.
-	if en.useScan {
-		en.expireScan(e, w)
-	} else {
-		en.expireRing(e, w)
-	}
+	en.expireRing(e, &res.Work)
 
 	// Reactions: guards, Kleene takes, and proceeds — only for matches
 	// that can respond to e.Type. Branches created here are appended to
 	// buckets and not re-scanned for this event.
-	if en.useScan {
-		en.scanReact(e, &res)
-	} else if b := tr.bucket; b != nil {
+	if b := tr.bucket; b != nil {
 		en.reactBucket(b, e, &res)
 	}
+
+	en.endEvent(tr, e, &res)
+	return res
+}
+
+// beginEvent is Process's prologue: the event count and the charges
+// that do not depend on how expiry and reactions are carried out.
+func (en *Engine) beginEvent() Result {
+	if en.OnCreate != nil {
+		en.pool = false
+	}
+	en.stats.Events++
+	// The paper's cost model charges one scan per live partial match per
+	// event (the O(|PM|) term shedding exists to contain). The type index
+	// avoids doing that scan physically, so the charge is applied
+	// arithmetically over the matches live at event arrival.
+	return Result{Work: en.costs.PerEvent + vclock.Cost(len(en.pms))*en.costs.PerScan}
+}
+
+// endEvent is Process's epilogue, after expiry and reactions: deferred
+// negation witnesses, the run e may start, and compaction.
+func (en *Engine) endEvent(tr typeRes, e *event.Event, res *Result) {
+	w := &res.Work
 
 	// Deferred negation: store the event as a witness for every guard of
 	// its type. Witness entries join the partial-match set.
@@ -294,13 +295,13 @@ func (en *Engine) Process(e *event.Event) Result {
 			if n == 1 && !first.Comp.Kleene {
 				// Single-component pattern completes immediately.
 				en.stats.CreatedPMs++
-				en.tryEmit(pm, nil, e, &res)
+				en.tryEmit(pm, nil, e, res)
 				en.freeTemp(pm)
 			} else {
 				pm.group = en.groupFor(e)
 				en.register(pm)
 				if n == 1 && first.Comp.Kleene && 1 >= first.Comp.MinReps {
-					en.tryEmit(pm, pm, e, &res)
+					en.tryEmit(pm, pm, e, res)
 				}
 			}
 		}
@@ -308,7 +309,6 @@ func (en *Engine) Process(e *event.Event) Result {
 
 	en.compactIfDirty()
 	en.drainRecycle()
-	return res
 }
 
 // reactBucket dispatches e to every partial match whose bucket entry
@@ -564,7 +564,7 @@ func (en *Engine) register(pm *PartialMatch) {
 	if pm.group != nil {
 		pm.group.members = append(pm.group.members, groupMember{pm: pm, gen: pm.gen})
 	}
-	if pm.witnessOf == nil && !en.useScan {
+	if pm.witnessOf == nil {
 		en.indexPM(pm)
 	}
 	if en.OnCreate != nil {

@@ -286,14 +286,11 @@ func (en *Engine) indexPM(pm *PartialMatch) {
 func (en *Engine) noteDead(pm *PartialMatch) {
 	en.live--
 	en.deadPMs++
-	// Before the witness/scan early returns: every match is in exactly one
-	// class bucket, witnesses and scan engines included.
+	// Before the witness early return: every match is in exactly one
+	// class bucket, witnesses included.
 	en.noteDeadClass(pm)
 	if pm.witnessOf != nil {
 		en.deadWitnesses++
-		return
-	}
-	if en.useScan {
 		return
 	}
 	var buf [4]typeFlag
@@ -444,9 +441,6 @@ func (r *expiryRing) reset() {
 // back group when e is the same stream position (several witnesses and a
 // run can start on one event).
 func (en *Engine) groupFor(e *event.Event) *startGroup {
-	if en.useScan {
-		return nil
-	}
 	if g := en.ring.back(); g != nil && g.startSeq == e.Seq && g.startTime == e.Time {
 		return g
 	}

@@ -2,24 +2,27 @@ package engine
 
 import (
 	"cepshed/internal/event"
-	"cepshed/internal/nfa"
 	"cepshed/internal/vclock"
 )
 
 // This file keeps the pre-index exhaustive-scan reaction and expiry path
 // as an independently written reference implementation. The differential
-// tests run randomized streams through both engines and require
-// identical matches, stats, and virtual work — any divergence between
-// the type index and a full scan of the partial-match set is a bug in
-// the index.
+// tests run randomized streams through Process on one engine and
+// processScan on another and require identical matches, stats, and
+// virtual work — any divergence between the type index and a full scan
+// of the partial-match set is a bug in the index.
 
-// newScanEngine builds an engine that reacts by scanning every live
-// partial match and expires by checking every match's window, instead of
-// using the type index and expiry ring.
-func newScanEngine(m *nfa.Machine, costs Costs) *Engine {
-	en := New(m, costs)
-	en.useScan = true
-	return en
+// processScan is Process with expiry and reactions done by scanning
+// every live partial match. The engine still files matches into the type
+// index and the expiry ring as it registers them; this path never reads
+// either.
+func (en *Engine) processScan(e *event.Event) Result {
+	tr := en.types[e.Type]
+	res := en.beginEvent()
+	en.expireScan(e, &res.Work)
+	en.scanReact(e, &res)
+	en.endEvent(tr, e, &res)
+	return res
 }
 
 // expireScan marks every out-of-window match dead by checking each one.

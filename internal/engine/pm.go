@@ -58,8 +58,7 @@ type PartialMatch struct {
 	// SnapshotRef.Release replays the parked releases.
 	deferred bool
 
-	// group is the expiry-ring start group this match belongs to (nil in
-	// the reference scan engine).
+	// group is the expiry-ring start group this match belongs to.
 	group *startGroup
 }
 

@@ -150,36 +150,33 @@ func (en *Engine) Restore(st *EngineState) error {
 		t   event.Time
 		seq uint64
 	}
-	var groups map[gkey]*startGroup
-	if !en.useScan {
-		groups = make(map[gkey]*startGroup)
-		var order []gkey
-		for i := range st.PMs {
-			k := gkey{st.PMs[i].StartTime, st.PMs[i].StartSeq}
-			if _, ok := groups[k]; !ok {
-				groups[k] = nil
-				order = append(order, k)
-			}
+	groups := make(map[gkey]*startGroup)
+	var order []gkey
+	for i := range st.PMs {
+		k := gkey{st.PMs[i].StartTime, st.PMs[i].StartSeq}
+		if _, ok := groups[k]; !ok {
+			groups[k] = nil
+			order = append(order, k)
 		}
-		// Insertion sort by (seq, time): snapshot order is registration
-		// order, which is already nearly sorted.
-		less := func(a, b gkey) bool {
-			if a.seq != b.seq {
-				return a.seq < b.seq
-			}
-			return a.t < b.t
+	}
+	// Insertion sort by (seq, time): snapshot order is registration
+	// order, which is already nearly sorted.
+	less := func(a, b gkey) bool {
+		if a.seq != b.seq {
+			return a.seq < b.seq
 		}
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
+		return a.t < b.t
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-		for _, k := range order {
-			g := en.newGroup()
-			g.startTime, g.startSeq = k.t, k.seq
-			en.ring.push(g)
-			groups[k] = g
-		}
+	}
+	for _, k := range order {
+		g := en.newGroup()
+		g.startTime, g.startSeq = k.t, k.seq
+		en.ring.push(g)
+		groups[k] = g
 	}
 
 	ids := make(map[uint64]*PartialMatch, len(st.PMs))
@@ -221,15 +218,13 @@ func (en *Engine) Restore(st *EngineState) error {
 			pm.parent = par
 			par.children++
 		}
-		if groups != nil {
-			pm.group = groups[gkey{p.StartTime, p.StartSeq}]
-			pm.group.members = append(pm.group.members, groupMember{pm: pm, gen: pm.gen})
-		}
+		pm.group = groups[gkey{p.StartTime, p.StartSeq}]
+		pm.group.members = append(pm.group.members, groupMember{pm: pm, gen: pm.gen})
 		en.pms = append(en.pms, pm)
 		en.live++
 		if pm.witnessOf != nil {
 			en.witnesses = append(en.witnesses, pm)
-		} else if !en.useScan {
+		} else {
 			en.indexPM(pm)
 		}
 		en.classIndexPM(pm)

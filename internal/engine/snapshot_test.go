@@ -20,18 +20,19 @@ func runSnapshotDifferential(t *testing.T, q *query.Query, deferred, scan bool, 
 	t.Helper()
 	m := nfa.MustCompile(q)
 	mk := func() *Engine {
-		var en *Engine
-		if scan {
-			en = newScanEngine(m, DefaultCosts())
-		} else {
-			en = New(m, DefaultCosts())
-		}
+		en := New(m, DefaultCosts())
 		en.DeferredNegation = deferred
 		return en
 	}
+	// scan drives both engines through the reference exhaustive-scan path
+	// (legacy_test.go) instead of the index.
+	step := (*Engine).Process
+	if scan {
+		step = (*Engine).processScan
+	}
 	orig := mk()
 	for _, e := range s[:cut] {
-		orig.Process(e)
+		step(orig, e)
 	}
 
 	st := orig.Snapshot()
@@ -53,8 +54,8 @@ func runSnapshotDifferential(t *testing.T, q *query.Query, deferred, scan bool, 
 	}
 
 	for i, e := range s[cut:] {
-		ro := orig.Process(e)
-		rr := restored.Process(e)
+		ro := step(orig, e)
+		rr := step(restored, e)
 		if ro.Work != rr.Work {
 			t.Fatalf("event %d: work diverged: orig %d, restored %d", i, ro.Work, rr.Work)
 		}

@@ -9,12 +9,12 @@ import (
 
 // This file compiles analyzed predicates into closure chains so the engine
 // hot path evaluates them without walking the AST: every type switch,
-// field-reference resolution, and index-kind dispatch of eval.go is done
-// once at compile time, and the per-evaluation residue is a tree of direct
-// closure calls. Compiled evaluation is behaviourally identical to
-// EvalPredicate — including error identity for the vacuous first-Kleene-
-// repetition sentinel (IsVacuous) — which compile_test.go checks
-// differentially against the interpreter.
+// field-reference resolution, and index-kind dispatch is done once at
+// compile time, and the per-evaluation residue is a tree of direct
+// closure calls. Compiled evaluation is behaviourally identical to the
+// AST-walking reference in eval_test.go — including error identity for
+// the vacuous first-Kleene-repetition sentinel (IsVacuous) — which
+// compile_test.go checks differentially.
 
 // boolProg evaluates a compiled boolean expression. allIdx is the k[]
 // expansion cursor (-1 outside aggregate expansion).
@@ -30,8 +30,9 @@ type CompiledPredicate struct {
 	fn  boolProg
 }
 
-// Eval evaluates the compiled predicate under a binding. It returns
-// exactly what EvalPredicate(c.Src, b) would.
+// Eval evaluates the compiled predicate under a binding. Missing
+// attributes, unbound variables, and type errors yield an error; callers
+// generally treat an error as "predicate not satisfied".
 func (c *CompiledPredicate) Eval(b Binding) (bool, error) {
 	return c.fn(b, -1)
 }
@@ -218,7 +219,7 @@ func compileRef(r *FieldRef) valProg {
 		}
 	default:
 		// A bare reference to a Kleene variable resolves to no event, like
-		// the interpreter's unmatched index switch.
+		// the reference walker's unmatched index switch.
 		return func(Binding, int) (event.Value, error) { return event.Value{}, errUnbound }
 	}
 }

@@ -21,47 +21,6 @@ type Binding interface {
 	Current() *event.Event
 }
 
-// EvalPredicate evaluates an analyzed predicate under a binding. Missing
-// attributes, unbound variables, and type errors yield an error; callers
-// generally treat an error as "predicate not satisfied".
-func EvalPredicate(p *Predicate, b Binding) (bool, error) {
-	ev := evaluator{b: b, allIdx: -1}
-	return ev.evalBool(p.Expr)
-}
-
-type evaluator struct {
-	b      Binding
-	allIdx int // >= 0 while expanding an IdxAll reference
-}
-
-func (ev *evaluator) evalBool(e Expr) (bool, error) {
-	switch n := e.(type) {
-	case *Compare:
-		l, err := ev.eval(n.L)
-		if err != nil {
-			return false, err
-		}
-		r, err := ev.eval(n.R)
-		if err != nil {
-			return false, err
-		}
-		return compare(n.Op, l, r), nil
-	case *Member:
-		x, err := ev.eval(n.X)
-		if err != nil {
-			return false, err
-		}
-		for _, v := range n.Values {
-			if x.Equal(v) {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("query: expression %s is not boolean", e)
-	}
-}
-
 func compare(op CmpOp, l, r event.Value) bool {
 	switch op {
 	case CmpEq:
@@ -78,29 +37,6 @@ func compare(op CmpOp, l, r event.Value) bool {
 		return l.Compare(r) >= 0
 	default:
 		return false
-	}
-}
-
-func (ev *evaluator) eval(e Expr) (event.Value, error) {
-	switch n := e.(type) {
-	case *Literal:
-		return n.Val, nil
-	case *FieldRef:
-		return ev.evalRef(n)
-	case *Binary:
-		l, err := ev.eval(n.L)
-		if err != nil {
-			return event.Value{}, err
-		}
-		r, err := ev.eval(n.R)
-		if err != nil {
-			return event.Value{}, err
-		}
-		return arith(n.Op, l, r)
-	case *Call:
-		return ev.evalCall(n)
-	default:
-		return event.Value{}, fmt.Errorf("query: cannot evaluate %s as a value", e)
 	}
 }
 
@@ -139,54 +75,6 @@ func arith(op BinaryOp, l, r event.Value) (event.Value, error) {
 	}
 }
 
-func (ev *evaluator) evalRef(r *FieldRef) (event.Value, error) {
-	c := r.comp
-	if c == nil {
-		return event.Value{}, fmt.Errorf("query: unresolved reference %s", r)
-	}
-	var e *event.Event
-	switch {
-	case c.Negated:
-		e = ev.b.Current()
-	case !c.Kleene:
-		e = ev.b.Single(c.Pos)
-	default:
-		reps := ev.b.Kleene(c.Pos)
-		switch r.Index {
-		case IdxCurrent:
-			e = ev.b.Current()
-		case IdxPrev:
-			if len(reps) == 0 {
-				return event.Value{}, errNoPrev
-			}
-			e = reps[len(reps)-1]
-		case IdxFirst:
-			if len(reps) == 0 {
-				return event.Value{}, fmt.Errorf("query: %s has no repetitions", r.Var)
-			}
-			e = reps[0]
-		case IdxLast:
-			if len(reps) == 0 {
-				return event.Value{}, fmt.Errorf("query: %s has no repetitions", r.Var)
-			}
-			e = reps[len(reps)-1]
-		case IdxAll:
-			if ev.allIdx < 0 || ev.allIdx >= len(reps) {
-				return event.Value{}, fmt.Errorf("query: %s[] outside aggregate expansion", r.Var)
-			}
-			e = reps[ev.allIdx]
-		}
-	}
-	if e == nil {
-		return event.Value{}, fmt.Errorf("query: variable %s is not bound", r.Var)
-	}
-	v, ok := e.Get(r.Attr)
-	if !ok {
-		return event.Value{}, fmt.Errorf("query: event %s has no attribute %s", e.Type, r.Attr)
-	}
-	return v, nil
-}
-
 // errNoPrev marks the vacuous first Kleene repetition: an incremental
 // predicate pairing k[i+1] with k[i] is trivially satisfied when no
 // previous repetition exists. The engine checks for it via IsVacuous.
@@ -195,94 +83,6 @@ var errNoPrev = fmt.Errorf("query: no previous Kleene repetition")
 // IsVacuous reports whether an evaluation error means the predicate was
 // not applicable (first Kleene repetition) rather than failed.
 func IsVacuous(err error) bool { return err == errNoPrev }
-
-func (ev *evaluator) evalCall(c *Call) (event.Value, error) {
-	switch c.Fn {
-	case FnSqrt, FnAbs:
-		v, err := ev.eval(c.Args[0])
-		if err != nil {
-			return event.Value{}, err
-		}
-		if !v.IsNumeric() {
-			return event.Value{}, fmt.Errorf("query: %s of non-numeric %s", c.Fn, v)
-		}
-		if c.Fn == FnAbs {
-			return event.Float(math.Abs(v.AsFloat())), nil
-		}
-		f := v.AsFloat()
-		if f < 0 {
-			return event.Value{}, fmt.Errorf("query: SQRT of negative value %v", f)
-		}
-		return event.Float(math.Sqrt(f)), nil
-	}
-	// Aggregates: expand each argument; arguments containing k[] refs
-	// contribute one value per repetition.
-	var vals []float64
-	for _, a := range c.Args {
-		allVar := findAllRef(a)
-		if allVar == nil {
-			v, err := ev.eval(a)
-			if err != nil {
-				return event.Value{}, err
-			}
-			if !v.IsNumeric() {
-				return event.Value{}, fmt.Errorf("query: aggregate over non-numeric %s", v)
-			}
-			vals = append(vals, v.AsFloat())
-			continue
-		}
-		reps := ev.b.Kleene(allVar.comp.Pos)
-		for j := range reps {
-			sub := evaluator{b: ev.b, allIdx: j}
-			v, err := sub.eval(a)
-			if err != nil {
-				return event.Value{}, err
-			}
-			if !v.IsNumeric() {
-				return event.Value{}, fmt.Errorf("query: aggregate over non-numeric %s", v)
-			}
-			vals = append(vals, v.AsFloat())
-		}
-	}
-	if c.Fn == FnCount {
-		return event.Int(int64(len(vals))), nil
-	}
-	if len(vals) == 0 {
-		return event.Value{}, fmt.Errorf("query: %s over empty set", c.Fn)
-	}
-	switch c.Fn {
-	case FnAvg:
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return event.Float(s / float64(len(vals))), nil
-	case FnSum:
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return event.Float(s), nil
-	case FnMin:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		return event.Float(m), nil
-	case FnMax:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return event.Float(m), nil
-	default:
-		return event.Value{}, fmt.Errorf("query: unknown function %s", c.Fn)
-	}
-}
 
 // findAllRef returns the first k[] reference inside e, or nil.
 func findAllRef(e Expr) *FieldRef {

@@ -754,11 +754,9 @@ type ShardSnapshot struct {
 	// checkpoint store.
 	Recovering bool   `json:"recovering"`
 	Snapshots  uint64 `json:"snapshots"`
-	// SnapPauseMaxNs is the worst pause the snapshot protocol has
-	// inflicted on this shard's serving thread: the full encode+write for
-	// sync saves, just capture + finalize (flush, WAL rotation) for the
-	// off-hot-path async protocol. The snapshot-stall benchmark gates on
-	// the sync/async ratio of this gauge.
+	// SnapPauseMaxNs is the worst pause the periodic snapshot has
+	// inflicted on this shard's serving thread: capture + finalize
+	// (flush, WAL rotation); encode and write run off-thread.
 	SnapPauseMaxNs int64  `json:"snap_pause_max_ns"`
 	SnapshotBytes  int64  `json:"snapshot_bytes"`
 	SnapshotUnixNs int64  `json:"snapshot_unix_ns"`

@@ -394,20 +394,11 @@ func (s *shard) endBatch() {
 			s.releasePend()
 		}
 	}
-	if snapDue {
-		if s.ckpt.SyncSaves() {
-			// Timed at this call site, not inside takeSnapshot: the other
-			// callers (finish's final save, ctlImport's commit) run on
-			// quiescent shards, where the save's duration stalls nobody.
-			t0 := time.Now()
-			s.takeSnapshot()
-			s.noteSnapPause(t0)
-		} else if s.pendingSnap == nil {
-			// One capture in flight at a time; sinceSnap keeps accumulating
-			// until the slot frees, so a slow write just stretches the
-			// interval instead of dropping a snapshot.
-			s.takeSnapshotAsync()
-		}
+	if snapDue && s.pendingSnap == nil {
+		// One capture in flight at a time; sinceSnap keeps accumulating
+		// until the slot frees, so a slow write just stretches the
+		// interval instead of dropping a snapshot.
+		s.takeSnapshotAsync()
 	}
 }
 
@@ -619,12 +610,10 @@ func (s *shard) noteSnapshotProgress() {
 
 // noteSnapPause records one stretch of snapshot work done inline on the
 // claiming worker — time the shard was NOT processing events because of
-// the snapshot protocol. The sync path pays the whole encode+write here;
-// the async path pays only capture and the finalize (flush + WAL
-// rotation). The max is exported as ShardSnapshot.SnapPauseMaxNs: it is
-// both an ops gauge (worst event-latency spike durability injects) and
-// the statistic the snapshot-stall benchmark compares across the two
-// protocols.
+// the snapshot protocol: the capture and the finalize (flush + WAL
+// rotation) of a periodic snapshot. The max is exported as
+// ShardSnapshot.SnapPauseMaxNs, the worst event-latency spike
+// durability injects.
 func (s *shard) noteSnapPause(t0 time.Time) {
 	d := time.Since(t0).Nanoseconds()
 	for {
@@ -637,9 +626,9 @@ func (s *shard) noteSnapPause(t0 time.Time) {
 
 // takeSnapshot persists the shard's full state and rotates the WAL,
 // synchronously on the claiming worker — the shard pauses for the whole
-// encode+write. Used by the sync protocol (checkpoint.Config.SyncSave /
-// OnStage), the final snapshot in finish, and ctlImport's commit point;
-// the periodic hot-path snapshot goes through takeSnapshotAsync.
+// encode+write. Only for quiescent shards, where that stalls nobody:
+// the final snapshot in finish and ctlImport's commit point. The
+// periodic hot-path snapshot goes through takeSnapshotAsync.
 func (s *shard) takeSnapshot() {
 	s.sinceSnap = 0
 	st := s.buildState()

@@ -98,20 +98,26 @@ func TestWorkStealingZipfianConservationAndOrdering(t *testing.T) {
 }
 
 // TestChaosStealDuringSnapshot drives the worker pool and the async
-// snapshot protocol into each other with fault injectors: a Delay on
-// shard 0 pins its claim holder so the other worker must steal the
-// remaining shards — including ones with a background snapshot in
-// flight (capture handoff, settle on a DIFFERENT worker than the one
-// that started the snapshot) — and FailStageOnce crashes one background
-// snapshot write mid-protocol. The failed write must be contained (no
-// shard restart — the write ran off-thread), later snapshots must
-// succeed, matches must stay exactly the sequential reference set, and
-// steals must actually have happened for the test to mean anything.
+// snapshot protocol into each other with fault injectors. The stream's
+// ten IDs land on shards 0, 1 and 3 (most on 1; 1 and 3 are worker 1's
+// homes, 0 is worker 0's). Shard 3's first event blocks on a gate,
+// pinning its claim holder until a steal has been counted: held by
+// worker 1, worker 0 must steal shard 1; held by worker 0, worker 1
+// must steal shard 0. A Delay on shard 3 afterwards keeps the claims
+// lopsided so stealing continues — including of shards with a
+// background snapshot in flight (capture handoff, settle on a DIFFERENT
+// worker than the one that started the snapshot) — and FailStageOnce
+// crashes one background snapshot write mid-protocol. The failed write
+// must be contained (no shard restart — the write ran off-thread),
+// later snapshots must succeed, matches must stay exactly the
+// sequential reference set, and steals must actually have happened for
+// the test to mean anything.
 func TestChaosStealDuringSnapshot(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 2500, Seed: 23, InterArrival: 15 * event.Microsecond})
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 
+	gate := make(chan struct{})
 	r := New(m, Config{
 		Shards:         4,
 		Workers:        2,
@@ -122,13 +128,30 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 			FlushEvery:  1,
 			OnStage:     fault.FailStageOnce("tmp-written", 2),
 		},
-		BeforeProcess: fault.Delay(100*time.Microsecond, func(shard int, _ *event.Event) bool {
-			return shard == 0
-		}),
+		BeforeProcess: func(shard int, _ *event.Event) {
+			if shard == 3 {
+				<-gate
+				time.Sleep(100 * time.Microsecond)
+			}
+		},
 	})
 	r.WaitRecovered()
+	// Shard 3's share of the stream fits its queue, so Offer never blocks
+	// on the held shard.
+	held := true
 	for _, e := range s {
 		r.Offer(e)
+		if held && r.steals.Load() > 0 {
+			close(gate)
+			held = false
+		}
+	}
+	if held {
+		// Bounded: on a timeout the Steals check below fails the test.
+		for deadline := time.Now().Add(10 * time.Second); r.steals.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
 	}
 	r.Close()
 	snap := r.Snapshot()
