@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race loc bench bench-runtime bench-harness bench-e2e bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
+.PHONY: check vet build test race loc bench bench-runtime bench-harness bench-e2e bench-pairs bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
 
 check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-harness profile-shed bench-compare
 
@@ -158,3 +158,11 @@ profile:
 	curl -fsS $${tok:+-H "Authorization: Bearer $$tok"} \
 		-o "$$out" "http://$(HOST)/debug/pprof/profile?seconds=$(SECONDS)" && \
 	$(GO) tool pprof -top "$$out"
+
+# Paired parent/change runs of one BENCHMARK.json workload with the
+# choosing-metrics guide's verdict per metric (scripts/bench-pairs.sh).
+# Usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED0=1]
+PAIRS ?= 10
+SEED0 ?= 1
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED0)

@@ -67,7 +67,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -243,23 +242,18 @@ func main() {
 			Fsync:         *walFsync,
 		}
 	}
-	var emitMu sync.Mutex
 	if *emit {
-		out := bufio.NewWriter(os.Stdout)
-		prefixes := map[[2]string][]byte{} // {tenant, query} -> line opening; under emitMu
-		cfg.OnMatch = func(spec registry.QuerySpec, shard int, match engine.Match) {
+		// One write(2) per delivered batch, nothing buffered between calls:
+		// when reg.Close returns every match line is out, so the final
+		// snapshot follows the last of them. Lines of one call stay
+		// together; the order of different shards' calls is unspecified.
+		var emitMu sync.Mutex
+		var lines []byte // under emitMu
+		cfg.OnMatches = func(spec registry.QuerySpec, shard int, ms []engine.Match) {
 			emitMu.Lock()
-			key := [2]string{spec.Tenant, spec.Name}
-			prefix, ok := prefixes[key]
-			if !ok {
-				prefix = matchLinePrefix(spec.Tenant, spec.Name)
-				prefixes[key] = prefix
-			}
-			out.Write(prefix)
-			out.Write(runtime.EncodeMatch(shard, match))
-			out.WriteString("}\n")
-			out.Flush()
-			emitMu.Unlock()
+			defer emitMu.Unlock()
+			lines = appendMatchLines(lines[:0], spec, shard, ms)
+			os.Stdout.Write(lines) // a closed stdout loses match lines, as it always did
 		}
 	}
 
@@ -470,12 +464,6 @@ type server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// stamp finalizes an ingested event's arrival time and sequence number.
-func (s *server) stamp(e *event.Event, hasTime bool) {
-	s.stampTime(e, hasTime)
-	s.stampSeq(e)
-}
-
 // stampTime assigns the arrival time (when the line carried none) and
 // clamps it to the monotone floor. Separate from stampSeq because in
 // cluster mode time is stamped at the INGEST edge while the sequence
@@ -516,25 +504,56 @@ func (s *server) bumpSeq(min uint64) {
 	}
 }
 
-// submit finalizes an ingested event and fans it out with backpressure.
-// It reports false only when at least one subscribed query rejected the
-// event at the door and none accepted it.
-func (s *server) submit(e *event.Event, hasTime bool) bool {
-	if s.cl != nil {
-		res := s.cl.OfferBatch([]cluster.Input{{E: e, HasTime: hasTime}})
-		return res.DoorRejected == 0 || res.Deliveries > 0
-	}
-	s.stamp(e, hasTime)
-	return s.reg.Offer(e)
-}
-
 // ingestBatchSize bounds how many decoded events accumulate before one
 // OfferBatch call: one route-table load and one batched handoff per
-// query cover the whole group instead of every line paying both. Only
-// paths that already hold a complete input (an HTTP request body, a
-// full-throttle replay) batch; streaming TCP stays per-event because a
-// connection may idle indefinitely mid-batch.
+// query cover the whole group instead of every line paying both. An
+// HTTP request body and a full-throttle replay hold a complete input
+// and batch by count alone. A TCP connection may go quiet at any byte,
+// so its reader also offers what it holds immediately before every read
+// of the socket — the only place its decoder can block: no decoded
+// event is ever held across a socket read, whatever the line framing.
 const ingestBatchSize = 256
+
+// edgeBatch holds the events one ingest stream has decoded and not yet
+// offered.
+type edgeBatch struct {
+	s      *server
+	events []*event.Event  // standalone: stamped on add
+	inputs []cluster.Input // cluster mode: unstamped, the slot's owner assigns seq
+}
+
+func (s *server) newEdgeBatch() *edgeBatch {
+	if s.cl != nil {
+		return &edgeBatch{s: s, inputs: make([]cluster.Input, 0, ingestBatchSize)}
+	}
+	return &edgeBatch{s: s, events: make([]*event.Event, 0, ingestBatchSize)}
+}
+
+// add finalizes one decoded event and reports whether the batch is full.
+func (b *edgeBatch) add(e *event.Event, hasTime bool) (full bool) {
+	if b.s.cl != nil {
+		b.inputs = append(b.inputs, cluster.Input{E: e, HasTime: hasTime})
+		return len(b.inputs) == ingestBatchSize
+	}
+	b.s.stampTime(e, hasTime)
+	b.s.stampSeq(e)
+	b.events = append(b.events, e)
+	return len(b.events) == ingestBatchSize
+}
+
+// offer fans the batch out with backpressure in one call and empties it;
+// an empty batch costs nothing and reports the zero result.
+func (b *edgeBatch) offer() (res cluster.RouteResult) {
+	switch {
+	case len(b.inputs) > 0:
+		res = b.s.cl.OfferBatch(b.inputs)
+		b.inputs = b.inputs[:0]
+	case len(b.events) > 0:
+		res.OfferResult = b.s.reg.OfferBatch(b.events)
+		b.events = b.events[:0]
+	}
+	return res
+}
 
 // replay feeds a generated stream at the target rate (events/second),
 // blocking on backpressure when the shards cannot keep up.
@@ -893,28 +912,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // overloaded; events no query subscribes to count as unrouted.
 func (s *server) ingest(r io.Reader) (accepted, rejected, overloaded, unrouted int) {
 	dec := runtime.NewLineDecoder(r, 1<<20)
-	batch := make([]*event.Event, 0, ingestBatchSize)
-	cbatch := make([]cluster.Input, 0, ingestBatchSize) // cluster mode: events routed unstamped
+	batch := s.newEdgeBatch()
 	flush := func() {
-		if s.cl != nil {
-			if len(cbatch) == 0 {
-				return
-			}
-			res := s.cl.OfferBatch(cbatch)
-			accepted += res.Deliveries + res.ForwardedPairs
-			overloaded += res.DoorRejected + res.DroppedPairs + res.ShedPairs
-			unrouted += res.Unrouted
-			cbatch = cbatch[:0]
-			return
-		}
-		if len(batch) == 0 {
-			return
-		}
-		res := s.reg.OfferBatch(batch)
-		accepted += res.Deliveries
-		overloaded += res.DoorRejected
+		res := batch.offer()
+		accepted += res.Deliveries + res.ForwardedPairs
+		overloaded += res.DoorRejected + res.DroppedPairs + res.ShedPairs
 		unrouted += res.Unrouted
-		batch = batch[:0]
 	}
 	for {
 		e, hasTime, err := dec.Next()
@@ -929,30 +932,26 @@ func (s *server) ingest(r io.Reader) (accepted, rejected, overloaded, unrouted i
 			flush()
 			return accepted, rejected, overloaded, unrouted // EOF or read failure
 		}
-		if s.cl != nil {
-			cbatch = append(cbatch, cluster.Input{E: e, HasTime: hasTime})
-			if len(cbatch) == ingestBatchSize {
-				flush()
-			}
-			continue
-		}
-		s.stamp(e, hasTime)
-		batch = append(batch, e)
-		if len(batch) == ingestBatchSize {
+		if batch.add(e, hasTime) {
 			flush()
 		}
 	}
 }
 
-// deadlineConn re-arms a read deadline before every read, so the
-// connection dies tcpIdle after the producer stops sending rather than
-// holding a goroutine forever.
+// deadlineConn is a TCP ingest connection's read side. Before every read
+// of the socket it calls beforeRead — serveConn offers its batch there,
+// which is what keeps a decoded event from waiting on the peer's next
+// write — and re-arms the read deadline, so the connection dies tcpIdle
+// after the producer stops sending rather than holding a goroutine
+// forever.
 type deadlineConn struct {
 	net.Conn
-	idle time.Duration
+	idle       time.Duration
+	beforeRead func()
 }
 
 func (c deadlineConn) Read(p []byte) (int, error) {
+	c.beforeRead()
 	if err := c.Conn.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
 		return 0, err
 	}
@@ -995,19 +994,33 @@ func (s *server) serveTCP(ctx context.Context, ln net.Listener) {
 	}
 }
 
-// serveConn ingests one TCP NDJSON connection under the idle deadline.
-// When every subscribed query rejects an event it best-effort NACKs
-// once per rejection burst so a well-behaved producer can back off; the
-// write carries its own short deadline so a consumer that has also
-// stalled its read side cannot block us.
+// serveConn ingests one TCP NDJSON connection under the idle deadline,
+// offering decoded events in batches: when ingestBatchSize are in hand,
+// before every socket read (deadlineConn), and before returning. When
+// every subscribed query rejects a batch it best-effort NACKs once per
+// rejection burst so a well-behaved producer can back off; the write
+// carries its own short deadline so a consumer that has also stalled
+// its read side cannot block us.
 func (s *server) serveConn(conn net.Conn) {
 	s.trackConn(conn)
 	defer func() {
 		s.untrackConn(conn)
 		conn.Close()
 	}()
-	dec := runtime.NewLineDecoder(deadlineConn{Conn: conn, idle: s.tcpIdle}, 1<<20)
+	batch := s.newEdgeBatch()
 	nacked := false
+	offer := func() {
+		switch res := batch.offer(); {
+		case res.Events == 0: // nothing decoded since the last offer
+		case res.DoorRejected == 0 || res.Deliveries > 0:
+			nacked = false
+		case !nacked:
+			nacked = true
+			conn.SetWriteDeadline(time.Now().Add(time.Second))
+			fmt.Fprintf(conn, `{"nack":"overloaded","degradation_level":%d}`+"\n", s.reg.MinDegradation())
+		}
+	}
+	dec := runtime.NewLineDecoder(deadlineConn{Conn: conn, idle: s.tcpIdle, beforeRead: offer}, 1<<20)
 	for {
 		e, hasTime, err := dec.Next()
 		if err != nil {
@@ -1017,20 +1030,15 @@ func (s *server) serveConn(conn net.Conn) {
 				s.reg.Quarantine(lerr.Error(), lerr.Payload)
 				continue
 			}
+			offer() // a read that returned bytes and an error leaves its lines decoded
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.stalled.Add(1)
 				log.Printf("cepserved: tcp %s stalled for %s; closing", conn.RemoteAddr(), s.tcpIdle)
 			}
 			return
 		}
-		if s.submit(e, hasTime) {
-			nacked = false
-			continue
-		}
-		if !nacked {
-			nacked = true
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			fmt.Fprintf(conn, `{"nack":"overloaded","degradation_level":%d}`+"\n", s.reg.MinDegradation())
+		if batch.add(e, hasTime) {
+			offer()
 		}
 	}
 }
@@ -1259,13 +1267,20 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 	p.SampleUint("cepshed_ndjson_intern_high_water", intern.HighWater)
 }
 
-// matchLinePrefix renders the opening of a -print-matches line. Tenant
-// and query names may hold any byte but '/', so they go through
-// encoding/json (Go's %q escapes are not JSON).
-func matchLinePrefix(tenant, query string) []byte {
-	t, _ := json.Marshal(tenant) // strings always marshal
-	q, _ := json.Marshal(query)
-	return []byte(`{"tenant":` + string(t) + `,"query":` + string(q) + `,"match":`)
+// appendMatchLines appends one -print-matches line per match. Tenant and
+// query names may hold any byte but '/', so they are JSON-escaped like
+// every other string on the line.
+func appendMatchLines(dst []byte, spec registry.QuerySpec, shard int, ms []engine.Match) []byte {
+	for i := range ms {
+		dst = append(dst, `{"tenant":`...)
+		dst = runtime.AppendJSONString(dst, spec.Tenant)
+		dst = append(dst, `,"query":`...)
+		dst = runtime.AppendJSONString(dst, spec.Name)
+		dst = append(dst, `,"match":`...)
+		dst = runtime.AppendMatch(dst, shard, ms[i])
+		dst = append(dst, "}\n"...)
+	}
+	return dst
 }
 
 // strategyFactory builds the per-shard strategy constructor. Every shard

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cepshed/internal/engine"
 	"cepshed/internal/event"
 	"cepshed/internal/fault"
 	"cepshed/internal/query"
@@ -31,6 +32,11 @@ func newTestServer(t *testing.T, cfg runtime.Config) *server {
 		QueueLen:     cfg.QueueLen,
 		DefaultTheta: cfg.Bound,
 		Arbiter:      registry.ArbiterConfig{Disabled: true},
+		OnMatches: func(_ registry.QuerySpec, shard int, ms []engine.Match) {
+			if cfg.OnMatches != nil {
+				cfg.OnMatches(shard, ms)
+			}
+		},
 		TuneRuntime: func(_ registry.QuerySpec, rc *runtime.Config) {
 			rc.Restart = cfg.Restart
 			rc.BeforeProcess = cfg.BeforeProcess
@@ -333,5 +339,29 @@ func TestAdminQueryLifecycle(t *testing.T) {
 	}
 	if a, _, _, u := s.ingest(strings.NewReader(`{"type":"X","attrs":{"ID":4}}` + "\n")); a != 0 || u != 1 {
 		t.Fatalf("X after remove: accepted=%d unrouted=%d, want 0/1", a, u)
+	}
+}
+
+// A -print-matches line is what it was when the prefix came from
+// encoding/json and the body from a per-match EncodeMatch call, for
+// names json escapes every way it can (the body's own differential is
+// runtime.TestAppendMatchEqualsReference).
+func TestAppendMatchLinesEqualsMarshal(t *testing.T) {
+	a, b := event.New("A", 1, nil), event.New("B<", 2, nil)
+	a.Seq, b.Seq = 41, 42
+	ms := []engine.Match{{Events: []*event.Event{a, b}, Detected: 2}, {Events: []*event.Event{b}, Detected: 3}}
+	for _, name := range []string{"plain", "", `q"uo\te`, "<&>", "a\x01\t\n", "\xff\xc3", " é日本😀"} {
+		spec := registry.QuerySpec{Tenant: name, Name: "q-" + name}
+		var want []byte
+		for _, m := range ms {
+			tn, _ := json.Marshal(spec.Tenant)
+			qn, _ := json.Marshal(spec.Name)
+			want = append(want, `{"tenant":`+string(tn)+`,"query":`+string(qn)+`,"match":`...)
+			want = append(want, runtime.EncodeMatch(5, m)...)
+			want = append(want, "}\n"...)
+		}
+		if got := appendMatchLines(nil, spec, 5, ms); !bytes.Equal(got, want) {
+			t.Errorf("appendMatchLines(%q)\n got %q\nwant %q", name, got, want)
+		}
 	}
 }

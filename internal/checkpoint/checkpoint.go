@@ -207,7 +207,7 @@ func (s *ShardStore) AppendEvent(e *event.Event) error {
 // record joins the current flush group instead of forcing its own
 // flush. The caller (the shard) must hold the match back until
 // Unflushed reports zero — the record must be durable BEFORE the match
-// is handed to OnMatch, so a crash after delivery can never re-emit it
+// is handed to OnMatches, so a crash after delivery can never re-emit it
 // on replay.
 func (s *ShardStore) AppendMatchKey(seq uint64, key string) error {
 	if err := s.wal.append(RecMatch, encodeMatchRecord(&s.enc, seq, key)); err != nil {

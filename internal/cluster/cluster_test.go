@@ -28,17 +28,19 @@ type matchCollector struct {
 
 func newMatchCollector() *matchCollector { return &matchCollector{seen: map[string]int{}} }
 
-func (c *matchCollector) hook() func(registry.QuerySpec, int, engine.Match) {
-	return func(_ registry.QuerySpec, _ int, m engine.Match) {
-		// Key by the partition attribute, not m.Key(): seq numbers are
-		// node-local, so seq-based keys from different nodes collide.
-		key := ""
-		if len(m.Events) > 0 {
-			key = fmt.Sprintf("id=%d", m.Events[0].Int("ID"))
+func (c *matchCollector) hook() func(registry.QuerySpec, int, []engine.Match) {
+	return func(_ registry.QuerySpec, _ int, ms []engine.Match) {
+		for _, m := range ms {
+			// Key by the partition attribute, not m.Key(): seq numbers are
+			// node-local, so seq-based keys from different nodes collide.
+			key := ""
+			if len(m.Events) > 0 {
+				key = fmt.Sprintf("id=%d", m.Events[0].Int("ID"))
+			}
+			c.mu.Lock()
+			c.seen[key]++
+			c.mu.Unlock()
 		}
-		c.mu.Lock()
-		c.seen[key]++
-		c.mu.Unlock()
 	}
 }
 
@@ -157,10 +159,10 @@ func newTestClusterOpts(t *testing.T, names []string, shards int, col *matchColl
 	for i, name := range names {
 		tn := nodes[name]
 		reg, err := registry.Open(registry.Config{
-			Shards:   shards,
-			StateDir: top.Nodes[i].StateDir,
-			OnMatch:  col.hook(),
-			Arbiter:  registry.ArbiterConfig{Disabled: true},
+			Shards:    shards,
+			StateDir:  top.Nodes[i].StateDir,
+			OnMatches: col.hook(),
+			Arbiter:   registry.ArbiterConfig{Disabled: true},
 		})
 		if err != nil {
 			t.Fatal(err)

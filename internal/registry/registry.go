@@ -120,9 +120,12 @@ type Config struct {
 	// fails validation (e.g. unknown strategy name, strategy requiring a
 	// training stream that isn't loaded). Nil: no shedding strategies.
 	NewStrategy func(spec QuerySpec, m *nfa.Machine, bound time.Duration) (func(shard int) shed.Strategy, error)
-	// OnMatch is invoked for every match of every query, from the
-	// detecting shard's goroutine (must tolerate concurrent calls).
-	OnMatch func(spec QuerySpec, shard int, m engine.Match)
+	// OnMatches receives each query's matches as runtime.Config.OnMatches
+	// delivers them — one call per shard batch that produced any, never
+	// concurrently for one shard of one query, ms valid only during the
+	// call — and must tolerate concurrent calls from different shards
+	// and queries.
+	OnMatches func(spec QuerySpec, shard int, ms []engine.Match)
 	// CollectMatches retains matches in memory per query (tests).
 	CollectMatches bool
 	// DeferredNegation selects witness-based negation semantics.
@@ -488,14 +491,14 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 			g.logf("%s: "+format, append([]any{spec.ID()}, args...)...)
 		},
 	}
-	if g.cfg.OnMatch != nil {
-		onMatch := g.cfg.OnMatch
-		rc.OnMatch = func(shard int, mt engine.Match) {
-			in.countMatch(mt)
-			onMatch(spec, shard, mt)
+	onMatches := g.cfg.OnMatches
+	rc.OnMatches = func(shard int, ms []engine.Match) {
+		for i := range ms {
+			in.countMatch(ms[i])
 		}
-	} else {
-		rc.OnMatch = func(shard int, mt engine.Match) { in.countMatch(mt) }
+		if onMatches != nil {
+			onMatches(spec, shard, ms)
+		}
 	}
 	if g.durable {
 		dur := g.dur
@@ -763,7 +766,7 @@ func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
 	return res
 }
 
-// Offer routes a single event (the TCP per-line path). It returns
+// Offer routes a single event (the paced replay's path). It returns
 // false only when at least one subscribed query door-rejected the
 // event and none accepted it — the signal a NACKing protocol wants.
 func (g *Registry) Offer(e *event.Event) bool {

@@ -50,8 +50,8 @@ type collector struct {
 
 func newCollector() *collector { return &collector{seen: map[string]map[string]int{}} }
 
-func (c *collector) hook() func(QuerySpec, int, engine.Match) {
-	return func(spec QuerySpec, _ int, m engine.Match) {
+func (c *collector) hook() func(QuerySpec, int, []engine.Match) {
+	return func(spec QuerySpec, _ int, ms []engine.Match) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		byKey := c.seen[spec.ID()]
@@ -59,7 +59,9 @@ func (c *collector) hook() func(QuerySpec, int, engine.Match) {
 			byKey = map[string]int{}
 			c.seen[spec.ID()] = byKey
 		}
-		byKey[m.Key()]++
+		for _, m := range ms {
+			byKey[m.Key()]++
+		}
 	}
 }
 
@@ -222,10 +224,10 @@ func TestManifestRestartRecoversAllQueries(t *testing.T) {
 	dir := t.TempDir()
 	col := newCollector()
 	cfg := Config{
-		Shards:   2,
-		StateDir: dir,
-		OnMatch:  col.hook(),
-		Arbiter:  ArbiterConfig{Disabled: true},
+		Shards:    2,
+		StateDir:  dir,
+		OnMatches: col.hook(),
+		Arbiter:   ArbiterConfig{Disabled: true},
 	}
 
 	var s event.Stream
@@ -320,9 +322,9 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	col := newCollector()
 	cfg := Config{
-		StateDir: dir,
-		OnMatch:  col.hook(),
-		Arbiter:  ArbiterConfig{Disabled: true},
+		StateDir:  dir,
+		OnMatches: col.hook(),
+		Arbiter:   ArbiterConfig{Disabled: true},
 	}
 
 	var s event.Stream
@@ -485,9 +487,9 @@ func TestArbiterFairShares(t *testing.T) {
 func TestArbiterIsolation(t *testing.T) {
 	col := newCollector()
 	cfg := Config{
-		Shards:   1,
-		QueueLen: 4096,
-		OnMatch:  col.hook(),
+		Shards:    1,
+		QueueLen:  4096,
+		OnMatches: col.hook(),
 		Arbiter: ArbiterConfig{
 			Interval: 20 * time.Millisecond,
 			Capacity: 0.3,

@@ -327,28 +327,55 @@ func EncodeEvent(e *event.Event) []byte {
 // EncodeMatch renders a detected match as one NDJSON line: the shard,
 // detection timestamp, canonical key, and the matched events' sequence
 // numbers and types.
-func EncodeMatch(shard int, m engine.Match) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, `{"shard":%d,"detected":%d,"key":`, shard, int64(m.Detected))
-	writeJSONString(&b, m.Key())
-	b.WriteString(`,"events":[`)
+func EncodeMatch(shard int, m engine.Match) []byte { return AppendMatch(nil, shard, m) }
+
+// AppendMatch appends EncodeMatch's line for m to dst. With capacity in
+// dst and event types on AppendJSONString's fast path it allocates
+// nothing: the key is the matched events' sequence numbers joined by
+// commas (engine.Match.Key), written in place.
+func AppendMatch(dst []byte, shard int, m engine.Match) []byte {
+	dst = append(dst, `{"shard":`...)
+	dst = strconv.AppendInt(dst, int64(shard), 10)
+	dst = append(dst, `,"detected":`...)
+	dst = strconv.AppendInt(dst, int64(m.Detected), 10)
+	dst = append(dst, `,"key":"`...)
 	for i, e := range m.Events {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, `{"seq":%d,"type":`, e.Seq)
-		writeJSONString(&b, e.Type)
-		b.WriteByte('}')
+		dst = strconv.AppendUint(dst, e.Seq, 10)
 	}
-	b.WriteString("]}")
-	return b.Bytes()
+	dst = append(dst, `","events":[`...)
+	for i, e := range m.Events {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"seq":`...)
+		dst = strconv.AppendUint(dst, e.Seq, 10)
+		dst = append(dst, `,"type":`...)
+		dst = AppendJSONString(dst, e.Type)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
 }
 
-func writeJSONString(b *bytes.Buffer, s string) {
-	enc, err := json.Marshal(s)
-	if err != nil {
-		b.WriteString(`""`)
-		return
+// AppendJSONString appends s as a JSON string, byte for byte what
+// encoding/json.Marshal(s) produces. Printable ASCII without the
+// characters json escapes (quote, backslash and, HTML-safe, < > &) is
+// copied as is; any other string goes through encoding/json.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, err := json.Marshal(s)
+			if err != nil {
+				return append(dst, `""`...)
+			}
+			return append(dst, enc...)
+		}
 	}
-	b.Write(enc)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
+
+func writeJSONString(b *bytes.Buffer, s string) { b.Write(AppendJSONString(nil, s)) }

@@ -1,8 +1,12 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -78,6 +82,87 @@ func TestEncodeMatch(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("EncodeMatch output %s missing %s", line, want)
 		}
+	}
+}
+
+// encodeMatchRef is EncodeMatch as it was before AppendMatch replaced it
+// (fmt, one json.Marshal per string, Match.Key): the oracle AppendMatch
+// must equal byte for byte.
+func encodeMatchRef(shard int, m engine.Match) []byte {
+	var b bytes.Buffer
+	writeJSONString := func(b *bytes.Buffer, s string) {
+		enc, err := json.Marshal(s)
+		if err != nil {
+			enc = []byte(`""`)
+		}
+		b.Write(enc)
+	}
+	fmt.Fprintf(&b, `{"shard":%d,"detected":%d,"key":`, shard, int64(m.Detected))
+	writeJSONString(&b, m.Key())
+	b.WriteString(`,"events":[`)
+	for i, e := range m.Events {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"seq":%d,"type":`, e.Seq)
+		writeJSONString(&b, e.Type)
+		b.WriteByte('}')
+	}
+	b.WriteString("]}")
+	return b.Bytes()
+}
+
+// randomMatch draws 1–6 events whose type strings mix plain ASCII with
+// everything encoding/json treats specially.
+func randomMatch(rng *rand.Rand) engine.Match {
+	pieces := []string{"A", "Bike", "trip_end", " ", "~", "\x7f", `"`, `\`, "<", ">", "&", "/",
+		"\x00", "\x01", "\n", "\t", "\x1f", "\xff", "\xc3", "\xe2\x80", "\u2028", "\u2029", "é", "日本", "😀", "\ufffd"}
+	m := engine.Match{Detected: event.Time(rng.Int63n(1<<50) - 1<<20)}
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		var typ strings.Builder
+		for k := rng.Intn(5); k > 0; k-- {
+			typ.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		e := event.New(typ.String(), 0, nil)
+		e.Seq = rng.Uint64() >> uint(rng.Intn(64))
+		m.Events = append(m.Events, e)
+	}
+	return m
+}
+
+func TestAppendMatchEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	prefix := []byte("kept:")
+	for i := 0; i < 5000; i++ {
+		m := randomMatch(rng)
+		shard := rng.Intn(70) - 1
+		want := encodeMatchRef(shard, m)
+		if got := EncodeMatch(shard, m); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeMatch differs from the reference\n got %q\nwant %q", got, want)
+		}
+		got := AppendMatch(prefix[:len(prefix):len(prefix)], shard, m)
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendMatch onto %q = %q, want the prefix then %q", prefix, got, want)
+		}
+	}
+}
+
+// With room in dst and event types that need no escaping — every type a
+// query can name — encoding a match allocates nothing.
+func TestAppendMatchZeroAlloc(t *testing.T) {
+	var m engine.Match
+	for i, typ := range []string{"BikeTrip", "BikeTrip", "BikeTrip", "BikeTrip", "BikeTrip", "B"} {
+		e := event.New(typ, 0, nil)
+		e.Seq = uint64(1_000_000 + i)
+		m.Events = append(m.Events, e)
+	}
+	m.Detected = 123456789012
+	dst := make([]byte, 0, 1024)
+	if allocs := testing.AllocsPerRun(200, func() { dst = AppendMatch(dst[:0], 3, m) }); allocs != 0 {
+		t.Errorf("AppendMatch allocates %v times per 6-event match, want 0", allocs)
+	}
+	if want := encodeMatchRef(3, m); !bytes.Equal(dst, want) {
+		t.Errorf("AppendMatch = %q, want %q", dst, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"cepshed/internal/fault"
 	"cepshed/internal/nfa"
 	"cepshed/internal/query"
+	"cepshed/internal/shed"
 )
 
 // An OfferBatch whose events span the key range of a failed shard must
@@ -105,5 +107,47 @@ func TestOfferBatchAcrossQuarantinedKeyRangeConservation(t *testing.T) {
 	}
 	if !found {
 		t.Error("no dead letter attributed to the poisoned shard")
+	}
+}
+
+// shedAll is a ρI that admits nothing: a shard serving it counts events
+// without touching the engine, so it allocates nothing per event.
+type shedAll struct{ shed.None }
+
+func (shedAll) AdmitEvent(*event.Event, event.Time) bool { return false }
+
+// A multi-event offer costs what a single-event one does: no heap
+// allocation of its own (the per-shard groups live on the caller's
+// stack, the item slices come from the pool and go back to it by the
+// same pointer). AllocsPerRun counts process-wide, so the shards shed
+// every event — the engine's own per-event allocations stay out of the
+// count — and each run waits for the workers to hand its slices back.
+func TestOfferBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	m := nfa.MustCompile(query.Q1("8ms"))
+	r := New(m, Config{Shards: 4, NewStrategy: func(int) shed.Strategy { return shedAll{} }})
+	defer r.Close()
+	batch := make([]*event.Event, 6)
+	for i := range batch {
+		batch[i] = event.New("A", event.Time(i), map[string]event.Value{"ID": event.Int(int64(i))})
+		batch[i].Seq = uint64(i)
+	}
+	var offered uint64
+	allocs := testing.AllocsPerRun(500, func() {
+		offered += uint64(r.OfferBatch(batch))
+		for served := uint64(0); served < offered; goruntime.Gosched() {
+			served = 0
+			for _, sh := range r.shards {
+				served += sh.eventsShed.Load()
+			}
+		}
+	})
+	if offered != 501*uint64(len(batch)) {
+		t.Fatalf("%d events accepted, want every one of %d", offered, 501*len(batch))
+	}
+	if allocs != 0 {
+		t.Errorf("a 6-event OfferBatch allocates %v times, want 0", allocs)
 	}
 }

@@ -21,18 +21,35 @@ import (
 
 // collector records every delivered match key across one or more runtime
 // incarnations and remembers duplicates — the property the WAL's
-// flush-before-deliver match records exist to guarantee.
+// flush-before-deliver match records exist to guarantee. Its hook also
+// holds the batch sink to its contract: no empty call, and never two
+// calls in flight for one shard (calls counts per shard WITHOUT a lock,
+// so under -race an unordered pair of calls is reported even when they
+// do not overlap in time).
 type collector struct {
-	mu   sync.Mutex
-	seen map[string]int
+	t      *testing.T
+	mu     sync.Mutex
+	seen   map[string]int
+	inCall [16]atomic.Int32
+	calls  [16]int
 }
 
-func newCollector() *collector { return &collector{seen: map[string]int{}} }
+func newCollector(t *testing.T) *collector { return &collector{t: t, seen: map[string]int{}} }
 
-func (c *collector) hook() func(int, engine.Match) {
-	return func(_ int, m engine.Match) {
+func (c *collector) hook() func(int, []engine.Match) {
+	return func(shard int, ms []engine.Match) {
+		if c.inCall[shard].Add(1) != 1 {
+			c.t.Errorf("OnMatches entered concurrently for shard %d", shard)
+		}
+		defer c.inCall[shard].Add(-1)
+		c.calls[shard]++
+		if len(ms) == 0 {
+			c.t.Errorf("OnMatches called with no matches for shard %d", shard)
+		}
 		c.mu.Lock()
-		c.seen[m.Key()]++
+		for _, m := range ms {
+			c.seen[m.Key()]++
+		}
 		c.mu.Unlock()
 	}
 }
@@ -128,8 +145,8 @@ func runCrashDifferential(t *testing.T, shards int, seed int64, events int) {
 	cut := 1 + rng.Intn(len(s)-2)
 	dir := t.TempDir()
 	dur := &checkpoint.Config{Dir: dir, EveryEvents: 200, FlushEvery: 1}
-	col := newCollector()
-	cfg := Config{Shards: shards, OnMatch: col.hook(), Durability: dur}
+	col := newCollector(t)
+	cfg := Config{Shards: shards, OnMatches: col.hook(), Durability: dur}
 
 	r1 := New(m, cfg)
 	r1.WaitRecovered()
@@ -184,8 +201,8 @@ func TestGracefulRestartNoReplay(t *testing.T) {
 	s := gen.DS1(gen.DS1Config{Events: 2000, Seed: 5, InterArrival: 15 * event.Microsecond})
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 500, FlushEvery: 8}
-	col := newCollector()
-	cfg := Config{Shards: 1, OnMatch: col.hook(), Durability: dur}
+	col := newCollector(t)
+	cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
 	cut := len(s) / 2
 
 	r1 := New(m, cfg)
@@ -252,8 +269,8 @@ func TestTornWALTailRecovery(t *testing.T) {
 		}
 	}
 
-	col := newCollector()
-	r2 := New(m, Config{Shards: 1, OnMatch: col.hook(), Durability: dur})
+	col := newCollector(t)
+	r2 := New(m, Config{Shards: 1, OnMatches: col.hook(), Durability: dur})
 	r2.WaitRecovered()
 	if info := r2.RecoveryInfo(); info.ColdStarts != 0 {
 		t.Fatalf("torn tail caused %d cold starts, want graceful partial replay", info.ColdStarts)
@@ -379,12 +396,12 @@ func TestChaosKillDuringSnapshot(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 2000, Seed: 13, InterArrival: 15 * event.Microsecond})
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
-	col := newCollector()
+	col := newCollector(t)
 	failStage := fault.FailStageOnce("tmp-written", 2)
 	failed := make(chan struct{})
 	cfg := Config{
-		Shards:  1,
-		OnMatch: col.hook(),
+		Shards:    1,
+		OnMatches: col.hook(),
 		Durability: &checkpoint.Config{
 			Dir:         t.TempDir(),
 			EveryEvents: 250,
@@ -546,8 +563,8 @@ func TestRecoveryBeforeFirstSnapshot(t *testing.T) {
 	}
 	// EveryEvents past the cut: the crash lands before the first snapshot.
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
-	col := newCollector()
-	cfg := Config{Shards: 1, OnMatch: col.hook(), Durability: dur}
+	col := newCollector(t)
+	cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
 	const cut = 60
 
 	r1 := New(m, cfg)
@@ -705,8 +722,8 @@ func TestWALFailureDegradesLoudly(t *testing.T) {
 	s := gen.DS1(gen.DS1Config{Events: 800, Seed: 31, InterArrival: 15 * event.Microsecond})
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 200, FlushEvery: 1}
-	col := newCollector()
-	r := New(m, Config{Shards: 1, OnMatch: col.hook(), Durability: dur})
+	col := newCollector(t)
+	r := New(m, Config{Shards: 1, OnMatches: col.hook(), Durability: dur})
 	r.WaitRecovered()
 	// Close the WAL's file descriptor out from under the store: every
 	// subsequent append flush fails. WaitRecovered ordered this write
@@ -756,8 +773,8 @@ func TestCrashRecoveryDifferentialGroupCommit(t *testing.T) {
 		const flushEvery = 64
 		dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 300,
 			FlushEvery: flushEvery, FlushBytes: 1 << 30, FlushInterval: time.Hour}
-		col := newCollector()
-		cfg := Config{Shards: 1, OnMatch: col.hook(), Durability: dur}
+		col := newCollector(t)
+		cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
 
 		r1 := New(m, cfg)
 		r1.WaitRecovered()
@@ -816,10 +833,10 @@ func TestWALFailureMidGroupDeliversBufferedMatches(t *testing.T) {
 	}
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20,
 		FlushEvery: 512, FlushBytes: 1 << 30, FlushInterval: time.Hour}
-	col := newCollector()
+	col := newCollector(t)
 	gate := make(chan struct{})
 	r := New(m, Config{
-		Shards: 1, QueueLen: 1024, OnMatch: col.hook(), Durability: dur,
+		Shards: 1, QueueLen: 1024, OnMatches: col.hook(), Durability: dur,
 		// Hold the worker at the first event until every offer is queued:
 		// the queue stays deep, so no idle flush closes the group before
 		// the 512-record policy flush hits the broken descriptor.
@@ -853,5 +870,63 @@ func TestWALFailureMidGroupDeliversBufferedMatches(t *testing.T) {
 	if missing, extra := subsetOf(got, want); len(missing) != 0 || len(extra) != 0 {
 		t.Fatalf("degraded run delivered %d matches, want %d (missing %d, extra %d)",
 			len(got), len(want), len(missing), len(extra))
+	}
+}
+
+// TestPanicMidBatchDeliversClearedMatches: one queued batch completes a
+// match, then panics on a later event. The match was cleared for
+// delivery before the panic — emitted without a store, or parked in the
+// open flush group that the panic protocol settles — so the sink has it
+// before the worker lets go of the shard: ahead of the restart backoff
+// and of the batch's salvaged tail, exactly once, also after the
+// post-panic replay of a durable shard.
+func TestPanicMidBatchDeliversClearedMatches(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		m := nfa.MustCompile(query.Q1("8ms"))
+		var batch []*event.Event
+		for i, typ := range []string{"A", "B", "C", "A", "A", "A"} {
+			e := event.New(typ, event.Time(i+1)*event.Millisecond,
+				map[string]event.Value{"ID": event.Int(7), "V": event.Int(int64(i + 1))})
+			e.Seq = uint64(i)
+			batch = append(batch, e)
+		}
+		const poison = 3
+		col := newCollector(t)
+		var r *Runtime
+		var processedAtDelivery atomic.Int64
+		hook := col.hook()
+		cfg := Config{
+			Shards:        1,
+			Restart:       RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: time.Millisecond},
+			BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool { return e.Seq == poison }, "poison"),
+			OnMatches: func(shard int, ms []engine.Match) {
+				processedAtDelivery.Store(int64(r.Snapshot().EventsProcessed))
+				hook(shard, ms)
+			},
+		}
+		if durable {
+			cfg.Durability = &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20,
+				FlushEvery: 512, FlushBytes: 1 << 30, FlushInterval: time.Hour}
+		}
+		r = New(m, cfg)
+		r.WaitRecovered()
+		if n := r.OfferBatch(batch); n != len(batch) {
+			t.Fatalf("durable=%v: OfferBatch accepted %d of %d", durable, n, len(batch))
+		}
+		drainTo(t, r, uint64(len(batch)))
+		r.Close()
+
+		snap := r.Snapshot()
+		if snap.Restarts != 1 || snap.ShardQuarantined != 1 {
+			t.Fatalf("durable=%v: restarts = %d, quarantined = %d, want one of each", durable, snap.Restarts, snap.ShardQuarantined)
+		}
+		if got := col.keys(); len(got) != 1 || got[0] != "0,1,2" || len(col.dups()) != 0 {
+			t.Fatalf("durable=%v: delivered %q (duplicates %q), want the match 0,1,2 once", durable, got, col.dups())
+		}
+		if got := processedAtDelivery.Load(); got != poison {
+			t.Errorf("durable=%v: %d events processed when the match was delivered, want %d: the ones before the panic",
+				durable, got, poison)
+		}
+		shardConservation(t, snap, "after the mid-batch panic")
 	}
 }

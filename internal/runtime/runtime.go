@@ -133,10 +133,13 @@ type Config struct {
 	// CollectMatches keeps every match in memory so Matches() can return
 	// the merged set after Close. Disable for long-running servers.
 	CollectMatches bool
-	// OnMatch, when set, is invoked from the worker servicing the
-	// detecting shard, for every match. It must be safe for concurrent
-	// calls from different shards.
-	OnMatch func(shard int, m engine.Match)
+	// OnMatches, when set, receives the matches a shard cleared for
+	// delivery since its previous call, in detection order, from the
+	// worker holding the shard: once per drained batch that produced any,
+	// and before the worker lets go of the shard. It is never entered
+	// concurrently for one shard but must tolerate concurrent calls from
+	// different shards; ms is valid only during the call.
+	OnMatches func(shard int, ms []engine.Match)
 
 	// Bound is the wall-clock latency bound θ driving the degradation
 	// ladder. Zero disables the ladder (the level stays LevelNormal and
@@ -387,7 +390,7 @@ func (r *Runtime) LoadStats() LoadStats {
 		st.Processed += sh.processed.Load()
 		st.Matches += sh.matched.Load()
 	}
-	ewma, fill := r.ladderSignals()
+	ewma, fill := r.ladderSignals(time.Now())
 	st.SmoothedLatency = time.Duration(ewma)
 	st.QueueFill = fill
 	return st
@@ -462,7 +465,8 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted i
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	lvl, fill := r.updateLevel()
+	enq := time.Now() // also the ladder's staleness reference
+	lvl, fill := r.updateLevel(enq)
 	if r.closed.Load() {
 		lvl = LevelReject // a closed door refuses everything
 	}
@@ -485,9 +489,14 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted i
 		r.wakeOne()
 		accepted += n
 	}
-	enq := time.Now()
 	rejected := 0
-	var groups [][]item // a multi-event call's per-shard batches
+	// A multi-event call's per-shard batches, on the stack for up to
+	// len(fixed) shards.
+	var fixed [16]*[]item
+	groups := fixed[:min(len(r.shards), len(fixed))]
+	if len(events) > 1 && len(r.shards) > len(fixed) {
+		groups = make([]*[]item, len(r.shards))
+	}
 	for _, e := range events {
 		var sh *shard
 		if lvl < LevelReject && (lvl < LevelAdmission || r.admit.Admit(fill)) {
@@ -499,18 +508,17 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted i
 		case len(events) == 1:
 			send(sh, batch{one: item{e: e, enq: enq}}, 1)
 		default:
-			if groups == nil {
-				groups = make([][]item, len(r.shards))
+			g := groups[sh.id]
+			if g == nil {
+				g = getItems()
+				groups[sh.id] = g
 			}
-			if groups[sh.id] == nil {
-				groups[sh.id] = getItems()
-			}
-			groups[sh.id] = append(groups[sh.id], item{e: e, enq: enq})
+			*g = append(*g, item{e: e, enq: enq})
 		}
 	}
 	for id, g := range groups {
 		if g != nil {
-			send(r.shards[id], batch{items: g}, len(g))
+			send(r.shards[id], batch{items: g}, len(*g))
 		}
 	}
 	r.admissionRejected.Add(uint64(rejected))
@@ -533,8 +541,8 @@ func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(-1, eve
 // ladderSignals gathers the two inputs of the ladder: the worst
 // effective smoothed latency across shards (stale signals of drained
 // shards decay to zero, see ladderStale) and the aggregate queue fill.
-func (r *Runtime) ladderSignals() (maxEwma, fill float64) {
-	now := time.Now().UnixNano()
+func (r *Runtime) ladderSignals(at time.Time) (maxEwma, fill float64) {
+	now := at.UnixNano()
 	var depth, capTot int
 	for _, sh := range r.shards {
 		d := int(sh.depth.Load())
@@ -580,11 +588,11 @@ func (r *Runtime) levelFor(maxEwma, fill, scale float64) int {
 // immediate, de-escalation requires the signals to clear thresholds
 // tightened by 30% so the level doesn't flap around a boundary. With
 // Bound = 0 there is no ladder and it costs one comparison.
-func (r *Runtime) updateLevel() (int, float64) {
+func (r *Runtime) updateLevel(now time.Time) (int, float64) {
 	if r.cfg.Bound <= 0 {
 		return LevelNormal, 0
 	}
-	maxEwma, fill := r.ladderSignals()
+	maxEwma, fill := r.ladderSignals(now)
 	raw := r.levelFor(maxEwma, fill, 1.0)
 	cur := int(r.level.Load())
 	next := raw
@@ -605,7 +613,7 @@ func (r *Runtime) updateLevel() (int, float64) {
 // DegradationLevel returns the current ladder level (refreshed from the
 // live signals, so it de-escalates even when no offers arrive).
 func (r *Runtime) DegradationLevel() int {
-	lvl, _ := r.updateLevel()
+	lvl, _ := r.updateLevel(time.Now())
 	return lvl
 }
 

@@ -222,9 +222,11 @@ func TestOnMatchCallback(t *testing.T) {
 	n := 0
 	r := New(m, Config{
 		Shards: 4,
-		OnMatch: func(shard int, match engine.Match) {
+		OnMatches: func(shard int, ms []engine.Match) {
 			mu.Lock()
-			n++
+			for range ms {
+				n++
+			}
 			mu.Unlock()
 		},
 	})
@@ -233,7 +235,7 @@ func TestOnMatchCallback(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if uint64(n) != snap.Matches {
-		t.Errorf("OnMatch fired %d times, snapshot says %d matches", n, snap.Matches)
+		t.Errorf("OnMatches delivered %d matches, snapshot says %d matches", n, snap.Matches)
 	}
 	if n == 0 {
 		t.Error("no matches delivered")

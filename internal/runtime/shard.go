@@ -25,32 +25,31 @@ type item struct {
 }
 
 // batch is what the shard channel carries: either a single item (items
-// nil — the Offer/TryOffer fast path, no slice allocation), a slice of
-// items from OfferBatch, or a control message (ctl non-nil) for the
+// nil — the Offer/TryOffer fast path, no slice), a pooled slice of items
+// from OfferBatch, or a control message (ctl non-nil) for the
 // shard-migration path. Ownership of items transfers to the consumer,
 // which returns the slice to itemSlicePool when done. Control messages
 // ride the same channel so they are ordered behind every event already
 // queued — an export observes a fully drained shard by construction.
 type batch struct {
 	one   item
-	items []item
+	items *[]item
 	ctl   *shardCtl
 }
 
 // itemSlicePool recycles OfferBatch's per-shard item slices between
-// producers and shard workers.
+// producers and shard workers. They travel as the pool's own pointers,
+// so neither the Get nor the Put allocates.
 var itemSlicePool = sync.Pool{New: func() any {
 	s := make([]item, 0, 256)
 	return &s
 }}
 
-func getItems() []item {
-	return (*itemSlicePool.Get().(*[]item))[:0]
-}
+func getItems() *[]item { return itemSlicePool.Get().(*[]item) }
 
-func putItems(items []item) {
-	items = items[:0]
-	itemSlicePool.Put(&items)
+func putItems(items *[]item) {
+	*items = (*items)[:0]
+	itemSlicePool.Put(items)
 }
 
 // shard owns one engine instance and one strategy instance. The engine
@@ -146,6 +145,7 @@ type shard struct {
 	indexBase     engine.IndexStats
 
 	matches []engine.Match // collected matches (worker-only until Close)
+	out     []engine.Match // cleared for delivery, not yet handed to OnMatches (claim-owned)
 
 	// Durability (nil ckpt: the shard runs without checkpointing; also
 	// the degraded state walFailed leaves behind). All non-atomic fields
@@ -303,6 +303,7 @@ func (s *shard) drainQuantum() (worked, closed bool) {
 		}
 		worked = true
 		s.endBatch()
+		s.handOut()
 		s.busyNs.Add(time.Since(t0).Nanoseconds())
 		consumed += n
 	}
@@ -338,7 +339,7 @@ func (s *shard) consumeBatch(b batch) int {
 		s.process(b.one)
 		return 1
 	}
-	items := b.items
+	items := *b.items
 	s.curBatch = items
 	for i := range items {
 		s.curIdx = i
@@ -347,7 +348,7 @@ func (s *shard) consumeBatch(b batch) int {
 		s.process(items[i])
 	}
 	s.curBatch, s.curIdx = nil, 0
-	putItems(items)
+	putItems(b.items)
 	return len(items)
 }
 
@@ -410,15 +411,31 @@ func (s *shard) releasePend() {
 	s.pend = s.pend[:0]
 }
 
-// emit hands one match to the configured sinks and counts it.
+// emit counts one match cleared for delivery — its M record is durable,
+// or the shard runs without a store — and queues it for the sink.
 func (s *shard) emit(m engine.Match) {
 	s.matched.Add(1)
 	if s.cfg.CollectMatches {
 		s.matches = append(s.matches, m)
 	}
-	if s.cfg.OnMatch != nil {
-		s.cfg.OnMatch(s.id, m)
+	if s.cfg.OnMatches != nil {
+		s.out = append(s.out, m)
 	}
+}
+
+// handOut gives the sink every match emitted since the previous call,
+// in detection order: after each drained batch and once more before the
+// claim is released (quantum), so whatever cleared a match — a flush,
+// finish, a control op, a WAL failure, the panic protocol, recovery
+// replay — the worker that cleared it delivers it, and a batch without
+// matches costs one length check.
+func (s *shard) handOut() {
+	if len(s.out) == 0 {
+		return
+	}
+	s.cfg.OnMatches(s.id, s.out)
+	clear(s.out)
+	s.out = s.out[:0]
 }
 
 // signalRecovered releases Runtime.WaitRecovered for this shard; safe to
@@ -544,7 +561,7 @@ func (s *shard) process(it item) {
 }
 
 // deliver emits matches under the flush-before-deliver invariant: a
-// match's M record must be durable before the match reaches OnMatch, so
+// match's M record must be durable before the match reaches OnMatches, so
 // a crash can lose an undelivered match but never deliver one twice.
 // Under group commit the record joins the current flush group and the
 // match waits in pend until a flush covers it — the policy flush an

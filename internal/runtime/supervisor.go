@@ -201,6 +201,7 @@ func (q *deadLetters) state() *checkpoint.DeadLetterState {
 // / breaker protocol and parks the shard behind a notBefore backoff
 // deadline instead of sleeping a goroutine; a failed shard only forwards.
 func (s *shard) quantum(r *Runtime) bool {
+	defer s.handOut()
 	if s.failed.Load() {
 		return s.forwardQuantum(r)
 	}
@@ -474,9 +475,9 @@ func (s *shard) forwardQuantum(r *Runtime) bool {
 				s.depth.Add(-1)
 				continue
 			}
-			for i, it := range b.items {
+			for i, it := range *b.items {
 				if !r.tryFailover(s, it) {
-					s.rem = append(s.rem, b.items[i:]...)
+					s.rem = append(s.rem, (*b.items)[i:]...)
 					putItems(b.items)
 					return true
 				}
