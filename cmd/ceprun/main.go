@@ -18,10 +18,8 @@ import (
 	"time"
 
 	"cepshed/internal/baseline"
-	"cepshed/internal/citibike"
 	"cepshed/internal/core"
 	"cepshed/internal/event"
-	"cepshed/internal/gcluster"
 	"cepshed/internal/gen"
 	"cepshed/internal/metrics"
 	"cepshed/internal/nfa"
@@ -45,7 +43,11 @@ func main() {
 	)
 	flag.Parse()
 
-	train, work, defQuery := streams(*dataset, *events, *seed)
+	train, work, defQuery, err := gen.Dataset(*dataset, *events, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ceprun:", err)
+		os.Exit(2)
+	}
 	src := *querySrc
 	if src == "" {
 		src = defQuery
@@ -241,33 +243,4 @@ func (r *runner) buildStrategy(name string, bound event.Time, seed int64, freshM
 		os.Exit(2)
 	}
 	return strat
-}
-
-// streams returns training and workload streams plus the default query.
-func streams(dataset string, events int, seed int64) (train, work event.Stream, defQuery string) {
-	switch dataset {
-	case "ds1":
-		train = gen.DS1(gen.DS1Config{Events: events / 2, Seed: seed + 1000, InterArrival: 15 * event.Microsecond})
-		work = gen.DS1(gen.DS1Config{Events: events, Seed: seed, InterArrival: 15 * event.Microsecond})
-		defQuery = query.Q1("8ms").Raw
-	case "ds2":
-		train = gen.DS2(gen.DS2Config{Events: events / 2, Seed: seed + 1000, InterArrival: 15 * event.Microsecond})
-		work = gen.DS2(gen.DS2Config{Events: events, Seed: seed, InterArrival: 15 * event.Microsecond})
-		defQuery = query.Q3("8ms").Raw
-	case "citibike":
-		train = citibike.Generate(citibike.Config{Trips: events / 2, Seed: seed + 1000})
-		work = citibike.Generate(citibike.Config{Trips: events, Seed: seed})
-		defQuery = query.HotPaths("5 min", 2, 5).Raw
-	case "gcluster":
-		cfg := gcluster.Config{Tasks: events / 4, MeanGap: 120 * event.Millisecond, StepGap: 400 * event.Millisecond}
-		cfg.Seed = seed + 1000
-		train = gcluster.Generate(cfg)
-		cfg.Seed = seed
-		work = gcluster.Generate(cfg)
-		defQuery = query.ClusterTasks("1 min").Raw
-	default:
-		fmt.Fprintf(os.Stderr, "ceprun: unknown dataset %q\n", dataset)
-		os.Exit(2)
-	}
-	return train, work, defQuery
 }

@@ -89,16 +89,13 @@ import (
 
 	"cepshed/internal/baseline"
 	"cepshed/internal/checkpoint"
-	"cepshed/internal/citibike"
 	"cepshed/internal/cluster"
 	"cepshed/internal/core"
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
-	"cepshed/internal/gcluster"
 	"cepshed/internal/gen"
 	"cepshed/internal/metrics"
 	"cepshed/internal/nfa"
-	"cepshed/internal/query"
 	"cepshed/internal/registry"
 	"cepshed/internal/runtime"
 	"cepshed/internal/shed"
@@ -204,7 +201,10 @@ func main() {
 	src := *querySrc
 	if *dataset != "" {
 		var defQuery string
-		train, work, defQuery = streams(*dataset, *events, *seed)
+		var err error
+		if train, work, defQuery, err = gen.Dataset(*dataset, *events, *seed); err != nil {
+			log.Fatalf("cepserved: %v", err)
+		}
 		if src == "" {
 			src = defQuery
 		}
@@ -434,8 +434,8 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(final)
-	log.Printf("cepserved: final: queries=%d events_in=%d matches=%d shed=%d imposed=%d unrouted=%d",
-		len(final.Queries), final.EventsIn, final.Matches, final.EventsShed, final.ImposedDrops, final.Unrouted)
+	log.Printf("cepserved: final: queries=%d events_in=%d matches=%d shed=%d unrouted=%d",
+		len(final.Queries), final.EventsIn, final.Matches, final.EventsShed, final.Unrouted)
 }
 
 // server wires the registry into the network frontends.
@@ -1146,7 +1146,7 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 	counter("index_pruned_total", "Live index entries skipped because their equi-join key differs from the event's.",
 		func(ss runtime.ShardSnapshot) uint64 { return ss.IndexPruned })
 
-	// Per-query series: ladder level, arbiter imposition, recovery floor
+	// Per-query series: ladder level, excess fraction, recovery floor
 	// skips, latency quantiles.
 	p.Gauge("cepshed_degradation_level", "Graceful-degradation ladder level (0 normal .. 3 load rejection); unlabeled: worst across queries.")
 	for _, q := range snap.Queries {
@@ -1154,23 +1154,14 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 			"tenant", q.Spec.Tenant, "query", q.Spec.Name)
 	}
 	p.Sample("cepshed_degradation_level", float64(snap.MaxDegradation))
-	p.Counter("cepshed_imposed_drops_total", "Events dropped by the cross-query arbiter's gates.")
+	p.Gauge("cepshed_excess", "Excess fraction x the query's shards apply: their strategies run against theta*(1-x).")
 	for _, q := range snap.Queries {
-		p.SampleUint("cepshed_imposed_drops_total", q.ImposedDrops,
-			"tenant", q.Spec.Tenant, "query", q.Spec.Name)
+		p.Sample("cepshed_excess", q.Excess, "tenant", q.Spec.Tenant, "query", q.Spec.Name)
 	}
-	p.SampleUint("cepshed_imposed_drops_total", snap.ImposedDrops)
 	p.Counter("cepshed_floor_skips_total", "Events below a recovered query's sequence floor, dropped for exactly-once replay.")
 	for _, q := range snap.Queries {
 		p.SampleUint("cepshed_floor_skips_total", q.FloorSkips,
 			"tenant", q.Spec.Tenant, "query", q.Spec.Name)
-	}
-	p.Gauge("cepshed_imposed_drop_probability", "Current arbiter drop probability per (query, event type) class.")
-	for _, q := range snap.Queries {
-		for typ, prob := range q.Imposed {
-			p.Sample("cepshed_imposed_drop_probability", prob,
-				"tenant", q.Spec.Tenant, "query", q.Spec.Name, "type", typ)
-		}
 	}
 	p.Summary("cepshed_latency_seconds", "Wall-clock event latency quantiles per query.")
 	for _, q := range snap.Queries {
@@ -1190,9 +1181,9 @@ func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternS
 	for _, tl := range snap.Arbiter.Tenants {
 		p.Sample("cepshed_tenant_share", tl.Share, "tenant", tl.Tenant)
 	}
-	p.Gauge("cepshed_tenant_imposed_drop", "Largest drop probability currently imposed on the tenant (0: untouched).")
+	p.Gauge("cepshed_tenant_excess", "Largest excess fraction x the arbiter sets on the tenant's queries (0: untouched).")
 	for _, tl := range snap.Arbiter.Tenants {
-		p.Sample("cepshed_tenant_imposed_drop", tl.ImposedDrop, "tenant", tl.Tenant)
+		p.Sample("cepshed_tenant_excess", tl.Excess, "tenant", tl.Tenant)
 	}
 	p.Gauge("cepshed_arbiter_utilization", "Total measured utilization across all queries.")
 	p.Sample("cepshed_arbiter_utilization", snap.Arbiter.Utilization)
@@ -1348,33 +1339,4 @@ func strategyFactory(name string, m *nfa.Machine, train event.Stream, bound even
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", name)
 	}
-}
-
-// streams returns training and workload streams plus the default query
-// for a dataset (the same shapes ceprun uses).
-func streams(dataset string, events int, seed int64) (train, work event.Stream, defQuery string) {
-	switch dataset {
-	case "ds1":
-		train = gen.DS1(gen.DS1Config{Events: events / 2, Seed: seed + 1000, InterArrival: 15 * event.Microsecond})
-		work = gen.DS1(gen.DS1Config{Events: events, Seed: seed, InterArrival: 15 * event.Microsecond})
-		defQuery = query.Q1("8ms").Raw
-	case "ds2":
-		train = gen.DS2(gen.DS2Config{Events: events / 2, Seed: seed + 1000, InterArrival: 15 * event.Microsecond})
-		work = gen.DS2(gen.DS2Config{Events: events, Seed: seed, InterArrival: 15 * event.Microsecond})
-		defQuery = query.Q3("8ms").Raw
-	case "citibike":
-		train = citibike.Generate(citibike.Config{Trips: events / 2, Seed: seed + 1000})
-		work = citibike.Generate(citibike.Config{Trips: events, Seed: seed})
-		defQuery = query.HotPaths("5 min", 2, 5).Raw
-	case "gcluster":
-		cfg := gcluster.Config{Tasks: events / 4, MeanGap: 120 * event.Millisecond, StepGap: 400 * event.Millisecond}
-		cfg.Seed = seed + 1000
-		train = gcluster.Generate(cfg)
-		cfg.Seed = seed
-		work = gcluster.Generate(cfg)
-		defQuery = query.ClusterTasks("1 min").Raw
-	default:
-		log.Fatalf("cepserved: unknown dataset %q", dataset)
-	}
-	return train, work, defQuery
 }

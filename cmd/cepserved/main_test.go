@@ -205,7 +205,7 @@ func TestWritePrometheusExposesRobustnessSeries(t *testing.T) {
 		`tenant="default"`,
 		`query="main"`,
 		"cepshed_wal_errors_total",
-		"cepshed_imposed_drops_total",
+		`cepshed_excess{tenant="default",query="main"} 0`,
 		"cepshed_unrouted_total",
 		"cepshed_queries 1",
 		"cepshed_ndjson_intern_inserts_total",

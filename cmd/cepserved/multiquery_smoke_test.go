@@ -20,9 +20,10 @@ import (
 // `make multiquery-smoke`: start the real binary with no queries,
 // register two tenants with two queries over the admin API, replay one
 // mixed stream through /ingest, drive the low-priority tenant's Kleene
-// query into overload, and require the arbiter to degrade only that
-// tenant — the other tenant keeps full recall and sane latency — then
-// drain cleanly on SIGTERM.
+// query into overload, and require the arbiter to tighten only that
+// tenant's bound — its RI strategy then sheds, while the other tenant
+// keeps x = 0, full recall and sane latency — then drain cleanly on
+// SIGTERM.
 func TestMultiQuerySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -33,19 +34,19 @@ func TestMultiQuerySmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	// Small arbiter capacity makes "overload" reachable at test scale —
-	// the Kleene query saturates a core, far past 0.25 — while leaving
-	// the protected tenant's entitlement (0.2 cores at 4:1 priority)
+	// the Kleene query burns most of a core, far past 0.1 — while leaving
+	// the protected tenant's entitlement (0.09 cores at 9:1 priority)
 	// comfortably above anything its trivial pairs query can burn, so a
-	// phase-2 ingest burst can never trip the knapsack against it. Bound
-	// 0 disables the per-query latency ladder so the only shedding in
-	// play is the cross-query arbiter's.
+	// phase-2 ingest burst can never tighten its bound. Default bound 0
+	// and strategy None: the protected tenant has no ladder and sheds
+	// nothing; only the noisy tenant gets a θ and a strategy.
 	p := startServer(t, bin, []string{
 		"-listen", "127.0.0.1:0",
 		"-shards", "2",
 		"-bound", "0",
 		"-strategy", "None",
 		"-arbiter-interval", "50ms",
-		"-arbiter-capacity", "0.25",
+		"-arbiter-capacity", "0.1",
 	})
 	defer func() {
 		p.cmd.Process.Kill()
@@ -55,8 +56,11 @@ func TestMultiQuerySmoke(t *testing.T) {
 
 	// ---- Tenants: acme is the protected high-priority tenant, noisy the
 	// low-priority one that will be driven into overload.
-	httpDo(t, "PUT", base+"/tenants", `{"name":"acme","priority":4}`, http.StatusNoContent)
-	httpDo(t, "PUT", base+"/tenants", `{"name":"noisy","priority":1}`, http.StatusNoContent)
+	httpDo(t, "PUT", base+"/tenants", `{"name":"acme","priority":9}`, http.StatusNoContent)
+	// noisy's θ sits above its Kleene query's smoothed latency, so the
+	// query violates it only once the arbiter sets x and RI runs against
+	// θ·(1−x).
+	httpDo(t, "PUT", base+"/tenants", fmt.Sprintf(`{"name":"noisy","priority":1,"theta_ns":%d}`, noisyTheta), http.StatusNoContent)
 
 	// ---- Queries: registered dynamically, no restart. acme/pairs is a
 	// cheap two-step correlation; noisy/kleene accumulates runs
@@ -66,20 +70,21 @@ func TestMultiQuerySmoke(t *testing.T) {
 		Query: "PATTERN SEQ(X x, Y y) WHERE x.ID = y.ID WITHIN 100ms",
 	})
 	addQuery(t, base, registry.QuerySpec{
-		Tenant: "noisy", Name: "kleene",
+		Tenant: "noisy", Name: "kleene", Strategy: "RI",
 		Query: "PATTERN SEQ(N a, N+ b[], M c) WHERE a.ID = b[i].ID AND a.ID = c.ID WITHIN 60ms",
 	})
 
 	// ---- Phase 1: overload the noisy tenant over one shared stream
-	// until the arbiter imposes drops on it. 4 events per key per round
-	// with a 60ms window and 20ms round step keeps ~12 same-key events in
-	// window: ~4k Kleene runs per key — hot, but bounded.
+	// until the arbiter tightens its bound and RI sheds. 4 events per key
+	// per round with a 60ms window and 20ms round step keeps ~12 same-key
+	// events in window: ~4k Kleene runs per key — hot, but bounded.
 	var logical uint64 = 1_000_000_000
 	deadline := time.Now().Add(45 * time.Second)
-	var noisyImposed uint64
-	for noisyImposed == 0 {
+	var noisy registry.InstanceStatus
+	var noisyX float64
+	for noisyX == 0 || noisy.Runtime.EventsShed == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("arbiter never imposed drops on the noisy tenant")
+			t.Fatalf("the noisy tenant never shed under the arbiter: x seen %.2f, %+v", noisyX, noisy.Runtime)
 		}
 		var b bytes.Buffer
 		for rep := 0; rep < 4; rep++ {
@@ -90,10 +95,12 @@ func TestMultiQuerySmoke(t *testing.T) {
 		}
 		postStream(t, base, &b)
 		logical += 20_000_000
-		snap := scrapeStats(t, base)
-		noisyImposed = findQuery(t, snap, "noisy", "kleene").ImposedDrops
+		noisy = findQuery(t, scrapeStats(t, base), "noisy", "kleene")
+		noisyX = max(noisyX, noisy.Excess)
 		time.Sleep(5 * time.Millisecond)
 	}
+	t.Logf("noisy: x seen %.2f, events_in %d, shed %d, p50 %v, p99 %v",
+		noisyX, noisy.Runtime.EventsIn, noisy.Runtime.EventsShed, noisy.Runtime.P50, noisy.Runtime.P99)
 
 	// ---- Phase 2: the protected tenant's traffic rides the same stream
 	// while the noisy tenant is being shed. Distinct IDs per pair make
@@ -115,18 +122,18 @@ func TestMultiQuerySmoke(t *testing.T) {
 		return acme.Runtime.Matches >= preAcme.Matches+pairs
 	})
 	if !ok {
-		t.Fatalf("acme recall broken: matches %d, want %d (events_in %d, shed %d, imposed %d)",
+		t.Fatalf("acme recall broken: matches %d, want %d (events_in %d, shed %d, x %.2f)",
 			acme.Runtime.Matches, preAcme.Matches+pairs,
-			acme.Runtime.EventsIn, acme.Runtime.EventsShed, acme.ImposedDrops)
+			acme.Runtime.EventsIn, acme.Runtime.EventsShed, acme.Excess)
 	}
 
 	// ---- Isolation: the overloaded tenant degraded itself, not acme.
 	snap := scrapeStats(t, base)
 	acme = findQuery(t, snap, "acme", "pairs")
-	noisy := findQuery(t, snap, "noisy", "kleene")
-	if acme.Runtime.EventsShed != 0 || acme.ImposedDrops != 0 {
-		t.Errorf("protected tenant was shed: events_shed=%d imposed_drops=%d",
-			acme.Runtime.EventsShed, acme.ImposedDrops)
+	noisy = findQuery(t, snap, "noisy", "kleene")
+	if acme.Runtime.EventsShed != 0 || acme.Excess != 0 {
+		t.Errorf("protected tenant was shed: events_shed=%d x=%.2f",
+			acme.Runtime.EventsShed, acme.Excess)
 	}
 	if got := acme.Runtime.EventsIn - preAcme.EventsIn; got != 2*pairs {
 		t.Errorf("protected tenant events_in grew %d, want %d", got, 2*pairs)
@@ -136,13 +143,18 @@ func TestMultiQuerySmoke(t *testing.T) {
 	if acme.Runtime.P99 > 250*time.Millisecond {
 		t.Errorf("protected tenant p99 = %v, want < 250ms while neighbor overloads", acme.Runtime.P99)
 	}
-	if noisy.ImposedDrops == 0 {
-		t.Error("noisy tenant has no imposed drops after overload")
+	if noisy.Runtime.EventsShed == 0 {
+		t.Error("noisy tenant shed nothing after overload")
 	}
 	var tl *registry.TenantLoad
 	for i := range snap.Arbiter.Tenants {
-		if snap.Arbiter.Tenants[i].Tenant == "noisy" {
+		switch snap.Arbiter.Tenants[i].Tenant {
+		case "noisy":
 			tl = &snap.Arbiter.Tenants[i]
+		case "acme":
+			if x := snap.Arbiter.Tenants[i].Excess; x != 0 {
+				t.Errorf("arbiter tightened the protected tenant: x = %.2f", x)
+			}
 		}
 	}
 	if tl == nil {
@@ -164,6 +176,9 @@ func TestMultiQuerySmoke(t *testing.T) {
 		t.Fatal("server did not exit within 30s of SIGTERM")
 	}
 }
+
+// noisyTheta is the noisy tenant's latency bound θ.
+const noisyTheta = 50 * time.Millisecond
 
 func httpDo(t *testing.T, method, url, body string, want int) []byte {
 	t.Helper()

@@ -212,7 +212,8 @@ func TestTCPEdge(t *testing.T) {
 		// One shard with room for four queued batches and a worker the test
 		// can stall: four single-line offers behind a stalled one fill the
 		// queue (fill 0, .25, .5, .75 admit; 1.0 is LevelReject). The bound
-		// only switches the ladder on; latency never trips it.
+		// only switches the ladder on; latency never trips it. QueueDepth
+		// also counts the stalled event's batch, still in the worker's hands.
 		gate := &gate{}
 		s, _ := quiet(t, runtime.Config{QueueLen: 4, Bound: time.Hour, BeforeProcess: gate.beforeProcess})
 		t.Cleanup(gate.release)
@@ -238,7 +239,7 @@ func TestTCPEdge(t *testing.T) {
 			for depth := 1; depth <= 4; depth++ {
 				e.write(q1Line("A", 1))
 				e.waitFor("a line queued", func(snap registry.Snapshot) bool {
-					return snap.Queries[0].Runtime.Shards[0].QueueDepth == depth
+					return snap.Queries[0].Runtime.Shards[0].QueueDepth == depth+1
 				})
 			}
 			in += 4
@@ -320,7 +321,8 @@ func TestTCPEdge(t *testing.T) {
 		// A stalled worker and a one-batch queue: the first chunk's batch is
 		// taken, the second fills the queue, the third leaves the reader
 		// blocked in its offer with decoded events in hand when the drain
-		// closes the connection under it.
+		// closes the connection under it. QueueDepth counts the taken batch
+		// as one item while the stalled worker holds it.
 		gate := &gate{}
 		s, _ := quiet(t, runtime.Config{QueueLen: 1, BeforeProcess: gate.beforeProcess})
 		t.Cleanup(gate.release)
@@ -330,11 +332,11 @@ func TestTCPEdge(t *testing.T) {
 		e.waitFor("the first batch taken", func(snap registry.Snapshot) bool { return snap.EventsIn == 1 })
 		e.write(lines(10, 20))
 		e.waitFor("the second batch queued", func(snap registry.Snapshot) bool {
-			return snap.Queries[0].Runtime.Shards[0].QueueDepth == 7+8
+			return snap.Queries[0].Runtime.Shards[0].QueueDepth == 1+7+8
 		})
 		e.write(lines(20, routed+unrouted))
 		e.waitFor("the third batch on offer", func(snap registry.Snapshot) bool {
-			return snap.Queries[0].Runtime.Shards[0].QueueDepth == routed-1
+			return snap.Queries[0].Runtime.Shards[0].QueueDepth == routed
 		})
 		s.closeConns()
 		gate.release()

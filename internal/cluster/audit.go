@@ -15,7 +15,7 @@ import (
 // Every (event, query) pair that enters the cluster at some node's
 // ingest edge must end in exactly one counted disposition somewhere in
 // the cluster: delivered into an engine, rejected at a shard door,
-// shed by the arbiter gate, skipped below a recovery floor, shed by
+// skipped below a recovery floor, shed by
 // router admission (at the edge or on receipt), dropped at the router
 // (queue overflow, dead peer, retries exhausted), or discarded as an
 // undecodable forwarded line. The audit sums each node's ledger and
@@ -57,7 +57,6 @@ type Ledger struct {
 	RouterDropped uint64 `json:"router_dropped"`
 	Delivered     uint64 `json:"delivered"`
 	DoorRejected  uint64 `json:"door_rejected"`
-	ArbiterShed   uint64 `json:"arbiter_shed"`
 	FloorSkipped  uint64 `json:"floor_skipped"`
 	Unrouted      uint64 `json:"unrouted"`
 	InFlight      int64  `json:"in_flight"`
@@ -72,7 +71,9 @@ type Ledger struct {
 
 	// Engine tier, from the registry snapshot. EngineQuarantined is the
 	// shard-level quarantine sum (the exact conservation term), not the
-	// dead-letter total. QueueDepth is delivered-but-not-yet-consumed.
+	// dead-letter total. QueueDepth is delivered-but-not-yet-consumed,
+	// plus one per shard whose worker is still handing matches out, so
+	// on a busy node the identities below can read one high per shard.
 	EngineIn          uint64 `json:"engine_in"`
 	Processed         uint64 `json:"processed"`
 	Shed              uint64 `json:"shed"`
@@ -101,7 +102,6 @@ func (n *Node) LocalLedger() Ledger {
 		RouterDropped: n.forwardDrop.Load(),
 		Delivered:     d[shed.Delivered],
 		DoorRejected:  d[shed.Rejected],
-		ArbiterShed:   d[shed.ShedImposed],
 		FloorSkipped:  d[shed.FloorSkipped],
 		Unrouted:      d[shed.Unrouted],
 		InFlight:      n.inFlight.Load(),
@@ -169,7 +169,7 @@ func Evaluate(ledgers []Ledger, unreachable []string) AuditReport {
 	var fwdOut, fwdRecv uint64
 	for _, l := range ledgers {
 		rep.EdgePairs += l.EdgePairs
-		rep.Disposed += l.Delivered + l.DoorRejected + l.ArbiterShed + l.FloorSkipped +
+		rep.Disposed += l.Delivered + l.DoorRejected + l.FloorSkipped +
 			l.EdgeShed + l.RecvShed + l.RecvBadLines + l.RouterDropped
 		rep.InFlight += l.InFlight
 		rep.RouterDropped += l.RouterDropped

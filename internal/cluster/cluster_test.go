@@ -328,7 +328,6 @@ func TestClusterRoutingConservation(t *testing.T) {
 		r := n1.node.OfferBatch(batch[i:end])
 		res.Deliveries += r.Deliveries
 		res.DoorRejected += r.DoorRejected
-		res.ArbiterShed += r.ArbiterShed
 		res.FloorSkipped += r.FloorSkipped
 		res.ForwardedPairs += r.ForwardedPairs
 		res.DroppedPairs += r.DroppedPairs
@@ -340,7 +339,7 @@ func TestClusterRoutingConservation(t *testing.T) {
 	}
 	drainQueues(t, n1, nodes["n2"], nodes["n3"])
 
-	local := res.Deliveries + res.DoorRejected + res.ArbiterShed + res.FloorSkipped
+	local := res.Deliveries + res.DoorRejected + res.FloorSkipped
 	accounted := local + res.ForwardedPairs + res.DroppedPairs + res.ShedPairs + res.Unrouted
 	if accounted != len(batch) {
 		t.Errorf("pairs accounted = %d (local %d fwd %d drop %d shed %d unrouted %d), want %d",

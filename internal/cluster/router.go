@@ -156,8 +156,9 @@ const (
 // a peer is down the survivors carry its slots on top of their own, and
 // waiting for each runtime's ladder to saturate would mean the extra
 // load already sits in shard queues, inflating θ for every tenant — so
-// the router refuses first, before a pair costs a queue slot, with the
-// ladder's fill-ramp controller at the lower marks above. fill caches
+// the router refuses first, before a pair costs a queue slot, with a
+// fill-ramp coin (shed.AdmissionController) at the lower marks above —
+// the one coin left in the admission chain. fill caches
 // localFill across one batch (< 0: not read yet).
 func (n *Node) routerAdmit(fill *float64, shed *atomic.Uint64) bool {
 	if !n.Degraded() {
@@ -492,7 +493,7 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 	n.forwardedIn.Add(uint64(or.Events))
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"shed":%d}`+"\n",
-		or.Deliveries, or.DoorRejected, refused+or.ArbiterShed+or.FloorSkipped)
+		or.Deliveries, or.DoorRejected, refused+or.FloorSkipped)
 }
 
 // urlEscape covers the characters query IDs may contain; IDs are

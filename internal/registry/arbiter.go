@@ -1,13 +1,12 @@
 package registry
 
 import (
-	"math"
-	"runtime"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"cepshed/internal/knapsack"
+	"cepshed/internal/runtime"
 )
 
 // The cross-query shedding arbiter. Each query's own degradation
@@ -21,8 +20,7 @@ import (
 //     turns the busy-time delta into a utilization (CPU-seconds per
 //     wall-second this query actually cost), EWMA-smoothed. Unlike the
 //     latency EWMA — which includes queue wait and explodes under
-//     overload — busy time is a true unit cost, usable as a knapsack
-//     weight.
+//     overload — busy time is a true unit cost.
 //
 //  2. Entitle. When total utilization exceeds the capacity target, a
 //     priority-weighted water-filling pass computes each tenant's fair
@@ -32,21 +30,14 @@ import (
 //     never touched — that is the isolation guarantee: the overloading
 //     tenant degrades itself, not its neighbors.
 //
-//  3. Select. Within each over-share tenant, the excess utilization
-//     must be shed at minimum utility loss. This is the paper's
-//     minimal-cost shedding-set problem lifted one level up: items are
-//     (query, event type) classes — weight = the utilization that
-//     class is responsible for, value = what shedding it forfeits
-//     (query priority × the class's match-participation rate) — and
-//     knapsack.MinCover picks the cheapest set covering the excess.
-//
-//  4. Impose. Selected classes get a fractional drop probability
-//     (excess / selected weight, capped), clamped by the tenant's
-//     ShedBudget, published as an immutable per-query gate table that
-//     the fan-out path consults with one atomic load. When the
-//     pressure clears, gates decay geometrically to zero instead of
-//     snapping off, so the system does not oscillate between "shed
-//     everything" and "admit everything" at the capacity boundary.
+//  3. Tighten. Every query of an over-share tenant gets the excess
+//     fraction x = min(excess/utilization, ShedBudget, 0.95), and its
+//     shards run their strategies against θ·(1−x) (runtime.SetExcess).
+//     What to shed is then chosen where the paper chooses it: Hybrid's
+//     knapsack over cost-model classes, or each baseline's own rule. A
+//     query's x decays geometrically once its tenant is back under its
+//     share, instead of snapping off, so the system does not oscillate
+//     at the capacity boundary.
 type ArbiterConfig struct {
 	// Interval is the control period (default 250ms).
 	Interval time.Duration
@@ -55,17 +46,6 @@ type ArbiterConfig struct {
 	// triggers arbitration; the 20% headroom leaves room for the
 	// decoder, the supervisors, and the GC.
 	Capacity float64
-	// Solver picks the shedding set (default greedy: the arbiter runs
-	// on the control path every tick, and the DP's pseudo-polynomial
-	// cost buys little on a handful of classes).
-	Solver knapsack.Solver
-	// MaxDrop caps any single class's imposed drop probability (default
-	// 0.95): even a fully-shed class keeps a trickle flowing so its
-	// cost and utility estimates stay live and release can be detected.
-	MaxDrop float64
-	// Smooth is the EWMA weight for utilization samples (default 0.5,
-	// the paper's adaptation weight).
-	Smooth float64
 	// Disabled turns the arbiter off: per-query ladders still run,
 	// cross-query isolation does not.
 	Disabled bool
@@ -76,31 +56,29 @@ func (c ArbiterConfig) withDefaults() ArbiterConfig {
 		c.Interval = 250 * time.Millisecond
 	}
 	if c.Capacity <= 0 {
-		c.Capacity = 0.8 * float64(runtime.GOMAXPROCS(0))
-	}
-	if c.MaxDrop <= 0 || c.MaxDrop > 1 {
-		c.MaxDrop = 0.95
-	}
-	if c.Smooth <= 0 || c.Smooth > 1 {
-		c.Smooth = 0.5
+		c.Capacity = 0.8 * float64(goruntime.GOMAXPROCS(0))
 	}
 	return c
 }
 
-// gateDecay halves surviving drop probabilities each non-overloaded
-// tick; gateFloor clears them entirely once negligible.
 const (
-	gateDecay = 0.5
-	gateFloor = 0.02
+	// utilSmooth is the EWMA weight of a new utilization sample. It is
+	// not the paper's latency smoothing (a sliding mean, DESIGN.md §3.2);
+	// 0.5 is the weight the paper uses for cost-model adaptation (§V-B).
+	utilSmooth = 0.5
+	// excessDecay halves an untouched query's x each tick; excessFloor
+	// clears it once negligible.
+	excessDecay = 0.5
+	excessFloor = 0.02
 )
 
 // arbScratch is per-instance state owned exclusively by the arbiter
 // goroutine between ticks.
 type arbScratch struct {
-	lastBusyNs  int64
-	lastOffered map[string]uint64
-	util        float64 // EWMA-smoothed utilization
-	seeded      bool
+	lastBusyNs int64
+	util       float64 // EWMA-smoothed utilization
+	seeded     bool
+	x          float64 // the excess fraction last set on the runtime
 }
 
 // TenantLoad is one tenant's slice of an arbiter snapshot.
@@ -110,12 +88,12 @@ type TenantLoad struct {
 	// Share its current fair-share entitlement.
 	Utilization float64 `json:"utilization"`
 	Share       float64 `json:"share"`
-	// ImposedDrop is the largest drop probability currently imposed on
-	// any of the tenant's classes (0: untouched).
-	ImposedDrop float64 `json:"imposed_drop"`
-	// BudgetCapped reports that fairness asked for more shedding than
-	// the tenant's ShedBudget allows — the tenant is trading latency
-	// for fidelity.
+	// Excess is the largest x the arbiter currently sets on any of the
+	// tenant's queries (0: untouched).
+	Excess float64 `json:"excess"`
+	// BudgetCapped reports that fairness asked for a larger x than the
+	// tenant's ShedBudget allows — the tenant is trading latency for
+	// fidelity.
 	BudgetCapped bool `json:"budget_capped,omitempty"`
 }
 
@@ -196,13 +174,6 @@ func (a *arbiter) loop() {
 	}
 }
 
-// classItem is one (query, event type) shedding candidate.
-type classItem struct {
-	inst *Instance
-	typ  string
-	util float64 // utilization attributed to this class
-}
-
 // tick runs one control period; wall is the elapsed time since the
 // previous tick.
 func (a *arbiter) tick(wall time.Duration) {
@@ -227,7 +198,7 @@ func (a *arbiter) tick(wall time.Duration) {
 			sc.util = sample
 			sc.seeded = true
 		} else {
-			sc.util = a.cfg.Smooth*sample + (1-a.cfg.Smooth)*sc.util
+			sc.util = utilSmooth*sample + (1-utilSmooth)*sc.util
 		}
 		total += sc.util
 		t := in.spec.Tenant
@@ -242,20 +213,9 @@ func (a *arbiter) tick(wall time.Duration) {
 	overloaded := total > a.cfg.Capacity && len(tenants) > 0
 	if overloaded {
 		a.entitle(tenants, specs)
-		for name, tl := range tenants {
-			excess := tl.Utilization - tl.Share
-			if excess <= 1e-9 {
-				// At or under entitlement: isolation means this tenant's
-				// gates only ever decay.
-				a.relax(byTenant[name], tl)
-				continue
-			}
-			a.impose(byTenant[name], tl, specs[name], excess)
-		}
-	} else {
-		for name := range tenants {
-			a.relax(byTenant[name], tenants[name])
-		}
+	}
+	for name, tl := range tenants {
+		tighten(byTenant[name], tl, specs[name], overloaded)
 	}
 
 	loads := make([]TenantLoad, 0, len(tenants))
@@ -317,125 +277,32 @@ func (a *arbiter) entitle(tenants map[string]*TenantLoad, specs map[string]Tenan
 	}
 }
 
-// impose selects the tenant's cheapest shedding set and publishes drop
-// gates on the selected classes.
-func (a *arbiter) impose(insts []*Instance, tl *TenantLoad, spec Tenant, excess float64) {
-	// ShedBudget caps the utilization fraction the arbiter may remove.
-	if budget := spec.ShedBudget * tl.Utilization; excess > budget {
-		excess = budget
-		tl.BudgetCapped = true
+// tighten sets the excess fraction x of every query of one tenant:
+// x = min(excess/utilization, ShedBudget, runtime.MaxExcess) when the
+// tenant is over its share, otherwise each query's previous x decayed.
+func tighten(insts []*Instance, tl *TenantLoad, spec Tenant, overloaded bool) {
+	x := 0.0
+	if excess := tl.Utilization - tl.Share; overloaded && excess > 1e-9 {
+		x = min(excess/tl.Utilization, runtime.MaxExcess)
+		if x > spec.ShedBudget {
+			x = spec.ShedBudget
+			tl.BudgetCapped = true
+		}
 	}
-	if excess <= 0 {
-		a.relax(insts, tl)
-		return
-	}
-
-	// Build the class items: each query's utilization is split across
-	// its event types by offered-event share (uniform when the window
-	// saw no events), weighted so Σ class weights = tenant utilization.
-	// Item IDs index the classes slice (knapsack IDs are ints).
-	var items []knapsack.Item
-	var classes []classItem
 	for _, in := range insts {
 		sc := &in.arb
-		if sc.lastOffered == nil {
-			sc.lastOffered = map[string]uint64{}
-		}
-		deltas := map[string]uint64{}
-		var deltaSum uint64
-		for _, typ := range in.types {
-			cur := in.typeStats[typ].offered.Load()
-			d := cur - sc.lastOffered[typ]
-			sc.lastOffered[typ] = cur
-			deltas[typ] = d
-			deltaSum += d
-		}
-		prio := in.spec.Priority
-		if prio <= 0 {
-			prio = spec.Priority
-		}
-		for _, typ := range in.types {
-			ts := in.typeStats[typ]
-			share := 1 / float64(len(in.types))
-			if deltaSum > 0 {
-				share = float64(deltas[typ]) / float64(deltaSum)
-			}
-			w := sc.util * share
-			if w <= 0 {
-				continue
-			}
-			// Utility: the class's match-participation rate — how often an
-			// offered event of this type ended up inside an emitted match.
-			// +1 smoothing keeps unobserved classes from looking free.
-			hitRate := float64(ts.hits.Load()+1) / float64(ts.offered.Load()+1)
-			items = append(items, knapsack.Item{
-				ID:     len(classes),
-				Value:  prio * hitRate * share,
-				Weight: w,
-			})
-			classes = append(classes, classItem{inst: in, typ: typ, util: w})
-		}
-	}
-	if len(items) == 0 {
-		a.relax(insts, tl)
-		return
-	}
-
-	shedIDs := knapsack.MinCover(items, excess, a.cfg.Solver)
-	var selWeight float64
-	selected := make(map[int]bool, len(shedIDs))
-	for _, id := range shedIDs {
-		selected[id] = true
-		selWeight += classes[id].util
-	}
-	p := 1.0
-	if selWeight > excess && selWeight > 0 {
-		p = excess / selWeight
-	}
-	p = math.Min(p, a.cfg.MaxDrop)
-
-	// Publish one immutable gate table per query: selected classes get
-	// p, unselected classes decay their previous imposition.
-	for _, in := range insts {
-		gates := map[string]float64{}
-		for typ, prev := range in.gate.Probs() {
-			if next := prev * gateDecay; next >= gateFloor {
-				gates[typ] = next
+		next := x
+		if next == 0 {
+			// At or under entitlement: isolation means this query's x
+			// only ever decays.
+			if next = sc.x * excessDecay; next < excessFloor {
+				next = 0
 			}
 		}
-		for id, ci := range classes {
-			if ci.inst == in && selected[id] {
-				gates[ci.typ] = p
-			}
+		if next != sc.x {
+			sc.x = next
+			in.rt.SetExcess(next)
 		}
-		a.publish(in, gates, tl)
+		tl.Excess = max(tl.Excess, next)
 	}
-}
-
-// relax decays a tenant's gates toward zero and reports the residual.
-func (a *arbiter) relax(insts []*Instance, tl *TenantLoad) {
-	for _, in := range insts {
-		old := in.gate.Probs()
-		if old == nil {
-			continue
-		}
-		gates := map[string]float64{}
-		for typ, prev := range old {
-			if next := prev * gateDecay; next >= gateFloor {
-				gates[typ] = next
-			}
-		}
-		a.publish(in, gates, tl)
-	}
-}
-
-// publish stores the gate table (empty clears back to the zero-cost
-// fast path) and folds its maximum into the tenant's snapshot line.
-func (a *arbiter) publish(in *Instance, gates map[string]float64, tl *TenantLoad) {
-	for _, p := range gates {
-		if p > tl.ImposedDrop {
-			tl.ImposedDrop = p
-		}
-	}
-	in.gate.Set(gates)
 }

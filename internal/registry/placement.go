@@ -51,12 +51,9 @@ func (in *Instance) OfferSlot(slot int, events []*event.Event) OfferResult {
 	res := OfferResult{Events: len(events)}
 	kept := events[:0]
 	for _, e := range events {
-		switch in.admit(e) {
-		case shed.FloorSkipped:
+		if in.admit(e) == shed.FloorSkipped {
 			res.FloorSkipped++
-		case shed.ShedImposed:
-			res.ArbiterShed++
-		default:
+		} else {
 			kept = append(kept, e)
 		}
 	}
@@ -68,7 +65,6 @@ func (in *Instance) OfferSlot(slot int, events []*event.Event) OfferResult {
 	res.DoorRejected = len(kept) - res.Deliveries
 	in.disp.Add(shed.Delivered, res.Deliveries)
 	in.disp.Add(shed.Rejected, res.DoorRejected)
-	in.disp.Add(shed.ShedImposed, res.ArbiterShed)
 	in.disp.Add(shed.FloorSkipped, res.FloorSkipped)
 	return res
 }

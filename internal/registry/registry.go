@@ -54,12 +54,12 @@ type Tenant struct {
 	Theta time.Duration `json:"theta_ns,omitempty"`
 	// Priority weights the tenant's fair share of processing capacity
 	// (default 1). A priority-2 tenant is entitled to twice the share of
-	// a priority-1 tenant before the arbiter imposes drops on it.
+	// a priority-1 tenant before the arbiter tightens its queries' bound.
 	Priority float64 `json:"priority,omitempty"`
-	// ShedBudget caps the utilization fraction the arbiter may shed from
-	// this tenant in one control period, in [0,1] (default 1: the
-	// arbiter may shed as much as fairness requires). A tenant that pays
-	// for full fidelity sets a small budget and accepts latency instead.
+	// ShedBudget caps the excess fraction x the arbiter may set on
+	// this tenant's queries, in [0,1] (default 1: as much as fairness
+	// requires, up to 0.95). A tenant that pays for full fidelity sets a
+	// small budget and accepts latency instead.
 	ShedBudget float64 `json:"shed_budget,omitempty"`
 }
 
@@ -85,9 +85,6 @@ type QuerySpec struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Theta overrides the tenant latency bound for this query.
 	Theta time.Duration `json:"theta_ns,omitempty"`
-	// Priority overrides the tenant priority for arbiter value
-	// accounting within the tenant (zero: tenant priority).
-	Priority float64 `json:"priority,omitempty"`
 	// Shards overrides the registry default shard count.
 	Shards int `json:"shards,omitempty"`
 	// Paused records the paused state across restarts: a paused query
@@ -178,15 +175,6 @@ type Instance struct {
 	// floor is the highest restored seq + 1).
 	floor atomic.Uint64
 
-	// gate carries the arbiter's imposed per-event-type drop
-	// probabilities; clear (the fast path) when nothing is imposed.
-	gate shed.DropGate
-
-	// typeStats keys every subscribed type to its demand/utility
-	// counters. The map itself is immutable after construction; the
-	// counters are atomics.
-	typeStats map[string]*typeStat
-
 	// disp counts the door-tier disposition of every pair routed to
 	// this query (OfferSlot is the one place it is added to); it feeds the
 	// registry's ledger, which outlives Remove.
@@ -194,14 +182,6 @@ type Instance struct {
 
 	// Arbiter scratch, owned by the arbiter goroutine (see arbiter.go).
 	arb arbScratch
-}
-
-// typeStat tracks one (query, event type) class: offered counts demand
-// (pre-gate, so shed classes keep reporting their true weight), hits
-// counts match participations (utility numerator).
-type typeStat struct {
-	offered atomic.Uint64
-	hits    atomic.Uint64
 }
 
 // Spec returns the instance's spec (Paused reflects registration time;
@@ -455,12 +435,11 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 	}
 
 	in := &Instance{
-		spec:      spec,
-		fp:        checkpoint.Fingerprint("registry", spec.Tenant, spec.Name, spec.Query),
-		m:         m,
-		readyCh:   make(chan struct{}),
-		typeStats: map[string]*typeStat{},
-		disp:      shed.NewLedger(&g.disp),
+		spec:    spec,
+		fp:      checkpoint.Fingerprint("registry", spec.Tenant, spec.Name, spec.Query),
+		m:       m,
+		readyCh: make(chan struct{}),
+		disp:    shed.NewLedger(&g.disp),
 	}
 	seen := map[string]bool{}
 	for i := range q.Pattern {
@@ -470,7 +449,6 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 		}
 		seen[typ] = true
 		in.types = append(in.types, typ)
-		in.typeStats[typ] = &typeStat{}
 	}
 	sort.Strings(in.types)
 
@@ -491,14 +469,8 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 			g.logf("%s: "+format, append([]any{spec.ID()}, args...)...)
 		},
 	}
-	onMatches := g.cfg.OnMatches
-	rc.OnMatches = func(shard int, ms []engine.Match) {
-		for i := range ms {
-			in.countMatch(ms[i])
-		}
-		if onMatches != nil {
-			onMatches(spec, shard, ms)
-		}
+	if onMatches := g.cfg.OnMatches; onMatches != nil {
+		rc.OnMatches = func(shard int, ms []engine.Match) { onMatches(spec, shard, ms) }
 	}
 	if g.durable {
 		dur := g.dur
@@ -544,14 +516,6 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 		close(in.readyCh)
 	}()
 	return in, nil
-}
-
-func (in *Instance) countMatch(m engine.Match) {
-	for _, e := range m.Events {
-		if ts, ok := in.typeStats[e.Type]; ok {
-			ts.hits.Add(1)
-		}
-	}
 }
 
 // Remove unregisters a query and drains its runtime gracefully (final
@@ -658,9 +622,8 @@ type OfferResult struct {
 	// Events is the input batch size.
 	Events int
 	// Deliveries (shed.Delivered), DoorRejected (shed.Rejected: the
-	// overload signal), ArbiterShed (shed.ShedImposed: deliberate,
-	// budgeted shedding, not backpressure), FloorSkipped.
-	Deliveries, DoorRejected, ArbiterShed, FloorSkipped int
+	// overload signal), FloorSkipped.
+	Deliveries, DoorRejected, FloorSkipped int
 	// Unrouted counts events no registered query subscribes to.
 	Unrouted int
 }
@@ -670,7 +633,6 @@ type OfferResult struct {
 func (r *OfferResult) Add(o OfferResult) {
 	r.Deliveries += o.Deliveries
 	r.DoorRejected += o.DoorRejected
-	r.ArbiterShed += o.ArbiterShed
 	r.FloorSkipped += o.FloorSkipped
 }
 
@@ -711,19 +673,11 @@ func (g *Registry) putFan(s [][]*event.Event) {
 }
 
 // admit is the per-query half of the admission chain
-// (docs/ROBUSTNESS.md): demand accounting first, so a shed class keeps
-// reporting its true weight to the arbiter, then the recovery floor,
-// then the arbiter's imposed gate. shed.Delivered means "not refused
-// here" — the runtime's door has the last word.
+// (docs/ROBUSTNESS.md): the recovery floor. shed.Delivered means "not
+// refused here" — the runtime's door has the last word.
 func (in *Instance) admit(e *event.Event) shed.Disposition {
-	if ts := in.typeStats[e.Type]; ts != nil {
-		ts.offered.Add(1)
-	}
 	if e.Seq < in.floor.Load() {
 		return shed.FloorSkipped
-	}
-	if in.gate.ShouldDrop(e.Type) {
-		return shed.ShedImposed
 	}
 	return shed.Delivered
 }
@@ -778,9 +732,7 @@ func (g *Registry) Offer(e *event.Event) bool {
 // line) in the registry's edge dead-letter queue, persisted when
 // durable.
 func (g *Registry) Quarantine(reason, payload string) {
-	if len(payload) > 160 {
-		payload = payload[:160]
-	}
+	payload = runtime.ClipPayload(payload)
 	g.edgeMu.Lock()
 	g.edgeTotal++
 	g.edgeLetters = append(g.edgeLetters, runtime.DeadLetter{
@@ -912,12 +864,11 @@ type InstanceStatus struct {
 	Fingerprint string    `json:"fingerprint"`
 	Ready       bool      `json:"ready"`
 	Types       []string  `json:"types"`
-	// Imposed is the arbiter's current drop probability per event type
-	// (absent types: zero).
-	Imposed      map[string]float64 `json:"imposed,omitempty"`
-	ImposedDrops uint64             `json:"imposed_drops"`
-	FloorSkips   uint64             `json:"floor_skips"`
-	Runtime      runtime.Snapshot   `json:"runtime"`
+	// Excess is the x the query's shards apply — their strategies run
+	// against θ·(1−x) — the larger of the arbiter's and the ladder's.
+	Excess     float64          `json:"excess"`
+	FloorSkips uint64           `json:"floor_skips"`
+	Runtime    runtime.Snapshot `json:"runtime"`
 }
 
 // Snapshot is the registry-wide point-in-time state.
@@ -949,12 +900,13 @@ type Snapshot struct {
 	MaxDegradation int `json:"max_degradation"`
 	MinDegradation int `json:"min_degradation"`
 
-	// ImposedDrops counts arbiter-gate drops over all queries; Unrouted
-	// counts events no query subscribed to. Both, and AdmissionRejected
-	// above, read the registry's disposition ledger, so unlike the other
-	// totals they keep what a since-removed query contributed.
-	// EdgeQuarantined counts pre-routing quarantines (also included in
-	// Quarantined).
+	// Unrouted counts events no query subscribed to. It and
+	// AdmissionRejected above read the registry's disposition ledger, so
+	// unlike the other totals they keep what a since-removed query
+	// contributed. EdgeQuarantined counts pre-routing quarantines (also
+	// included in Quarantined). ImposedDrops is always 0: nothing drops
+	// pairs at the registry any more (the arbiter tightens bounds
+	// instead); the field stays for readers that still decode it.
 	ImposedDrops    uint64 `json:"imposed_drops"`
 	Unrouted        uint64 `json:"unrouted"`
 	EdgeQuarantined uint64 `json:"edge_quarantined"`
@@ -971,19 +923,13 @@ func (g *Registry) Snapshot() Snapshot {
 		rs := in.rt.Snapshot()
 		d := in.disp.Counts()
 		st := InstanceStatus{
-			Spec:         in.spec,
-			Fingerprint:  fmt.Sprintf("%016x", in.fp),
-			Ready:        in.ready.Load(),
-			Types:        in.types,
-			ImposedDrops: d[shed.ShedImposed],
-			FloorSkips:   d[shed.FloorSkipped],
-			Runtime:      rs,
-		}
-		if pm := in.gate.Probs(); len(pm) > 0 {
-			st.Imposed = make(map[string]float64, len(pm))
-			for typ, p := range pm {
-				st.Imposed[typ] = p
-			}
+			Spec:        in.spec,
+			Fingerprint: fmt.Sprintf("%016x", in.fp),
+			Ready:       in.ready.Load(),
+			Types:       in.types,
+			Excess:      in.rt.Excess(),
+			FloorSkips:  d[shed.FloorSkipped],
+			Runtime:     rs,
 		}
 		s.Queries = append(s.Queries, st)
 		s.EventsIn += rs.EventsIn
@@ -1016,7 +962,7 @@ func (g *Registry) Snapshot() Snapshot {
 	g.edgeMu.Unlock()
 	s.Quarantined += s.EdgeQuarantined
 	d := g.disp.Counts()
-	s.AdmissionRejected, s.ImposedDrops, s.Unrouted = d[shed.Rejected], d[shed.ShedImposed], d[shed.Unrouted]
+	s.AdmissionRejected, s.Unrouted = d[shed.Rejected], d[shed.Unrouted]
 	return s
 }
 

@@ -1,14 +1,18 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cepshed/internal/baseline"
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
+	"cepshed/internal/nfa"
 	"cepshed/internal/runtime"
 	"cepshed/internal/shed"
 )
@@ -437,6 +441,23 @@ func TestQuarantineEdgeLetters(t *testing.T) {
 	if g.Snapshot().EdgeQuarantined != 1 {
 		t.Fatal("edge quarantine not counted")
 	}
+	// Long bad lines arrive as the decoder's LineError.Payload, already
+	// clipped with its "..." marker; the registry stores that payload as
+	// it is, whether the clip fell on plain bytes or beside a multi-byte
+	// rune.
+	for _, pad := range []int{158, 159, 200} {
+		line := strings.Repeat("a", pad) + "é" + strings.Repeat("b", 40)
+		_, _, err := runtime.NewLineDecoder(strings.NewReader(line+"\n"), 1<<16).Next()
+		var lerr *runtime.LineError
+		if !errors.As(err, &lerr) || !strings.HasSuffix(lerr.Payload, "...") {
+			t.Fatalf("pad %d: decoder returned %v", pad, err)
+		}
+		g.Quarantine(lerr.Error(), lerr.Payload)
+		letters := g.DeadLetters()
+		if got := letters[len(letters)-1].Payload; got != lerr.Payload {
+			t.Errorf("pad %d: stored payload %q, decoder's %q", pad, got, lerr.Payload)
+		}
+	}
 	g.Close()
 
 	// Edge letters survive restart.
@@ -445,7 +466,7 @@ func TestQuarantineEdgeLetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g2.Close()
-	if got := g2.Snapshot().EdgeQuarantined; got != 1 {
+	if got := g2.Snapshot().EdgeQuarantined; got != 4 {
 		t.Fatalf("edge quarantine lost across restart: %d", got)
 	}
 }
@@ -480,10 +501,13 @@ func TestArbiterFairShares(t *testing.T) {
 	}
 }
 
-// TestArbiterIsolation is the tentpole's isolation criterion: one
-// tenant's pathologically expensive query saturates the process; the
-// arbiter must impose drops on THAT tenant only, leaving the victim
-// tenant's recall untouched.
+// TestArbiterIsolation is the arbiter's isolation criterion: one
+// tenant's expensive query saturates the process; the arbiter must
+// tighten THAT tenant's bound only, and the aggressor's own strategy
+// (RI) then does the shedding. The aggressor's tenant θ is far above
+// what its paced bursts cost in latency, so it violates θ only once x
+// applies; the victim runs no strategy and must keep x = 0, every event
+// and every match.
 func TestArbiterIsolation(t *testing.T) {
 	col := newCollector()
 	cfg := Config{
@@ -492,8 +516,13 @@ func TestArbiterIsolation(t *testing.T) {
 		OnMatches: col.hook(),
 		Arbiter: ArbiterConfig{
 			Interval: 20 * time.Millisecond,
-			Capacity: 0.3,
-			Smooth:   1, // no smoothing lag in the test
+			Capacity: 0.1,
+		},
+		NewStrategy: func(spec QuerySpec, _ *nfa.Machine, bound time.Duration) (func(int) shed.Strategy, error) {
+			if spec.Tenant != "bad" {
+				return nil, nil
+			}
+			return func(i int) shed.Strategy { return baseline.NewRandomInput(event.Time(bound), int64(i)) }, nil
 		},
 		TuneRuntime: func(spec QuerySpec, rc *runtime.Config) {
 			if spec.Tenant == "bad" {
@@ -508,14 +537,21 @@ func TestArbiterIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	// 9:1 priority entitles the victim to 0.09 cores, far above what its
+	// cheap pairs cost even on a loaded host.
+	for _, ten := range []Tenant{{Name: "bad", Priority: 1, Theta: 100 * time.Millisecond}, {Name: "good", Priority: 9}} {
+		if err := g.SetTenant(ten); err != nil {
+			t.Fatal(err)
+		}
+	}
 	bad := mustAdd(t, g, QuerySpec{Tenant: "bad", Name: "abc", Query: q1Text})
 	good := mustAdd(t, g, QuerySpec{Tenant: "good", Name: "xy", Query: qxyText})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var goodOffered, goodDelivered int
+	var goodOffered, goodDelivered, goodGroups int
 	wg.Add(2)
-	go func() { // aggressor feed: expensive A/B/C events
+	go func() { // aggressor feed: bursts of 30 expensive A/B/C events
 		defer wg.Done()
 		seq := uint64(0)
 		for i := 0; ; i++ {
@@ -525,12 +561,15 @@ func TestArbiterIsolation(t *testing.T) {
 			default:
 			}
 			var s event.Stream
-			s = abcGroup(s, int64(i), event.Time(i)*event.Millisecond)
+			for k := 0; k < 10; k++ {
+				s = abcGroup(s, int64(10*i+k), event.Time(10*i+k)*event.Millisecond)
+			}
 			for _, e := range s {
 				e.Seq = seq
 				seq++
 			}
 			g.OfferBatch(s)
+			time.Sleep(20 * time.Millisecond)
 		}
 	}()
 	go func() { // victim feed: cheap X/Y events, modest rate
@@ -551,74 +590,76 @@ func TestArbiterIsolation(t *testing.T) {
 			res := g.OfferBatch(s)
 			goodOffered += res.Events
 			goodDelivered += res.Deliveries
+			goodGroups++
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 
-	// Wait until the arbiter has imposed drops on the aggressor.
-	deadline := time.Now().Add(10 * time.Second)
-	for bad.disp.Counts()[shed.ShedImposed] == 0 {
+	// Wait until the aggressor's strategy sheds under its tightened bound.
+	var badX float64
+	deadline := time.Now().Add(15 * time.Second)
+	for badX == 0 || bad.Runtime().Snapshot().EventsShed == 0 {
 		if time.Now().After(deadline) {
 			close(stop)
 			wg.Wait()
-			snap := g.Snapshot()
-			t.Fatalf("arbiter never engaged: %+v", snap.Arbiter)
+			t.Fatalf("aggressor never shed under the arbiter (x seen %.2f): %+v", badX, g.Snapshot().Arbiter)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if x := bad.Runtime().Excess(); x > badX {
+			badX = x
+		}
+		if x := good.Runtime().Excess(); x != 0 {
+			t.Errorf("victim's bound tightened: x = %.2f", x)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	// Isolation: the victim tenant saw no imposed drops and no gate.
-	if n := good.disp.Counts()[shed.ShedImposed]; n != 0 {
-		t.Fatalf("victim tenant got %d imposed drops", n)
+	// Isolation: the victim kept x = 0, every event and every match.
+	if goodDelivered != goodOffered {
+		t.Fatalf("victim delivered %d of %d events under overload", goodDelivered, goodOffered)
 	}
-	if pm := good.gate.Probs(); pm != nil {
-		t.Fatalf("victim tenant has a gate: %v", pm)
+	drainInst(t, good, uint64(goodOffered))
+	rs := good.Runtime().Snapshot()
+	if rs.EventsShed != 0 {
+		t.Errorf("victim shed %d events", rs.EventsShed)
 	}
-	if goodOffered > 0 && goodDelivered < goodOffered*9/10 {
-		t.Fatalf("victim delivery ratio %d/%d under overload", goodDelivered, goodOffered)
+	if n, _ := col.counts("good/xy"); n != goodGroups {
+		t.Errorf("victim found %d of %d matches", n, goodGroups)
+	}
+	if rs.P99 > 250*time.Millisecond {
+		t.Errorf("victim p99 = %v, want < 250ms while the neighbor overloads", rs.P99)
 	}
 	snap := g.Snapshot()
-	var badLoad, goodLoad *TenantLoad
-	for i := range snap.Arbiter.Tenants {
-		switch snap.Arbiter.Tenants[i].Tenant {
-		case "bad":
-			badLoad = &snap.Arbiter.Tenants[i]
-		case "good":
-			goodLoad = &snap.Arbiter.Tenants[i]
+	for _, tl := range snap.Arbiter.Tenants {
+		if tl.Tenant == "good" && tl.Excess != 0 {
+			t.Errorf("victim arbitrated: %+v", tl)
 		}
-	}
-	if badLoad == nil || badLoad.ImposedDrop == 0 {
-		t.Fatalf("aggressor not arbitrated: %+v", snap.Arbiter)
-	}
-	if goodLoad != nil && goodLoad.ImposedDrop != 0 {
-		t.Fatalf("victim arbitrated: %+v", goodLoad)
 	}
 }
 
-// TestArbiterShedBudget caps imposed drops by the tenant's budget.
+// TestArbiterShedBudget caps x by the tenant's budget and decays it once
+// the tenant is back under its share.
 func TestArbiterShedBudget(t *testing.T) {
-	a := &arbiter{cfg: ArbiterConfig{}.withDefaults()}
-	in := &Instance{
-		spec:      QuerySpec{Tenant: "t", Name: "q"},
-		typeStats: map[string]*typeStat{"A": {}},
-		types:     []string{"A"},
+	g, err := Open(Config{Arbiter: ArbiterConfig{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	in.arb.util = 1.0
-	in.typeStats["A"].offered.Store(100)
+	defer g.Close()
+	in := mustAdd(t, g, QuerySpec{Tenant: "t", Name: "q", Query: q1Text})
+	spec := Tenant{Name: "t", Priority: 1, ShedBudget: 0.3}
+	// Fairness asks for x = 0.8; the budget caps it at 0.3.
 	tl := &TenantLoad{Tenant: "t", Utilization: 1.0, Share: 0.2}
-	// Budget 0.3 caps the 0.8 excess at 0.3 of utilization.
-	a.impose([]*Instance{in}, tl, Tenant{Name: "t", Priority: 1, ShedBudget: 0.3}, 0.8)
-	if !tl.BudgetCapped {
-		t.Fatal("budget cap not reported")
+	tighten([]*Instance{in}, tl, spec, true)
+	if !tl.BudgetCapped || tl.Excess != 0.3 || in.Runtime().Excess() != 0.3 {
+		t.Fatalf("budget 0.3: tenant %+v, runtime x = %v", tl, in.Runtime().Excess())
 	}
-	pm := in.gate.Probs()
-	if pm == nil {
-		t.Fatal("no gate imposed")
-	}
-	if p := pm["A"]; p < 0.29 || p > 0.31 {
-		t.Fatalf("imposed drop = %v, want ≈0.3 (budget-capped)", p)
+	for _, want := range []float64{0.15, 0.075, 0.0375, 0} {
+		tl := &TenantLoad{Tenant: "t", Utilization: 1.0}
+		tighten([]*Instance{in}, tl, spec, false)
+		if x := in.Runtime().Excess(); x != want || tl.Excess != want {
+			t.Fatalf("decay: x = %v (tenant %v), want %v", x, tl.Excess, want)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // The full ladder round trip: a slow consumer drives the smoothed
 // latency above θ and the queue past its water marks, the ladder
-// escalates to admission control / rejection, and once the fault clears
-// the level walks back to LevelNormal.
+// escalates through a tightened bound (x > 0) to rejection, and once the
+// fault clears the level walks back to LevelNormal and x back to 0.
 func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 64, Seed: 11, InterArrival: 15 * event.Microsecond})
@@ -30,7 +30,7 @@ func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 	// Flood with a non-blocking producer until the ladder is visibly
 	// rejecting at the door.
 	deadline := time.Now().Add(10 * time.Second)
-	escalated := false
+	escalated, sawX := false, false
 	for !escalated {
 		if time.Now().After(deadline) {
 			t.Fatalf("ladder never escalated: %+v", r.Snapshot())
@@ -40,6 +40,10 @@ func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 		}
 		snap := r.Snapshot()
 		escalated = snap.DegradationLevel >= LevelAdmission && snap.AdmissionRejected > 0
+		sawX = sawX || r.Excess() > 0
+	}
+	if !sawX {
+		t.Error("the ladder passed level 2 without tightening the bound")
 	}
 
 	// Incident over: consumer is fast again, producer stops. The queue
@@ -55,6 +59,9 @@ func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
+	if x := r.Excess(); x != 0 {
+		t.Errorf("x = %v after the ladder recovered, want 0", x)
+	}
 	snap := r.Snapshot()
 	if snap.EventsProcessed == 0 {
 		t.Error("nothing processed during the whole episode")

@@ -159,6 +159,18 @@ func truncatePayload(b []byte, max int) string {
 	return s
 }
 
+// ClipPayload bounds a dead-letter payload by truncatePayload's rule,
+// once: a payload that rule can have produced — valid UTF-8 of at most
+// maxPayloadSample bytes plus the "..." marker — is kept as it is, so a
+// LineError.Payload handed on to a dead-letter queue keeps its marker
+// instead of being cut a second time.
+func ClipPayload(s string) string {
+	if len(s) <= maxPayloadSample+len("...") && utf8.ValidString(s) {
+		return s
+	}
+	return truncatePayload([]byte(s), maxPayloadSample)
+}
+
 // LineDecoder reads an NDJSON stream line by line, surviving every kind
 // of malformed input: bad JSON, unsupported values, and lines longer
 // than the buffer (the oversized line is consumed and rejected instead

@@ -5,9 +5,12 @@
 // its own shedding strategy and is fed through a bounded channel, so
 // queue depth is real backpressure rather than a simulated queueing
 // model. Each shard measures wall-clock queueing-plus-service latency,
-// smooths it with an EWMA (paper w = 0.5), and hands the smoothed value
-// to the strategy's control step — the same ρI/ρS control loop the
-// virtual-time runner drives, now running against the hardware clock.
+// smooths it with an EWMA at w = 0.5 (the paper smooths μ(k) with a
+// sliding mean, which the virtual-time runner keeps; w = 0.5 is the
+// paper's cost-model adaptation weight, borrowed here), and hands the
+// smoothed value to the strategy's control step — the same ρI/ρS control
+// loop the virtual-time runner drives, now running against the hardware
+// clock.
 //
 // With Shards = 1 the runtime degenerates to the sequential engine:
 // events are processed in arrival order by one goroutine and the match
@@ -24,9 +27,17 @@
 // dead-letter queue, and fails persistent offenders over to healthy
 // shards (supervisor.go); and a graceful-degradation ladder that extends
 // the paper's "degrade quality, not latency" contract from the strategy
-// level (ρI/ρS) up to the admission edge — probabilistic rejection at
-// the door, then outright load rejection — driven by the same smoothed
-// latency signal against the bound θ.
+// level (ρI/ρS) up to the admission edge — first a tighter bound for
+// every shard's strategy, then outright load rejection at the door —
+// driven by the same smoothed latency signal against the bound θ and by
+// queue fill.
+//
+// A tighter bound is the runtime's one lever on what gets shed: each
+// shard hands its strategy lat/(1−x) instead of lat, which for every
+// strategy here is running against θ·(1−x). x is the larger of the
+// ladder's fill ramp and the excess fraction the registry's cross-query
+// arbiter sets (SetExcess). The strategy's own selection — ρI/ρS over
+// cost-model classes for Hybrid — then decides what goes.
 package runtime
 
 import (
@@ -58,8 +69,8 @@ const (
 	// nothing — this level makes strategy-driven degradation observable.
 	LevelShedding
 	// LevelAdmission: queues past the high-water mark (or latency far
-	// over θ); offers are rejected probabilistically at the door before
-	// they cost a queue slot.
+	// over θ); every shard's strategy runs against θ·(1−x), x ramping
+	// with queue fill. The door still admits everything.
 	LevelAdmission
 	// LevelReject: queues near capacity (or latency an order of
 	// magnitude over θ); every offer is rejected so the backlog can
@@ -75,20 +86,24 @@ const (
 const ladderStale = 500 * time.Millisecond
 
 // smoothWeight is the EWMA weight w applied to new latency samples,
-// smoothed = w·sample + (1−w)·smoothed: the paper's adaptation weight.
+// smoothed = w·sample + (1−w)·smoothed. The value is the paper's §V-B
+// cost-model adaptation weight; the paper's own latency smoothing is a
+// sliding mean (DESIGN.md §3.2).
 const smoothWeight = 0.5
 
 // Ladder water marks, as fractions of aggregate queue capacity in use:
-// from highWater on, LevelAdmission rejects offers probabilistically;
-// from rejectWater on, LevelReject refuses all input.
+// from highWater on, LevelAdmission tightens every shard's bound by an
+// excess fraction that ramps to maxLadderExcess at rejectWater; from
+// rejectWater on, LevelReject refuses all input.
 const (
-	highWater   = 0.75
-	rejectWater = 0.95
+	highWater       = 0.75
+	rejectWater     = 0.95
+	maxLadderExcess = 0.9
 )
 
-// maxDeadLetterPayload bounds the payload rendering retained per dead
-// letter.
-const maxDeadLetterPayload = 160
+// MaxExcess caps any excess fraction x: a strategy always runs against
+// at least 5% of its bound, so latency keeps a target it can meet.
+const MaxExcess = 0.95
 
 // Config configures a Runtime.
 type Config struct {
@@ -210,9 +225,9 @@ type Runtime struct {
 
 	dlq               *deadLetters
 	dlqEdgeMu         sync.Mutex // serializes Quarantine's shared-owner DLQ saves
-	admit             *shed.AdmissionController
 	level             atomic.Int32
 	admissionRejected atomic.Uint64
+	x                 excess // shared by every shard; see tighten
 
 	// Durability plumbing (inert without Config.Durability): fp binds
 	// checkpoints to this query/sharding configuration, dur is the
@@ -245,7 +260,6 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
 		dlq:    newDeadLetters(cfg.DeadLetterCap),
-		admit:  shed.NewAdmissionController(highWater, rejectWater),
 		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
 	}
 	r.workers = cfg.Workers
@@ -273,6 +287,7 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 		}
 		sh := newShard(i, m, cfg, strat, r.global)
 		sh.killed = &r.killed
+		sh.x = &r.x
 		if cfg.Durability != nil {
 			store, err := checkpoint.NewShardStore(dur, i, r.fp)
 			if err != nil {
@@ -443,14 +458,13 @@ func (r *Runtime) logf(format string, args ...any) {
 }
 
 // offer is the runtime's one door — the only producer-side code that
-// updates the degradation ladder, flips the admission coin and sends on
-// a shard channel; the entry points below wrap it (the chain it is the
-// last link of: docs/ROBUSTNESS.md). One lock acquisition, one clock
-// read and one ladder update cover the call. Each event is refused at
-// LevelReject, refused with a probability that ramps with queue fill at
-// LevelAdmission, and otherwise goes to shard slot (slot < 0: the shard
-// its key hashes to) or, if that shard has failed, to the next healthy
-// one; with none left, or after Close, it is refused too. Refusals count
+// updates the degradation ladder and sends on a shard channel; the entry
+// points below wrap it (the chain it is the last link of:
+// docs/ROBUSTNESS.md). One lock acquisition, one clock read and one
+// ladder update cover the call. Each event is refused at LevelReject and
+// otherwise goes to shard slot (slot < 0: the shard its key hashes to)
+// or, if that shard has failed, to the next healthy one; with none left,
+// or after Close, it is refused too. Refusals count
 // in Snapshot.AdmissionRejected. A lone event travels as batch{one:} —
 // no slice, no pool round trip; a longer call's events reach each shard
 // as one queued batch, in order. A full queue blocks the caller when
@@ -466,7 +480,7 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted i
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	enq := time.Now() // also the ladder's staleness reference
-	lvl, fill := r.updateLevel(enq)
+	lvl := r.updateLevel(enq)
 	if r.closed.Load() {
 		lvl = LevelReject // a closed door refuses everything
 	}
@@ -499,7 +513,7 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) (accepted i
 	}
 	for _, e := range events {
 		var sh *shard
-		if lvl < LevelReject && (lvl < LevelAdmission || r.admit.Admit(fill)) {
+		if lvl < LevelReject {
 			sh = r.shardFor(slot, e)
 		}
 		switch {
@@ -586,11 +600,13 @@ func (r *Runtime) levelFor(maxEwma, fill, scale float64) int {
 
 // updateLevel recomputes the ladder level with hysteresis: escalation is
 // immediate, de-escalation requires the signals to clear thresholds
-// tightened by 30% so the level doesn't flap around a boundary. With
-// Bound = 0 there is no ladder and it costs one comparison.
-func (r *Runtime) updateLevel(now time.Time) (int, float64) {
+// tightened by 30% so the level doesn't flap around a boundary. It also
+// sets the ladder's excess fraction: the fill ramp from LevelAdmission
+// on, zero below. With Bound = 0 there is no ladder and it costs one
+// comparison.
+func (r *Runtime) updateLevel(now time.Time) int {
 	if r.cfg.Bound <= 0 {
-		return LevelNormal, 0
+		return LevelNormal
 	}
 	maxEwma, fill := r.ladderSignals(now)
 	raw := r.levelFor(maxEwma, fill, 1.0)
@@ -607,25 +623,37 @@ func (r *Runtime) updateLevel(now time.Time) (int, float64) {
 		r.logf("runtime: degradation level %d -> %d (ewma=%s fill=%.2f)",
 			cur, next, time.Duration(maxEwma), fill)
 	}
-	return next, fill
+	x := 0.0
+	if next >= LevelAdmission {
+		x = shed.FillRamp(fill, highWater, rejectWater, maxLadderExcess)
+	}
+	r.x.ladder.set(x)
+	return next
 }
 
 // DegradationLevel returns the current ladder level (refreshed from the
 // live signals, so it de-escalates even when no offers arrive).
-func (r *Runtime) DegradationLevel() int {
-	lvl, _ := r.updateLevel(time.Now())
-	return lvl
-}
+func (r *Runtime) DegradationLevel() int { return r.updateLevel(time.Now()) }
+
+// SetExcess sets the excess fraction x the cross-query arbiter imposes
+// on this runtime, clamped to [0, MaxExcess]: from the next control step on,
+// every shard's strategy runs against θ·(1−x) unless the ladder asks for
+// more. Safe from any goroutine.
+func (r *Runtime) SetExcess(x float64) { r.x.arbiter.set(min(max(x, 0), MaxExcess)) }
+
+// Excess returns the x the shards currently apply: the larger of the
+// arbiter's and the ladder's.
+func (r *Runtime) Excess() float64 { return r.x.load() }
 
 // Quarantine records an input that was rejected before it became a
 // runtime event — typically an undecodable NDJSON line — in the
-// dead-letter queue (Shard = -1). payload should already be truncated to
-// a reasonable length; it is clamped to the dead-letter bound anyway.
+// dead-letter queue (Shard = -1). payload is bounded by ClipPayload, so
+// a LineError.Payload is stored as the decoder rendered it.
 func (r *Runtime) Quarantine(reason, payload string) {
 	r.dlq.add(DeadLetter{
 		Shard:   -1,
 		Reason:  reason,
-		Payload: truncatePayload([]byte(payload), maxDeadLetterPayload),
+		Payload: ClipPayload(payload),
 	})
 	// len(r.shards) as owner: an id no shard worker uses, so edge-side
 	// quarantines never collide with a shard's snapshot-time save.
@@ -705,10 +733,13 @@ func (r *Runtime) MatchKeys() []string {
 
 // ShardSnapshot is the point-in-time state of one shard.
 type ShardSnapshot struct {
-	Shard      int    `json:"shard"`
-	Strategy   string `json:"strategy"`
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
+	Shard    int    `json:"shard"`
+	Strategy string `json:"strategy"`
+	// QueueDepth counts queued events, plus one while the worker still
+	// holds matches of consumed events not yet handed to OnMatches: 0
+	// means drained and delivered.
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
 
 	EventsIn        uint64 `json:"events_in"`
 	EventsShed      uint64 `json:"events_shed"`

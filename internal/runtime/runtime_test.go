@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cepshed/internal/baseline"
 	"cepshed/internal/citibike"
@@ -193,6 +194,39 @@ func TestTryOfferOverflowAndBackpressureBound(t *testing.T) {
 	final := r.Snapshot()
 	if final.EventsIn != uint64(accepted) {
 		t.Errorf("EventsIn = %d, want %d accepted", final.EventsIn, accepted)
+	}
+}
+
+// A snapshot that reads the queue drained must also mean every match of
+// it reached the sink: while OnMatches still holds a batch's matches,
+// the shard reports one item in QueueDepth, though the batch's events
+// count as processed.
+func TestDrainedMeansDelivered(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	r := New(nfa.MustCompile(query.Q1("8ms")), Config{
+		Shards: 1,
+		OnMatches: func(int, []engine.Match) {
+			close(entered)
+			<-release
+		},
+	})
+	defer r.Close()
+	mk := func(typ string, v int64) *event.Event {
+		return event.New(typ, 0, map[string]event.Value{"ID": event.Int(1), "V": event.Int(v)})
+	}
+	r.OfferBatch([]*event.Event{mk("A", 1), mk("B", 2), mk("C", 3)})
+	<-entered
+	if s := r.Snapshot(); s.EventsProcessed != 3 || s.Shards[0].QueueDepth != 1 {
+		t.Errorf("sink still holding the match: processed %d, queue depth %d; want 3 and 1",
+			s.EventsProcessed, s.Shards[0].QueueDepth)
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Snapshot().Shards[0].QueueDepth != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("queue depth stayed above 0 after the sink returned")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

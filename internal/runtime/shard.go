@@ -103,6 +103,7 @@ type shard struct {
 	lastNs    atomic.Int64       // wall instant of the last latency sample
 	stratName atomic.Value       // string; s.strat itself is worker-owned
 	planRep   atomic.Value       // shed.PlanReporter, when the strategy is one
+	x         *excess            // the runtime's; tightens the bound the strategy sees
 
 	// Shed-decision-path observability. admitNs is extrapolated wall
 	// time spent in ρI admission: every admitSamplePeriod-th decision is
@@ -146,6 +147,11 @@ type shard struct {
 
 	matches []engine.Match // collected matches (worker-only until Close)
 	out     []engine.Match // cleared for delivery, not yet handed to OnMatches (claim-owned)
+	// inHand is set while the worker holds events taken off the queue
+	// whose matches have not yet been through handOut. Snapshot counts it
+	// as one more queued item, so a reader that sees a drained queue also
+	// sees every match of it delivered to the sink.
+	inHand atomic.Bool
 
 	// Durability (nil ckpt: the shard runs without checkpointing; also
 	// the degraded state walFailed leaves behind). All non-atomic fields
@@ -234,6 +240,42 @@ func newShard(id int, m *nfa.Machine, cfg Config, strat shed.Strategy, global *m
 	}
 	return s
 }
+
+// excess is a runtime's excess fraction x ∈ [0, MaxExcess], the share
+// of θ its strategies give up: the cross-query arbiter (SetExcess) and
+// the degradation ladder (updateLevel) each write their own word, and
+// the shards apply the larger.
+type excess struct{ arbiter, ladder fraction }
+
+func (x *excess) load() float64 { return max(x.arbiter.get(), x.ladder.get()) }
+
+// fraction is one float64 shared through an atomic word.
+type fraction struct{ bits atomic.Uint64 }
+
+func (f *fraction) get() float64 { return math.Float64frombits(f.bits.Load()) }
+
+// set stores x unless it is already there, so a writer that sets the
+// same value on every offer does not bounce the cache line.
+func (f *fraction) set(x float64) {
+	if f.get() != x {
+		f.bits.Store(math.Float64bits(x))
+	}
+}
+
+// tighten is the latency a strategy is handed under excess fraction x:
+// lat/(1−x). Every strategy tests lat > θ and sizes its response by
+// (lat−θ)/lat, so this runs it against θ·(1−x) without rebuilding it.
+// x = 0 hands lat through untouched.
+func tighten(lat event.Time, x float64) event.Time {
+	if x <= 0 {
+		return lat
+	}
+	return event.Time(float64(lat) / (1 - x))
+}
+
+// control runs the strategy's control step on the smoothed latency,
+// tightened by the runtime's current excess fraction.
+func (s *shard) control(now, lat event.Time) { s.strat.Control(now, tighten(lat, s.x.load())) }
 
 // admitSamplePeriod is the ρI timing sample stride (power of two so the
 // stride test is a mask and the extrapolation a shift).
@@ -335,12 +377,14 @@ func (s *shard) consumeBatch(b batch) int {
 	}
 	if b.items == nil {
 		s.curItem = b.one
+		s.holdOut()
 		s.depth.Add(-1)
 		s.process(b.one)
 		return 1
 	}
 	items := *b.items
 	s.curBatch = items
+	s.holdOut()
 	for i := range items {
 		s.curIdx = i
 		s.curItem = items[i]
@@ -430,12 +474,22 @@ func (s *shard) emit(m engine.Match) {
 // replay — the worker that cleared it delivers it, and a batch without
 // matches costs one length check.
 func (s *shard) handOut() {
-	if len(s.out) == 0 {
-		return
+	if len(s.out) > 0 {
+		s.cfg.OnMatches(s.id, s.out)
+		clear(s.out)
+		s.out = s.out[:0]
 	}
-	s.cfg.OnMatches(s.id, s.out)
-	clear(s.out)
-	s.out = s.out[:0]
+	if s.inHand.Load() {
+		s.inHand.Store(false)
+	}
+}
+
+// holdOut marks events as taken off the queue ahead of their hand-out;
+// it must run before their depth is released.
+func (s *shard) holdOut() {
+	if !s.inHand.Load() {
+		s.inHand.Store(true)
+	}
 }
 
 // signalRecovered releases Runtime.WaitRecovered for this shard; safe to
@@ -555,8 +609,7 @@ func (s *shard) process(it item) {
 		s.deliver(res.Matches, e.Seq, nil, false)
 	}
 
-	lat := s.record(it.enq)
-	s.strat.Control(e.Time, lat)
+	s.control(e.Time, s.record(it.enq))
 	s.noteSnapshotProgress()
 }
 
@@ -1025,7 +1078,7 @@ func (s *shard) replayEvent(e *event.Event, boot bool, suppress map[string]bool)
 	if len(res.Matches) > 0 {
 		s.deliver(res.Matches, e.Seq, suppress, boot)
 	}
-	s.strat.Control(e.Time, event.Time(math.Float64frombits(s.ewma.Load())))
+	s.control(e.Time, event.Time(math.Float64frombits(s.ewma.Load())))
 }
 
 // finish runs when the input channel closes. A clean drain takes a final
@@ -1102,9 +1155,14 @@ func (s *shard) record(enq time.Time) event.Time {
 }
 
 func (s *shard) snapshot() ShardSnapshot {
+	// depth first: inHand is set before depth falls, so this order never
+	// reads both after the fall and before the hand-out.
 	depth := int(s.depth.Load())
 	if depth < 0 {
 		depth = 0
+	}
+	if s.inHand.Load() {
+		depth++
 	}
 	var plan shed.PlanStats
 	if pr, ok := s.planRep.Load().(shed.PlanReporter); ok {

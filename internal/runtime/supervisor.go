@@ -332,6 +332,7 @@ func (s *shard) consumeRemainder() {
 		return
 	}
 	t0 := time.Now()
+	s.holdOut()
 	for len(s.rem) > 0 {
 		it := s.rem[0]
 		s.rem = s.rem[1:]
@@ -384,7 +385,7 @@ func (s *shard) quarantine(r *Runtime, it item, reason string, count bool) {
 		Seq:     it.e.Seq,
 		Type:    it.e.Type,
 		Reason:  reason,
-		Payload: truncatePayload(EncodeEvent(it.e), maxDeadLetterPayload),
+		Payload: truncatePayload(EncodeEvent(it.e), maxPayloadSample),
 	})
 	// Durable immediately (not just at the next snapshot): if the
 	// process dies during the restart backoff, the postmortem record of

@@ -16,8 +16,6 @@ const (
 	// Rejected: refused at the runtime's door — degradation ladder
 	// level 2–3, no healthy shard left, or a runtime already closing.
 	Rejected
-	// ShedImposed: dropped by the cross-query arbiter's gate.
-	ShedImposed
 	// FloorSkipped: below a recovered query's sequence floor, so already
 	// inside its restored state.
 	FloorSkipped

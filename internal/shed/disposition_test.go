@@ -13,16 +13,16 @@ func TestLedgerChainsToItsParent(t *testing.T) {
 	a.Add(Delivered, 3)
 	a.Add(Rejected, 0)
 	b.Add(Delivered, 2)
-	b.Add(ShedImposed, 5)
+	b.Add(FloorSkipped, 5)
 	root.Add(Unrouted, 1)
 
 	if c := a.Counts(); c != (Counts{Delivered: 3}) {
 		t.Errorf("a = %v", c)
 	}
-	if c := b.Counts(); c != (Counts{Delivered: 2, ShedImposed: 5}) {
+	if c := b.Counts(); c != (Counts{Delivered: 2, FloorSkipped: 5}) {
 		t.Errorf("b = %v", c)
 	}
-	if c := root.Counts(); c != (Counts{Delivered: 5, ShedImposed: 5, Unrouted: 1}) {
+	if c := root.Counts(); c != (Counts{Delivered: 5, FloorSkipped: 5, Unrouted: 1}) {
 		t.Errorf("root = %v", c)
 	}
 }
