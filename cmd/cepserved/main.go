@@ -681,13 +681,14 @@ func (s *server) mux() *http.ServeMux {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		node := ""
+		var node []string
 		if s.cl != nil {
-			node = s.cl.Self()
+			node = []string{"node", s.cl.Self()}
 		}
-		writePrometheus(w, s.reg.Snapshot(), runtime.InternTelemetry(), node)
+		metrics.WriteProm(w, s.reg.Snapshot(), node...)
+		metrics.WriteProm(w, runtime.InternTelemetry(), node...)
 		if s.cl != nil {
-			writeClusterProm(w, node, s.cl.Status())
+			metrics.WriteProm(w, s.cl.Status(), node...)
 		}
 	})
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
@@ -825,54 +826,6 @@ func (s *server) mux() *http.ServeMux {
 		}
 	}
 	return mux
-}
-
-// writeClusterProm appends the cluster-layer series to /metrics; the
-// node label is already applied via the writer's common labels in
-// writePrometheus, so it is set again here on a fresh writer.
-func writeClusterProm(w io.Writer, node string, st cluster.Status) {
-	p := metrics.NewPromWriter(w)
-	p.Common("node", node)
-	p.Gauge("cepshed_cluster_degraded", "1 while any peer is considered down or quarantined.")
-	if st.Degraded {
-		p.Sample("cepshed_cluster_degraded", 1)
-	} else {
-		p.Sample("cepshed_cluster_degraded", 0)
-	}
-	p.Gauge("cepshed_cluster_peer_up", "1 while the peer answers heartbeats.")
-	for _, ps := range st.Peers {
-		v := 0.0
-		if ps.Up {
-			v = 1
-		}
-		p.Sample("cepshed_cluster_peer_up", v, "peer", ps.Name)
-	}
-	p.Counter("cepshed_cluster_forwarded_out_total", "Event pairs forwarded to a peer owner.")
-	p.SampleUint("cepshed_cluster_forwarded_out_total", st.ForwardedOut)
-	p.Counter("cepshed_cluster_forwarded_in_total", "Event pairs received from peer routers.")
-	p.SampleUint("cepshed_cluster_forwarded_in_total", st.ForwardedIn)
-	p.Counter("cepshed_cluster_forward_dropped_total", "Event pairs dropped at the router: queue full, owner down, retries exhausted.")
-	p.SampleUint("cepshed_cluster_forward_dropped_total", st.ForwardDrop)
-	p.Counter("cepshed_cluster_router_dropped_total", "Event pairs dropped on one peer link (queue overflow or failed delivery).")
-	for _, pf := range st.PeerForwards {
-		p.SampleUint("cepshed_cluster_router_dropped_total", pf.Dropped, "peer", pf.Name)
-	}
-	p.Counter("cepshed_cluster_forward_retries_total", "Forward batch re-sends after ambiguous network failures.")
-	p.SampleUint("cepshed_cluster_forward_retries_total", st.Retries)
-	p.Counter("cepshed_cluster_forward_redirects_total", "Forward batches re-routed after an ownership NACK.")
-	p.SampleUint("cepshed_cluster_forward_redirects_total", st.Redirects)
-	p.Counter("cepshed_cluster_dup_batches_total", "Retried forward batches refused by the receiver's dedup window.")
-	p.SampleUint("cepshed_cluster_dup_batches_total", st.DupBatches)
-	p.Counter("cepshed_cluster_router_shed_total", "Event pairs refused by degraded-mode router admission.")
-	p.SampleUint("cepshed_cluster_router_shed_total", st.RouterShed)
-	p.Counter("cepshed_cluster_handoffs_out_total", "Planned handoffs shipped successfully.")
-	p.SampleUint("cepshed_cluster_handoffs_out_total", st.HandoffsOut)
-	p.Counter("cepshed_cluster_handoffs_in_total", "Shard handoffs imported.")
-	p.SampleUint("cepshed_cluster_handoffs_in_total", st.HandoffsIn)
-	p.Counter("cepshed_cluster_takeovers_total", "Slots adopted from dead peers by failover.")
-	p.SampleUint("cepshed_cluster_takeovers_total", st.Takeovers)
-	p.Gauge("cepshed_cluster_handoff_in_flight", "Events queued for forwarding plus handoff frames awaiting an ack.")
-	p.Sample("cepshed_cluster_handoff_in_flight", float64(st.InFlight))
 }
 
 // handleHealthz is the health/readiness probe: 200 while the server can
@@ -1041,221 +994,6 @@ func (s *server) serveConn(conn net.Conn) {
 			offer()
 		}
 	}
-}
-
-// writePrometheus renders the registry snapshot in Prometheus text
-// exposition format: per-shard series labelled {tenant, query, shard},
-// per-query and per-tenant series, and the unlabeled server aggregates
-// the pre-registry dashboards already scrape.
-func writePrometheus(w io.Writer, snap registry.Snapshot, intern runtime.InternStats, node string) {
-	p := metrics.NewPromWriter(w)
-	if node != "" {
-		p.Common("node", node)
-	}
-	counter := func(name, help string, val func(runtime.ShardSnapshot) uint64) {
-		p.Counter("cepshed_"+name, help)
-		for _, q := range snap.Queries {
-			for _, ss := range q.Runtime.Shards {
-				p.SampleUint("cepshed_"+name, val(ss),
-					"tenant", q.Spec.Tenant, "query", q.Spec.Name, "shard", fmt.Sprint(ss.Shard))
-			}
-		}
-	}
-	gauge := func(name, help string, val func(runtime.ShardSnapshot) float64) {
-		p.Gauge("cepshed_"+name, help)
-		for _, q := range snap.Queries {
-			for _, ss := range q.Runtime.Shards {
-				p.Sample("cepshed_"+name, val(ss),
-					"tenant", q.Spec.Tenant, "query", q.Spec.Name, "shard", fmt.Sprint(ss.Shard))
-			}
-		}
-	}
-	counter("events_in_total", "Events offered to the shard.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.EventsIn })
-	counter("events_shed_total", "Events discarded by input-based shedding (rho_I).",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.EventsShed })
-	counter("events_processed_total", "Events processed by the engine.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.EventsProcessed })
-	counter("overflow_dropped_total", "Events dropped on full queue by TryOffer.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.Overflow })
-	counter("matches_total", "Complete matches detected.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.Matches })
-	counter("partial_matches_created_total", "Partial matches created.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.CreatedPMs })
-	counter("partial_matches_dropped_total", "Partial matches removed by state-based shedding (rho_S).",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.DroppedPMs })
-	counter("shard_restarts_total", "Supervisor restarts after a worker panic.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.Restarts })
-	counter("shard_quarantined_total", "Events quarantined to the dead-letter queue by this shard.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.Quarantined })
-	counter("snapshots_total", "Checkpoint snapshots taken by the shard.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.Snapshots })
-	counter("wal_replayed_total", "Events replayed from the WAL during recovery.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.WALReplayed })
-	counter("recovery_cold_starts_total", "Recoveries that fell back to an empty engine.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.ColdStarts })
-	counter("wal_errors_total", "WAL append/flush failures; the first disables the shard's durability.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.WALErrors })
-	// Unlabeled aggregate under the same header: the alert an operator
-	// actually pages on ("any WAL error anywhere?") without a sum().
-	p.SampleUint("cepshed_wal_errors_total", snap.WALErrors)
-	gauge("snapshot_bytes", "Size of the shard's last checkpoint snapshot.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.SnapshotBytes) })
-	gauge("queue_depth", "Events waiting in the shard queue.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.QueueDepth) })
-	gauge("live_partial_matches", "Live partial matches in the shard engine.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.LivePMs) })
-	gauge("smoothed_latency_seconds", "EWMA-smoothed wall-clock latency driving the shedder.",
-		func(ss runtime.ShardSnapshot) float64 { return ss.SmoothedLatency.Seconds() })
-	gauge("shard_failed", "1 when the circuit breaker marked the shard permanently failed.",
-		func(ss runtime.ShardSnapshot) float64 {
-			if ss.Failed {
-				return 1
-			}
-			return 0
-		})
-
-	// Shed decision path (docs/PERFORMANCE.md): admission cost, planner
-	// throughput, and class-bucket index occupancy.
-	counter("admission_ns_total", "Sampled wall-clock nanoseconds spent in AdmitEvent (extrapolated from every 64th event).",
-		func(ss runtime.ShardSnapshot) uint64 { return uint64(ss.AdmissionNs) })
-	counter("adapt_folds_total", "Online-adaptation epochs folded into the cost model (one per window/slices of event time).",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.AdaptFolds })
-	counter("shed_plans_built_total", "Shedding plans built by the async planner goroutine.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.PlansBuilt })
-	counter("shed_plans_applied_total", "Planner plans applied by the worker.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.PlansApplied })
-	counter("shed_plans_stale_total", "Planner plans discarded by the drop-epoch fence (population retired before apply).",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.PlansStale })
-	gauge("shed_plan_build_seconds", "Wall-clock duration of the planner's most recent off-worker plan build.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.PlanBuildNsLast) / 1e9 })
-	gauge("shed_plan_build_seconds_max", "Longest off-worker plan build observed.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.PlanBuildNsMax) / 1e9 })
-	gauge("shed_stall_seconds_max", "Worst worker pause a shedding trigger caused (snapshot chunk, plan apply, or drop chunk).",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ShedStallMaxNs) / 1e9 })
-	gauge("class_buckets", "Live (state, class) buckets in the engine's partial-match index.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ClassBuckets) })
-	gauge("class_live_pms", "Live partial matches tracked by the class-bucket index.",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ClassLivePMs) })
-	gauge("class_dead_pms", "Dead entries awaiting bucket compaction (lazy-retirement debt).",
-		func(ss runtime.ShardSnapshot) float64 { return float64(ss.ClassDeadPMs) })
-	// Useful work over attempts: visited/(visited+pruned) is the share of
-	// stored matches an event had to be tested against.
-	counter("index_visited_total", "Partial-match index entries events were dispatched to (predicates ran).",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.IndexVisited })
-	counter("index_pruned_total", "Live index entries skipped because their equi-join key differs from the event's.",
-		func(ss runtime.ShardSnapshot) uint64 { return ss.IndexPruned })
-
-	// Per-query series: ladder level, excess fraction, recovery floor
-	// skips, latency quantiles.
-	p.Gauge("cepshed_degradation_level", "Graceful-degradation ladder level (0 normal .. 3 load rejection); unlabeled: worst across queries.")
-	for _, q := range snap.Queries {
-		p.Sample("cepshed_degradation_level", float64(q.Runtime.DegradationLevel),
-			"tenant", q.Spec.Tenant, "query", q.Spec.Name)
-	}
-	p.Sample("cepshed_degradation_level", float64(snap.MaxDegradation))
-	p.Gauge("cepshed_excess", "Excess fraction x the query's shards apply: their strategies run against theta*(1-x).")
-	for _, q := range snap.Queries {
-		p.Sample("cepshed_excess", q.Excess, "tenant", q.Spec.Tenant, "query", q.Spec.Name)
-	}
-	p.Counter("cepshed_floor_skips_total", "Events below a recovered query's sequence floor, dropped for exactly-once replay.")
-	for _, q := range snap.Queries {
-		p.SampleUint("cepshed_floor_skips_total", q.FloorSkips,
-			"tenant", q.Spec.Tenant, "query", q.Spec.Name)
-	}
-	p.Summary("cepshed_latency_seconds", "Wall-clock event latency quantiles per query.")
-	for _, q := range snap.Queries {
-		labels := []string{"tenant", q.Spec.Tenant, "query", q.Spec.Name}
-		p.Sample("cepshed_latency_seconds", q.Runtime.P50.Seconds(), append(labels, "quantile", "0.5")...)
-		p.Sample("cepshed_latency_seconds", q.Runtime.P95.Seconds(), append(labels, "quantile", "0.95")...)
-		p.Sample("cepshed_latency_seconds", q.Runtime.P99.Seconds(), append(labels, "quantile", "0.99")...)
-	}
-	p.SampleUint("cepshed_latency_seconds_count", snap.EventsIn)
-
-	// Per-tenant arbiter series: the isolation story in three gauges.
-	p.Gauge("cepshed_tenant_utilization", "Smoothed CPU-seconds/second the tenant's queries cost.")
-	for _, tl := range snap.Arbiter.Tenants {
-		p.Sample("cepshed_tenant_utilization", tl.Utilization, "tenant", tl.Tenant)
-	}
-	p.Gauge("cepshed_tenant_share", "The tenant's current fair-share entitlement.")
-	for _, tl := range snap.Arbiter.Tenants {
-		p.Sample("cepshed_tenant_share", tl.Share, "tenant", tl.Tenant)
-	}
-	p.Gauge("cepshed_tenant_excess", "Largest excess fraction x the arbiter sets on the tenant's queries (0: untouched).")
-	for _, tl := range snap.Arbiter.Tenants {
-		p.Sample("cepshed_tenant_excess", tl.Excess, "tenant", tl.Tenant)
-	}
-	p.Gauge("cepshed_arbiter_utilization", "Total measured utilization across all queries.")
-	p.Sample("cepshed_arbiter_utilization", snap.Arbiter.Utilization)
-	p.Gauge("cepshed_arbiter_capacity", "The arbiter's utilization target.")
-	p.Sample("cepshed_arbiter_capacity", snap.Arbiter.Capacity)
-	p.Gauge("cepshed_arbiter_overloaded", "1 while total utilization exceeds the capacity target.")
-	if snap.Arbiter.Overloaded {
-		p.Sample("cepshed_arbiter_overloaded", 1)
-	} else {
-		p.Sample("cepshed_arbiter_overloaded", 0)
-	}
-
-	// Server aggregates (unlabeled, pre-registry dashboard compatible).
-	p.Counter("cepshed_admission_rejected_total", "Offers rejected at the door by a degradation ladder.")
-	p.SampleUint("cepshed_admission_rejected_total", snap.AdmissionRejected)
-	p.Counter("cepshed_quarantined_total", "Dead letters recorded (shard panics plus rejected inputs).")
-	p.SampleUint("cepshed_quarantined_total", snap.Quarantined)
-	p.Counter("cepshed_unrouted_total", "Ingested events no registered query subscribes to.")
-	p.SampleUint("cepshed_unrouted_total", snap.Unrouted)
-	p.Gauge("cepshed_failed_shards", "Shards marked permanently failed by the circuit breaker.")
-	p.Sample("cepshed_failed_shards", float64(snap.FailedShards))
-	p.Gauge("cepshed_queries", "Registered queries.")
-	p.Sample("cepshed_queries", float64(len(snap.Queries)))
-
-	p.Gauge("cepshed_recovering", "1 while any shard of any query is restoring a snapshot or replaying its WAL.")
-	if snap.Recovering {
-		p.Sample("cepshed_recovering", 1)
-	} else {
-		p.Sample("cepshed_recovering", 0)
-	}
-	p.Gauge("cepshed_snapshot_age_seconds", "Age of the stalest shard checkpoint (0 until every durable shard has snapshotted).")
-	age := 0.0
-	oldest := int64(0)
-	for _, q := range snap.Queries {
-		if ns := q.Runtime.OldestSnapshotUnixNs; ns > 0 && (oldest == 0 || ns < oldest) {
-			oldest = ns
-		}
-	}
-	if oldest > 0 {
-		age = time.Since(time.Unix(0, oldest)).Seconds()
-	}
-	p.Sample("cepshed_snapshot_age_seconds", age)
-
-	p.Gauge("cepshed_input_shed_ratio", "Realized rho_I across all queries.")
-	shedRatio := 0.0
-	if snap.EventsIn > 0 {
-		shedRatio = float64(snap.EventsShed) / float64(snap.EventsIn)
-	}
-	p.Sample("cepshed_input_shed_ratio", shedRatio)
-	p.Gauge("cepshed_pm_shed_ratio", "Realized rho_S across all queries.")
-	var createdPMs, droppedPMs uint64
-	for _, q := range snap.Queries {
-		for _, ss := range q.Runtime.Shards {
-			createdPMs += ss.CreatedPMs
-			droppedPMs += ss.DroppedPMs
-		}
-	}
-	pmRatio := 0.0
-	if createdPMs > 0 {
-		pmRatio = float64(droppedPMs) / float64(createdPMs)
-	}
-	p.Sample("cepshed_pm_shed_ratio", pmRatio)
-
-	// NDJSON decoder intern-table telemetry (process-wide): occupancy
-	// near capacity or nonzero rejects means high-cardinality inputs are
-	// defeating the zero-allocation fast path.
-	p.Counter("cepshed_ndjson_intern_inserts_total", "Strings admitted to the NDJSON decoder intern tables.")
-	p.SampleUint("cepshed_ndjson_intern_inserts_total", intern.Inserts)
-	p.Counter("cepshed_ndjson_intern_rejects_total", "Strings refused by a full intern table (each decoded as a fresh allocation).")
-	p.SampleUint("cepshed_ndjson_intern_rejects_total", intern.Rejects)
-	p.Gauge("cepshed_ndjson_intern_high_water", "Largest occupancy any single intern table reached.")
-	p.SampleUint("cepshed_ndjson_intern_high_water", intern.HighWater)
 }
 
 // appendMatchLines appends one -print-matches line per match. Tenant and

@@ -66,9 +66,9 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 
 // PeerStatus is one peer's observed liveness, for /cluster.
 type PeerStatus struct {
-	Name             string    `json:"name"`
+	Name             string    `json:"name" prom:"peer,label"`
 	Addr             string    `json:"addr"`
-	Up               bool      `json:"up"`
+	Up               bool      `json:"up" prom:"cepshed_cluster_peer_up,gauge,1 while the peer answers heartbeats."`
 	Misses           int       `json:"misses,omitempty"`
 	Deaths           int       `json:"deaths,omitempty"`
 	Quarantined      bool      `json:"quarantined,omitempty"`

@@ -447,34 +447,34 @@ func (n *Node) HandlePlacement(w http.ResponseWriter, r *http.Request) {
 // PeerForwardStatus is one link's forwarding counters, for /cluster
 // and the per-peer router_dropped_total metric.
 type PeerForwardStatus struct {
-	Name    string `json:"name"`
+	Name    string `json:"name" prom:"peer,label"`
 	Queue   int    `json:"queue"`
-	Dropped uint64 `json:"dropped"`
+	Dropped uint64 `json:"dropped" prom:"cepshed_cluster_router_dropped_total,counter,Event pairs dropped on one peer link (queue overflow or failed delivery)."`
 	Retries uint64 `json:"retries"`
 }
 
 // Status is the /cluster payload.
 type Status struct {
 	Self      string       `json:"self"`
-	Degraded  bool         `json:"degraded"`
+	Degraded  bool         `json:"degraded" prom:"cepshed_cluster_degraded,gauge,1 while any peer is considered down or quarantined."`
 	Peers     []PeerStatus `json:"peers"`
 	Placement struct {
 		Version   uint64 `json:"version"`
 		Overrides int    `json:"overrides"`
 	} `json:"placement"`
-	ForwardedOut  uint64              `json:"forwarded_out"`
-	ForwardedIn   uint64              `json:"forwarded_in"`
-	ForwardDrop   uint64              `json:"forward_dropped"`
-	Retries       uint64              `json:"forward_retries"`
-	Redirects     uint64              `json:"forward_redirects"`
-	DupBatches    uint64              `json:"dup_batches"`
-	RouterShed    uint64              `json:"router_shed"`
-	HandoffsOut   uint64              `json:"handoffs_out"`
-	HandoffsIn    uint64              `json:"handoffs_in"`
+	ForwardedOut  uint64              `json:"forwarded_out" prom:"cepshed_cluster_forwarded_out_total,counter,Event pairs forwarded to a peer owner."`
+	ForwardedIn   uint64              `json:"forwarded_in" prom:"cepshed_cluster_forwarded_in_total,counter,Event pairs received from peer routers."`
+	ForwardDrop   uint64              `json:"forward_dropped" prom:"cepshed_cluster_forward_dropped_total,counter,Event pairs dropped at the router: queue full, owner down, retries exhausted."`
+	Retries       uint64              `json:"forward_retries" prom:"cepshed_cluster_forward_retries_total,counter,Forward batch re-sends after ambiguous network failures."`
+	Redirects     uint64              `json:"forward_redirects" prom:"cepshed_cluster_forward_redirects_total,counter,Forward batches re-routed after an ownership NACK."`
+	DupBatches    uint64              `json:"dup_batches" prom:"cepshed_cluster_dup_batches_total,counter,Retried forward batches refused by the receiver's dedup window."`
+	RouterShed    uint64              `json:"router_shed" prom:"cepshed_cluster_router_shed_total,counter,Event pairs refused by degraded-mode router admission."`
+	HandoffsOut   uint64              `json:"handoffs_out" prom:"cepshed_cluster_handoffs_out_total,counter,Planned handoffs shipped successfully."`
+	HandoffsIn    uint64              `json:"handoffs_in" prom:"cepshed_cluster_handoffs_in_total,counter,Shard handoffs imported."`
 	HandoffFailed uint64              `json:"handoffs_failed"`
-	Takeovers     uint64              `json:"takeovers"`
+	Takeovers     uint64              `json:"takeovers" prom:"cepshed_cluster_takeovers_total,counter,Slots adopted from dead peers by failover."`
 	Failovers     uint64              `json:"failovers"`
-	InFlight      int64               `json:"handoff_in_flight"`
+	InFlight      int64               `json:"handoff_in_flight" prom:"cepshed_cluster_handoff_in_flight,gauge,Events queued for forwarding plus handoff frames awaiting an ack."`
 	PeerForwards  []PeerForwardStatus `json:"peer_forwards"`
 }
 

@@ -83,14 +83,14 @@ type arbScratch struct {
 
 // TenantLoad is one tenant's slice of an arbiter snapshot.
 type TenantLoad struct {
-	Tenant string `json:"tenant"`
+	Tenant string `json:"tenant" prom:"tenant,label"`
 	// Utilization is the tenant's smoothed CPU-seconds/second;
 	// Share its current fair-share entitlement.
-	Utilization float64 `json:"utilization"`
-	Share       float64 `json:"share"`
+	Utilization float64 `json:"utilization" prom:"cepshed_tenant_utilization,gauge,Smoothed CPU-seconds/second the tenant's queries cost."`
+	Share       float64 `json:"share" prom:"cepshed_tenant_share,gauge,The tenant's current fair-share entitlement."`
 	// Excess is the largest x the arbiter currently sets on any of the
 	// tenant's queries (0: untouched).
-	Excess float64 `json:"excess"`
+	Excess float64 `json:"excess" prom:"cepshed_tenant_excess,gauge,Largest excess fraction x the arbiter sets on the tenant's queries (0: untouched)."`
 	// BudgetCapped reports that fairness asked for a larger x than the
 	// tenant's ShedBudget allows — the tenant is trading latency for
 	// fidelity.
@@ -100,9 +100,9 @@ type TenantLoad struct {
 // ArbiterSnapshot is the arbiter's observable state for /stats.
 type ArbiterSnapshot struct {
 	Enabled     bool         `json:"enabled"`
-	Capacity    float64      `json:"capacity"`
-	Utilization float64      `json:"utilization"`
-	Overloaded  bool         `json:"overloaded"`
+	Capacity    float64      `json:"capacity" prom:"cepshed_arbiter_capacity,gauge,The arbiter's utilization target."`
+	Utilization float64      `json:"utilization" prom:"cepshed_arbiter_utilization,gauge,Total measured utilization across all queries."`
+	Overloaded  bool         `json:"overloaded" prom:"cepshed_arbiter_overloaded,gauge,1 while total utilization exceeds the capacity target."`
 	Ticks       uint64       `json:"ticks"`
 	Tenants     []TenantLoad `json:"tenants,omitempty"`
 }

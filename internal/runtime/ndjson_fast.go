@@ -46,14 +46,14 @@ var (
 // InternStats reports process-wide NDJSON intern-table telemetry.
 type InternStats struct {
 	// Inserts counts first-sighting strings admitted to any table.
-	Inserts uint64 `json:"inserts"`
+	Inserts uint64 `json:"inserts" prom:"cepshed_ndjson_intern_inserts_total,counter,Strings admitted to the NDJSON decoder intern tables."`
 	// Rejects counts strings refused because their table was full —
 	// each one decoded as a fresh allocation. Nonzero means at least one
 	// decoder exceeded the intern capacity (high-cardinality values).
-	Rejects uint64 `json:"rejects"`
+	Rejects uint64 `json:"rejects" prom:"cepshed_ndjson_intern_rejects_total,counter,Strings refused by a full intern table (each decoded as a fresh allocation)."`
 	// HighWater is the largest occupancy any single table reached
 	// (capacity internMaxEntries).
-	HighWater uint64 `json:"high_water"`
+	HighWater uint64 `json:"high_water" prom:"cepshed_ndjson_intern_high_water,gauge,Largest occupancy any single intern table reached."`
 }
 
 // InternTelemetry returns the current counters; safe from any goroutine.
