@@ -58,6 +58,9 @@ func main() {
 		os.Exit(2)
 	}
 	m, err := nfa.Compile(q)
+	if err == nil && *useRT {
+		err = rtime.CheckCountWindow(q, *shards)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ceprun:", err)
 		os.Exit(2)
