@@ -82,10 +82,13 @@ chaos-net:
 fuzz-seeds:
 	$(GO) test -run 'Fuzz' ./internal/runtime ./internal/query ./internal/csvio ./internal/checkpoint ./internal/cluster
 
-# Explore new inputs. Crashers land in testdata/fuzz/ — check them in.
+# Explore new inputs, FUZZTIME per target: the stream decoder, then the
+# line parser against its encoding/json oracle. Crashers land in
+# testdata/fuzz/ — check them in.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeNDJSON -fuzztime $(FUZZTIME) ./internal/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNDJSON$$' -fuzztime $(FUZZTIME) ./internal/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEventFast$$' -fuzztime $(FUZZTIME) ./internal/runtime
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -8,11 +8,13 @@ import (
 )
 
 // FuzzDecodeNDJSON drives arbitrary bytes through the streaming decoder
-// and the single-line parser. Invariants: neither ever panics; the
-// decoder always terminates with io.EOF; every recoverable failure is a
-// *LineError with a positive line number and a bounded, valid-UTF-8-safe
-// payload sample; and every event that does decode re-encodes to a line
-// that parses back to the same type and time.
+// and, line by line, through the parser and its oracle. Invariants:
+// nothing ever panics; the decoder always terminates with io.EOF; every
+// recoverable failure is a *LineError with a positive line number and a
+// bounded, valid-UTF-8-safe payload sample; every event that does decode
+// re-encodes to a line that parses back to the same type and time; and
+// the parser accepts exactly the lines the oracle accepts, decoding them
+// alike.
 //
 // Seeds live in testdata/fuzz/FuzzDecodeNDJSON; `make check` replays
 // them (plus any minimized crashers checked in later) as a regression
@@ -26,6 +28,9 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("x"), 300))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			checkAgainstOracle(t, bytes.TrimRight(line, "\r"))
+		}
 		// Small maxLine so the fuzzer reaches the overlong-line path
 		// without needing megabyte inputs.
 		d := NewLineDecoder(bytes.NewReader(data), 256)
@@ -33,7 +38,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 			e, hasTime, err := d.Next()
 			if err == nil {
 				line := EncodeEvent(e)
-				e2, _, perr := ParseEvent(line)
+				e2, _, perr := parseLine(line, newInternTable())
 				if perr != nil {
 					t.Fatalf("re-encoded event does not parse: %v (line %q)", perr, line)
 				}

@@ -19,91 +19,31 @@ import (
 //
 //	{"type":"A","time":123456,"attrs":{"ID":5,"V":3.5,"user":"u1"}}
 //
-// "time" is the virtual timestamp in nanoseconds and is optional — a
-// server assigns arrival time when absent. Attribute values map onto the
-// event model: JSON integers become Int, other numbers Float, strings
-// Str. Booleans and nested structures are rejected: the event model has
-// no corresponding kinds, and silently coercing them would make
-// predicates fail in confusing ways.
-
-type wireEvent struct {
-	Type  string                     `json:"type"`
-	Time  *int64                     `json:"time,omitempty"`
-	Attrs map[string]json.RawMessage `json:"attrs,omitempty"`
-}
-
-// ParseEvent decodes one NDJSON line into an event. hasTime reports
-// whether the line carried an explicit timestamp; when false the caller
-// must assign one before offering the event to a runtime.
-func ParseEvent(line []byte) (e *event.Event, hasTime bool, err error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	var we wireEvent
-	if err := dec.Decode(&we); err != nil {
-		return nil, false, fmt.Errorf("runtime: bad event line: %w", err)
-	}
-	if we.Type == "" {
-		return nil, false, fmt.Errorf("runtime: event line missing \"type\"")
-	}
-	attrs := make(map[string]event.Value, len(we.Attrs))
-	for name, raw := range we.Attrs {
-		v, err := parseValue(raw)
-		if err != nil {
-			return nil, false, fmt.Errorf("runtime: attr %q: %w", name, err)
-		}
-		attrs[name] = v
-	}
-	var t event.Time
-	if we.Time != nil {
-		t = event.Time(*we.Time)
-	}
-	return event.New(we.Type, t, attrs), we.Time != nil, nil
-}
-
-func parseValue(raw json.RawMessage) (event.Value, error) {
-	s := strings.TrimSpace(string(raw))
-	if s == "" {
-		return event.Value{}, fmt.Errorf("empty value")
-	}
-	if s[0] == '"' {
-		var str string
-		if err := json.Unmarshal(raw, &str); err != nil {
-			return event.Value{}, err
-		}
-		return event.Str(str), nil
-	}
-	// Fast path: a literal that passes the JSON number grammar decodes
-	// directly with strconv, skipping the json.Unmarshal round-trip
-	// through json.Number. Semantics match the slow path exactly: an
-	// integer literal too big for int64 degrades to float, the same
-	// fallback json.Number.Int64 → Float64 takes.
-	if isInt, ok := jsonNumber(s); ok {
-		if isInt {
-			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-				return event.Int(i), nil
-			}
-		}
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return event.Value{}, err
-		}
-		return event.Float(f), nil
-	}
-	// Not a number literal (bool, null, nested, malformed): let
-	// encoding/json produce the error.
-	var num json.Number
-	if err := json.Unmarshal(raw, &num); err != nil {
-		return event.Value{}, fmt.Errorf("unsupported value %s (only numbers and strings)", s)
-	}
-	if i, err := num.Int64(); err == nil {
-		return event.Int(i), nil
-	}
-	f, err := num.Float64()
-	if err != nil {
-		return event.Value{}, err
-	}
-	return event.Float(f), nil
-}
+// A line is one JSON object; bytes after its closing brace are ignored.
+// "type" is a non-empty string and required. "time" is the virtual
+// timestamp in nanoseconds, an integer within int64, and optional — a
+// server assigns arrival time when absent. "attrs" is an object whose
+// values map onto the event model: JSON integers within int64 become
+// Int, other numbers Float, strings Str. Booleans, null, nested
+// structures and numbers beyond float64 are rejected: the event model
+// has no corresponding kinds, and silently coercing them would make
+// predicates fail in confusing ways. Any other key rejects the line.
+//
+// The finer rules are those of encoding/json decoding the line into a
+// struct with DisallowUnknownFields (ParseEvent in ndjson_parse_test.go,
+// the parser's test oracle):
+//   - keys match case-insensitively, by Unicode simple folding: "TYPE",
+//     "Attrs" and "attrſ" (long s) are accepted, "tıme" (dotless i) is
+//     not;
+//   - a repeated "type" or "time" keeps its last value; repeated "attrs"
+//     objects merge, and a repeated attribute name keeps its last value,
+//     so an unsupported value that a later one replaces is no error;
+//   - null is ignored for "type", removes the timestamp for "time", and
+//     empties the attributes read so far for "attrs";
+//   - strings decode escapes and surrogate pairs, and each byte of
+//     invalid UTF-8 becomes U+FFFD;
+//   - numbers follow the JSON grammar: no leading zeros, no "+", no
+//     bare "." — and "time" takes no fraction or exponent, not even 1.0.
 
 // LineError reports one rejected NDJSON line with enough context to
 // debug the producer: the 1-based line number in the stream and a
@@ -208,9 +148,11 @@ func (d *LineDecoder) Line() int { return d.line }
 // Rejected returns how many lines failed to decode.
 func (d *LineDecoder) Rejected() uint64 { return d.rejected }
 
-// Next returns the next event. Blank lines are skipped. At end of input
-// it returns io.EOF (or the reader's error). A *LineError means one bad
-// line was skipped; keep calling Next.
+// Next returns the next event. hasTime reports whether the line carried
+// an explicit timestamp; when false the caller must assign one before
+// offering the event to a runtime. Blank lines are skipped. At end of
+// input it returns io.EOF (or the reader's error). A *LineError means
+// one bad line was skipped; keep calling Next.
 func (d *LineDecoder) Next() (e *event.Event, hasTime bool, err error) {
 	line, err := d.readLine()
 	if err != nil {
@@ -220,10 +162,7 @@ func (d *LineDecoder) Next() (e *event.Event, hasTime bool, err error) {
 		}
 		return nil, false, err
 	}
-	if e, hasTime, ok := parseEventFast(line, &d.in); ok {
-		return e, hasTime, nil
-	}
-	e, hasTime, perr := ParseEvent(line)
+	e, hasTime, perr := parseLine(line, &d.in)
 	if perr != nil {
 		d.rejected++
 		return nil, false, &LineError{Line: d.line, Payload: truncatePayload(line, maxPayloadSample), Err: perr}

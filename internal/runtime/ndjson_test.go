@@ -22,7 +22,8 @@ func TestParseEventRoundTrip(t *testing.T) {
 		"user": event.Str(`x"y`),
 	})
 	line := EncodeEvent(e)
-	got, hasTime, err := ParseEvent(line)
+	checkAgainstOracle(t, line)
+	got, hasTime, err := parseLine(line, newInternTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,9 @@ func TestParseEventRoundTrip(t *testing.T) {
 }
 
 func TestParseEventNoTime(t *testing.T) {
-	got, hasTime, err := ParseEvent([]byte(`{"type":"B","attrs":{"ID":1}}`))
+	line := []byte(`{"type":"B","attrs":{"ID":1}}`)
+	checkAgainstOracle(t, line)
+	got, hasTime, err := parseLine(line, newInternTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +68,8 @@ func TestParseEventErrors(t *testing.T) {
 		`{"type":"A","attrs":{"x":[1]}}`,  // nested attr
 		`{"type":"A","bogus":1}`,          // unknown field
 	} {
-		if _, _, err := ParseEvent([]byte(line)); err == nil {
-			t.Errorf("ParseEvent(%q) succeeded, want error", line)
+		if checkAgainstOracle(t, []byte(line)) {
+			t.Errorf("%q decoded, want an error", line)
 		}
 	}
 }
