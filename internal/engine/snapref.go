@@ -7,9 +7,10 @@ import (
 )
 
 // This file implements by-reference snapshot capture: the O(live) walk
-// that Snapshot() does on the engine thread is split into a cheap
-// capture (collect live-match pointers) and an Encode that may run on a
-// background goroutine while the engine keeps processing events.
+// over the partial-match store is split into a cheap capture (collect
+// live-match pointers) and an Encode that may run on a background
+// goroutine while the engine keeps processing events. Snapshot() runs
+// the same three steps back to back.
 //
 // Why this is safe without copying: a registered partial match is
 // immutable except for its dead flag and the slab lifecycle fields

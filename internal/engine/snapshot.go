@@ -50,69 +50,20 @@ type PMState struct {
 	Kleene       [][]int32 // per state, repetition indices into Events
 }
 
-// Snapshot captures the live partial-match store. The returned state
-// aliases the engine's events (events are immutable) but shares no other
-// structure, so it stays valid across later Process calls.
+// Snapshot captures the live partial-match store synchronously: the
+// same CaptureSnapshot → Encode → Release a periodic background
+// snapshot runs, in one call on the engine's goroutine. Precondition: no
+// capture is in flight — a second capture would replay the first one's
+// parked releases, so Snapshot panics instead. The returned state
+// aliases the engine's events (events are immutable) but shares no
+// other structure, so it stays valid across later Process calls.
 func (en *Engine) Snapshot() *EngineState {
-	st := &EngineState{
-		DeferredNegation: en.DeferredNegation,
-		Stats:            en.stats,
-		NextID:           en.nextID,
+	ref := en.CaptureSnapshot()
+	if ref == nil {
+		panic("engine: Snapshot while a snapshot capture is in flight")
 	}
-	idx := make(map[*event.Event]int32)
-	evIndex := func(e *event.Event) int32 {
-		if i, ok := idx[e]; ok {
-			return i
-		}
-		i := int32(len(st.Events))
-		st.Events = append(st.Events, e)
-		idx[e] = i
-		return i
-	}
-	n := len(en.m.States)
-	for _, pm := range en.pms {
-		if pm.dead {
-			continue
-		}
-		ps := PMState{
-			ID:           pm.id,
-			State:        pm.cur,
-			StartTime:    pm.startTime,
-			StartSeq:     pm.startSeq,
-			Class:        pm.Class,
-			Slice:        pm.Slice,
-			WitnessGuard: -1,
-			Singles:      make([]int32, n),
-			Kleene:       make([][]int32, n),
-		}
-		if p := pm.parent; p != nil {
-			ps.ParentID = p.id
-		}
-		if pm.witnessOf != nil {
-			for gi := range en.m.States[pm.cur].Guards {
-				if &en.m.States[pm.cur].Guards[gi] == pm.witnessOf {
-					ps.WitnessGuard = gi
-					break
-				}
-			}
-		}
-		for s := 0; s < n; s++ {
-			if ev := pm.singles[s]; ev != nil {
-				ps.Singles[s] = evIndex(ev)
-			} else {
-				ps.Singles[s] = -1
-			}
-			if reps := pm.kleene[s]; len(reps) > 0 {
-				rs := make([]int32, len(reps))
-				for j, ev := range reps {
-					rs[j] = evIndex(ev)
-				}
-				ps.Kleene[s] = rs
-			}
-		}
-		st.PMs = append(st.PMs, ps)
-	}
-	return st
+	defer ref.Release()
+	return ref.Encode()
 }
 
 // Restore rebuilds the partial-match store from a snapshot taken by an
