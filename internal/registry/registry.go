@@ -243,10 +243,10 @@ type Registry struct {
 
 	// Edge dead letters: inputs rejected before they were routable
 	// (undecodable lines). Kept registry-side so per-query counters stay
-	// meaningful; persisted into StateDir's root when durable.
-	edgeMu      sync.Mutex
-	edgeLetters []runtime.DeadLetter
-	edgeTotal   uint64
+	// meaningful; persisted into StateDir's root when durable, each save
+	// under edgeMu so two quarantines never share the temp file.
+	edge   runtime.DeadLetterRing
+	edgeMu sync.Mutex
 
 	// disp is the registry-wide disposition ledger: every instance's
 	// ledger feeds it, and Unrouted is counted here directly.
@@ -254,8 +254,6 @@ type Registry struct {
 
 	fanPool sync.Pool // [][]*event.Event scratch for OfferBatch
 }
-
-const edgeLetterCap = 256
 
 // edgeDLQOwner namespaces the edge dead-letter checkpoint's temp file
 // far away from any per-query shard owner.
@@ -287,7 +285,7 @@ func Open(cfg Config) (*Registry, error) {
 		if st, err := checkpoint.LoadDeadLetters(cfg.StateDir); err != nil {
 			g.logf("registry: edge dead-letter checkpoint unreadable, starting empty: %v", err)
 		} else if st != nil {
-			g.seedEdgeLetters(st)
+			g.edge.Seed(st)
 		}
 		var man manifest
 		ok, err := checkpoint.LoadManifest(g.manifestPath(), &man)
@@ -732,55 +730,15 @@ func (g *Registry) Offer(e *event.Event) bool {
 }
 
 // Quarantine records an input rejected before routing (undecodable
-// line) in the registry's edge dead-letter queue, persisted when
-// durable.
+// line) in the registry's edge dead-letter ring, persisted when durable.
 func (g *Registry) Quarantine(reason, payload string) {
-	payload = runtime.ClipPayload(payload)
-	g.edgeMu.Lock()
-	g.edgeTotal++
-	g.edgeLetters = append(g.edgeLetters, runtime.DeadLetter{
-		Shard:   -1,
-		Reason:  reason,
-		Payload: payload,
-	})
-	if len(g.edgeLetters) > edgeLetterCap {
-		g.edgeLetters = g.edgeLetters[len(g.edgeLetters)-edgeLetterCap:]
-	}
-	st := g.edgeState()
-	g.edgeMu.Unlock()
-	if g.durable {
-		if err := checkpoint.SaveDeadLetters(g.cfg.StateDir, edgeDLQOwner, st, g.dur.Fsync); err != nil {
-			g.logf("registry: edge dead-letter checkpoint failed: %v", err)
-		}
-	}
-}
-
-func (g *Registry) edgeState() *checkpoint.DeadLetterState {
-	st := &checkpoint.DeadLetterState{Total: g.edgeTotal}
-	for _, dl := range g.edgeLetters {
-		st.Letters = append(st.Letters, checkpoint.DeadLetterRecord{
-			Shard:   dl.Shard,
-			Seq:     dl.Seq,
-			Type:    dl.Type,
-			Reason:  dl.Reason,
-			Payload: dl.Payload,
-		})
-	}
-	return st
-}
-
-func (g *Registry) seedEdgeLetters(st *checkpoint.DeadLetterState) {
 	g.edgeMu.Lock()
 	defer g.edgeMu.Unlock()
-	g.edgeTotal = st.Total
-	for _, dl := range st.Letters {
-		g.edgeLetters = append(g.edgeLetters, runtime.DeadLetter{
-			Shard:   dl.Shard,
-			Seq:     dl.Seq,
-			Type:    dl.Type,
-			Reason:  dl.Reason,
-			Payload: dl.Payload,
-		})
+	g.edge.Add(runtime.DeadLetter{Shard: -1, Reason: reason, Payload: runtime.ClipPayload(payload)})
+	if g.durable {
+		if err := checkpoint.SaveDeadLetters(g.cfg.StateDir, edgeDLQOwner, g.edge.State(), g.dur.Fsync); err != nil {
+			g.logf("registry: edge dead-letter checkpoint failed: %v", err)
+		}
 	}
 }
 
@@ -788,11 +746,9 @@ func (g *Registry) seedEdgeLetters(st *checkpoint.DeadLetterState) {
 // retained letters, each annotated with its owner.
 func (g *Registry) DeadLetters() []DeadLetter {
 	var out []DeadLetter
-	g.edgeMu.Lock()
-	for _, dl := range g.edgeLetters {
+	for _, dl := range g.edge.Letters() {
 		out = append(out, DeadLetter{DeadLetter: dl})
 	}
-	g.edgeMu.Unlock()
 	for _, in := range g.instances() {
 		for _, dl := range in.rt.DeadLetters() {
 			out = append(out, DeadLetter{
@@ -975,9 +931,7 @@ func (g *Registry) Snapshot() Snapshot {
 			first = false
 		}
 	}
-	g.edgeMu.Lock()
-	s.EdgeQuarantined = g.edgeTotal
-	g.edgeMu.Unlock()
+	s.EdgeQuarantined = g.edge.Total()
 	s.Quarantined += s.EdgeQuarantined
 	d := g.disp.Counts()
 	s.AdmissionRejected, s.Unrouted = d[shed.Rejected], d[shed.Unrouted]

@@ -473,6 +473,40 @@ func TestQuarantineEdgeLetters(t *testing.T) {
 	if got := g2.Snapshot().EdgeQuarantined; got != 4 {
 		t.Fatalf("edge quarantine lost across restart: %d", got)
 	}
+	if letters := g2.DeadLetters(); len(letters) != 4 || letters[0].Shard != -1 || letters[0].Reason != "decode error" {
+		t.Fatalf("edge letters after restart = %+v", letters)
+	}
+}
+
+// Quarantines from concurrent connections must leave the newest ring on
+// disk: each save happens under the registry's lock, so neither a stale
+// image nor two writers sharing the temp file can win.
+func TestQuarantineEdgeLettersConcurrent(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), Arbiter: ArbiterConfig{Disabled: true}}
+	g, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				g.Quarantine("decode error", strings.Repeat("x", i))
+			}
+		}()
+	}
+	wg.Wait()
+	g.Close()
+	g2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if got := g2.Snapshot().EdgeQuarantined; got != 200 {
+		t.Fatalf("edge quarantines after restart = %d, want 200", got)
+	}
 }
 
 // TestArbiterFairShares checks the water-filling entitlement math in

@@ -164,10 +164,6 @@ type Config struct {
 	// Restart tunes the shard supervisor's backoff and circuit breaker;
 	// zero value: defaults (see RestartPolicy).
 	Restart RestartPolicy
-	// DeadLetterCap is how many recent dead letters are retained for
-	// DeadLetters() (default 256). The total count is unbounded and
-	// monotone.
-	DeadLetterCap int
 	// BeforeProcess, when set, runs on the worker servicing the shard,
 	// after ρI admission and immediately before the engine processes the
 	// event.
@@ -200,9 +196,6 @@ func (c Config) withDefaults() Config {
 	if c.Costs == (engine.Costs{}) {
 		c.Costs = engine.DefaultCosts()
 	}
-	if c.DeadLetterCap <= 0 {
-		c.DeadLetterCap = 256
-	}
 	c.Restart = c.Restart.withDefaults()
 	return c
 }
@@ -223,8 +216,7 @@ type Runtime struct {
 	wake    chan struct{}
 	steals  atomic.Uint64
 
-	dlq               *deadLetters
-	dlqEdgeMu         sync.Mutex // serializes Quarantine's shared-owner DLQ saves
+	dlq               DeadLetterRing
 	level             atomic.Int32
 	admissionRejected atomic.Uint64
 	x                 excess // shared by every shard; see tighten
@@ -259,7 +251,6 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 	r := &Runtime{
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
-		dlq:    newDeadLetters(cfg.DeadLetterCap),
 		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
 	}
 	r.workers = cfg.Workers
@@ -276,7 +267,7 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 		if st, err := checkpoint.LoadDeadLetters(dur.Dir); err != nil {
 			r.logf("runtime: dead-letter checkpoint unreadable, starting empty: %v", err)
 		} else {
-			r.dlq.seed(st)
+			r.dlq.Seed(st)
 		}
 		r.recoverWG.Add(cfg.Shards)
 	}
@@ -306,7 +297,7 @@ func New(m *nfa.Machine, cfg Config) *Runtime {
 			}
 			owner := i
 			sh.recoverDone = r.recoverWG.Done
-			sh.saveDLQ = func() { r.saveDeadLetters(dur, owner) }
+			sh.saveDLQ = func() { r.saveDeadLetters(owner) }
 		}
 		sh.wakeFn = r.wakeOne
 		r.shards = append(r.shards, sh)
@@ -420,27 +411,21 @@ func (r *Runtime) Kill() {
 	r.Close()
 }
 
-// saveDeadLetters checkpoints the runtime-wide dead-letter queue. Every
-// durable shard calls it after its own snapshot (owner keeps their temp
-// files from colliding); last writer wins, which is fine — the queue is
-// shared state and any recent copy serves the postmortem.
-func (r *Runtime) saveDeadLetters(dur checkpoint.Config, owner int) {
-	if err := checkpoint.SaveDeadLetters(dur.Dir, owner, r.dlq.state(), dur.Fsync); err != nil {
-		r.logf("runtime: dead-letter checkpoint failed: %v", err)
-	}
-}
-
-// persistDeadLetters checkpoints the queue right away, outside the
-// snapshot cadence. Quarantines are rare and each letter is exactly the
-// record a postmortem needs, so the queue is made durable on write — a
-// SIGKILL right after a poison event must not lose the evidence. owner
-// only namespaces the temp file; callers on distinct goroutines must
-// pass distinct values.
-func (r *Runtime) persistDeadLetters(owner int) {
+// saveDeadLetters checkpoints the runtime-wide dead-letter ring when
+// durable. Every durable shard calls it after its own snapshot, and a
+// shard's quarantine right away: quarantines are rare and each letter is
+// exactly the record a postmortem needs, so a SIGKILL right after a
+// poison event must not lose the evidence. Last writer wins, which is
+// fine — the ring is shared state and any recent copy serves the
+// postmortem. owner only namespaces the temp file; callers on distinct
+// goroutines must pass distinct values.
+func (r *Runtime) saveDeadLetters(owner int) {
 	if r.dur == nil {
 		return
 	}
-	r.saveDeadLetters(*r.dur, owner)
+	if err := checkpoint.SaveDeadLetters(r.dur.Dir, owner, r.dlq.State(), r.dur.Fsync); err != nil {
+		r.logf("runtime: dead-letter checkpoint failed: %v", err)
+	}
 }
 
 // NumShards returns the shard count.
@@ -645,27 +630,10 @@ func (r *Runtime) SetExcess(x float64) { r.x.arbiter.set(min(max(x, 0), MaxExces
 // arbiter's and the ladder's.
 func (r *Runtime) Excess() float64 { return r.x.load() }
 
-// Quarantine records an input that was rejected before it became a
-// runtime event — typically an undecodable NDJSON line — in the
-// dead-letter queue (Shard = -1). payload is bounded by ClipPayload, so
-// a LineError.Payload is stored as the decoder rendered it.
-func (r *Runtime) Quarantine(reason, payload string) {
-	r.dlq.add(DeadLetter{
-		Shard:   -1,
-		Reason:  reason,
-		Payload: ClipPayload(payload),
-	})
-	// len(r.shards) as owner: an id no shard worker uses, so edge-side
-	// quarantines never collide with a shard's snapshot-time save.
-	r.dlqEdgeMu.Lock()
-	r.persistDeadLetters(len(r.shards))
-	r.dlqEdgeMu.Unlock()
-}
-
 // DeadLetters returns a copy of the retained dead letters, oldest first.
-// The retention window is Config.DeadLetterCap; Snapshot.Quarantined
-// counts every dead letter ever recorded.
-func (r *Runtime) DeadLetters() []DeadLetter { return r.dlq.letters() }
+// The ring keeps the latest 256; Snapshot.Quarantined counts every
+// dead letter ever recorded.
+func (r *Runtime) DeadLetters() []DeadLetter { return r.dlq.Letters() }
 
 // shardFor resolves the shard an offer goes to: slot, or for slot < 0
 // the one the event's key hashes to; the next healthy shard when that
@@ -837,9 +805,8 @@ type Snapshot struct {
 	BusyNs          int64  `json:"busy_ns"`
 
 	// Robustness counters. Restarts sums supervisor restarts across
-	// shards; Quarantined counts every dead letter ever recorded
-	// (including pre-runtime rejections fed through Quarantine, which no
-	// per-shard counter covers); AdmissionRejected counts offers refused
+	// shards; Quarantined counts every dead letter ever recorded (the
+	// dead-letter ring's total); AdmissionRejected counts offers refused
 	// at the door: by the degradation ladder (levels 2–3), for want of a
 	// healthy shard, or after Close.
 	DegradationLevel  int    `json:"degradation_level" prom:"cepshed_degradation_level"`
@@ -849,9 +816,9 @@ type Snapshot struct {
 	FailedShards      int    `json:"failed_shards"`
 	// ExportedShards counts slots frozen by shard migration (state handed
 	// to another node); ShardQuarantined sums the per-shard quarantine
-	// counters — unlike Quarantined (the dead-letter total, which also
-	// counts pre-runtime rejections) it is the exact term of the per-node
-	// conservation identity events_in == shed + processed + quarantined.
+	// counters — unlike Quarantined (the dead-letter total) it is the
+	// exact term of the per-node conservation identity events_in == shed
+	// + processed + quarantined.
 	ExportedShards   int    `json:"exported_shards,omitempty"`
 	ShardQuarantined uint64 `json:"shard_quarantined"`
 
@@ -960,7 +927,7 @@ func (r *Runtime) Snapshot() Snapshot {
 		s.IndexPruned += ss.IndexPruned
 	}
 	s.DegradationLevel = r.DegradationLevel()
-	s.Quarantined = r.dlq.count()
+	s.Quarantined = r.dlq.Total()
 	s.AdmissionRejected = r.admissionRejected.Load()
 	if s.EventsIn > 0 {
 		s.InputShedRatio = float64(s.EventsShed) / float64(s.EventsIn)

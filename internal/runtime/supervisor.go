@@ -101,95 +101,80 @@ type DeadLetter struct {
 	Payload string `json:"payload"` // truncated rendering of the input
 }
 
-// deadLetters is a bounded ring of the most recent dead letters plus a
-// monotone total. Quarantining must never block or grow without bound —
-// the queue exists for postmortems, not durability.
-type deadLetters struct {
-	mu    sync.Mutex
-	buf   []DeadLetter
-	next  int
-	full  bool
-	total uint64
+// deadLetterCap is how many recent dead letters a DeadLetterRing
+// retains unless told otherwise.
+const deadLetterCap = 256
+
+// DeadLetterRing keeps the most recent dead letters plus a monotone
+// total: a runtime keeps one for its shards' quarantines, a registry one
+// for the lines it rejects before routing. Quarantining must never
+// block or grow without bound — the ring exists for postmortems, not
+// durability. The zero value is ready to use and safe from any
+// goroutine.
+type DeadLetterRing struct {
+	mu      sync.Mutex
+	limit   int // letters retained; 0 means deadLetterCap
+	letters []DeadLetter
+	total   uint64
 }
 
-func newDeadLetters(capacity int) *deadLetters {
-	if capacity <= 0 {
-		capacity = 256
+// keep retains the newest letters of ls, oldest first. The caller holds
+// q.mu.
+func (q *DeadLetterRing) keep(ls []DeadLetter) {
+	n := q.limit
+	if n == 0 {
+		n = deadLetterCap
 	}
-	return &deadLetters{buf: make([]DeadLetter, capacity)}
+	q.letters = ls[max(len(ls)-n, 0):]
 }
 
-func (q *deadLetters) add(dl DeadLetter) {
+// Add records one dead letter.
+func (q *DeadLetterRing) Add(dl DeadLetter) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.total++
-	q.buf[q.next] = dl
-	q.next++
-	if q.next == len(q.buf) {
-		q.next, q.full = 0, true
-	}
+	q.keep(append(q.letters, dl))
 }
 
-// letters returns a copy, oldest first.
-func (q *deadLetters) letters() []DeadLetter {
+// Letters returns a copy of the retained letters, oldest first.
+func (q *DeadLetterRing) Letters() []DeadLetter {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []DeadLetter
-	if q.full {
-		out = append(out, q.buf[q.next:]...)
-	}
-	out = append(out, q.buf[:q.next]...)
-	return out
+	return append([]DeadLetter(nil), q.letters...)
 }
 
-func (q *deadLetters) count() uint64 {
+// Total counts every letter ever added, retained or not.
+func (q *DeadLetterRing) Total() uint64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.total
 }
 
-// seed restores the queue from a checkpointed state at boot: the monotone
-// total resumes and the ring refills with the retained letters (clamped
-// to capacity, newest kept) WITHOUT re-counting them.
-func (q *deadLetters) seed(st *checkpoint.DeadLetterState) {
+// Seed restores the ring from a checkpointed state at boot: the
+// monotone total resumes and the ring refills with the retained letters
+// WITHOUT re-counting them.
+func (q *DeadLetterRing) Seed(st *checkpoint.DeadLetterState) {
 	if st == nil {
 		return
+	}
+	ls := make([]DeadLetter, 0, len(st.Letters))
+	for _, l := range st.Letters {
+		ls = append(ls, DeadLetter(l))
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.total = st.Total
-	q.next, q.full = 0, false
-	letters := st.Letters
-	if len(letters) > len(q.buf) {
-		letters = letters[len(letters)-len(q.buf):]
-	}
-	for _, l := range letters {
-		q.buf[q.next] = DeadLetter{Shard: l.Shard, Seq: l.Seq, Type: l.Type, Reason: l.Reason, Payload: l.Payload}
-		q.next++
-		if q.next == len(q.buf) {
-			q.next, q.full = 0, true
-		}
-	}
+	q.keep(ls)
 }
 
-// state freezes the queue for checkpointing: total plus the retained
+// State freezes the ring for checkpointing: total plus the retained
 // letters, oldest first, under one lock acquisition.
-func (q *deadLetters) state() *checkpoint.DeadLetterState {
+func (q *DeadLetterRing) State() *checkpoint.DeadLetterState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := &checkpoint.DeadLetterState{Total: q.total}
-	emit := func(dl DeadLetter) {
-		st.Letters = append(st.Letters, checkpoint.DeadLetterRecord{
-			Shard: dl.Shard, Seq: dl.Seq, Type: dl.Type, Reason: dl.Reason, Payload: dl.Payload,
-		})
-	}
-	if q.full {
-		for _, dl := range q.buf[q.next:] {
-			emit(dl)
-		}
-	}
-	for _, dl := range q.buf[:q.next] {
-		emit(dl)
+	for _, dl := range q.letters {
+		st.Letters = append(st.Letters, checkpoint.DeadLetterRecord(dl))
 	}
 	return st
 }
@@ -380,7 +365,7 @@ func (s *shard) quarantine(r *Runtime, it item, reason string, count bool) {
 	if count {
 		s.quarantined.Add(1)
 	}
-	r.dlq.add(DeadLetter{
+	r.dlq.Add(DeadLetter{
 		Shard:   s.id,
 		Seq:     it.e.Seq,
 		Type:    it.e.Type,
@@ -391,7 +376,7 @@ func (s *shard) quarantine(r *Runtime, it item, reason string, count bool) {
 	// process dies during the restart backoff, the postmortem record of
 	// WHY it was crashing must already be on disk. Runs on this shard's
 	// worker goroutine, so s.id cannot collide with a snapshot-time save.
-	r.persistDeadLetters(s.id)
+	r.saveDeadLetters(s.id)
 }
 
 // rebuild replaces the engine and strategy with fresh instances. The

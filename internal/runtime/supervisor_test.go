@@ -157,21 +157,32 @@ func TestAllShardsFailedRejectsOffers(t *testing.T) {
 	r.Close()
 }
 
-// The dead-letter queue must retain only the most recent DeadLetterCap
-// entries while the total count keeps the full tally.
+// The dead-letter ring must retain only its most recent letters, oldest
+// first, while the total keeps the full tally; a seed larger than the
+// ring keeps the newest letters and the total without re-counting.
 func TestDeadLetterRetentionBound(t *testing.T) {
-	m := nfa.MustCompile(query.Q1("8ms"))
-	r := New(m, Config{Shards: 1, DeadLetterCap: 8})
+	q := &DeadLetterRing{limit: 8}
 	for i := 0; i < 20; i++ {
-		r.Quarantine("bad line", "payload")
+		q.Add(DeadLetter{Shard: -1, Seq: uint64(i), Reason: "bad line"})
 	}
-	if got := r.Snapshot().Quarantined; got != 20 {
-		t.Errorf("Quarantined = %d, want 20", got)
+	if got := q.Total(); got != 20 {
+		t.Errorf("Total = %d, want 20", got)
 	}
-	if got := len(r.DeadLetters()); got != 8 {
-		t.Errorf("retained %d dead letters, want 8", got)
+	if l := q.Letters(); len(l) != 8 || l[0].Seq != 12 || l[7].Seq != 19 {
+		t.Errorf("retained %+v, want seqs 12..19", l)
 	}
-	r.Close()
+	small := &DeadLetterRing{limit: 4}
+	small.Seed(q.State())
+	if l := small.Letters(); small.Total() != 20 || len(l) != 4 || l[0].Seq != 16 || l[3].Seq != 19 {
+		t.Errorf("seeded ring: total %d, letters %+v; want 20 and seqs 16..19", small.Total(), l)
+	}
+	var zero DeadLetterRing
+	for i := 0; i < deadLetterCap+10; i++ {
+		zero.Add(DeadLetter{Seq: uint64(i)})
+	}
+	if got := len(zero.Letters()); got != deadLetterCap {
+		t.Errorf("zero ring retained %d letters, want %d", got, deadLetterCap)
+	}
 }
 
 // A panicking strategy factory during rebuild must fail the shard, not
