@@ -43,8 +43,8 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	var enc Encoder
 	wal := putHeader(nil, walMagic, fuzzFP)
 	wal = appendFrame(wal, RecEvent, encodeEventRecord(&enc, s[0]))
-	wal = appendFrame(wal, RecMatch, encodeMatchRecord(&enc, 7, "0,3,7"))
-	wal = appendFrame(wal, RecSkip, encodeSkipRecord(&enc, 9))
+	wal = appendFrame(wal, RecMatch, encodeMatchRecord(&enc, Tag{}, 7, "0,3,7"))
+	wal = appendFrame(wal, RecSkip, encodeSkipRecord(&enc, Tag{}, 9))
 
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/3] ^= 0x20

@@ -44,8 +44,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	var enc Encoder
 	wal := putHeader(nil, walMagic, fuzzFP)
 	wal = appendFrame(wal, RecEvent, encodeEventRecord(&enc, s[0]))
-	wal = appendFrame(wal, RecMatch, encodeMatchRecord(&enc, 7, "0,3,7"))
-	wal = appendFrame(wal, RecSkip, encodeSkipRecord(&enc, 9))
+	wal = appendFrame(wal, RecMatch, encodeMatchRecord(&enc, Tag{}, 7, "0,3,7"))
+	wal = appendFrame(wal, RecSkip, encodeSkipRecord(&enc, Tag{}, 9))
 	f.Add(wal)
 	f.Add(append([]byte(nil), wal[:len(wal)-5]...))
 

@@ -54,9 +54,9 @@ func EncodeHandoff(h *Handoff, fp uint64) []byte {
 		case RecEvent:
 			e.Blob(encodeEventRecord(&rec, r.Event))
 		case RecMatch:
-			e.Blob(encodeMatchRecord(&rec, r.Seq, r.Key))
+			e.Blob(encodeMatchRecord(&rec, r.Tag, r.Seq, r.Key))
 		case RecSkip:
-			e.Blob(encodeSkipRecord(&rec, r.Seq))
+			e.Blob(encodeSkipRecord(&rec, r.Tag, r.Seq))
 		}
 	}
 	body := e.Bytes()

@@ -375,12 +375,7 @@ func (n *Node) takeover(in *registry.Instance, dead NodeSpec, slot int) error {
 	var dir string
 	if dead.StateDir != "" {
 		dir = filepath.Join(dead.StateDir, in.StateDirName())
-		store, err := checkpoint.NewShardStore(checkpoint.Config{Dir: dir}, slot, in.Runtime().Fingerprint())
-		if err != nil {
-			return fmt.Errorf("open dead store: %w", err)
-		}
-		res, err := store.Load()
-		store.Abort() // read-only use: close the WAL without writing
+		res, err := in.ReadSlot(dead.StateDir, slot)
 		if err != nil {
 			return fmt.Errorf("load dead store: %w", err)
 		}

@@ -767,3 +767,18 @@ func TestCountWindowNeedsOneShard(t *testing.T) {
 	}
 	mustAdd(t, g, QuerySpec{Tenant: "t", Name: "one", Query: text, Shards: 1})
 }
+
+// keys returns the query's delivered match keys, sorted, and how many
+// were delivered more than once.
+func (c *collector) keys(id string) (keys []string, dups int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, n := range c.seen[id] {
+		keys = append(keys, k)
+		if n > 1 {
+			dups++
+		}
+	}
+	sort.Strings(keys)
+	return keys, dups
+}

@@ -289,6 +289,9 @@ func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 	s.booted.Store(true)
 	s.signalRecovered()
 	s.settleSnapshot(false)
+	if s.covWant.Load() {
+		s.coverIdle()
+	}
 	if len(s.rem) > 0 {
 		s.consumeRemainder()
 		worked = true
