@@ -189,7 +189,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 
 	// Truncate the file at every byte boundary: each prefix must decode to
 	// a (possibly torn) prefix of the records without error or panic.
-	data, err := os.ReadFile(filepath.Join(dir, "shard-000.wal"))
+	data, err := os.ReadFile(filepath.Join(dir, "shard-000-00000001.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestOpenWALTruncatesTornTail(t *testing.T) {
 	}
 
 	// Tear the tail: chop 3 bytes off the final frame (the m-old match).
-	path := filepath.Join(dir, "shard-000.wal")
+	path := filepath.Join(dir, "shard-000-00000001.wal")
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
