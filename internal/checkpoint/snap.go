@@ -32,7 +32,10 @@ const (
 	// and dead-letter files. Bump on any incompatible encoding change.
 	// v2: ShardState gained HasSeq (LastSeq alone cannot express "no
 	// events yet" — sequence numbers start at 0).
-	FormatVersion = 2
+	// v3: one input log per stream — M and Q payloads start with their
+	// (query, shard) tag, T and R records are new, and the per-shard
+	// shard-NNN.wal files are gone (Log.Store removes leftovers).
+	FormatVersion = 3
 
 	headerLen = 8 + 2 + 8         // magic + version + fingerprint
 	frameLen  = headerLen + 4 + 4 // + bodyLen + bodyCRC
@@ -83,7 +86,7 @@ type ShardState struct {
 	// floor that filters seq 0.
 	HasSeq   bool
 	LastTime int64 // its virtual time
-	TakenNs  int64  // wall clock (UnixNano) at snapshot time
+	TakenNs  int64 // wall clock (UnixNano) at snapshot time
 	Counters Counters
 	// StrategyName + Strategy carry the shedding strategy's opaque state
 	// (shed.DurableStrategy); restored only when the running strategy has

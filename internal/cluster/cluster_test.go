@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cepshed/internal/checkpoint"
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
 	"cepshed/internal/registry"
@@ -564,5 +566,94 @@ func TestClusterFailoverExactlyOnce(t *testing.T) {
 	waitMatches(t, col, len(ids))
 	if total, dups := col.counts(); total != len(ids) || dups != 0 {
 		t.Errorf("matches = %d (dups %d), want %d/0 — failover must not lose or duplicate", total, dups, len(ids))
+	}
+}
+
+// TestRouterLogsEachLocalEventOnce routes one batch through a durable
+// two-node cluster serving two queries. The ingest node's input log
+// must hold one untagged E record per event with a local pair, however
+// many it has, plus an R record for each subscribed query whose pair
+// went to the peer, and no tagged records; the peer logs each forward
+// it received as a (query, slot)-tagged T record.
+func TestRouterLogsEachLocalEventOnce(t *testing.T) {
+	col := newMatchCollector()
+	nodes := newTestCluster(t, []string{"n1", "n2"}, 4, col, slowDetector())
+	ins := map[string][]*registry.Instance{}
+	for name, tn := range nodes {
+		in, err := tn.reg.Add(registry.QuerySpec{Tenant: "t1", Name: "ab", Query: `PATTERN SEQ(A a, B b) WHERE a.ID = b.ID WITHIN 8ms`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.WaitReady()
+		ins[name] = []*registry.Instance{tn.in, in}
+	}
+	ingest, peer := nodes["n1"], nodes["n2"]
+	var ids []int64
+	for id := int64(0); id < 40; id++ {
+		ids = append(ids, id)
+	}
+	batch := abcEvents(ids, "A", "B", "C")
+	ingest.node.OfferBatch(batch)
+	for deadline := time.Now().Add(30 * time.Second); ingest.node.inFlight.Load() != 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("forwards never drained")
+		}
+	}
+	drainQueues(t, ingest, peer)
+
+	var wantE, wantR, wantT int
+	for _, item := range batch {
+		local, away := 0, 0
+		for _, in := range ins["n1"] {
+			if in.Spec().Name == "ab" && item.E.Type == "C" {
+				continue
+			}
+			if owner, _ := ingest.node.Placement().Owner(in.Fingerprint(), in.ShardSlot(item.E)); owner == "n1" {
+				local++
+			} else {
+				away++
+			}
+		}
+		wantT += away
+		if local > 0 {
+			wantE++
+			wantR += away
+		}
+	}
+	ingest.kill()
+	peer.kill()
+	count := func(tn *tcNode) map[byte]int {
+		n := map[byte]int{}
+		var segs []string
+		for _, spec := range tn.top.Nodes {
+			if spec.Name == tn.name {
+				segs, _ = filepath.Glob(filepath.Join(spec.StateDir, "log", "log-*.wal"))
+			}
+		}
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := checkpoint.DecodeWAL(data, checkpoint.Fingerprint("registry", "input-log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				n[r.Kind]++
+			}
+		}
+		return n
+	}
+	got := count(ingest)
+	if got[checkpoint.RecEvent] != wantE || got[checkpoint.RecRefused] != wantR || got[checkpoint.RecTagged] != 0 {
+		t.Fatalf("ingest log: %d E, %d R, %d T records; want %d E, %d R, 0 T",
+			got[checkpoint.RecEvent], got[checkpoint.RecRefused], got[checkpoint.RecTagged], wantE, wantR)
+	}
+	if got := count(peer); got[checkpoint.RecTagged] != wantT || got[checkpoint.RecEvent] != 0 {
+		t.Fatalf("peer log: %d T, %d E records; want %d T for the forwarded pairs, 0 E", got[checkpoint.RecTagged], got[checkpoint.RecEvent], wantT)
+	}
+	if wantE == 0 || wantR == 0 || wantT == 0 {
+		t.Fatalf("placement left a case unexercised: %d E, %d R, %d T", wantE, wantR, wantT)
 	}
 }

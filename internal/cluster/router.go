@@ -38,12 +38,6 @@ type RouteResult struct {
 	ShedPairs int
 }
 
-type localGroup struct {
-	in   *registry.Instance
-	slot int
-	evs  []*event.Event
-}
-
 // maxRedirects bounds how many times one forward batch may re-route
 // after ownership NACKs before it is dropped (counted): placement
 // views converge by gossip, so a batch still bouncing after this many
@@ -65,7 +59,8 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 		return res
 	}
 	fill := -1.0
-	var groups []localGroup
+	var groups []registry.Share
+	var local []*event.Event // events with a local pair, in batch order
 	for _, item := range batch {
 		e := item.E
 		if !item.HasTime {
@@ -91,19 +86,20 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 				if !stamped {
 					n.cfg.StampSeq(e)
 					stamped = true
+					local = append(local, e)
 				}
 				gi := -1
 				for i := range groups {
-					if groups[i].in == in && groups[i].slot == slot {
+					if groups[i].In == in && groups[i].Slot == slot {
 						gi = i
 						break
 					}
 				}
 				if gi < 0 {
-					groups = append(groups, localGroup{in: in, slot: slot})
+					groups = append(groups, registry.Share{In: in, Slot: slot})
 					gi = len(groups) - 1
 				}
-				groups[gi].evs = append(groups[gi].evs, e)
+				groups[gi].Events = append(groups[gi].Events, e)
 				return
 			}
 			pl, ok := n.peer(owner)
@@ -135,9 +131,7 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 			res.Unrouted++
 		}
 	}
-	for i := range groups {
-		res.Add(groups[i].in.OfferSlot(groups[i].slot, groups[i].evs))
-	}
+	res.Add(n.reg.OfferShares(groups, local))
 	return res
 }
 
