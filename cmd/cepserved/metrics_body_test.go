@@ -37,8 +37,9 @@ func metricsFixture() (registry.Snapshot, runtime.InternStats, cluster.Status) {
 					EventsIn:        next(),
 					EventsShed:      next(),
 					EventsProcessed: next(),
-					Overflow:        next(),
-					Matches:         next(),
+					// The value a retired counter took here is skipped,
+					// so every later one stays what the golden pins.
+					Matches:         func() uint64 { next(); return next() }(),
 					LivePMs:         int64(next()),
 					CreatedPMs:      next(),
 					DroppedPMs:      next(),

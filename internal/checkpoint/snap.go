@@ -64,7 +64,6 @@ type Counters struct {
 	EventsIn    uint64
 	EventsShed  uint64
 	Processed   uint64
-	Overflow    uint64
 	Matched     uint64
 	Restarts    uint64
 	Quarantined uint64
@@ -170,7 +169,7 @@ func encodeShardBody(e *Encoder, st *ShardState) {
 	e.Uvarint(c.EventsIn)
 	e.Uvarint(c.EventsShed)
 	e.Uvarint(c.Processed)
-	e.Uvarint(c.Overflow)
+	e.Uvarint(0) // a retired counter's slot: written as 0, ignored on read
 	e.Uvarint(c.Matched)
 	e.Uvarint(c.Restarts)
 	e.Uvarint(c.Quarantined)
@@ -192,7 +191,7 @@ func decodeShardBody(d *Decoder) *ShardState {
 	c.EventsIn = d.Uvarint()
 	c.EventsShed = d.Uvarint()
 	c.Processed = d.Uvarint()
-	c.Overflow = d.Uvarint()
+	d.Uvarint() // the retired counter's slot
 	c.Matched = d.Uvarint()
 	c.Restarts = d.Uvarint()
 	c.Quarantined = d.Uvarint()

@@ -129,7 +129,7 @@ func parityStream() []*event.Event {
 	return s
 }
 
-// The same stream, one event per call, through each of the six ways an
+// The same stream, one event per call, through each of the four ways an
 // (event, query) pair can reach a shard queue — starting at ladder level
 // normal and filling the queue through admission into reject, with a
 // failed shard and a recovery floor — must end in the same
@@ -137,7 +137,7 @@ func parityStream() []*event.Event {
 // flips a coin, so the counts are exact: 10 pairs below the floor, then
 // deliveries until the queued events reach the reject mark (61 of 64,
 // 17 past the prefill; level 2 tightens the bound, it refuses nothing),
-// then rejections. The four runtime entry points know nothing of floors,
+// then rejections. The two runtime entry points know nothing of floors,
 // so for them the test runs the registry's admit itself, as OfferSlot
 // does.
 func TestEntryPointParity(t *testing.T) {
@@ -149,13 +149,13 @@ func TestEntryPointParity(t *testing.T) {
 			t[shed.Rejected]++
 		}
 	}
-	viaRuntime := func(offer func(rt *runtime.Runtime, in *Instance, e *event.Event) bool) func(*parityRig, *event.Event, *tally) {
+	viaRuntime := func(offer func(rt *runtime.Runtime, e *event.Event) bool) func(*parityRig, *event.Event, *tally) {
 		return func(r *parityRig, e *event.Event, t *tally) {
 			if d := r.in.admit(e); d != shed.Delivered {
 				t[d]++
 				return
 			}
-			door(t, offer(r.in.Runtime(), r.in, e))
+			door(t, offer(r.in.Runtime(), e))
 		}
 	}
 	viaRegistry := func(offer func(r *parityRig, e *event.Event) OfferResult) func(*parityRig, *event.Event, *tally) {
@@ -171,13 +171,9 @@ func TestEntryPointParity(t *testing.T) {
 		offer    func(*parityRig, *event.Event, *tally)
 		ledgered bool // the entry point goes through the instance's ledger
 	}{
-		{"Offer", viaRuntime(func(rt *runtime.Runtime, _ *Instance, e *event.Event) bool { return rt.Offer(e) }), false},
-		{"TryOffer", viaRuntime(func(rt *runtime.Runtime, _ *Instance, e *event.Event) bool { return rt.TryOffer(e) }), false},
-		{"OfferBatch", viaRuntime(func(rt *runtime.Runtime, _ *Instance, e *event.Event) bool {
+		{"Offer", viaRuntime(func(rt *runtime.Runtime, e *event.Event) bool { return rt.Offer(e) }), false},
+		{"OfferBatch", viaRuntime(func(rt *runtime.Runtime, e *event.Event) bool {
 			return rt.OfferBatch([]*event.Event{e}) == 1
-		}), false},
-		{"OfferBatchToShard", viaRuntime(func(rt *runtime.Runtime, in *Instance, e *event.Event) bool {
-			return rt.OfferBatchToShard(in.ShardSlot(e), []*event.Event{e}) == 1
 		}), false},
 		{"Registry.OfferBatch", viaRegistry(func(r *parityRig, e *event.Event) OfferResult {
 			return r.g.OfferBatch([]*event.Event{e})

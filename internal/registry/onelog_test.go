@@ -329,27 +329,40 @@ func TestSlotIdleDoesNotPinLog(t *testing.T) {
 	t.Fatalf("log keeps %d of %d segments; the idle slot pins it", segs, len(s)/50)
 }
 
-// TestBackpressureStaysWithItsQuery parks a durable registry's "slow"
-// query so that its shard queue fills and a producer of its events
-// blocks. A producer of events only "fast" subscribes to, and a Remove,
-// must still go through: the input log's ordering lock is not held
-// while a producer waits for queue space.
+// TestBackpressureStaysWithItsQuery parks a registry's "slow" query so
+// that its shard queue fills and a producer of its events blocks. A
+// producer of events only "fast" subscribes to, and a Remove, must
+// still go through: offerMu, which orders door verdicts, queue claims
+// and (when durable) the input log, is not held while a producer waits
+// for queue space. Durable and non-durable registries run the same
+// fan-out, so both are checked.
 func TestBackpressureStaysWithItsQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{{"durable", true}, {"non-durable", false}} {
+		t.Run(tc.name, func(t *testing.T) { testBackpressureStaysWithItsQuery(t, tc.durable) })
+	}
+}
+
+func testBackpressureStaysWithItsQuery(t *testing.T, durable bool) {
 	release := make(chan struct{})
 	var once sync.Once
 	unpark := func() { once.Do(func() { close(release) }) }
-	g, err := Open(Config{
-		Shards:     1,
-		QueueLen:   2,
-		StateDir:   t.TempDir(),
-		Durability: &checkpoint.Config{},
-		Arbiter:    ArbiterConfig{Disabled: true},
+	cfg := Config{
+		Shards:   1,
+		QueueLen: 2,
+		Arbiter:  ArbiterConfig{Disabled: true},
 		TuneRuntime: func(spec QuerySpec, rc *runtime.Config) {
 			if spec.Name == "slow" {
 				rc.BeforeProcess = func(int, *event.Event) { <-release }
 			}
 		},
-	})
+	}
+	if durable {
+		cfg.StateDir, cfg.Durability = t.TempDir(), &checkpoint.Config{}
+	}
+	g, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

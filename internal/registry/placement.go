@@ -36,10 +36,9 @@ func (g *Registry) RouteEach(e *event.Event, visit func(in *Instance)) int {
 func (g *Registry) ActiveInstances() []*Instance { return g.route.Load().insts }
 
 // ShardSlot returns the shard slot the instance's runtime would route
-// the event to. The result is authoritative: offering the same event
-// through OfferSlot with this slot reproduces exactly what the
-// runtime's own hash (or round-robin fallback) would have done,
-// without advancing the fallback cursor twice.
+// the event to: a pure function of the event (runtime.ShardIndexFor),
+// so offering the same event through OfferSlot with this slot
+// reproduces exactly what the runtime's own routing would have done.
 func (in *Instance) ShardSlot(e *event.Event) int { return in.rt.ShardIndexFor(e) }
 
 // NumSlots returns the instance's shard count — the size of the

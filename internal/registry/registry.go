@@ -241,8 +241,9 @@ type Registry struct {
 	route atomic.Pointer[routeTable]
 
 	// log is the stream's input log when durable. offerMu orders every
-	// append with the queue claims that follow it — log order is each
-	// shard's queue order, which replay depends on — and with route
+	// offer's door verdicts and queue claims — with the append that
+	// precedes them, so that log order is each shard's queue order,
+	// which replay depends on — against each other and against route
 	// table changes, so a query's membership and the log agree. batch
 	// and hits are the append scratch, under offerMu. Lock order:
 	// offerMu, then mu.
@@ -851,11 +852,12 @@ type fan struct {
 // it admits. Share event slices are filtered in place; callers must own
 // them.
 //
-// A durable registry first appends the batch to its input log and
-// claims the admitted events' places in their shard queues, both under
-// offerMu so that log order is every shard's queue order; it sends them
-// after releasing offerMu, so a full queue holds back only the
-// producers behind it on that shard. What it logs:
+// Door verdicts and the admitted events' places in their shard queues
+// are taken under offerMu — with, when durable, the batch's append to
+// the input log, so that log order is every shard's queue order — and
+// the events are sent after releasing it, so a full queue holds back
+// only the producers behind it on that shard. What a durable registry
+// logs:
 //   - keyed lists, in batch order, the events routed by key — each share
 //     holds a subsequence of it. Each one some query admitted to the
 //     shard its key hashes to is logged once as an untagged E record,
@@ -868,21 +870,6 @@ type fan struct {
 //     a shard its key does not pick.
 func (g *Registry) OfferShares(shares []Share, keyed []*event.Event) OfferResult {
 	var res OfferResult
-	if g.log == nil {
-		// Nothing to keep in step with the queues: no offerMu, and each
-		// share is sent before the next is claimed (unordered claims
-		// held across runtimes could wait on each other's turns).
-		for i := range shares {
-			if sh := &shares[i]; len(sh.Events) > 0 {
-				var dr OfferResult
-				sh.Events, dr = sh.In.door(sh.Events)
-				res.Add(dr)
-				sh.In.rt.Claim(&sh.claim, sh.Slot, sh.Events)
-				res.Add(sh.In.deliver(&sh.claim, len(sh.Events)))
-			}
-		}
-		return res
-	}
 	g.offerMu.Lock()
 	for i := range shares {
 		if sh := &shares[i]; len(sh.Events) > 0 {
@@ -912,10 +899,14 @@ func (g *Registry) OfferShares(shares []Share, keyed []*event.Event) OfferResult
 }
 
 // appendLog logs one admitted batch (see OfferShares) and returns its
-// highest seq (seen=false: the batch was empty). A failed append is
-// logged here; the shards' next flush of the same log fails too and
-// disables their durability loudly (runtime walFailed).
+// highest seq (seen=false: the batch was empty, or the registry is not
+// durable). A failed append is logged here; the shards' next flush of
+// the same log fails too and disables their durability loudly (runtime
+// walFailed).
 func (g *Registry) appendLog(shares []Share, keyed []*event.Event) (top uint64, seen bool) {
+	if g.log == nil {
+		return 0, false
+	}
 	b := &g.batch
 	// hits[i]: queries that admitted keyed[i] to the shard its key picks.
 	hits := append(g.hits[:0], make([]int32, len(keyed))...)
@@ -1112,7 +1103,6 @@ type Snapshot struct {
 	EventsIn          uint64 `json:"events_in" prom:"cepshed_latency_seconds_count"`
 	EventsShed        uint64 `json:"events_shed"`
 	EventsProcessed   uint64 `json:"events_processed"`
-	Overflow          uint64 `json:"overflow_dropped"`
 	Matches           uint64 `json:"matches"`
 	LivePMs           int64  `json:"live_partial_matches"`
 	Snapshots         uint64 `json:"snapshots"`
@@ -1176,7 +1166,6 @@ func (g *Registry) Snapshot() Snapshot {
 		s.EventsIn += rs.EventsIn
 		s.EventsShed += rs.EventsShed
 		s.EventsProcessed += rs.EventsProcessed
-		s.Overflow += rs.Overflow
 		s.Matches += rs.Matches
 		s.LivePMs += rs.LivePMs
 		s.Snapshots += rs.Snapshots

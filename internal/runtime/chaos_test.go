@@ -160,16 +160,12 @@ func TestChaosConcurrentProducersAndClose(t *testing.T) {
 	stop := make(chan struct{})
 	for p := 0; p < producers; p++ {
 		prod.Add(1)
-		go func(p int) {
+		go func() {
 			defer prod.Done()
-			for i, e := range s {
-				if (i+p)%3 == 0 {
-					r.TryOffer(e)
-				} else {
-					r.Offer(e)
-				}
+			for _, e := range s {
+				r.Offer(e)
 			}
-		}(p)
+		}()
 	}
 	prodDone := make(chan struct{})
 	go func() { prod.Wait(); close(prodDone) }()

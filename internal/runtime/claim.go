@@ -19,6 +19,12 @@ import (
 // batch at once under claimMu (a Claim), so any two claims meet every
 // shard they share in the same order and the earliest unfinished claim
 // always holds its shards' turns: waiting on turns cannot deadlock.
+//
+// The one send without a ticket is the supervisor's failover forward
+// (tryFailover): it runs on the worker side and never blocks, so it
+// cannot hold up a turn, and the events it moves were already logged
+// and queued for the failed shard — their log order is that shard's,
+// not the target's (docs/DURABILITY.md, "Caveats").
 
 // queueOrder is one shard's ticket state.
 type queueOrder struct {
@@ -113,23 +119,23 @@ func (r *Runtime) split(parts []claimPart, slot int, events []*event.Event, enq 
 // Claim splits events that passed Door by target shard (slot < 0: by
 // key) and takes each part's place in its shard's queue order. Deliver
 // sends them. A caller claims under whatever lock orders its own
-// records of the events, and delivers after releasing it.
+// records of the events, and delivers after releasing it. A runtime
+// that owns its input log logs the events here, as routed by key: only
+// a runtime whose log belongs to its caller is claimed a slot.
 func (r *Runtime) Claim(c *Claim, slot int, events []*event.Event) {
-	enq := time.Now()
-	c.parts, c.rejected = r.split(c.parts, slot, events, enq)
-	r.claim(c.parts, c.rejected, slot, events)
+	c.parts, c.rejected = r.split(c.parts, slot, events, time.Now())
+	r.claim(c.parts, c.rejected, events)
 }
 
-// claim takes the tickets of split parts — logging their events first
-// when the runtime owns its input log.
-func (r *Runtime) claim(parts []claimPart, rejected, slot int, events []*event.Event) {
+// claim takes the tickets of split parts, then logs their events when
+// the runtime owns its input log.
+func (r *Runtime) claim(parts []claimPart, rejected int, events []*event.Event) {
 	r.claimMu.Lock()
-	r.logClaim(parts, rejected, slot, events)
 	for i := range parts {
 		p := &parts[i]
 		p.ticket = p.sh.order.take(p.n)
 	}
-	r.markRouted(events)
+	r.logClaim(parts, rejected, events)
 	r.claimMu.Unlock()
 }
 
@@ -174,57 +180,4 @@ func (r *Runtime) send(sh *shard, b batch, n int) bool {
 	sh.ch <- b
 	r.wakeOne()
 	return true
-}
-
-// tryOffer is the non-blocking offer: a part whose shard queue is full,
-// or has earlier claims still waiting to send, is dropped and counted as
-// overflow (a runtime that owns its log records the drop as a refusal).
-// It never waits for a turn, so it holds claimMu throughout.
-func (r *Runtime) tryOffer(parts []claimPart, slot int, events []*event.Event, enq time.Time) (accepted int) {
-	parts, rejected := r.split(parts, slot, events, enq)
-	r.claimMu.Lock()
-	defer r.claimMu.Unlock()
-	r.logClaim(parts, rejected, slot, events)
-	for i := range parts {
-		p := &parts[i]
-		if r.trySend(p.sh, p.b, p.n) {
-			accepted += p.n
-		} else {
-			p.sh.overflow.Add(uint64(p.n))
-			r.refuse(p.b)
-			if p.b.items != nil {
-				putItems(p.b.items)
-			}
-		}
-		*p = claimPart{}
-	}
-	r.appendOwnLog() // the refusals
-	r.markRouted(events)
-	r.admissionRejected.Add(uint64(rejected))
-	return accepted
-}
-
-// trySend is send without blocking: it fails when sh's queue is full,
-// when an earlier claim on sh has not sent yet, or after Close.
-func (r *Runtime) trySend(sh *shard, b batch, n int) bool {
-	q := &sh.order
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.turn != q.next.Load() {
-		return false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed.Load() {
-		return false
-	}
-	sh.depth.Add(int64(n))
-	select {
-	case sh.ch <- b:
-		r.wakeOne()
-		return true
-	default:
-		sh.depth.Add(int64(-n))
-		return false
-	}
 }

@@ -27,8 +27,7 @@ func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 	})
 	defer r.Close()
 
-	// Flood with a non-blocking producer until the ladder is visibly
-	// rejecting at the door.
+	// Flood until the ladder is visibly rejecting at the door.
 	deadline := time.Now().Add(10 * time.Second)
 	escalated, sawX := false, false
 	for !escalated {
@@ -36,7 +35,7 @@ func TestDegradationLadderEscalatesAndRecovers(t *testing.T) {
 			t.Fatalf("ladder never escalated: %+v", r.Snapshot())
 		}
 		for _, e := range s {
-			r.TryOffer(e)
+			r.Offer(e)
 		}
 		snap := r.Snapshot()
 		escalated = snap.DegradationLevel >= LevelAdmission && snap.AdmissionRejected > 0
@@ -86,7 +85,7 @@ func TestLadderDisabledWithoutBound(t *testing.T) {
 	defer r.Close()
 	for i := 0; i < 20; i++ {
 		for _, e := range s {
-			r.TryOffer(e)
+			r.Offer(e)
 		}
 	}
 	snap := r.Snapshot()

@@ -327,28 +327,14 @@ func (r *Runtime) ImportShard(h *checkpoint.Handoff) (maxSeq uint64, hasSeq bool
 }
 
 // ShardIndexFor exposes the partitioning decision — which shard slot an
-// event belongs to — without offering the event. The cluster router
-// uses it to decide which NODE owns the event: slot ownership is the
-// unit of placement.
+// event belongs to — without offering the event. It is a pure function
+// of the event (see keyByAttr). The cluster router uses it to decide
+// which NODE owns the event: slot ownership is the unit of placement.
 func (r *Runtime) ShardIndexFor(e *event.Event) int {
 	if len(r.shards) <= 1 {
 		return 0
 	}
 	return int(r.key(e) % uint64(len(r.shards)))
-}
-
-// OfferBatchToShard is OfferBatch with the routing decision already
-// made: every event goes to slot, regardless of its key. The cluster
-// router needs this because it computes the slot itself (ShardIndexFor)
-// to pick the owning node — re-hashing here could disagree for queries
-// on the round-robin fallback, where the key function is a counter, not
-// a pure function of the event. A slot the runtime does not have
-// accepts nothing.
-func (r *Runtime) OfferBatchToShard(slot int, events []*event.Event) int {
-	if slot < 0 || slot >= len(r.shards) {
-		return 0
-	}
-	return r.offer(slot, events, true)
 }
 
 // ShardExported reports whether slot i is currently frozen/exported.

@@ -1000,3 +1000,31 @@ func TestPanicMidBatchDeliversClearedMatches(t *testing.T) {
 		shardConservation(t, snap, "after the mid-batch panic")
 	}
 }
+
+// TestShardFinishesOnce has a worker claim a shard that another worker
+// finished after the first read it as needing service. The late claim
+// must not finish the shard again: a second final snapshot would
+// capture the engine the first finish flushed, and a restart would
+// restore none of the partial matches the shard closed with.
+func TestShardFinishesOnce(t *testing.T) {
+	m := nfa.MustCompile(query.Q1("8ms"))
+	dur := &checkpoint.Config{Dir: t.TempDir()}
+	r1 := New(m, Config{Shards: 1, Durability: dur})
+	for i, typ := range []string{"A", "B"} {
+		e := event.New(typ, event.Time(i), map[string]event.Value{"ID": event.Int(1), "V": event.Int(1)})
+		e.Seq = uint64(i)
+		r1.Offer(e)
+	}
+	r1.Close()
+	sh := r1.shards[0]
+	sh.svc.Lock()
+	sh.quantum(r1)
+	sh.svc.Unlock()
+
+	r2 := New(m, Config{Shards: 1, Durability: dur})
+	defer r2.Close()
+	r2.WaitRecovered()
+	if live := r2.Snapshot().LivePMs; live != 2 {
+		t.Errorf("the restart restored %d partial matches, want the 2 the shard closed with", live)
+	}
+}

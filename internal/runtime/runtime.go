@@ -130,7 +130,7 @@ type Config struct {
 	// latency fed to the control loop is wall-clock.
 	Costs engine.Costs
 	// KeySalt perturbs the hash of the partition key (InferPartitionKey;
-	// without one, events go round-robin — exact only for Shards = 1),
+	// without one, events spread by seq — exact only for Shards = 1),
 	// rekeying shard ownership from `key` to `(salt, key)`. A registry sets
 	// it to the query fingerprint so the same correlation key lands on
 	// different shard indices for different queries — one hot key cannot
@@ -234,7 +234,7 @@ type Runtime struct {
 	killed    atomic.Bool
 
 	// log is the input log the shards' records live in. A runtime built
-	// by New owns it (ownLog): offer appends each accepted event to it
+	// by New owns it (ownLog): Claim appends each accepted event to it
 	// while it claims the events' places in the shard queues (claimMu),
 	// so that log order is every shard's queue order. NewShared's log
 	// belongs to the registry, which appends before fan-out itself.
@@ -244,7 +244,7 @@ type Runtime struct {
 	claimMu sync.Mutex
 	batch   checkpoint.Batch // under claimMu
 
-	// mu excludes Offer/TryOffer sends against Close closing the shard
+	// mu excludes producer sends against Close closing the shard
 	// channels: producers hold the read side around a send, Close takes
 	// the write side before closing. A producer blocked on a full queue
 	// holds its RLock, but shard workers keep draining until the channels
@@ -276,10 +276,7 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 	r := &Runtime{
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
-		// A durable runtime's shard choice must be a pure function of the
-		// event — recovery re-routes the log with it — so the keyless
-		// fallback spreads by seq instead of a counter.
-		key: keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt, cfg.Durability != nil),
+		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
 	}
 	r.workers = cfg.Workers
 	r.wake = make(chan struct{}, cfg.Workers)
@@ -508,26 +505,22 @@ func (r *Runtime) logf(format string, args ...any) {
 	}
 }
 
-// offer is the runtime's one door — the only producer-side code that
-// updates the degradation ladder; the entry points below wrap it (the
-// chain it is the last link of: docs/ROBUSTNESS.md). One clock read and
-// one ladder update cover the call. At LevelReject every event is
-// refused; otherwise each goes to shard slot (slot < 0: the shard its
-// key hashes to) or, if that shard has failed, to the next healthy one;
-// with none left, or after Close, it is refused too. Refusals count in
-// Snapshot.AdmissionRejected. A lone event travels as batch{one:} — no
-// slice, no pool round trip; a longer call's events reach each shard as
-// one queued batch, in order, sent in the shard's queue order
-// (claim.go). A full queue blocks the caller when block is set — that
-// IS the backpressure signal — and otherwise costs the events, counted
-// as overflow drops. One batch may briefly push a shard's queued-event
-// count past QueueLen (the channel bounds batches, not events); the
-// ladder's fill signal sees that surplus, which errs toward shedding
-// earlier, never later. Returns the number accepted.
-//
-// A runtime that owns its input log appends the events it queues to
-// the log first, and a TryOffer overflow after them as refusals.
-func (r *Runtime) offer(slot int, events []*event.Event, block bool) int {
+// offer is the runtime's own entry point, the sequence a registry runs
+// too: Door, then Claim, then Deliver (the chain it is the last link of:
+// docs/ROBUSTNESS.md). One clock read and one ladder update cover the
+// call. At LevelReject every event is refused; otherwise each goes to
+// the shard its key hashes to or, if that shard has failed, to the next
+// healthy one; with none left, or after Close, it is refused too.
+// Refusals count in Snapshot.AdmissionRejected. A lone event travels as
+// batch{one:} — no slice, no pool round trip; a longer call's events
+// reach each shard as one queued batch, in order. A full queue blocks
+// the caller — that IS the backpressure signal; overload is shed by
+// the ladder and the strategies, never by the queue. One batch may
+// briefly push a shard's queued-event count past QueueLen (the channel
+// bounds batches, not events); the ladder's fill signal sees that
+// surplus, which errs toward shedding earlier, never later. Returns the
+// number accepted.
+func (r *Runtime) offer(events []*event.Event) int {
 	if len(events) == 0 {
 		return 0 // everything was shed upstream: not worth a ladder update
 	}
@@ -536,61 +529,15 @@ func (r *Runtime) offer(slot int, events []*event.Event, block bool) int {
 		return 0
 	}
 	var fixed [16]claimPart // the call's parts, on the stack for up to 16 shards
-	if !block {
-		return r.tryOffer(fixed[:0], slot, events, enq)
-	}
-	parts, rejected := r.split(fixed[:0], slot, events, enq)
-	r.claim(parts, rejected, slot, events)
+	parts, rejected := r.split(fixed[:0], -1, events, enq)
+	r.claim(parts, rejected, events)
 	return r.deliver(parts, rejected)
 }
 
-// logClaim appends the events parts queue to the runtime's own input log,
-// if it owns one: untagged when the shard key routes them, tagged when
-// the caller chose the slot. Caller holds claimMu.
-func (r *Runtime) logClaim(parts []claimPart, rejected, slot int, events []*event.Event) {
-	if !r.ownLog || r.log == nil {
-		return
-	}
-	add := func(e *event.Event) {
-		if slot < 0 {
-			r.batch.Events = append(r.batch.Events, e)
-		} else {
-			r.batch.Tagged = append(r.batch.Tagged, checkpoint.Tagged{Tag: checkpoint.Tag{FP: r.fp, Shard: slot}, E: e})
-		}
-	}
-	if rejected == 0 {
-		for _, e := range events {
-			add(e)
-		}
-	} else {
-		for _, p := range parts {
-			if p.b.items == nil {
-				add(p.b.one.e)
-				continue
-			}
-			for _, it := range *p.b.items {
-				add(it.e)
-			}
-		}
-	}
-	r.appendOwnLog()
-}
-
-// appendOwnLog appends the pending records to the runtime's own input
-// log. Caller holds claimMu.
-func (r *Runtime) appendOwnLog() {
-	if !r.ownLog || r.log == nil {
-		return
-	}
-	if err := r.log.AppendBatch(&r.batch); err != nil {
-		r.logf("runtime: input log append: %v", err)
-	}
-	r.batch.Reset()
-}
-
-// markRouted advances the own input log's routed watermark over events,
-// once each has its place in its shard's queue order.
-func (r *Runtime) markRouted(events []*event.Event) {
+// logClaim appends the events parts queue to the runtime's own input
+// log, if it owns one, and advances the log's routed watermark over
+// events. Caller holds claimMu and has taken the parts' tickets.
+func (r *Runtime) logClaim(parts []claimPart, rejected int, events []*event.Event) {
 	if !r.ownLog || r.log == nil {
 		return
 	}
@@ -598,39 +545,34 @@ func (r *Runtime) markRouted(events []*event.Event) {
 	for _, e := range events {
 		top = max(top, e.Seq)
 	}
+	if rejected == 0 {
+		r.batch.Events = append(r.batch.Events, events...)
+	} else {
+		for _, p := range parts {
+			if p.b.items == nil {
+				r.batch.Events = append(r.batch.Events, p.b.one.e)
+				continue
+			}
+			for _, it := range *p.b.items {
+				r.batch.Events = append(r.batch.Events, it.e)
+			}
+		}
+	}
+	if err := r.log.AppendBatch(&r.batch); err != nil {
+		r.logf("runtime: input log append: %v", err)
+	}
+	r.batch.Reset()
 	r.log.MarkRouted(top)
-}
-
-// refuse logs an overflowed batch's events as refused by this runtime
-// (own input log only; see appendOwnLog).
-func (r *Runtime) refuse(b batch) {
-	if !r.ownLog || r.log == nil {
-		return
-	}
-	add := func(it item) { r.batch.Refused = append(r.batch.Refused, checkpoint.Refusal{FP: r.fp, Seq: it.e.Seq}) }
-	if b.items == nil {
-		add(b.one)
-		return
-	}
-	for _, it := range *b.items {
-		add(it)
-	}
 }
 
 // Offer routes the event to its shard, blocking while that shard's queue
 // is full, and reports whether the door accepted it (see offer); it is
 // safe to race against Close.
-func (r *Runtime) Offer(e *event.Event) bool { return r.offer(-1, []*event.Event{e}, true) == 1 }
-
-// TryOffer is Offer for producers that cannot block: a full queue drops
-// the event (counted as overflow) and returns false.
-func (r *Runtime) TryOffer(e *event.Event) bool {
-	return r.offer(-1, []*event.Event{e}, false) == 1
-}
+func (r *Runtime) Offer(e *event.Event) bool { return r.offer([]*event.Event{e}) == 1 }
 
 // OfferBatch is Offer for a slice of events, each routed by its key;
 // it returns how many were accepted.
-func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(-1, events, true) }
+func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(events) }
 
 // Door refreshes the degradation ladder and reports whether the door
 // admits a batch of n events now; a refusal counts the n events in
@@ -823,7 +765,6 @@ type ShardSnapshot struct {
 	EventsIn        uint64 `json:"events_in" prom:"cepshed_events_in_total,counter,Events offered to the shard."`
 	EventsShed      uint64 `json:"events_shed" prom:"cepshed_events_shed_total,counter,Events discarded by input-based shedding (rho_I)."`
 	EventsProcessed uint64 `json:"events_processed" prom:"cepshed_events_processed_total,counter,Events processed by the engine."`
-	Overflow        uint64 `json:"overflow_dropped" prom:"cepshed_overflow_dropped_total,counter,Events dropped on full queue by TryOffer."`
 	Matches         uint64 `json:"matches" prom:"cepshed_matches_total,counter,Complete matches detected."`
 
 	LivePMs    int64  `json:"live_partial_matches" prom:"cepshed_live_partial_matches,gauge,Live partial matches in the shard engine."`
@@ -908,7 +849,6 @@ type Snapshot struct {
 	EventsIn        uint64 `json:"events_in"`
 	EventsShed      uint64 `json:"events_shed"`
 	EventsProcessed uint64 `json:"events_processed"`
-	Overflow        uint64 `json:"overflow_dropped"`
 	Matches         uint64 `json:"matches"`
 	LivePMs         int64  `json:"live_partial_matches"`
 	CreatedPMs      uint64 `json:"created_partial_matches"`
@@ -991,7 +931,6 @@ func (r *Runtime) Snapshot() Snapshot {
 		s.EventsIn += ss.EventsIn
 		s.EventsShed += ss.EventsShed
 		s.EventsProcessed += ss.EventsProcessed
-		s.Overflow += ss.Overflow
 		s.Matches += ss.Matches
 		s.LivePMs += ss.LivePMs
 		s.CreatedPMs += ss.CreatedPMs
@@ -1077,8 +1016,8 @@ func CheckCountWindow(q *query.Query, shards int) error {
 // attribute most often equated between two different pattern variables
 // (a.ID = b.ID and a.ID = c.ID make ID the key for Q1). Matches of such
 // a query are fully contained in one partition, so key-hash sharding is
-// exact. Returns "" when no cross-variable equality exists — then only
-// round-robin (approximate) partitioning is possible.
+// exact. Returns "" when no cross-variable equality exists — then events
+// spread by seq, an approximate partitioning.
 func InferPartitionKey(q *query.Query) string {
 	votes := map[string]int{}
 	for _, p := range q.Where {
@@ -1106,7 +1045,9 @@ func InferPartitionKey(q *query.Query) string {
 // float64 value so Int(5) and Float(5), which compare equal, co-locate;
 // strings hash their bytes). A non-zero salt prefixes the hash input so
 // distinct salts shard the same key differently. Empty attr, or an
-// event missing the attr, falls back to a per-call round-robin counter.
+// event missing the attr, falls back to the event's seq, so the shard
+// choice is always a pure function of the event: recovery re-routes the
+// log with it, and the cluster router picks a slot's node with it.
 //
 // The hash is FNV-1a, NOT a per-process-seeded hash: key→shard
 // placement must be stable across restarts (a restored partial match
@@ -1114,15 +1055,11 @@ func InferPartitionKey(q *query.Query) string {
 // every cluster node (the ingest tier routes (query, key) to a shard
 // slot before it knows which node owns it). Flood resistance comes
 // from the per-query salt, which an external sender doesn't know.
-//
-// bySeq replaces the round-robin counter with the event's seq, so the
-// fallback too is a pure function of the event.
-func keyByAttr(attr string, salt uint64, bySeq bool) func(*event.Event) uint64 {
+func keyByAttr(attr string, salt uint64) func(*event.Event) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
-	var rr atomic.Uint64
 	return func(e *event.Event) uint64 {
 		if attr != "" {
 			if v, ok := e.Get(attr); ok {
@@ -1143,9 +1080,6 @@ func keyByAttr(attr string, salt uint64, bySeq bool) func(*event.Event) uint64 {
 				return h
 			}
 		}
-		if bySeq {
-			return e.Seq
-		}
-		return rr.Add(1)
+		return e.Seq
 	}
 }

@@ -102,6 +102,31 @@ func TestInferPartitionKey(t *testing.T) {
 	}
 }
 
+// A keyless query's shard choice is a pure function of the event on
+// every runtime, durable or not: asking twice gives the same slot, and
+// events still spread over the shards, by seq.
+func TestKeylessShardIndexIsPure(t *testing.T) {
+	q := query.MustParse("PATTERN SEQ(A a, B b) WITHIN 10ms")
+	if k := InferPartitionKey(q); k != "" {
+		t.Fatalf("InferPartitionKey = %q, want a keyless query", k)
+	}
+	r := New(nfa.MustCompile(q), Config{Shards: 2})
+	defer r.Close()
+	used := map[int]bool{}
+	for seq := uint64(1); seq <= 4; seq++ {
+		e := event.New("A", event.Time(seq), nil)
+		e.Seq = seq
+		slot := r.ShardIndexFor(e)
+		if again := r.ShardIndexFor(e); again != slot {
+			t.Errorf("seq %d: ShardIndexFor gave slot %d, then %d", seq, slot, again)
+		}
+		used[slot] = true
+	}
+	if len(used) != 2 {
+		t.Errorf("4 keyless events used slots %v, want both", used)
+	}
+}
+
 func TestSnapshotCountersConsistent(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 5000, Seed: 2, InterArrival: 15 * event.Microsecond})
@@ -162,7 +187,11 @@ func (g *gateStrategy) AdmitEvent(e *event.Event, now event.Time) bool {
 
 func (g *gateStrategy) Control(event.Time, event.Time) vclock.Cost { return 0 }
 
-func TestTryOfferOverflowAndBackpressureBound(t *testing.T) {
+// Offer blocks while the shard queue is full — the backpressure signal;
+// nothing is dropped for want of room. With the worker parked on the
+// first event, a producer completes at most QueueLen+1 offers, and
+// once the worker is released every event offered is counted in.
+func TestOfferBlocksOnFullQueue(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	gs := &gateStrategy{gate: make(chan struct{}), first: make(chan struct{})}
 	const queueLen = 8
@@ -173,27 +202,33 @@ func TestTryOfferOverflowAndBackpressureBound(t *testing.T) {
 	})
 
 	s := gen.DS1(gen.DS1Config{Events: 100, Seed: 1})
-	// The worker parks on the first event; everything after that queues.
 	r.Offer(s[0])
-	<-gs.first
-	accepted := 1
-	for _, e := range s[1:] {
-		if r.TryOffer(e) {
-			accepted++
+	<-gs.first // the worker is parked; everything after this queues
+	var offered atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, e := range s[1:] {
+			if !r.Offer(e) {
+				t.Errorf("Offer refused event %d with the ladder off", i+1)
+			}
+			offered.Add(1)
 		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for offered.Load() < queueLen && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if accepted > queueLen+2 {
-		t.Errorf("accepted %d events with a %d-slot queue; backpressure bound is broken", accepted, queueLen)
-	}
-	snap := r.Snapshot()
-	if snap.Overflow == 0 {
-		t.Error("no overflow drops recorded while the queue was full")
+	time.Sleep(50 * time.Millisecond) // room for offers past the bound to show
+	if n := offered.Load(); n < queueLen || n > queueLen+1 {
+		t.Errorf("producer completed %d offers against a parked worker and a %d-slot queue, want %d..%d",
+			n, queueLen, queueLen, queueLen+1)
 	}
 	close(gs.gate)
+	<-done
 	r.Close()
-	final := r.Snapshot()
-	if final.EventsIn != uint64(accepted) {
-		t.Errorf("EventsIn = %d, want %d accepted", final.EventsIn, accepted)
+	if got, want := r.Snapshot().EventsIn, uint64(len(s)); got != want {
+		t.Errorf("EventsIn = %d, want the %d offered", got, want)
 	}
 }
 

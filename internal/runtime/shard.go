@@ -25,7 +25,7 @@ type item struct {
 }
 
 // batch is what the shard channel carries: either a single item (items
-// nil — the Offer/TryOffer fast path, no slice), a pooled slice of items
+// nil — a lone event's fast path, no slice), a pooled slice of items
 // from OfferBatch, or a control message (ctl non-nil) for the
 // shard-migration path. Ownership of items transfers to the consumer,
 // which returns the slice to itemSlicePool when done. Control messages
@@ -130,7 +130,6 @@ type shard struct {
 	eventsIn    atomic.Uint64
 	eventsShed  atomic.Uint64
 	processed   atomic.Uint64
-	overflow    atomic.Uint64
 	matched     atomic.Uint64
 	livePMs     atomic.Int64
 	createdPMs  atomic.Uint64
@@ -909,7 +908,6 @@ func (s *shard) buildStateShell() *checkpoint.ShardState {
 			EventsIn:    s.eventsIn.Load(),
 			EventsShed:  s.eventsShed.Load(),
 			Processed:   s.processed.Load(),
-			Overflow:    s.overflow.Load(),
 			Matched:     s.matched.Load(),
 			Restarts:    s.restarts.Load(),
 			Quarantined: s.quarantined.Load(),
@@ -1042,11 +1040,10 @@ func (s *shard) recoverReplay(cur *item) {
 		s.pmDroppedBase = base.BaseDropped
 		if !s.bootBaseApplied {
 			// Applied once, not per attempt: these advance BETWEEN boot
-			// attempts (the supervisor counts each replay panic's restart;
-			// producers may overflow while recovery runs), so re-storing
-			// would erase legitimate ground. Add keeps those increments.
+			// attempts (the supervisor counts each replay panic's
+			// restart), so re-storing would erase legitimate ground. Add
+			// keeps those increments.
 			s.bootBaseApplied = true
-			s.overflow.Add(base.Overflow)
 			s.restarts.Add(base.Restarts)
 			s.quarantined.Add(base.Quarantined)
 		}
@@ -1269,7 +1266,6 @@ func (s *shard) snapshot() ShardSnapshot {
 		EventsIn:        s.eventsIn.Load(),
 		EventsShed:      s.eventsShed.Load(),
 		EventsProcessed: s.processed.Load(),
-		Overflow:        s.overflow.Load(),
 		Matches:         s.matched.Load(),
 
 		LivePMs:    s.livePMs.Load(),

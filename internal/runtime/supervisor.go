@@ -186,6 +186,12 @@ func (q *DeadLetterRing) State() *checkpoint.DeadLetterState {
 // / breaker protocol and parks the shard behind a notBefore backoff
 // deadline instead of sleeping a goroutine; a failed shard only forwards.
 func (s *shard) quantum(r *Runtime) bool {
+	if s.doneFlag.Load() {
+		// Another worker finished the shard after this one read it as
+		// needing service: a second finish would snapshot the engine the
+		// first one flushed over the final snapshot.
+		return false
+	}
 	defer s.handOut()
 	if s.failed.Load() {
 		return s.forwardQuantum(r)
