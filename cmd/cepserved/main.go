@@ -869,7 +869,7 @@ func (s *server) ingest(r io.Reader) (accepted, rejected, overloaded, unrouted i
 	flush := func() {
 		res := batch.offer()
 		accepted += res.Deliveries + res.ForwardedPairs
-		overloaded += res.DoorRejected + res.DroppedPairs + res.ShedPairs
+		overloaded += res.DoorRejected + res.DroppedPairs
 		unrouted += res.Unrouted
 	}
 	for {

@@ -133,11 +133,12 @@ func metricsFixture() (registry.Snapshot, runtime.InternStats, cluster.Status) {
 		Retries:      next(),
 		Redirects:    next(),
 		DupBatches:   next(),
-		RouterShed:   next(),
-		HandoffsOut:  next(),
-		HandoffsIn:   next(),
-		Takeovers:    next(),
-		InFlight:     int64(next()),
+		// The value the retired router_shed counter took is skipped, so
+		// every later one stays what the golden pins.
+		HandoffsOut: func() uint64 { next(); return next() }(),
+		HandoffsIn:  next(),
+		Takeovers:   next(),
+		InFlight:    int64(next()),
 		PeerForwards: []cluster.PeerForwardStatus{
 			{Name: "n2", Dropped: next()},
 			{Name: "n3", Dropped: next()},

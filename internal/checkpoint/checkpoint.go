@@ -51,13 +51,13 @@ type Config struct {
 	// (docs/DURABILITY.md).
 	Fsync bool
 	// OnStage, when set, runs at named points of the snapshot save
-	// protocol ("encoded", "tmp-written", "renamed", "rotated"). It
-	// exists for fault injection: a panic here models a crash at that
+	// protocol ("encoded", "tmp-written", "renamed", "floor-published").
+	// It exists for fault injection: a panic here models a crash at that
 	// point of the protocol. For a periodic snapshot the first three
 	// stages run on the background writer goroutine, where the shard
-	// contains the panic (the save fails, no worker restarts); "rotated"
-	// and every stage of a quiescent save (final snapshot, import
-	// commit) run on the claiming worker.
+	// contains the panic (the save fails, no worker restarts);
+	// "floor-published" and every stage of a quiescent save (final
+	// snapshot, import commit) run on the claiming worker.
 	OnStage func(shard int, stage string)
 }
 
@@ -97,9 +97,6 @@ type LoadResult struct {
 	// Ceded reports a shard whose state was handed to another node: it
 	// restores nothing and replays nothing (see CedeShard).
 	Ceded bool
-	// SnapBytes/SnapTakenNs describe the restored snapshot file.
-	SnapBytes   int64
-	SnapTakenNs int64
 	// StaleWAL counts the shard's per-shard WAL files of a format before
 	// v3 that opening the store removed: their records are lost, and the
 	// snapshots of that format fail to decode (a counted cold start).
@@ -125,7 +122,7 @@ type ShardStore struct {
 	// lastLSN is the end of this store's newest M record in the log.
 	lastLSN uint64
 	// floor/hasFloor are the seq floor of the snapshot WriteSnapshot
-	// last published; RotateWAL hands it to the log's compaction.
+	// last published; PublishFloor hands it to the log's compaction.
 	floor    uint64
 	hasFloor bool
 	// ceded: the state migrated away; see CedeShard.
@@ -319,13 +316,13 @@ func (s *ShardStore) FlushIfDue() error { return s.log.FlushIfDue() }
 //
 // Save runs the whole protocol inline on the caller's goroutine; the
 // async path splits it into WriteSnapshot (steps 1-3, safe off-thread)
-// followed by RotateWAL (step 4, shard goroutine only).
+// followed by PublishFloor (step 4, shard goroutine only).
 func (s *ShardStore) Save(st *ShardState) (int, error) {
 	n, err := s.WriteSnapshot(st)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.RotateWAL(); err != nil {
+	if err := s.PublishFloor(); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -337,7 +334,7 @@ func (s *ShardStore) Save(st *ShardState) (int, error) {
 // background goroutine while the shard keeps appending to the log: it
 // touches only the snapshot file family and allocates its own encoder.
 // The caller must not overlap two WriteSnapshot calls and must call
-// RotateWAL from the shard goroutine once the write has succeeded.
+// PublishFloor from the shard goroutine once the write has succeeded.
 func (s *ShardStore) WriteSnapshot(st *ShardState) (int, error) {
 	img := EncodeShardState(st, s.fp)
 	s.stage("encoded")
@@ -381,18 +378,18 @@ func (s *ShardStore) WriteSnapshot(st *ShardState) (int, error) {
 	return len(img), nil
 }
 
-// RotateWAL closes the flush group behind a just-published snapshot
+// PublishFloor closes the flush group behind a just-published snapshot
 // (protocol step 4) and hands the snapshot's seq floor to the log's
 // compaction: the log keeps every record above the floors of its
 // query-shards. Records appended between an async snapshot's capture
 // point and this call sit above the captured floor, so Load still
 // replays them. Shard goroutine only.
-func (s *ShardStore) RotateWAL() error {
+func (s *ShardStore) PublishFloor() error {
 	if err := s.log.Flush(); err != nil {
 		return err
 	}
 	s.log.cover(s.tag, s.floor, s.hasFloor)
-	s.stage("rotated")
+	s.stage("floor-published")
 	return nil
 }
 
@@ -455,8 +452,6 @@ func loadSnapshots(res *LoadResult, path func(string) string, fp uint64) {
 			res.CorruptSnaps++
 			return nil
 		}
-		res.SnapBytes = int64(len(data))
-		res.SnapTakenNs = st.TakenNs
 		return st
 	}
 	res.State = loadSnap(path(".snap"))

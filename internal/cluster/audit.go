@@ -15,9 +15,8 @@ import (
 // Every (event, query) pair that enters the cluster at some node's
 // ingest edge must end in exactly one counted disposition somewhere in
 // the cluster: delivered into an engine, rejected at a shard door,
-// skipped below a recovery floor, shed by
-// router admission (at the edge or on receipt), dropped at the router
-// (queue overflow, dead peer, retries exhausted), or discarded as an
+// skipped below a recovery floor, dropped at the router (queue
+// overflow, dead peer, retries exhausted), or discarded as an
 // undecodable forwarded line. The audit sums each node's ledger and
 // checks
 //
@@ -51,8 +50,6 @@ type Ledger struct {
 
 	// Router tier: pair creation and terminal dispositions.
 	EdgePairs     uint64 `json:"edge_pairs"`
-	EdgeShed      uint64 `json:"edge_shed"`
-	RecvShed      uint64 `json:"recv_shed"`
 	RecvBadLines  uint64 `json:"recv_bad_lines"`
 	RouterDropped uint64 `json:"router_dropped"`
 	Delivered     uint64 `json:"delivered"`
@@ -96,8 +93,6 @@ func (n *Node) LocalLedger() Ledger {
 	l := Ledger{
 		Node:          n.cfg.Self,
 		EdgePairs:     n.edgePairs.Load(),
-		EdgeShed:      n.edgeShed.Load(),
-		RecvShed:      n.recvShed.Load(),
 		RecvBadLines:  n.recvBadLines.Load(),
 		RouterDropped: n.forwardDrop.Load(),
 		Delivered:     d[shed.Delivered],
@@ -143,10 +138,10 @@ type AuditReport struct {
 	DoubleAccounted uint64 `json:"double_accounted"`
 	RouterDropped   uint64 `json:"router_dropped"`
 
-	// LinkDelta = Σ forwarded_out − Σ (forwarded_in + recv_shed +
-	// recv_bad_lines). Positive residue is explained by dup-batch acks;
-	// negative by delivered-but-unacked batches still being retried (or
-	// eventually dropped). Informative, not a verdict input.
+	// LinkDelta = Σ forwarded_out − Σ (forwarded_in + recv_bad_lines).
+	// Positive residue is explained by dup-batch acks; negative by
+	// delivered-but-unacked batches still being retried (or eventually
+	// dropped). Informative, not a verdict input.
 	LinkDelta int64 `json:"link_delta"`
 
 	// EngineExact reports whether the engine-tier identity could be
@@ -170,11 +165,11 @@ func Evaluate(ledgers []Ledger, unreachable []string) AuditReport {
 	for _, l := range ledgers {
 		rep.EdgePairs += l.EdgePairs
 		rep.Disposed += l.Delivered + l.DoorRejected + l.FloorSkipped +
-			l.EdgeShed + l.RecvShed + l.RecvBadLines + l.RouterDropped
+			l.RecvBadLines + l.RouterDropped
 		rep.InFlight += l.InFlight
 		rep.RouterDropped += l.RouterDropped
 		fwdOut += l.ForwardedOut
-		fwdRecv += l.ForwardedIn + l.RecvShed + l.RecvBadLines
+		fwdRecv += l.ForwardedIn + l.RecvBadLines
 		if l.WALReplayed > 0 || l.HandoffsIn > 0 || l.Takeovers > 0 {
 			rep.EngineExact = false
 		}

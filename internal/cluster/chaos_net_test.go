@@ -79,8 +79,8 @@ func TestChaosNetRetriedForwardDedup(t *testing.T) {
 		ids[i] = int64(i)
 	}
 	res := n1.node.OfferBatch(abcEvents(ids, "A", "B", "C"))
-	if res.DroppedPairs != 0 || res.ShedPairs != 0 {
-		t.Fatalf("healthy-path offer dropped %d / shed %d pairs", res.DroppedPairs, res.ShedPairs)
+	if res.DroppedPairs != 0 {
+		t.Fatalf("healthy-path offer dropped %d pairs", res.DroppedPairs)
 	}
 	if !n1.node.WaitQuiesce(10 * time.Second) {
 		t.Fatal("forward queues never quiesced")

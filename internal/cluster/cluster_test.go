@@ -126,6 +126,9 @@ type tcOpts struct {
 	// deferStart nodes are built but not Start()ed; the test starts
 	// them when the scenario calls for it.
 	deferStart map[string]bool
+	// tuneRuntime, when set, adjusts each node's query runtime before it
+	// starts (queue length, latency bound, worker hooks).
+	tuneRuntime func(node string, rc *runtime.Config)
 }
 
 // newTestCluster builds len(names) in-process nodes sharing one state
@@ -160,12 +163,16 @@ func newTestClusterOpts(t *testing.T, names []string, shards int, col *matchColl
 	}
 	for i, name := range names {
 		tn := nodes[name]
-		reg, err := registry.Open(registry.Config{
+		rcfg := registry.Config{
 			Shards:    shards,
 			StateDir:  top.Nodes[i].StateDir,
 			OnMatches: col.hook(),
 			Arbiter:   registry.ArbiterConfig{Disabled: true},
-		})
+		}
+		if opts.tuneRuntime != nil {
+			rcfg.TuneRuntime = func(_ registry.QuerySpec, rc *runtime.Config) { opts.tuneRuntime(name, rc) }
+		}
+		reg, err := registry.Open(rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +315,7 @@ func fastDetectorConfig() DetectorConfig {
 
 // Every (event, query) pair offered at one node's edge is accounted
 // for exactly once across the cluster: processed locally, forwarded
-// (and then processed remotely), dropped, shed, or unrouted — and the
+// (and then processed remotely), dropped, or unrouted — and the
 // sender/receiver counters reconcile once the queues quiesce.
 func TestClusterRoutingConservation(t *testing.T) {
 	col := newMatchCollector()
@@ -333,7 +340,6 @@ func TestClusterRoutingConservation(t *testing.T) {
 		res.FloorSkipped += r.FloorSkipped
 		res.ForwardedPairs += r.ForwardedPairs
 		res.DroppedPairs += r.DroppedPairs
-		res.ShedPairs += r.ShedPairs
 		res.Unrouted += r.Unrouted
 	}
 	if !n1.node.WaitQuiesce(10 * time.Second) {
@@ -342,14 +348,14 @@ func TestClusterRoutingConservation(t *testing.T) {
 	drainQueues(t, n1, nodes["n2"], nodes["n3"])
 
 	local := res.Deliveries + res.DoorRejected + res.FloorSkipped
-	accounted := local + res.ForwardedPairs + res.DroppedPairs + res.ShedPairs + res.Unrouted
+	accounted := local + res.ForwardedPairs + res.DroppedPairs + res.Unrouted
 	if accounted != len(batch) {
-		t.Errorf("pairs accounted = %d (local %d fwd %d drop %d shed %d unrouted %d), want %d",
-			accounted, local, res.ForwardedPairs, res.DroppedPairs, res.ShedPairs, res.Unrouted, len(batch))
+		t.Errorf("pairs accounted = %d (local %d fwd %d drop %d unrouted %d), want %d",
+			accounted, local, res.ForwardedPairs, res.DroppedPairs, res.Unrouted, len(batch))
 	}
-	if res.DroppedPairs != 0 || res.ShedPairs != 0 || res.Unrouted != 0 {
-		t.Errorf("healthy cluster lost pairs: drop=%d shed=%d unrouted=%d",
-			res.DroppedPairs, res.ShedPairs, res.Unrouted)
+	if res.DroppedPairs != 0 || res.Unrouted != 0 {
+		t.Errorf("healthy cluster lost pairs: drop=%d unrouted=%d",
+			res.DroppedPairs, res.Unrouted)
 	}
 
 	s1 := n1.node.Status()

@@ -6,55 +6,94 @@ import (
 	"testing"
 	"time"
 
+	"cepshed/internal/event"
 	"cepshed/internal/runtime"
 	"cepshed/internal/shed"
 )
 
-// The router gate is one helper for the edge and the receive side: a
-// healthy cluster admits without even reading queue fill, a degraded
-// one ramps refusals between the router's own water marks, and each
-// refusal is counted once, on the side that asked.
-func TestClusterRouterAdmitSharedGate(t *testing.T) {
-	nodes := newTestCluster(t, []string{"n1", "n2"}, 2, newMatchCollector(), slowDetector())
-	n := nodes["n1"].node
+// A degraded node has no router gate: while a peer is down, a batch
+// offered at a queue fill past the ladder's high-water mark but short of
+// its reject mark is delivered whole, and only the query's ladder reacts
+// (x > 0, so ρI/ρS decide what goes). The conservation audit closes
+// once the held worker drains the queue.
+func TestClusterDegradedShedsThroughLadder(t *testing.T) {
+	const queueLen = 64
+	var hold atomic.Bool
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	nodes := newTestClusterOpts(t, []string{"n1", "n2"}, 1, newMatchCollector(), slowDetector(), tcOpts{
+		tuneRuntime: func(node string, rc *runtime.Config) {
+			if node != "n1" {
+				return
+			}
+			rc.QueueLen = queueLen
+			rc.Bound = time.Hour // ladder on; queue fill alone drives it
+			rc.BeforeProcess = func(int, *event.Event) {
+				if hold.Load() {
+					select {
+					case parked <- struct{}{}:
+					default:
+					}
+					<-release
+				}
+			}
+		},
+	})
+	var once sync.Once
+	unhold := func() { once.Do(func() { hold.Store(false); close(release) }) }
+	defer unhold() // a failed check must not leave the worker parked for Close
+	n1 := nodes["n1"]
+	n1.node.Placement().SetDown("n2", true)
+	if !n1.node.Degraded() {
+		t.Fatal("n1 not degraded with n2 down")
+	}
 
-	fill := -1.0
-	for i := 0; i < 100; i++ {
-		if !n.routerAdmit(&fill, &n.edgeShed) {
-			t.Fatal("healthy cluster refused a pair")
+	nextID := int64(0)
+	offer := func(k int) RouteResult {
+		ids := make([]int64, k)
+		for i := range ids {
+			ids[i] = nextID
+			nextID++
 		}
+		return n1.node.OfferBatch(abcEvents(ids, "A"))
 	}
-	if fill != -1 {
-		t.Errorf("healthy cluster read queue fill (%g)", fill)
+	hold.Store(true)
+	offer(1)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("n1's worker never parked")
 	}
-
-	n.place.SetDown("n2", true)
-	if !n.routerAdmit(&fill, &n.edgeShed) || fill != 0 {
-		t.Errorf("degraded, idle queues: want admit with fill read as 0, got fill %g", fill)
+	const prefill = queueLen * 8 / 10 // fill 0.8: inside the ladder's admission band
+	if res := offer(prefill); res.Deliveries != prefill {
+		t.Fatalf("prefill delivered %d of %d pairs: %+v", res.Deliveries, prefill, res)
 	}
-	below, full := routerHighWater, routerFullWater
-	for i := 0; i < 1000; i++ {
-		if !n.routerAdmit(&below, &n.edgeShed) {
-			t.Fatal("refused at the router's high-water mark, where the ramp starts at 0")
-		}
-	}
-	const tries = 10000
-	for i := 0; i < tries; i++ {
-		n.routerAdmit(&full, &n.recvShed)
-	}
-	if got := n.recvShed.Load(); got < 8500 || got > 9500 {
-		t.Errorf("refused %d/%d at the full-water mark, want about 0.9", got, tries)
-	}
-	if n.edgeShed.Load() != 0 {
-		t.Errorf("receive-side refusals leaked into edge_shed (%d)", n.edgeShed.Load())
-	}
-	if st := n.Status(); st.RouterShed != n.edgeShed.Load()+n.recvShed.Load() {
-		t.Errorf("router_shed = %d, want edge %d + recv %d", st.RouterShed, n.edgeShed.Load(), n.recvShed.Load())
+	rt := n1.in.Runtime()
+	sh := rt.Snapshot().Shards[0]
+	if fill := float64(sh.QueueDepth) / float64(sh.QueueCap); fill < 0.75 || fill >= 0.95 {
+		t.Fatalf("queue fill %.3f, want in [0.75, 0.95)", fill)
 	}
 
-	n.place.SetDown("n2", false)
-	if !n.routerAdmit(&full, &n.edgeShed) {
-		t.Error("healed cluster still refusing")
+	const k = 8
+	res := offer(k)
+	if res.Deliveries != k || res.DoorRejected != 0 || res.DroppedPairs != 0 {
+		t.Errorf("degraded offer at fill 0.8: delivered %d of %d (rejected %d, dropped %d), want all", res.Deliveries, k, res.DoorRejected, res.DroppedPairs)
+	}
+	if lvl := rt.DegradationLevel(); lvl != runtime.LevelAdmission {
+		t.Errorf("ladder level %d, want LevelAdmission (%d)", lvl, runtime.LevelAdmission)
+	}
+	if x := rt.Excess(); x <= 0 {
+		t.Errorf("ladder excess x = %g, want > 0 past the high-water mark", x)
+	}
+
+	unhold()
+	drainQueues(t, n1)
+	rep := n1.node.AuditCluster()
+	if !rep.OK {
+		t.Errorf("audit not OK: %v", rep.Problems)
+	}
+	if want := uint64(1 + prefill + k); rep.EdgePairs != want {
+		t.Errorf("audit edge_pairs %d, want %d", rep.EdgePairs, want)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"cepshed/internal/event"
 	"cepshed/internal/registry"
 	"cepshed/internal/runtime"
-	"cepshed/internal/shed"
 )
 
 // Config wires a Node into its host process.
@@ -82,7 +81,6 @@ type Node struct {
 	reg   *registry.Registry
 	place *Placement
 	det   *Detector
-	gate  *shed.AdmissionController // degraded-mode router gate, see routerAdmit
 	hc    *http.Client
 
 	// peerMu guards peers and cfg.Topology against topology reloads.
@@ -114,7 +112,7 @@ type Node struct {
 	// Counters. inFlight is the handoff_in_flight gauge: events queued
 	// for forwarding plus handoff frames shipped but not yet resolved.
 	forwardedOut  atomic.Uint64 // pairs acked by a peer
-	forwardedIn   atomic.Uint64 // pairs received from peers (non-shed)
+	forwardedIn   atomic.Uint64 // pairs received from peers and offered here
 	forwardDrop   atomic.Uint64 // router_dropped_total: pairs dropped at the router
 	retriesTotal  atomic.Uint64 // forward batch re-sends after network errors
 	redirects     atomic.Uint64 // forward batches re-routed after an ownership NACK
@@ -132,8 +130,6 @@ type Node struct {
 	// came from. What the local registry made of the pairs that reached it
 	// is read from its disposition ledger, not mirrored here.
 	edgePairs     atomic.Uint64 // pairs created at this node's ingest edge
-	edgeShed      atomic.Uint64 // router-admission refusals at the edge
-	recvShed      atomic.Uint64 // router-admission refusals of forwarded events
 	recvBadLines  atomic.Uint64 // undecodable forwarded lines (sender bug)
 	redirectLocal atomic.Uint64 // forwarded pairs that came back home after a NACK
 }
@@ -197,7 +193,6 @@ func New(cfg Config) (*Node, error) {
 		self:  self,
 		reg:   cfg.Registry,
 		place: NewPlacement(cfg.Topology.Names()),
-		gate:  shed.NewAdmissionController(routerHighWater, routerFullWater),
 		hc:    hc,
 		peers: map[string]*peerLink{},
 		dedup: map[string]*dedupWindow{},
@@ -468,7 +463,6 @@ type Status struct {
 	Retries       uint64              `json:"forward_retries" prom:"cepshed_cluster_forward_retries_total,counter,Forward batch re-sends after ambiguous network failures."`
 	Redirects     uint64              `json:"forward_redirects" prom:"cepshed_cluster_forward_redirects_total,counter,Forward batches re-routed after an ownership NACK."`
 	DupBatches    uint64              `json:"dup_batches" prom:"cepshed_cluster_dup_batches_total,counter,Retried forward batches refused by the receiver's dedup window."`
-	RouterShed    uint64              `json:"router_shed" prom:"cepshed_cluster_router_shed_total,counter,Event pairs refused by degraded-mode router admission."`
 	HandoffsOut   uint64              `json:"handoffs_out" prom:"cepshed_cluster_handoffs_out_total,counter,Planned handoffs shipped successfully."`
 	HandoffsIn    uint64              `json:"handoffs_in" prom:"cepshed_cluster_handoffs_in_total,counter,Shard handoffs imported."`
 	HandoffFailed uint64              `json:"handoffs_failed"`
@@ -494,7 +488,6 @@ func (n *Node) Status() Status {
 	s.Retries = n.retriesTotal.Load()
 	s.Redirects = n.redirects.Load()
 	s.DupBatches = n.dupBatches.Load()
-	s.RouterShed = n.edgeShed.Load() + n.recvShed.Load()
 	s.HandoffsOut = n.handoffsOut.Load()
 	s.HandoffsIn = n.handoffsIn.Load()
 	s.HandoffFailed = n.handoffFailed.Load()

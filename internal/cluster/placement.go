@@ -182,7 +182,7 @@ func (p *Placement) IsDown(name string) bool {
 }
 
 // AnyDown reports whether any member is considered down — the
-// cluster-degraded signal driving router admission.
+// cluster-degraded signal (/cluster degraded).
 func (p *Placement) AnyDown() bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"cepshed/internal/event"
@@ -34,8 +33,6 @@ type RouteResult struct {
 	// DroppedPairs died at the router: forward queue full or owner
 	// unreachable. Part of the cluster loss accounting, never silent.
 	DroppedPairs int
-	// ShedPairs were refused by degraded-mode router admission.
-	ShedPairs int
 }
 
 // maxRedirects bounds how many times one forward batch may re-route
@@ -58,7 +55,6 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 	if len(batch) == 0 {
 		return res
 	}
-	fill := -1.0
 	var groups []registry.Share
 	var local []*event.Event // events with a local pair, in batch order
 	for _, item := range batch {
@@ -79,10 +75,6 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 				return
 			}
 			if owner == n.cfg.Self {
-				if !n.routerAdmit(&fill, &n.edgeShed) {
-					res.ShedPairs++
-					return
-				}
 				if !stamped {
 					n.cfg.StampSeq(e)
 					stamped = true
@@ -133,51 +125,6 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 	}
 	res.Add(n.reg.OfferShares(groups, local))
 	return res
-}
-
-// Degraded-mode router thresholds: begin shedding at 50% aggregate fill
-// and refuse everything at 90%, versus the runtime ladder's 0.75/0.95 —
-// the router sheds FIRST so survivor queues keep headroom for the
-// failed-over slots' replay burst.
-const (
-	routerHighWater = 0.5
-	routerFullWater = 0.9
-)
-
-// routerAdmit is the router's admission gate, the same helper on both
-// of its sides: the ingest edge (shed = edgeShed) and the receipt of a
-// forward (shed = recvShed). A healthy cluster never consults it. While
-// a peer is down the survivors carry its slots on top of their own, and
-// waiting for each runtime's ladder to saturate would mean the extra
-// load already sits in shard queues, inflating θ for every tenant — so
-// the router refuses first, before a pair costs a queue slot, with a
-// fill-ramp coin (shed.AdmissionController) at the lower marks above —
-// the one coin left in the admission chain. fill caches
-// localFill across one batch (< 0: not read yet).
-func (n *Node) routerAdmit(fill *float64, shed *atomic.Uint64) bool {
-	if !n.Degraded() {
-		return true
-	}
-	if *fill < 0 {
-		*fill = n.localFill()
-	}
-	if n.gate.Admit(*fill) {
-		return true
-	}
-	shed.Add(1)
-	return false
-}
-
-// localFill is the max aggregate queue fill across local runtimes —
-// the signal degraded-mode router admission keys on.
-func (n *Node) localFill() float64 {
-	max := 0.0
-	for _, in := range n.reg.ActiveInstances() {
-		if f := in.Runtime().LoadStats().QueueFill; f > max {
-			max = f
-		}
-	}
-	return max
 }
 
 // forwarder drains one peer's queue, coalescing runs of items bound
@@ -371,19 +318,16 @@ func (n *Node) acceptRedirectHome(it fwdItem, body []byte) bool {
 	if !ok {
 		return false
 	}
-	or, _ := n.offerForwarded(in, it.slot, bytes.NewReader(body), &n.edgeShed)
+	or := n.offerForwarded(in, it.slot, bytes.NewReader(body))
 	n.redirectLocal.Add(uint64(or.Events))
 	return true
 }
 
 // offerForwarded decodes NDJSON event lines and offers them into one
-// local slot, applying router admission (counted in shed) and
-// owner-side seq stamping. Shared by HandleForward and the
-// redirect-home path. Undecodable lines are counted in recvBadLines;
-// or.Events is how many events were stamped and offered, refused how
-// many the router gate turned away.
-func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader, shed *atomic.Uint64) (or registry.OfferResult, refused int) {
-	fill := -1.0
+// local slot with owner-side seq stamping. Shared by HandleForward and
+// the redirect-home path. Undecodable lines are counted in
+// recvBadLines; or.Events is how many events were stamped and offered.
+func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader) registry.OfferResult {
 	dec := runtime.NewLineDecoder(r, 0)
 	var evs []*event.Event
 	for {
@@ -402,14 +346,10 @@ func (n *Node) offerForwarded(in *registry.Instance, slot int, r io.Reader, shed
 		if !hasTime {
 			n.cfg.StampTime(e)
 		}
-		if !n.routerAdmit(&fill, shed) {
-			refused++
-			continue
-		}
 		n.cfg.StampSeq(e)
 		evs = append(evs, e)
 	}
-	return in.OfferSlot(slot, evs), refused
+	return in.OfferSlot(slot, evs)
 }
 
 // seenBatch atomically checks-and-marks one (sender, batch) pair in
@@ -457,6 +397,10 @@ func (n *Node) seenBatch(sender string, batch uint64) bool {
 //     whose original delivery succeeded but whose ack was lost; it
 //     acks 200 {"dup":true} WITHOUT processing, which is what makes
 //     retrying ambiguous failures safe.
+//
+// The 200 ack reports the batch's door verdicts: accepted (delivered),
+// rejected (refused at the door) and shed (skipped below the recovery
+// floor); sendBatch does not parse it.
 func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReader(r.Body)
 	hdr, err := readForwardHeader(br)
@@ -483,11 +427,11 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"dup":true}`+"\n")
 		return
 	}
-	or, refused := n.offerForwarded(in, hdr.Slot, br, &n.recvShed)
+	or := n.offerForwarded(in, hdr.Slot, br)
 	n.forwardedIn.Add(uint64(or.Events))
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"shed":%d}`+"\n",
-		or.Deliveries, or.DoorRejected, refused+or.FloorSkipped)
+		or.Deliveries, or.DoorRejected, or.FloorSkipped)
 }
 
 // urlEscape covers the characters query IDs may contain; IDs are

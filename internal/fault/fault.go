@@ -72,7 +72,7 @@ func PanicEvery(n int, limit int, msg string) Hook {
 // time (1-based) the named snapshot stage is reached, then never again —
 // the "crash in the middle of writing a snapshot" fault. Paired with the
 // stage names in internal/checkpoint (encoded, tmp-written, renamed,
-// rotated), it lets a chaos test kill a shard at an exact point of the
+// floor-published), it lets a chaos test kill a shard at an exact point of the
 // temp-write-rename protocol and assert recovery falls back to the
 // previous good generation.
 func FailStageOnce(stage string, nth int) func(shard int, stage string) {

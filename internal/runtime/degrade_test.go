@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -94,5 +95,24 @@ func TestLadderDisabledWithoutBound(t *testing.T) {
 	}
 	if snap.AdmissionRejected != 0 {
 		t.Errorf("AdmissionRejected = %d with Bound = 0, want 0", snap.AdmissionRejected)
+	}
+}
+
+// The ladder's excess fraction is 0 up to the high-water mark, ramps
+// linearly to maxLadderExcess at the reject mark and stays there.
+func TestLadderFillRamp(t *testing.T) {
+	for _, c := range []struct{ fill, want float64 }{
+		{0, 0},
+		{0.5, 0},
+		{highWater, 0},
+		{0.8, 0.225},
+		{0.85, 0.45},
+		{rejectWater, maxLadderExcess},
+		{1, maxLadderExcess},
+		{2, maxLadderExcess},
+	} {
+		if got := fillRamp(c.fill); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("fillRamp(%g) = %g, want %g", c.fill, got, c.want)
+		}
 	}
 }

@@ -101,6 +101,16 @@ const (
 	maxLadderExcess = 0.9
 )
 
+// fillRamp maps a queue fill to the ladder's excess fraction: 0 up to
+// highWater, rising linearly to maxLadderExcess at rejectWater, capped
+// there beyond.
+func fillRamp(fill float64) float64 {
+	if fill <= highWater {
+		return 0
+	}
+	return min((fill-highWater)/(rejectWater-highWater)*maxLadderExcess, maxLadderExcess)
+}
+
 // MaxExcess caps any excess fraction x: a strategy always runs against
 // at least 5% of its bound, so latency keeps a target it can meet.
 const MaxExcess = 0.95
@@ -415,9 +425,8 @@ func (r *Runtime) RecoveryInfo() RecoveryInfo {
 }
 
 // LoadStats is the cheap load summary the cross-query arbiter polls
-// every tick: monotone counters plus the instantaneous ladder signals.
-// Reading it touches a handful of atomics per shard — no histogram
-// quantiles, no per-shard snapshot structs.
+// every tick: monotone counters. Reading it touches a handful of atomics
+// per shard — no histogram quantiles, no per-shard snapshot structs.
 type LoadStats struct {
 	// BusyNs is cumulative worker service time across shards; the delta
 	// between two polls over the wall interval is the utilization this
@@ -429,11 +438,6 @@ type LoadStats struct {
 	EventsShed uint64
 	Processed  uint64
 	Matches    uint64
-	// SmoothedLatency is the worst effective per-shard EWMA (stale shards
-	// decayed, as for the degradation ladder); QueueFill the aggregate
-	// queue fill in [0,1].
-	SmoothedLatency time.Duration
-	QueueFill       float64
 }
 
 // LoadStats gathers the arbiter's poll cheaply; safe from any goroutine.
@@ -446,9 +450,6 @@ func (r *Runtime) LoadStats() LoadStats {
 		st.Processed += sh.processed.Load()
 		st.Matches += sh.matched.Load()
 	}
-	ewma, fill := r.ladderSignals(time.Now())
-	st.SmoothedLatency = time.Duration(ewma)
-	st.QueueFill = fill
 	return st
 }
 
@@ -662,7 +663,7 @@ func (r *Runtime) updateLevel(now time.Time) int {
 	}
 	x := 0.0
 	if next >= LevelAdmission {
-		x = shed.FillRamp(fill, highWater, rejectWater, maxLadderExcess)
+		x = fillRamp(fill)
 	}
 	r.x.ladder.set(x)
 	return next
@@ -815,7 +816,7 @@ type ShardSnapshot struct {
 	Snapshots  uint64 `json:"snapshots" prom:"cepshed_snapshots_total,counter,Checkpoint snapshots taken by the shard."`
 	// SnapPauseMaxNs is the worst pause the periodic snapshot has
 	// inflicted on this shard's serving thread: capture + finalize
-	// (flush, WAL rotation); encode and write run off-thread.
+	// (flush, floor publication); encode and write run off-thread.
 	SnapPauseMaxNs int64  `json:"snap_pause_max_ns"`
 	SnapshotBytes  int64  `json:"snapshot_bytes" prom:"cepshed_snapshot_bytes,gauge,Size of the shard's last checkpoint snapshot."`
 	SnapshotUnixNs int64  `json:"snapshot_unix_ns"`
