@@ -36,7 +36,7 @@ loc:
 	@echo "non-test $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)  test $$(find internal cmd -name '*_test.go' | xargs cat | wc -l)"
 
 # The chaos suite (docs/ROBUSTNESS.md + docs/DURABILITY.md +
-# docs/CLUSTER.md): supervisor recovery, circuit breaker failover,
+# docs/CLUSTER.md): supervisor recovery, the circuit breaker,
 # degradation ladder, corrupt-input, crash-recovery differential,
 # kill-during-snapshot, node failure detection, cluster failover, and
 # concurrent fault-injection tests, always under the race detector.
@@ -80,7 +80,7 @@ chaos-net:
 # Replay the checked-in fuzz corpora (seeds plus any minimized crashers)
 # as a plain regression suite; part of `make check`.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/runtime ./internal/query ./internal/csvio ./internal/checkpoint ./internal/cluster
+	$(GO) test -run 'Fuzz' ./internal/runtime ./internal/query ./internal/checkpoint ./internal/cluster
 
 # Explore new inputs, FUZZTIME per target: the stream decoder, then the
 # line parser against its encoding/json oracle. Crashers land in

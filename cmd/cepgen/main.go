@@ -1,23 +1,23 @@
-// Command cepgen emits a generated dataset as CSV on stdout, for
-// inspection or for feeding external tools. Columns: seq, time_ns, type,
-// then one column per attribute of the dataset's schema.
+// Command cepgen emits a generated dataset on stdout in the NDJSON wire
+// format cepserved reads (runtime.EncodeEvent, one event per line), so
+// its output feeds a server's -tcp edge or POST /ingest directly.
 //
-//	cepgen -dataset ds1 -events 1000 > ds1.csv
-//	cepgen -dataset citibike -events 5000 -seed 7 > trips.csv
+//	cepgen -dataset ds1 -events 1000 > ds1.ndjson
+//	cepgen -dataset citibike -events 5000 -seed 7 | nc localhost 9090
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"cepshed/internal/citibike"
 	"cepshed/internal/event"
 	"cepshed/internal/gcluster"
 	"cepshed/internal/gen"
+	"cepshed/internal/runtime"
 )
 
 func main() {
@@ -28,52 +28,38 @@ func main() {
 	)
 	flag.Parse()
 
-	var stream event.Stream
-	switch *dataset {
-	case "ds1":
-		stream = gen.DS1(gen.DS1Config{Events: *events, Seed: *seed})
-	case "ds2":
-		stream = gen.DS2(gen.DS2Config{Events: *events, Seed: *seed})
-	case "citibike":
-		stream = citibike.Generate(citibike.Config{Trips: *events, Seed: *seed})
-	case "gcluster":
-		stream = gcluster.Generate(gcluster.Config{Tasks: *events, Seed: *seed})
-	default:
-		fmt.Fprintf(os.Stderr, "cepgen: unknown dataset %q\n", *dataset)
+	stream, err := generate(*dataset, *events, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cepgen: %v\n", err)
 		os.Exit(2)
 	}
+	if err := write(os.Stdout, stream); err != nil {
+		fmt.Fprintf(os.Stderr, "cepgen: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	// Collect the attribute schema across the stream.
-	attrSet := map[string]bool{}
-	for _, e := range stream {
-		for a := range e.Attrs {
-			attrSet[a] = true
-		}
+// generate builds the named dataset's stream.
+func generate(dataset string, events int, seed int64) (event.Stream, error) {
+	switch dataset {
+	case "ds1":
+		return gen.DS1(gen.DS1Config{Events: events, Seed: seed}), nil
+	case "ds2":
+		return gen.DS2(gen.DS2Config{Events: events, Seed: seed}), nil
+	case "citibike":
+		return citibike.Generate(citibike.Config{Trips: events, Seed: seed}), nil
+	case "gcluster":
+		return gcluster.Generate(gcluster.Config{Tasks: events, Seed: seed}), nil
 	}
-	attrs := make([]string, 0, len(attrSet))
-	for a := range attrSet {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
+	return nil, fmt.Errorf("unknown dataset %q", dataset)
+}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	fmt.Fprintf(w, "seq,time_ns,type,%s\n", strings.Join(attrs, ","))
+// write renders stream as NDJSON, one event per line.
+func write(w io.Writer, stream event.Stream) error {
+	bw := bufio.NewWriter(w)
 	for _, e := range stream {
-		fmt.Fprintf(w, "%d,%d,%s", e.Seq, int64(e.Time), e.Type)
-		for _, a := range attrs {
-			v, ok := e.Get(a)
-			switch {
-			case !ok:
-				fmt.Fprint(w, ",")
-			case v.Kind == event.KindString:
-				fmt.Fprintf(w, ",%s", v.S)
-			case v.Kind == event.KindFloat:
-				fmt.Fprintf(w, ",%g", v.F)
-			default:
-				fmt.Fprintf(w, ",%d", v.I)
-			}
-		}
-		fmt.Fprintln(w)
+		bw.Write(runtime.EncodeEvent(e))
+		bw.WriteByte('\n')
 	}
+	return bw.Flush()
 }

@@ -31,9 +31,6 @@ import (
 type AdmitTable struct {
 	types []string
 	tas   []*typeAdmit
-	// scratch is the own-feature buffer length Admit needs (the widest
-	// own-attribute span of any compiled state).
-	scratch int
 }
 
 func (t *AdmitTable) typeAdmitFor(typ string) *typeAdmit {
@@ -68,7 +65,7 @@ type stateAdmit struct {
 // set itself, so it is safe to run on the planner goroutine while the
 // worker keeps processing.
 func (model *Model) CompileAdmitTable(ss *SheddingSet) *AdmitTable {
-	t := &AdmitTable{scratch: model.spec.maxOwnDims()}
+	t := &AdmitTable{}
 	for s := range model.machine.States {
 		typ := model.machine.States[s].Comp.Type
 		ta := t.typeAdmitFor(typ)
@@ -167,11 +164,9 @@ func (sa *stateAdmit) mergeIntervals() {
 	sa.lo, sa.hi = lo, hi
 }
 
-// ScratchLen is the minimum length of the buffer Admit requires.
-func (t *AdmitTable) ScratchLen() int { return t.scratch }
-
 // Admit is the compiled ρI decision: true admits the event. buf is a
-// caller-owned scratch of at least ScratchLen() — with it, the decision
+// caller-owned scratch as long as the widest own-attribute span of any
+// state (featureSpec.maxOwnDims) — with it, the decision
 // performs zero heap allocations (pinned by TestAdmitEventZeroAlloc).
 func (t *AdmitTable) Admit(e *event.Event, buf []float64) bool {
 	ta := t.typeAdmitFor(e.Type)

@@ -556,22 +556,6 @@ func (model *Model) ClassFreq(state, class int) float64 {
 	return sm.freq[class]
 }
 
-// ClassUtility returns the contribution/consumption ratio of a class
-// aggregated over slices — the density ordering used when the shedding
-// budget is resource consumption.
-func (model *Model) ClassUtility(state, class int) float64 {
-	var c, w float64
-	for sl := 0; sl < model.cfg.Slices; sl++ {
-		cc, ww := model.Estimate(state, class, sl)
-		c += cc
-		w += ww
-	}
-	if w <= 0 {
-		return c
-	}
-	return c / w
-}
-
 // ClassContribution returns the contribution of a class aggregated over
 // slices — the value ordering used when the shedding budget is a COUNT
 // of items (fixed-ratio shedding): shedding N items loses the least when

@@ -13,7 +13,7 @@ import (
 
 // parityRig is one registry with one Q1 query on two shards, driven
 // into the state the entry-point parity test measures in: shard 0
-// failed (so its key range takes the fallback), shard 1's worker parked
+// failed (so the door refuses its key range), shard 1's worker parked
 // inside BeforeProcess (so queue depth, the ladder's only live signal
 // here, moves with nothing but the test's own offers), 44 of the 64
 // queue slots the ladder sees filled — 4 below the admission mark — and
@@ -72,6 +72,16 @@ func newParityRig(t *testing.T) *parityRig {
 		}
 		return out
 	}
+	// on1 makes n events whose keys shard 1 owns.
+	on1 := func(n int) []*event.Event {
+		out := make([]*event.Event, 0, n)
+		for len(out) < n {
+			if e := mk(1)[0]; rig.in.ShardSlot(e) == 1 {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
 	quiet := func() bool {
 		s := rig.in.Runtime().Snapshot()
 		for _, ss := range s.Shards {
@@ -101,13 +111,13 @@ func newParityRig(t *testing.T) *parityRig {
 	wait("the queues draining", quiet)
 
 	park.Store(true)
-	g.OfferBatch(mk(1))
+	g.OfferBatch(on1(1))
 	select {
 	case <-entered:
 	case <-time.After(20 * time.Second):
 		t.Fatal("parity rig: worker never parked")
 	}
-	if res := g.OfferBatch(mk(parityPrefill)); res.Deliveries != parityPrefill {
+	if res := g.OfferBatch(on1(parityPrefill)); res.Deliveries != parityPrefill {
 		t.Fatalf("parity rig: prefill delivered %d of %d", res.Deliveries, parityPrefill)
 	}
 	if seq >= parityFloor-10 {
@@ -135,9 +145,10 @@ func parityStream() []*event.Event {
 // failed shard and a recovery floor — must end in the same
 // per-disposition counts, every pair in exactly one of them. No link
 // flips a coin, so the counts are exact: 10 pairs below the floor, then
-// deliveries until the queued events reach the reject mark (61 of 64,
-// 17 past the prefill; level 2 tightens the bound, it refuses nothing),
-// then rejections. The two runtime entry points know nothing of floors,
+// deliveries of shard 1's keys until the queued events reach the reject
+// mark (61 of 64, 17 past the prefill; level 2 tightens the bound, it
+// refuses nothing), then rejections; every pair of the failed shard 0's
+// keys is refused from the start. The two runtime entry points know nothing of floors,
 // so for them the test runs the registry's admit itself, as OfferSlot
 // does.
 func TestEntryPointParity(t *testing.T) {
@@ -190,7 +201,11 @@ func TestEntryPointParity(t *testing.T) {
 		var got tally
 		stream := parityStream()
 		for _, e := range stream {
+			delivered := got[shed.Delivered]
 			en.offer(rig, e, &got)
+			if rig.in.ShardSlot(e) == 0 && got[shed.Delivered] != delivered {
+				t.Errorf("%s delivered seq %d, whose key the failed shard owns", en.name, e.Seq)
+			}
 		}
 		lvl := rig.in.Runtime().DegradationLevel()
 		after, rtAfter := rig.in.disp.Counts(), rig.in.Runtime().Snapshot()

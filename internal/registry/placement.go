@@ -59,11 +59,11 @@ func (in *Instance) OfferSlot(slot int, events []*event.Event) OfferResult {
 }
 
 // door is the registry half of the query's admission chain: the
-// recovery floor, then the runtime door's verdict, taken once for the
-// batch so that what a durable registry logs is what it offers. It
-// counts the pairs it refuses in the query's ledger and returns the
-// rest, filtered in place.
-func (in *Instance) door(events []*event.Event) ([]*event.Event, OfferResult) {
+// recovery floor, then the runtime door's verdict for shard slot (< 0:
+// each event's key), taken once for the batch so that what a durable
+// registry logs is what it offers. It counts the pairs it refuses in
+// the query's ledger and returns the rest, filtered in place.
+func (in *Instance) door(slot int, events []*event.Event) ([]*event.Event, OfferResult) {
 	var res OfferResult
 	kept := events[:0]
 	for _, e := range events {
@@ -73,9 +73,9 @@ func (in *Instance) door(events []*event.Event) ([]*event.Event, OfferResult) {
 			kept = append(kept, e)
 		}
 	}
-	if len(kept) > 0 && !in.rt.Door(len(kept)) {
-		res.DoorRejected = len(kept)
-		kept = kept[:0]
+	if n := len(kept); n > 0 {
+		kept = in.rt.Door(slot, kept)
+		res.DoorRejected = n - len(kept)
 	}
 	in.disp.Add(shed.Rejected, res.DoorRejected)
 	in.disp.Add(shed.FloorSkipped, res.FloorSkipped)

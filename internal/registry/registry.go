@@ -874,7 +874,7 @@ func (g *Registry) OfferShares(shares []Share, keyed []*event.Event) OfferResult
 	for i := range shares {
 		if sh := &shares[i]; len(sh.Events) > 0 {
 			var dr OfferResult
-			sh.Events, dr = sh.In.door(sh.Events)
+			sh.Events, dr = sh.In.door(sh.Slot, sh.Events)
 			res.Add(dr)
 		}
 	}

@@ -19,12 +19,6 @@ import (
 // batch at once under claimMu (a Claim), so any two claims meet every
 // shard they share in the same order and the earliest unfinished claim
 // always holds its shards' turns: waiting on turns cannot deadlock.
-//
-// The one send without a ticket is the supervisor's failover forward
-// (tryFailover): it runs on the worker side and never blocks, so it
-// cannot hold up a turn, and the events it moves were already logged
-// and queued for the failed shard — their log order is that shard's,
-// not the target's (docs/DURABILITY.md, "Caveats").
 
 // queueOrder is one shard's ticket state.
 type queueOrder struct {
@@ -74,46 +68,37 @@ type claimPart struct {
 	ticket uint64
 }
 
-// split groups events by target shard — slot, or by key when slot < 0,
-// the next healthy shard when that one has failed — into parts, reusing
-// its capacity. Events with no shard (closed runtime, every shard
-// failed, or a slot the runtime does not have) count as rejected. It
-// returns slices rather than filling a Claim so that a caller's stack
-// array can back them.
+// split groups events by target shard — slot, or by key when slot < 0
+// — into parts, reusing its capacity. A closed runtime, or a slot it
+// does not have, rejects them all. It returns slices rather than
+// filling a Claim so that a caller's stack array can back them.
 func (r *Runtime) split(parts []claimPart, slot int, events []*event.Event, enq time.Time) (_ []claimPart, rejected int) {
 	parts = parts[:0]
-	if slot >= len(r.shards) {
+	if slot >= len(r.shards) || r.closed.Load() {
 		return parts, len(events)
 	}
-	closed := r.closed.Load() // a closed door refuses everything
-	var fixed [16]int32       // part index + 1 per shard, on the stack for up to 16 shards
+	if len(events) == 1 {
+		e := events[0]
+		return append(parts, claimPart{sh: r.shardFor(slot, e), b: batch{one: item{e: e, enq: enq}}, n: 1}), 0
+	}
+	var fixed [16]int32 // part index + 1 per shard, on the stack for up to 16 shards
 	at := fixed[:min(len(r.shards), len(fixed))]
-	if len(events) > 1 && len(r.shards) > len(fixed) {
+	if len(r.shards) > len(fixed) {
 		at = make([]int32, len(r.shards))
 	}
 	for _, e := range events {
-		var sh *shard
-		if !closed {
-			sh = r.shardFor(slot, e)
+		sh := r.shardFor(slot, e)
+		p := at[sh.id]
+		if p == 0 {
+			parts = append(parts, claimPart{sh: sh, b: batch{items: getItems()}})
+			p = int32(len(parts))
+			at[sh.id] = p
 		}
-		switch {
-		case sh == nil:
-			rejected++
-		case len(events) == 1:
-			parts = append(parts, claimPart{sh: sh, b: batch{one: item{e: e, enq: enq}}, n: 1})
-		default:
-			p := at[sh.id]
-			if p == 0 {
-				parts = append(parts, claimPart{sh: sh, b: batch{items: getItems()}})
-				p = int32(len(parts))
-				at[sh.id] = p
-			}
-			part := &parts[p-1]
-			*part.b.items = append(*part.b.items, item{e: e, enq: enq})
-			part.n++
-		}
+		part := &parts[p-1]
+		*part.b.items = append(*part.b.items, item{e: e, enq: enq})
+		part.n++
 	}
-	return parts, rejected
+	return parts, 0
 }
 
 // Claim splits events that passed Door by target shard (slot < 0: by

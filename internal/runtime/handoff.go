@@ -347,11 +347,3 @@ func (r *Runtime) ShardIndexFor(e *event.Event) int {
 	}
 	return int(r.key(e) % uint64(len(r.shards)))
 }
-
-// ShardExported reports whether slot i is currently frozen/exported.
-func (r *Runtime) ShardExported(i int) bool {
-	if i < 0 || i >= len(r.shards) {
-		return false
-	}
-	return r.shards[i].exportedFlag.Load()
-}

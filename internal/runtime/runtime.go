@@ -24,13 +24,13 @@
 //
 // Two robustness layers wrap the shards (docs/ROBUSTNESS.md): a
 // supervisor that recovers worker panics, quarantines poison events to a
-// dead-letter queue, and fails persistent offenders over to healthy
-// shards (supervisor.go); and a graceful-degradation ladder that extends
-// the paper's "degrade quality, not latency" contract from the strategy
-// level (ρI/ρS) up to the admission edge — first a tighter bound for
-// every shard's strategy, then outright load rejection at the door —
-// driven by the same smoothed latency signal against the bound θ and by
-// queue fill.
+// dead-letter queue, and fails a persistent offender, whose key range
+// the door then refuses (supervisor.go); and a graceful-degradation
+// ladder that extends the paper's "degrade quality, not latency"
+// contract from the strategy level (ρI/ρS) up to the admission edge —
+// first a tighter bound for every shard's strategy, then outright load
+// rejection at the door — driven by the same smoothed latency signal
+// against the bound θ and by queue fill.
 //
 // A tighter bound is the runtime's one lever on what gets shed: each
 // shard hands its strategy lat/(1−x) instead of lat, which for every
@@ -230,7 +230,8 @@ type Runtime struct {
 	dlq               DeadLetterRing
 	level             atomic.Int32
 	admissionRejected atomic.Uint64
-	x                 excess // shared by every shard; see tighten
+	failedShards      atomic.Int32 // shards the breaker failed; the door's fast path reads it
+	x                 excess       // shared by every shard; see tighten
 
 	// Durability plumbing (inert without Config.Durability): fp binds
 	// checkpoints to this query/sharding configuration, dur is the
@@ -259,8 +260,7 @@ type Runtime struct {
 	// the write side before closing. A producer blocked on a full queue
 	// holds its RLock, but shard workers keep draining until the channels
 	// close (which needs the write lock), so the send — and with it
-	// Close — always completes. Failover forwarding (supervisor.go)
-	// mirrors the producer side of this protocol.
+	// Close — always completes.
 	mu     sync.RWMutex
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -509,10 +509,10 @@ func (r *Runtime) logf(format string, args ...any) {
 // offer is the runtime's own entry point, the sequence a registry runs
 // too: Door, then Claim, then Deliver (the chain it is the last link of:
 // docs/ROBUSTNESS.md). One clock read and one ladder update cover the
-// call. At LevelReject every event is refused; otherwise each goes to
-// the shard its key hashes to or, if that shard has failed, to the next
-// healthy one; with none left, or after Close, it is refused too.
-// Refusals count in Snapshot.AdmissionRejected. A lone event travels as
+// call. At LevelReject or after Close every event is refused, and an
+// event whose key hashes to a failed shard always is; the rest go to
+// the shards their keys hash to. Refusals count in
+// Snapshot.AdmissionRejected. A lone event travels as
 // batch{one:} — no slice, no pool round trip; a longer call's events
 // reach each shard as one queued batch, in order. A full queue blocks
 // the caller — that IS the backpressure signal; overload is shed by
@@ -526,7 +526,7 @@ func (r *Runtime) offer(events []*event.Event) int {
 		return 0 // everything was shed upstream: not worth a ladder update
 	}
 	enq := time.Now() // also the ladder's staleness reference
-	if !r.door(len(events), enq) {
+	if events = r.door(-1, events, enq); len(events) == 0 {
 		return 0
 	}
 	var fixed [16]claimPart // the call's parts, on the stack for up to 16 shards
@@ -572,22 +572,41 @@ func (r *Runtime) logClaim(parts []claimPart, rejected int, events []*event.Even
 func (r *Runtime) Offer(e *event.Event) bool { return r.offer([]*event.Event{e}) == 1 }
 
 // OfferBatch is Offer for a slice of events, each routed by its key;
-// it returns how many were accepted.
+// it returns how many were accepted. The door filters events in place
+// when it refuses some; callers must own the slice.
 func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(events) }
 
-// Door refreshes the degradation ladder and reports whether the door
-// admits a batch of n events now; a refusal counts the n events in
+// Door refreshes the degradation ladder and returns the events it
+// admits now, filtered in place: none at LevelReject or after Close,
+// and never one whose target shard — slot, or for slot < 0 the shard
+// its key hashes to — has failed. Refusals count in
 // Snapshot.AdmissionRejected. A caller that logs events before offering
-// them takes the verdict here, logs it, and offers what passed with
+// them takes the verdict here, logs what passed, and offers that with
 // Claim and Deliver, so the log and the door cannot disagree.
-func (r *Runtime) Door(n int) bool { return r.door(n, time.Now()) }
+func (r *Runtime) Door(slot int, events []*event.Event) []*event.Event {
+	return r.door(slot, events, time.Now())
+}
 
-func (r *Runtime) door(n int, now time.Time) bool {
-	if !r.closed.Load() && r.updateLevel(now) < LevelReject {
-		return true
+func (r *Runtime) door(slot int, events []*event.Event, now time.Time) []*event.Event {
+	kept := events
+	if r.closed.Load() || r.updateLevel(now) >= LevelReject {
+		kept = events[:0]
+	} else if r.failedShards.Load() > 0 { // one load per batch while every shard is healthy
+		kept = events[:0]
+		for _, e := range events {
+			s := slot
+			if s < 0 {
+				s = r.ShardIndexFor(e)
+			}
+			if s >= len(r.shards) || !r.shards[s].failed.Load() {
+				kept = append(kept, e)
+			}
+		}
 	}
-	r.admissionRejected.Add(uint64(n))
-	return false
+	if n := len(events) - len(kept); n > 0 {
+		r.admissionRejected.Add(uint64(n))
+	}
+	return kept
 }
 
 // ladderSignals gathers the two inputs of the ladder: the worst
@@ -689,17 +708,12 @@ func (r *Runtime) Excess() float64 { return r.x.load() }
 func (r *Runtime) DeadLetters() []DeadLetter { return r.dlq.Letters() }
 
 // shardFor resolves the shard an offer goes to: slot, or for slot < 0
-// the one the event's key hashes to; the next healthy shard when that
-// one has failed, nil when every shard has.
+// the one the event's key hashes to.
 func (r *Runtime) shardFor(slot int, e *event.Event) *shard {
 	if slot < 0 {
 		slot = r.ShardIndexFor(e)
 	}
-	sh := r.shards[slot]
-	if sh.failed.Load() {
-		sh = r.fallbackFor(sh.id)
-	}
-	return sh
+	return r.shards[slot]
 }
 
 // Close drains the runtime gracefully: input channels are closed, every
@@ -859,8 +873,8 @@ type Snapshot struct {
 	// Robustness counters. Restarts sums supervisor restarts across
 	// shards; Quarantined counts every dead letter ever recorded (the
 	// dead-letter ring's total); AdmissionRejected counts offers refused
-	// at the door: by the degradation ladder (levels 2–3), for want of a
-	// healthy shard, or after Close.
+	// at the door: by the degradation ladder (level 3), for a failed
+	// target shard, or after Close.
 	DegradationLevel  int    `json:"degradation_level" prom:"cepshed_degradation_level"`
 	Restarts          uint64 `json:"restarts"`
 	Quarantined       uint64 `json:"quarantined"`

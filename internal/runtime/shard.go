@@ -372,7 +372,7 @@ func (s *shard) drainQuantum() (worked, closed bool) {
 }
 
 // markDone retires the shard from the worker pool: its channel closed
-// and finish (or failed-shard forwarding) completed. signalRecovered
+// and finish (or a failed shard's drain) completed. signalRecovered
 // backstops WaitRecovered against shards that die before boot recovery
 // ran; wakeAll lets every worker re-check the pool exit condition.
 func (s *shard) markDone(r *Runtime) {

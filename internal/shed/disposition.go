@@ -14,7 +14,7 @@ const (
 	// Delivered: accepted into a shard queue.
 	Delivered Disposition = iota
 	// Rejected: refused at the runtime's door — degradation ladder
-	// level 2–3, no healthy shard left, or a runtime already closing.
+	// level 3, a failed target shard, or a runtime already closing.
 	Rejected
 	// FloorSkipped: below a recovered query's sequence floor, so already
 	// inside its restored state.
