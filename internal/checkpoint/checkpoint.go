@@ -267,9 +267,11 @@ func (s *ShardStore) AppendMatchKey(seq uint64, key string) error {
 	return err
 }
 
-// AppendSkip logs a quarantined seq and flushes, so replay after the
-// next crash skips the poison event instead of crash-looping on it.
-func (s *ShardStore) AppendSkip(seq uint64) error { return s.log.appendSkip(s.tag, seq) }
+// AppendSkip logs quarantined seqs and flushes once for all of them, so
+// replay after the next crash skips them: a poison event instead of
+// crash-looping on it, a failed shard's drained queue without a flush
+// per event.
+func (s *ShardStore) AppendSkip(seqs ...uint64) error { return s.log.appendSkip(s.tag, seqs) }
 
 // Flush forces buffered log records to the OS (and the device when
 // Fsync is on). A no-op with an empty buffer, so calling it on a timer

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -478,6 +479,58 @@ func TestAbortDropsBufferedTail(t *testing.T) {
 		t.Fatalf("recovered %d events, want the 10 flushed ones", len(got))
 	}
 	store2.Close()
+}
+
+// writeCounter counts the writes that reach the segment file: one per
+// flush while a flush group fits the writer's buffer.
+type writeCounter struct {
+	f      *os.File
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.f.Write(p)
+}
+
+// TestAppendSkipFlushesOnce: a failed shard quarantines its whole queue
+// at once, and the Q records for it reach the log in one flush, not one
+// per seq — each flush holds the log mutex every other shard's appends
+// need, and with Fsync on it syncs the device.
+func TestAppendSkipFlushesOnce(t *testing.T) {
+	store, err := NewShardStore(Config{
+		Dir: t.TempDir(), FlushEvery: 1 << 20, FlushBytes: 1 << 30, FlushInterval: time.Hour,
+	}, 0, testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	w := store.log.w
+	cnt := &writeCounter{f: w.f}
+	w.bw = bufio.NewWriterSize(cnt, 1<<16)
+	seqs := make([]uint64, 500)
+	for i := range seqs {
+		seqs[i] = uint64(100 + i)
+	}
+	if err := store.AppendSkip(seqs...); err != nil {
+		t.Fatal(err)
+	}
+	if cnt.writes != 1 {
+		t.Fatalf("%d Q records reached the file in %d writes, want one flush", len(seqs), cnt.writes)
+	}
+	res, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skipped []uint64
+	for _, rec := range res.Records {
+		if rec.Kind == RecSkip {
+			skipped = append(skipped, rec.Seq)
+		}
+	}
+	if len(skipped) != len(seqs) || skipped[0] != seqs[0] || skipped[len(skipped)-1] != seqs[len(seqs)-1] {
+		t.Fatalf("replayed %d Q records (%v...), want seqs %d..%d", len(skipped), skipped[:min(len(skipped), 3)], seqs[0], seqs[len(seqs)-1])
+	}
 }
 
 func TestDeadLetterRoundTrip(t *testing.T) {

@@ -263,15 +263,17 @@ func (l *Log) appendMatch(t Tag, seq uint64, key string) (uint64, error) {
 	return l.appended, l.policyLocked(false)
 }
 
-// appendSkip appends one Q record and flushes it.
-func (l *Log) appendSkip(t Tag, seq uint64) error {
+// appendSkip appends one Q record per seq and flushes them once.
+func (l *Log) appendSkip(t Tag, seqs []uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return os.ErrClosed
 	}
-	if err := l.appendLocked(RecSkip, encodeSkipRecord(&l.enc, t, seq)); err != nil {
-		return err
+	for _, seq := range seqs {
+		if err := l.appendLocked(RecSkip, encodeSkipRecord(&l.enc, t, seq)); err != nil {
+			return err
+		}
 	}
 	return l.flushLocked()
 }

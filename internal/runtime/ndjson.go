@@ -266,7 +266,13 @@ func EncodeEvent(e *event.Event) []byte {
 		case v.Kind == event.KindInt:
 			fmt.Fprintf(&b, "%d", v.I)
 		case v.Kind == event.KindFloat:
-			fmt.Fprintf(&b, "%g", v.F)
+			// A whole float keeps a decimal point, so it decodes back as
+			// a Float and not as an Int.
+			f := strconv.AppendFloat(b.AvailableBuffer(), v.F, 'g', -1, 64)
+			if bytes.IndexAny(f, ".eEnN") < 0 {
+				f = append(f, ".0"...)
+			}
+			b.Write(f)
 		default:
 			b.WriteString("null")
 		}

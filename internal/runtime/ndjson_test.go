@@ -19,6 +19,7 @@ func TestParseEventRoundTrip(t *testing.T) {
 	e := event.New("A", 1234, map[string]event.Value{
 		"ID":   event.Int(7),
 		"V":    event.Float(2.5),
+		"W":    event.Float(2),
 		"user": event.Str(`x"y`),
 	})
 	line := EncodeEvent(e)
@@ -39,8 +40,13 @@ func TestParseEventRoundTrip(t *testing.T) {
 	if got.Attrs["ID"].Kind != event.KindInt {
 		t.Errorf("ID kind = %v, want int", got.Attrs["ID"].Kind)
 	}
-	if got.Attrs["V"].Kind != event.KindFloat {
-		t.Errorf("V kind = %v, want float", got.Attrs["V"].Kind)
+	for _, k := range []string{"V", "W"} {
+		if got.Attrs[k].Kind != event.KindFloat {
+			t.Errorf("%s kind = %v, want float", k, got.Attrs[k].Kind)
+		}
+	}
+	if got.Float("W") != 2 {
+		t.Errorf("W = %v, want 2", got.Attrs["W"])
 	}
 }
 
