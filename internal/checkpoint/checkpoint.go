@@ -83,8 +83,10 @@ type LoadResult struct {
 	// State is the newest decodable snapshot, nil when none exists (fresh
 	// directory or all generations corrupt — CorruptSnaps tells which).
 	State *ShardState
-	// Records are ALL readable WAL records, previous generation first,
-	// unfiltered; the caller filters event records against State.LastSeq.
+	// Records are the shard's readable log tail, in log order: the events
+	// its routing accepts (minus its query's refusals) or that are tagged
+	// for it, and its own match and skip records. Events at or below
+	// State.LastSeq are still included; the caller skips them.
 	Records []Record
 	// UsedPrev reports that the current snapshot was missing or corrupt
 	// and the previous generation was restored instead.

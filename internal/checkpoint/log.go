@@ -103,17 +103,16 @@ func openLog(cfg Config, dir, prefix string, fp uint64) (*Log, error) {
 	}
 	for _, id := range ids {
 		sg := segment{id: id}
-		recs, _, err := readWALFile(l.path(id), fp)
+		_, err := readWALFile(l.path(id), fp, func(r Record) {
+			if r.Kind == RecEvent || r.Kind == RecTagged {
+				sg.note(r.Seq)
+			}
+		})
 		if err != nil {
 			if err := os.Rename(l.path(id), l.path(id)+".corrupt"); err != nil {
 				return nil, err
 			}
 			continue
-		}
-		for _, r := range recs {
-			if r.Kind == RecEvent || r.Kind == RecTagged {
-				sg.note(r.Seq)
-			}
 		}
 		l.segs = append(l.segs, sg)
 	}
@@ -478,8 +477,30 @@ func ReadLogTail(dir string, fp uint64, end LogPos, t Tag, routes func(*event.Ev
 }
 
 func readTail(dir, prefix string, fp uint64, ids []uint64, end LogPos, t Tag, routes func(*event.Event) bool) (recs []Record, torn bool, err error) {
-	var all []Record
+	// Records are filtered as they are decoded: a reader holds t's
+	// candidates and its query's refused seqs, never the other queries'
+	// records.
 	refused := map[uint64]bool{}
+	keep := func(r Record) {
+		switch {
+		case r.Kind == RecRefused:
+			if r.Tag.FP == t.FP {
+				refused[r.Seq] = true
+			}
+		case r.Kind == RecEvent:
+			if routes != nil && routes(r.Event) {
+				recs = append(recs, r)
+			}
+		case r.Tag == t:
+			recs = append(recs, r)
+		}
+	}
+	// Past end only match, skip and refusal records count.
+	keepLate := func(r Record) {
+		if r.Kind != RecEvent && r.Kind != RecTagged {
+			keep(r)
+		}
+	}
 	for _, id := range ids {
 		data, rerr := os.ReadFile(segPath(dir, prefix, id))
 		if os.IsNotExist(rerr) {
@@ -490,45 +511,31 @@ func readTail(dir, prefix string, fp uint64, ids []uint64, end LogPos, t Tag, ro
 			torn = true
 			continue
 		}
-		// Past end only match, skip and refusal records count.
 		cut := len(rest)
 		if id > end.Seg {
 			cut = 0
 		} else if id == end.Seg {
 			cut = min(max(int(end.Off-headerLen), 0), len(rest))
 		}
-		rs, tn := decodeFrames(rest[:cut])
-		late, ltn := decodeFrames(rest[cut:])
+		tn := decodeFrames(rest[:cut], keep)
+		ltn := decodeFrames(rest[cut:], keepLate)
 		torn = torn || tn || ltn
-		for _, r := range late {
-			if r.Kind != RecEvent && r.Kind != RecTagged {
-				rs = append(rs, r)
-			}
-		}
-		for _, r := range rs {
-			if r.Kind == RecRefused {
-				if r.Tag.FP == t.FP {
-					refused[r.Seq] = true
-				}
-				continue
-			}
-			all = append(all, r)
-		}
 	}
-	for _, r := range all {
+	// Refused events drop in one pass over the candidates, once every
+	// refusal is read.
+	n := 0
+	for _, r := range recs {
 		switch {
-		case r.Kind == RecEvent:
-			if routes == nil || refused[r.Seq] || !routes(r.Event) {
-				continue
-			}
-		case r.Tag != t:
+		case r.Kind == RecEvent && refused[r.Seq]:
 			continue
 		case r.Kind == RecTagged:
 			r.Kind = RecEvent
 		}
-		recs = append(recs, r)
+		recs[n] = r
+		n++
 	}
-	return recs, torn, nil
+	clear(recs[n:])
+	return recs[:n], torn, nil
 }
 
 // Close flushes and closes the log.

@@ -72,7 +72,7 @@ type walWriter struct {
 	// pending / pendingBytes / firstPendingNs describe the current flush
 	// group: records buffered since the last flush, their framed size,
 	// and when the first of them was appended. They feed the group-commit
-	// policy in ShardStore.maybeFlush.
+	// policy in Log.policyLocked.
 	pending        int
 	pendingBytes   int
 	firstPendingNs int64
@@ -240,18 +240,22 @@ func (w *walWriter) abort() {
 	w.f.Close()
 }
 
-// readWALFile loads a WAL file. A missing file yields (nil, false, nil);
-// a bad header yields an error; a truncated or corrupt record tail stops
-// the scan cleanly with torn=true.
-func readWALFile(path string, fp uint64) (recs []Record, torn bool, err error) {
+// readWALFile decodes a WAL file, handing each record to fn. A missing
+// file yields (false, nil); a bad header yields an error; a truncated or
+// corrupt record tail stops the scan cleanly with torn=true.
+func readWALFile(path string, fp uint64, fn func(Record)) (torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, nil
+			return false, nil
 		}
-		return nil, false, err
+		return false, err
 	}
-	return DecodeWAL(data, fp)
+	rest, err := checkHeader(data, walMagic, fp)
+	if err != nil {
+		return false, err
+	}
+	return decodeFrames(rest, fn), nil
 }
 
 // DecodeWAL parses a WAL image. Exposed for the fuzz target.
@@ -260,35 +264,36 @@ func DecodeWAL(data []byte, fp uint64) (recs []Record, torn bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	recs, torn = decodeFrames(rest)
+	torn = decodeFrames(rest, func(r Record) { recs = append(recs, r) })
 	return recs, torn, nil
 }
 
-// decodeFrames parses the records of a WAL image past its header,
-// stopping cleanly (torn) at the first bad frame.
-func decodeFrames(rest []byte) (recs []Record, torn bool) {
+// decodeFrames parses the records of a WAL image past its header and
+// hands each to fn as it is decoded, so a reader keeps only the records
+// it wants; it stops cleanly (torn) at the first bad frame.
+func decodeFrames(rest []byte, fn func(Record)) (torn bool) {
 	for len(rest) > 0 {
 		if len(rest) < 9 {
-			return recs, true
+			return true
 		}
 		kind := rest[0]
 		plen := binary.LittleEndian.Uint32(rest[1:5])
 		crc := binary.LittleEndian.Uint32(rest[5:9])
 		if plen > maxWALRecord || uint64(plen) > uint64(len(rest)-9) {
-			return recs, true
+			return true
 		}
 		payload := rest[9 : 9+plen]
 		if frameCRC(rest[:1], payload) != crc {
-			return recs, true
+			return true
 		}
 		rec, ok := decodeRecord(kind, payload)
 		if !ok {
-			return recs, true
+			return true
 		}
-		recs = append(recs, rec)
+		fn(rec)
 		rest = rest[9+plen:]
 	}
-	return recs, false
+	return false
 }
 
 func decodeRecord(kind byte, payload []byte) (Record, bool) {

@@ -1,27 +1,28 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"cepshed/internal/checkpoint"
-	"cepshed/internal/engine"
 	"cepshed/internal/event"
-	"cepshed/internal/shed"
 )
 
 // Shard migration: the runtime-side half of the cluster layer's
 // handoff protocol (internal/cluster, docs/CLUSTER.md). A shard's state
 // became fully serializable in the durability work; these hooks freeze
 // one shard, hand its state out, and install a shipped state into the
-// matching (empty) shard of another runtime. All four operations travel
-// the shard's own input channel as control messages, so they are
-// ordered behind every queued event: ExportShard observes a drained
-// shard by construction, with no cross-goroutine locking of the engine.
+// matching (empty) shard of another runtime. All five operations —
+// these four and the registry's Barrier — travel the shard's own input
+// channel as control messages, so they are ordered behind every queued
+// event: ExportShard observes a drained shard by construction, with no
+// cross-goroutine locking of the engine.
 //
 // Planned handoff:  ExportShard → ship → ImportShard (target) →
 // RetireShard; a failed ship calls ResumeShard to unfreeze.
 // Failover: the survivor loads the dead node's shard files directly
-// and calls ImportShard with the snapshot plus the WAL tail.
+// and calls ImportShard with the snapshot plus the log tail. An import
+// restores the way boot recovery does (restore, shard.go).
 
 // ctlOp selects a shard control operation.
 type ctlOp int
@@ -109,14 +110,13 @@ func (s *shard) ctlExport() ctlReply {
 	return ctlReply{state: s.buildState()}
 }
 
-// ctlImport installs a shipped shard state into this (empty) shard,
-// replays the accompanying WAL tail with match suppression, snapshots
-// the result durably — its counters already include the matches the
-// replay newly completed — and only then queues those matches for the
-// sink. Ordering is what makes a mid-import crash safe: nothing is
-// queued and no local file advances until the snapshot has committed,
-// so a crash before it leaves the shard exactly as empty as before and
-// the mover (or failover sweep) simply retries.
+// ctlImport installs a shipped shard state into this (empty) shard and
+// replays the accompanying log tail through restore, floored above this
+// node's own log, which may hold the slot's records from an earlier
+// ownership. The commit snapshot is what makes a mid-import crash safe:
+// nothing is queued and no local file advances before it, so a crash or
+// a failed commit leaves the shard as empty as before and the caller
+// can retry.
 func (s *shard) ctlImport(h *checkpoint.Handoff) ctlReply {
 	if s.exported {
 		return ctlReply{err: fmt.Errorf("shard %d: exported; resume before import", s.id)}
@@ -125,94 +125,10 @@ func (s *shard) ctlImport(h *checkpoint.Handoff) ctlReply {
 		return ctlReply{err: fmt.Errorf("shard %d: not empty (events=%d live=%d hasSeq=%v); import requires a cold shard",
 			s.id, st.Events, s.en.LiveCount(), s.hasSeq)}
 	}
-
-	var floor uint64
-	haveFloor := false
-	if h.State != nil {
-		if err := s.en.Restore(h.State.Engine); err != nil {
-			return ctlReply{err: fmt.Errorf("shard %d: import restore rejected: %w", s.id, err)}
-		}
-		haveFloor = h.State.HasSeq
-		floor = h.State.LastSeq
-		s.lastSeq, s.lastTime, s.hasSeq = h.State.LastSeq, h.State.LastTime, h.State.HasSeq
-		if len(h.State.Strategy) > 0 && h.State.StrategyName == s.strat.Name() {
-			if ds, ok := s.strat.(shed.DurableStrategy); ok {
-				if uerr := ds.UnmarshalState(h.State.Strategy); uerr != nil && s.cfg.Logf != nil {
-					s.cfg.Logf("runtime: shard %d: imported strategy state rejected, keeping fresh: %v", s.id, uerr)
-				}
-			}
-		}
-	}
-
-	// Suppressing the matches the source already delivered is what keeps
-	// emissions exactly-once across the node boundary.
-	skips, suppress := indexTail(h.Tail, haveFloor, floor)
-
-	var held []engine.Match
-	var replayed uint64
-	for _, rec := range h.Tail {
-		if rec.Kind != checkpoint.RecEvent || (haveFloor && rec.Seq <= floor) {
-			continue
-		}
-		if skips[rec.Seq] {
-			s.lastSeq, s.lastTime, s.hasSeq = rec.Seq, int64(rec.Event.Time), true
-			s.eventsIn.Add(1)
-			s.quarantined.Add(1)
-			continue
-		}
-		// This shard now owns the event's accounting (the source's
-		// counters died with it, or stay behind on a planned move), so the
-		// replay counts like live input — conservation holds per node.
-		s.curItem = item{e: rec.Event}
-		s.eventsIn.Add(1)
-		s.lastSeq, s.lastTime, s.hasSeq = rec.Event.Seq, int64(rec.Event.Time), true
-		if !s.strat.AdmitEvent(rec.Event, rec.Event.Time) {
-			s.eventsShed.Add(1)
-			continue
-		}
-		s.res = s.en.Process(rec.Event)
-		s.processed.Add(1)
-		s.strat.Observe(&s.res, rec.Event.Time)
-		for i := range s.res.Matches {
-			if !suppress[s.res.Matches[i].Key()] {
-				held = append(held, s.res.Matches[i])
-			}
-		}
-		replayed++
-	}
-	s.curItem = item{}
-	s.walReplayed.Add(replayed)
-
-	// One snapshot commits the import: after it, a restart of THIS node
-	// recovers the imported state from its own files, the held matches
-	// included in its match count, and they can never re-emit (they are
-	// inside the snapshot, not in any WAL). They reach the sink's queue
-	// only after it; a panic in the save queues none and takes their
-	// count back, since the retried import completes them again. Its
-	// floor also covers this node's own log, which may hold the slot's
-	// records from an earlier ownership.
-	s.matched.Add(uint64(len(held)))
-	committed := false
-	defer func() {
-		if !committed {
-			s.matched.Add(-uint64(len(held)))
-		}
-	}()
-	if s.ckpt != nil {
-		if seq, ok := s.log.MaxSeq(); ok && (!s.hasSeq || seq > s.lastSeq) {
-			s.lastSeq, s.hasSeq = seq, true
-		}
-		s.takeSnapshot()
-	}
-	committed = true
-	for i := range held {
-		s.queue(held[i])
-	}
-	s.syncEngineStats()
-	s.restoredSeq.Store(s.lastSeq)
-	s.restoredTime.Store(s.lastTime)
-	if s.hasSeq {
-		s.restoredHasSeq.Store(true)
+	// A capture of the empty shard may still be in flight (coverIdle).
+	s.settleSnapshot(true)
+	if err := s.restore(h.State, h.Tail, restoreImport, -1, true); err != nil {
+		return ctlReply{err: fmt.Errorf("import: %w", err)}
 	}
 	return ctlReply{maxSeq: s.lastSeq, hasSeq: s.hasSeq}
 }
@@ -240,7 +156,8 @@ func (s *shard) ctlRetire() ctlReply {
 
 // ctlBarrier snapshots the shard behind everything claimed for it, with
 // its floor raised to seq: the registry's activation barrier, after
-// which the shard's replay starts above seq.
+// which the shard's replay starts above seq. A failed snapshot is the
+// reply's error.
 func (s *shard) ctlBarrier(seq uint64, has bool) ctlReply {
 	if has && (!s.hasSeq || seq > s.lastSeq) {
 		s.lastSeq, s.hasSeq = seq, true
@@ -252,7 +169,9 @@ func (s *shard) ctlBarrier(seq uint64, has bool) ctlReply {
 			return ctlReply{err: err}
 		}
 		s.releasePend()
-		s.takeSnapshot()
+		if err := s.takeSnapshot(); err != nil {
+			return ctlReply{err: err}
+		}
 	}
 	return ctlReply{}
 }
@@ -261,14 +180,16 @@ func (s *shard) ctlBarrier(seq uint64, has bool) ctlReply {
 // its replay floor raised to seq (has=false: no floor to claim). A
 // registry raises the barrier when a query joins the fan-out after a
 // gap — added or resumed — so that no recovery replays the events it
-// was not offered.
+// was not offered. A shard that fails its snapshot does not keep the
+// others from theirs; the failures come back joined.
 func (r *Runtime) Barrier(seq uint64, has bool) error {
+	var errs []error
 	for i := range r.shards {
 		if _, err := r.sendCtl(i, &shardCtl{op: ctlBarrier, seq: seq, has: has, reply: make(chan ctlReply, 1)}); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // sendCtl delivers one control message to shard i, behind every batch

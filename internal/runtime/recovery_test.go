@@ -435,6 +435,106 @@ func TestHandoffImportPanicDeliversNothing(t *testing.T) {
 	}
 }
 
+// TestHandoffImportCommitFailureLeavesSlotEmpty fails an import's commit
+// snapshot with an error instead of a panic: a directory where the
+// snapshot's temp file must go. The import must report the failure,
+// deliver and count nothing, and leave the slot empty, so that the
+// retry, once the directory is gone, imports the whole tail and every
+// match is delivered exactly once.
+func TestHandoffImportCommitFailureLeavesSlotEmpty(t *testing.T) {
+	m := nfa.MustCompile(query.Q1("8ms"))
+	s := gen.DS1(gen.DS1Config{Events: 600, Seed: 5, InterArrival: 15 * event.Microsecond})
+	tail := make([]checkpoint.Record, len(s))
+	for i, e := range s {
+		e.Seq = uint64(i)
+		tail[i] = checkpoint.Record{Kind: checkpoint.RecEvent, Seq: e.Seq, Event: e}
+	}
+	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
+	if len(want) == 0 {
+		t.Fatal("reference run found no matches; test is vacuous")
+	}
+	dir := t.TempDir()
+	col := newCollector(t)
+	r := New(m, Config{Shards: 1, OnMatches: col.hook(),
+		Durability: &checkpoint.Config{Dir: dir, EveryEvents: 1 << 20, FlushEvery: 1}})
+	r.WaitRecovered()
+	blocker := filepath.Join(dir, "shard-000.snap.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.ImportShard(&checkpoint.Handoff{Shard: 0, Tail: tail}); err == nil {
+		t.Fatal("import succeeded through a failed commit snapshot")
+	}
+	if snap := r.Snapshot(); snap.Matches != 0 || snap.EventsIn != 0 || snap.LivePMs != 0 {
+		t.Fatalf("the failed import left matches=%d events_in=%d live=%d, want an empty slot",
+			snap.Matches, snap.EventsIn, snap.LivePMs)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.ImportShard(&checkpoint.Handoff{Shard: 0, Tail: tail}); err != nil {
+		t.Fatalf("the retried import: %v", err)
+	}
+	r.Close()
+	if d := col.dups(); len(d) != 0 {
+		t.Fatalf("%d matches delivered twice across the failed import and its retry, e.g. %s", len(d), d[0])
+	}
+	if got := col.keys(); len(got) != len(want) {
+		t.Fatalf("delivered %d matches, want %d", len(got), len(want))
+	}
+	if n := r.Snapshot().Matches; n != uint64(len(want)) {
+		t.Fatalf("matches = %d, want %d", n, len(want))
+	}
+}
+
+// TestBootRecoveryIsCheckpointed: boot recovery commits its replay with
+// a snapshot, so a crash right after boot replays none of the tail that
+// boot already replayed, and every match is delivered exactly once across
+// the three incarnations.
+func TestBootRecoveryIsCheckpointed(t *testing.T) {
+	m := nfa.MustCompile(query.Q1("8ms"))
+	s := gen.DS1(gen.DS1Config{Events: 2000, Seed: 7, InterArrival: 15 * event.Microsecond})
+	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
+	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
+	col := newCollector(t)
+	cfg := Config{Shards: 2, OnMatches: col.hook(), Durability: dur}
+	cut := len(s) / 2
+
+	r1 := New(m, cfg)
+	r1.WaitRecovered()
+	for _, e := range s[:cut] {
+		r1.Offer(e)
+	}
+	drainTo(t, r1, uint64(cut))
+	r1.Kill() // no snapshot yet: the whole first half is log tail
+
+	r2 := New(m, cfg)
+	r2.WaitRecovered()
+	if n := r2.RecoveryInfo().WALReplayed; n != uint64(cut) {
+		t.Fatalf("the first boot replayed %d events, want the %d-event tail", n, cut)
+	}
+	r2.Kill()
+
+	r3 := New(m, cfg)
+	r3.WaitRecovered()
+	if n := r3.RecoveryInfo().WALReplayed; n != 0 {
+		t.Fatalf("the second boot replayed %d events; the first boot's replay was not checkpointed", n)
+	}
+	for _, e := range s[cut:] {
+		r3.Offer(e)
+	}
+	r3.Close()
+
+	if d := col.dups(); len(d) != 0 {
+		t.Fatalf("%d matches delivered more than once, e.g. %s", len(d), d[0])
+	}
+	got := col.keys()
+	if missing, extra := subsetOf(got, want); len(missing) != 0 || len(extra) != 0 || len(want) == 0 {
+		t.Fatalf("three incarnations delivered %d matches, want %d (missing %d, extra %d)",
+			len(got), len(want), len(missing), len(extra))
+	}
+}
+
 // TestCountersMonotoneAcrossRecovery is the accounting regression test:
 // the externally visible created/dropped partial-match counters must
 // never decrease — not across a panic-rebuild-restore (the supervisor
@@ -737,19 +837,21 @@ func TestRecoveryBeforeFirstSnapshot(t *testing.T) {
 }
 
 // TestQuarantinedSeqZeroSkippedOnReplay: the stream's FIRST event is the
-// poison. Its quarantine writes a Q record for seq 0; a reboot with no
-// snapshot (so no replay floor) must honor that record — a zero-valued
-// floor sentinel would discard it, and boot replay would re-panic on the
-// poison event on every restart.
+// poison, armed only for the second incarnation's boot replay, which runs
+// with no snapshot (so no replay floor). Its quarantine writes a Q record
+// for seq 0, and the boot retry must honor it — a zero-valued floor
+// sentinel would discard it, and boot replay would re-panic on the poison
+// event on every retry.
 func TestQuarantinedSeqZeroSkippedOnReplay(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 300, Seed: 23, InterArrival: 15 * event.Microsecond})
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
+	var armed atomic.Bool
 	cfg := Config{
 		Shards:     1,
 		Durability: dur,
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
-			return e.Seq == 0
+			return armed.Load() && e.Seq == 0
 		}, "poison"),
 		Restart: RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
 	}
@@ -760,19 +862,20 @@ func TestQuarantinedSeqZeroSkippedOnReplay(t *testing.T) {
 		r1.Offer(e)
 	}
 	drainTo(t, r1, uint64(len(s)))
-	if pre := r1.Snapshot(); pre.Restarts != 1 {
-		t.Fatalf("restarts = %d before the crash, want 1", pre.Restarts)
+	if pre := r1.Snapshot(); pre.Snapshots != 0 {
+		t.Fatalf("snapshots = %d before the crash; the boot below must replay without a floor", pre.Snapshots)
 	}
 	r1.Kill()
 
+	armed.Store(true)
 	r2 := New(m, cfg)
 	r2.WaitRecovered()
 	snap := r2.Snapshot()
 	r2.Close()
-	// Any restart in the second incarnation means boot replay hit the
-	// poison event again: the seq-0 Q record was not honored.
-	if snap.Restarts != 0 {
-		t.Fatalf("boot replay restarted %d times; quarantined seq 0 was replayed", snap.Restarts)
+	// A second restart means the boot retry hit the poison event again:
+	// the seq-0 Q record was not honored.
+	if snap.Restarts != 1 {
+		t.Fatalf("boot replay restarted %d times, want 1; quarantined seq 0 was replayed", snap.Restarts)
 	}
 	if snap.EventsIn != uint64(len(s)) {
 		t.Fatalf("events_in after recovery = %d, want %d", snap.EventsIn, len(s))

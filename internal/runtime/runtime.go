@@ -348,9 +348,9 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 				sh.needRecover = true
 				sh.needRecoverFlag.Store(true)
 				// bootPending distinguishes the first (boot) recovery — which
-				// composes counters from the snapshot — from post-panic
-				// rebuilds; it stays true across boot-replay panics so a
-				// retry resumes boot counter composition.
+				// resumes the snapshot's counters — from post-panic rebuilds;
+				// it stays true across boot-replay panics so a retry still
+				// restores the boot way.
 				sh.bootPending = true
 			}
 		}

@@ -201,16 +201,13 @@ type shard struct {
 	// needRecover is consumed at the top of the worker loop: true at boot
 	// (restore snapshot + replay WAL) and after every supervisor rebuild.
 	// bootPending stays true until a BOOT recovery completes without
-	// panicking, so a retry after a replay panic keeps composing counters
-	// the boot way (restore snapshot values, re-count replay) instead of
-	// the post-panic way (atomics survived, count nothing).
-	// bootBaseApplied marks the one-shot part of that composition done.
-	needRecover     bool
-	bootPending     bool
-	bootBaseApplied bool
-	recoverDone     func() // Runtime.recoverWG.Done, via recoveredOnce
-	recoveredOnce   sync.Once
-	saveDLQ         func() // checkpoint the runtime dead-letter queue
+	// panicking, so a retry after a replay panic still restores the boot
+	// way (restoreBoot) instead of the post-panic way (restorePanic).
+	needRecover   bool
+	bootPending   bool
+	recoverDone   func() // Runtime.recoverWG.Done, via recoveredOnce
+	recoveredOnce sync.Once
+	saveDLQ       func() // checkpoint the runtime dead-letter queue
 
 	// exported marks a shard whose state was frozen and handed to
 	// another node (worker-owned, like the engine it guards): the engine
@@ -639,7 +636,7 @@ func (s *shard) process(it item) {
 	s.strat.Observe(&s.res, e.Time)
 
 	if len(s.res.Matches) > 0 {
-		s.deliver(s.res.Matches, e.Seq, nil, false)
+		s.deliver(s.res.Matches, e.Seq)
 	}
 
 	s.control(e.Time, s.record(it.enq))
@@ -651,44 +648,21 @@ func (s *shard) process(it item) {
 // a crash can lose an undelivered match but never deliver one twice.
 // Under group commit the record joins the current flush group and the
 // match waits in pend until a flush covers it — the policy flush an
-// append trips, or the batch boundary's explicit one. During replay
-// (suppress != nil) each new match still forces its own flush: replay
-// is rare and the immediate delivery keeps recovery observably
-// identical to the pre-group-commit store. suppress holds the keys of
-// matches the previous incarnation already delivered; countSuppressed
-// re-counts them into the matched counter (boot restore, where the
-// atomic restarted from the snapshot value) or not (post-panic restore,
-// where the atomic survived the rebuild).
-func (s *shard) deliver(matches []engine.Match, seq uint64, suppress map[string]bool, countSuppressed bool) {
+// append trips, or the batch boundary's explicit one. (Replayed matches
+// take the other commit: restore's snapshot.)
+func (s *shard) deliver(matches []engine.Match, seq uint64) {
 	for i := range matches {
 		m := matches[i]
-		var key string
-		if s.ckpt != nil || suppress != nil {
-			key = m.Key()
-		}
-		if suppress != nil && suppress[key] {
-			if countSuppressed {
-				s.matched.Add(1)
-			}
-			continue
-		}
 		if s.ckpt == nil {
 			s.emit(m)
 			continue
 		}
-		// If the append (or flush) fails, the match is still delivered
-		// (availability wins) but the exactly-once contract is declared
-		// broken, not silently voided — walFailed also releases any
-		// earlier matches of the failed group, keeping delivery order.
-		if err := s.ckpt.AppendMatchKey(seq, key); err != nil {
+		// If the append fails, the match is still delivered (availability
+		// wins) but the exactly-once contract is declared broken, not
+		// silently voided — walFailed also releases any earlier matches of
+		// the failed group, keeping delivery order.
+		if err := s.ckpt.AppendMatchKey(seq, m.Key()); err != nil {
 			s.walFailed("match append", err)
-			s.emit(m)
-			continue
-		}
-		if suppress != nil {
-			if err := s.ckpt.Flush(); err != nil {
-				s.walFailed("match flush", err)
-			}
 			s.emit(m)
 			continue
 		}
@@ -731,18 +705,15 @@ func (s *shard) noteSnapPause(t0 time.Time) {
 // takeSnapshot persists the shard's full state and publishes its seq
 // floor to the log's compaction, synchronously on the claiming worker
 // — the shard pauses for the whole encode+write. Only for quiescent
-// shards, where that stalls nobody: the final snapshot in finish and
-// ctlImport's commit point. The periodic hot-path snapshot goes
+// shards, where that stalls nobody: the final snapshot in finish, a
+// barrier, and restore's commit. The periodic hot-path snapshot goes
 // through takeSnapshotAsync.
-func (s *shard) takeSnapshot() {
+func (s *shard) takeSnapshot() error {
 	s.sinceSnap = 0
 	st := s.buildState()
 	n, err := s.ckpt.Save(st)
 	if err != nil {
-		if s.cfg.Logf != nil {
-			s.cfg.Logf("runtime: shard %d: snapshot failed: %v", s.id, err)
-		}
-		return
+		return fmt.Errorf("shard %d: snapshot: %w", s.id, err)
 	}
 	s.snapshots.Add(1)
 	s.snapBytes.Store(int64(n))
@@ -751,6 +722,7 @@ func (s *shard) takeSnapshot() {
 	if s.saveDLQ != nil {
 		s.saveDLQ()
 	}
+	return nil
 }
 
 // pendingSnap is one in-flight background snapshot: the engine capture,
@@ -905,21 +877,12 @@ func (s *shard) buildState() *checkpoint.ShardState {
 // in on the background goroutine from the by-reference capture.
 func (s *shard) buildStateShell() *checkpoint.ShardState {
 	st := &checkpoint.ShardState{
-		Shard:    s.id,
-		LastSeq:  s.lastSeq,
-		HasSeq:   s.hasSeq,
-		LastTime: s.lastTime,
-		TakenNs:  checkpoint.TakenNow(),
-		Counters: checkpoint.Counters{
-			EventsIn:    s.eventsIn.Load(),
-			EventsShed:  s.eventsShed.Load(),
-			Processed:   s.processed.Load(),
-			Matched:     s.matched.Load(),
-			Restarts:    s.restarts.Load(),
-			Quarantined: s.quarantined.Load(),
-			BaseCreated: s.pmCreatedBase,
-			BaseDropped: s.pmDroppedBase,
-		},
+		Shard:        s.id,
+		LastSeq:      s.lastSeq,
+		HasSeq:       s.hasSeq,
+		LastTime:     s.lastTime,
+		TakenNs:      checkpoint.TakenNow(),
+		Counters:     s.counters(),
 		StrategyName: s.strat.Name(),
 	}
 	if ds, ok := s.strat.(shed.DurableStrategy); ok {
@@ -928,6 +891,20 @@ func (s *shard) buildStateShell() *checkpoint.ShardState {
 		}
 	}
 	return st
+}
+
+// counters reads the shard's monotone counters.
+func (s *shard) counters() checkpoint.Counters {
+	return checkpoint.Counters{
+		EventsIn:    s.eventsIn.Load(),
+		EventsShed:  s.eventsShed.Load(),
+		Processed:   s.processed.Load(),
+		Matched:     s.matched.Load(),
+		Restarts:    s.restarts.Load(),
+		Quarantined: s.quarantined.Load(),
+		BaseCreated: s.pmCreatedBase,
+		BaseDropped: s.pmDroppedBase,
+	}
 }
 
 // saturatingSub keeps counter compositions from wrapping when a replay
@@ -939,43 +916,26 @@ func saturatingSub(a, b uint64) uint64 {
 	return a - b
 }
 
-// recoverReplay restores the last good snapshot and replays the WAL
-// tail. Every failure degrades to a counted cold start — a corrupt file
-// must never crash-loop the shard. cur is the supervisor's
-// poison-tracking slot: it is set to each replayed event so a replay
-// panic quarantines that event (and logs a Q record) exactly like a
-// live-processing panic.
-func (s *shard) recoverReplay(cur *item) {
-	// boot (vs post-panic) selects the counter-composition path. It
-	// comes from bootPending, NOT from "is this the first recovery": a
-	// replay panic during boot sends the retry back here, and that retry
-	// must still compose counters the boot way — bootPending only clears
-	// when a boot recovery runs to completion.
-	boot := s.bootPending
-	s.recovering.Store(true)
-	defer s.recovering.Store(false)
-
-	load := s.ckpt.Load
-	if boot {
-		load = s.ckpt.LoadBoot
+// recoverReplay loads the shard's newest snapshot and its log tail and
+// restores them: at boot, and after a panic rebuilt the engine. Every
+// failure degrades to a counted cold start — a corrupt file must never
+// crash-loop the shard.
+func (s *shard) recoverReplay() {
+	// bootPending, not "is this the first recovery", selects the boot
+	// restore: a replay panic during boot sends the retry back here, and
+	// the retry must still restore the boot way.
+	kind, load := restorePanic, s.ckpt.Load
+	if s.bootPending {
+		kind, load = restoreBoot, s.ckpt.LoadBoot
 	}
+	s.recovering.Store(true)
 	res, err := load()
 	if err != nil {
+		s.recovering.Store(false)
 		s.coldStarts.Add(1)
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("runtime: shard %d: checkpoint load failed, cold start: %v", s.id, err)
 		}
-		s.bootPending = false
-		return
-	}
-	if res.Ceded {
-		// The state lives on another node now. Floor the shard above the
-		// whole log at once, so no later recovery replays the slot's
-		// history into it.
-		if seq, ok := s.log.MaxSeq(); ok {
-			s.lastSeq, s.hasSeq = seq, true
-		}
-		s.takeSnapshot()
 		s.bootPending = false
 		return
 	}
@@ -990,93 +950,137 @@ func (s *shard) recoverReplay(cur *item) {
 		s.cfg.Logf("runtime: shard %d: removed %d WAL file(s) of a format before v%d; their records are lost",
 			s.id, res.StaleWAL, checkpoint.FormatVersion)
 	}
-
-	// Pre-restore exported counter values: the post-panic path must keep
-	// them exactly (the atomics survived the rebuild), whatever mix of
-	// snapshot stats and replay the restored engine ends up with.
-	wantCreated := s.pmCreatedBase
-	wantDropped := s.pmDroppedBase
-
-	// floor is the replay low-water mark: WAL events at or below it are
-	// already inside the restored snapshot. haveFloor distinguishes "no
-	// floor" (no snapshot, or one taken before any event arrived) from a
-	// floor of 0 — sequence numbers start at 0, so the value alone
-	// cannot encode "none" and a zero sentinel would silently drop the
-	// stream's first event (and any Q record for it) from every
-	// snapshot-less recovery.
-	var floor uint64
-	haveFloor := false
-	restored := false
-	if res.State != nil {
-		if rerr := s.en.Restore(res.State.Engine); rerr != nil {
-			// Decodable but structurally unusable (e.g. format drift inside
-			// one version, or a machine mismatch the fingerprint missed):
-			// counted cold start, full-WAL replay below.
-			s.coldStarts.Add(1)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("runtime: shard %d: snapshot restore rejected, cold start: %v", s.id, rerr)
-			}
-			res.State = nil
-		} else {
-			restored = true
-			haveFloor = res.State.HasSeq
-			floor = res.State.LastSeq
-			s.lastSeq, s.lastTime, s.hasSeq = res.State.LastSeq, res.State.LastTime, res.State.HasSeq
-		}
-	} else if len(res.Records) == 0 {
-		// Fresh directory: nothing to recover, not a cold-start fallback.
-		s.bootPending = false
-		return
-	}
-
-	if boot {
-		// Adopt the externally visible counters: the snapshot's values, or
-		// zero on a cold start. Replay-composed counters are re-stored on
-		// EVERY boot attempt, so when a replay panic interrupts one attempt
-		// the partial increments never double-count in the retry.
-		var base checkpoint.Counters
-		if restored {
-			base = res.State.Counters
-		}
-		s.eventsIn.Store(base.EventsIn)
-		s.eventsShed.Store(base.EventsShed)
-		s.processed.Store(base.Processed)
-		s.matched.Store(base.Matched)
-		s.pmCreatedBase = base.BaseCreated
-		s.pmDroppedBase = base.BaseDropped
-		if !s.bootBaseApplied {
-			// Applied once, not per attempt: these advance BETWEEN boot
-			// attempts (the supervisor counts each replay panic's
-			// restart), so re-storing would erase legitimate ground. Add
-			// keeps those increments.
-			s.bootBaseApplied = true
-			s.restarts.Add(base.Restarts)
-			s.quarantined.Add(base.Quarantined)
-		}
-	}
-	if restored {
-		st := res.State
-		if len(st.Strategy) > 0 && st.StrategyName == s.strat.Name() {
-			if ds, ok := s.strat.(shed.DurableStrategy); ok {
-				if uerr := ds.UnmarshalState(st.Strategy); uerr != nil && s.cfg.Logf != nil {
-					s.cfg.Logf("runtime: shard %d: strategy state rejected, keeping fresh: %v", s.id, uerr)
-				}
-			}
-		}
-	}
-
-	skips, suppress := indexTail(res.Records, haveFloor, floor)
-
 	// The log holds this shard's events past the poison too (queued, or
 	// salvaged into rem): after a panic only the consumed prefix replays,
 	// and the rest arrives live. Boot replays the whole tail.
 	limit := -1
-	if !boot {
+	if kind == restorePanic {
 		limit = int(s.consumed - s.snapConsumed)
 	}
-	s.consumed, s.snapConsumed = 0, 0
+	// A ceded shard's state lives on another node now: it restores and
+	// replays nothing, and floors itself above the whole log.
+	if err := s.restore(res.State, res.Records, kind, limit, res.Ceded); err != nil {
+		// Decodable but structurally unusable (format drift inside one
+		// version, or a machine mismatch the fingerprint missed): a counted
+		// cold start that replays the whole tail.
+		s.coldStarts.Add(1)
+		if s.cfg.Logf != nil {
+			s.cfg.Logf("runtime: %v; cold start", err)
+		}
+		_ = s.restore(nil, res.Records, kind, limit, false) // no state, no import: nothing to fail
+	}
+	if res.Torn && s.cfg.Logf != nil {
+		s.cfg.Logf("runtime: shard %d: WAL tail torn (expected after a crash)", s.id)
+	}
+	s.bootPending = false
+}
+
+// restoreKind names whose history a restore installs, which decides how
+// the restore counts it.
+type restoreKind int
+
+const (
+	// restoreBoot installs the shard's own snapshot at boot: the counters
+	// resume from the snapshot's and the tail counts on top of them, the
+	// matches the previous incarnation delivered included.
+	restoreBoot restoreKind = iota
+	// restorePanic reinstalls the shard's own snapshot after a panic
+	// rebuilt the engine: the live counters survived and already count
+	// the tail, so only the matches replay completes anew are counted.
+	restorePanic
+	// restoreImport installs another node's state: the tail counts here
+	// like live input, and the source's counters and deliveries stay the
+	// source's.
+	restoreImport
+)
+
+// mark is what a restore changes ahead of its commit: the counters and
+// the seq position. A restore that does not commit puts it back.
+type mark struct {
+	c                      checkpoint.Counters
+	lastSeq                uint64
+	lastTime               int64
+	hasSeq                 bool
+	consumed, snapConsumed uint64
+}
+
+func (s *shard) mark() mark {
+	return mark{s.counters(), s.lastSeq, s.lastTime, s.hasSeq, s.consumed, s.snapConsumed}
+}
+
+func (s *shard) reset(m mark) {
+	s.eventsIn.Store(m.c.EventsIn)
+	s.eventsShed.Store(m.c.EventsShed)
+	s.processed.Store(m.c.Processed)
+	s.matched.Store(m.c.Matched)
+	s.restarts.Store(m.c.Restarts)
+	s.quarantined.Store(m.c.Quarantined)
+	s.pmCreatedBase, s.pmDroppedBase = m.c.BaseCreated, m.c.BaseDropped
+	s.lastSeq, s.lastTime, s.hasSeq = m.lastSeq, m.lastTime, m.hasSeq
+	s.consumed, s.snapConsumed = m.consumed, m.snapConsumed
+}
+
+// restore is the one way a shard takes on state it did not build live:
+// boot, post-panic recovery, a handoff import and a ceded slot. It
+// installs st (nil: none), replays tail above st's seq floor — Q-recorded
+// seqs skipped, matches an M record says were delivered suppressed, at
+// most limit events (-1: all) — and commits: the matches the replay
+// completes anew are held, one snapshot counts them, and only then are
+// they queued for the sink. They are inside that snapshot and in no M
+// record, so no later recovery replays them. aboveLog floors the shard
+// above everything in its log first: the log's records of the slot are
+// history from an earlier ownership. A restore that does not commit (st
+// rejected, a panic, an import whose commit snapshot fails) leaves the
+// counters and the seq position as it found them; a failed import also
+// leaves the engine empty, so the caller can retry it. A boot or
+// post-panic commit that fails disables durability instead: the state is
+// in memory, and availability wins, as for any failed log write.
+func (s *shard) restore(st *checkpoint.ShardState, tail []checkpoint.Record, kind restoreKind, limit int, aboveLog bool) error {
+	if st != nil {
+		if err := s.en.Restore(st.Engine); err != nil {
+			return fmt.Errorf("shard %d: snapshot restore rejected: %w", s.id, err)
+		}
+	}
+	// recovering stays set through a panic: the supervisor reads it to
+	// leave the poison uncounted, since the restore counted nothing.
+	s.recovering.Store(true)
+	before := s.mark()
+	committed := false
+	defer func() {
+		if !committed {
+			s.reset(before)
+		}
+	}()
+
+	// floor is the replay low-water mark: tail events at or below it are
+	// already inside st. haveFloor tells "no floor" (no snapshot, or one
+	// taken before any event arrived) from a floor of 0 — seqs start at
+	// 0, so a zero sentinel would drop the stream's first event (and its
+	// Q record) from every snapshot-less restore.
+	var floor uint64
+	haveFloor := false
+	if st != nil {
+		haveFloor, floor = st.HasSeq, st.LastSeq
+		s.lastSeq, s.lastTime, s.hasSeq = st.LastSeq, st.LastTime, st.HasSeq
+		if kind == restoreBoot {
+			s.addCounters(st.Counters)
+		}
+		if len(st.Strategy) > 0 && st.StrategyName == s.strat.Name() {
+			if ds, ok := s.strat.(shed.DurableStrategy); ok {
+				if err := ds.UnmarshalState(st.Strategy); err != nil && s.cfg.Logf != nil {
+					s.cfg.Logf("runtime: shard %d: strategy state rejected, keeping fresh: %v", s.id, err)
+				}
+			}
+		}
+	}
+	wantCreated, wantDropped := s.pmCreatedBase, s.pmDroppedBase
+
+	count := kind != restorePanic
+	skips, suppress := indexTail(tail, haveFloor, floor)
+	var held []engine.Match
 	var replayed uint64
-	for _, rec := range res.Records {
+	s.consumed, s.snapConsumed = 0, 0
+	for _, rec := range tail {
 		if rec.Kind != checkpoint.RecEvent || (haveFloor && rec.Seq <= floor) {
 			continue
 		}
@@ -1084,45 +1088,104 @@ func (s *shard) recoverReplay(cur *item) {
 			break
 		}
 		s.consumed++
-		if skips[rec.Seq] {
-			// The quarantined event is not reprocessed, but it still
-			// advances the seq high-water mark (producers must not reuse
-			// its number — a fresh event under a Q-recorded seq would be
-			// skipped by every later replay) and, on the boot path, still
-			// owes its arrival accounting: events_in == shed + processed +
-			// quarantined must survive recovery.
-			s.lastSeq, s.lastTime, s.hasSeq = rec.Seq, int64(rec.Event.Time), true
-			if boot {
-				s.eventsIn.Add(1)
+		e := rec.Event
+		// A quarantined event is not reprocessed, but it still advances the
+		// seq high-water mark (a fresh event under a Q-recorded seq would be
+		// skipped by every later replay) and owes its arrival.
+		s.lastSeq, s.lastTime, s.hasSeq = e.Seq, int64(e.Time), true
+		if count {
+			s.eventsIn.Add(1)
+		}
+		if skips[e.Seq] {
+			if count {
 				s.quarantined.Add(1)
 			}
 			continue
 		}
-		*cur = item{e: rec.Event}
-		s.replayEvent(rec.Event, boot, suppress)
+		s.curItem = item{e: e}
 		replayed++
+		if !s.strat.AdmitEvent(e, e.Time) {
+			if count {
+				s.eventsShed.Add(1)
+			}
+			continue
+		}
+		if s.cfg.BeforeProcess != nil {
+			// Fault hooks fire in replay too: a deterministic poison event
+			// panics again here, gets a Q record, and the next restore skips
+			// it — the crash loop terminates.
+			s.cfg.BeforeProcess(s.id, e)
+		}
+		s.res = s.en.Process(e)
+		if count {
+			s.processed.Add(1)
+		}
+		s.strat.Observe(&s.res, e.Time)
+		for _, m := range s.res.Matches {
+			switch {
+			case !suppress[m.Key()]:
+				held = append(held, m)
+			case kind == restoreBoot:
+				s.matched.Add(1)
+			}
+		}
+		// No latency sample: the enqueue instant is long gone, so the
+		// control step sees the surviving EWMA.
+		s.control(e.Time, event.Time(math.Float64frombits(s.ewma.Load())))
 	}
-	*cur = item{}
-
-	if !boot {
+	s.curItem = item{}
+	if kind == restorePanic {
 		// The replayed engine re-counts creations/drops that the exported
-		// atomics already include; re-base so the exported values resume
-		// exactly where they stopped.
-		st := s.en.Stats()
-		s.pmCreatedBase = saturatingSub(wantCreated, st.CreatedPMs)
-		s.pmDroppedBase = saturatingSub(wantDropped, st.DroppedPMs)
+		// counters already include; re-base so they resume where they
+		// stopped.
+		est := s.en.Stats()
+		s.pmCreatedBase = saturatingSub(wantCreated, est.CreatedPMs)
+		s.pmDroppedBase = saturatingSub(wantDropped, est.DroppedPMs)
 	}
-	s.syncEngineStats()
+
+	s.matched.Add(uint64(len(held)))
+	if s.ckpt != nil && (aboveLog || s.consumed > 0) {
+		if aboveLog {
+			if seq, ok := s.log.MaxSeq(); ok && (!s.hasSeq || seq > s.lastSeq) {
+				s.lastSeq, s.hasSeq = seq, true
+			}
+		}
+		if err := s.takeSnapshot(); err != nil {
+			if kind == restoreImport {
+				if !s.rebuild() {
+					err = fmt.Errorf("%w; the shard could not be emptied for a retry", err)
+				}
+				s.recovering.Store(false)
+				return err
+			}
+			s.walFailed("restore snapshot", err)
+		}
+	}
+	committed = true
+	for i := range held {
+		s.queue(held[i])
+	}
 	s.walReplayed.Add(replayed)
+	s.syncEngineStats()
 	s.restoredSeq.Store(s.lastSeq)
 	s.restoredTime.Store(s.lastTime)
 	if s.hasSeq {
 		s.restoredHasSeq.Store(true)
 	}
-	if res.Torn && s.cfg.Logf != nil {
-		s.cfg.Logf("runtime: shard %d: WAL tail torn (expected after a crash); replayed %d events", s.id, replayed)
-	}
-	s.bootPending = false
+	s.recovering.Store(false)
+	return nil
+}
+
+// addCounters adds a snapshot's counters to the shard's.
+func (s *shard) addCounters(c checkpoint.Counters) {
+	s.eventsIn.Add(c.EventsIn)
+	s.eventsShed.Add(c.EventsShed)
+	s.processed.Add(c.Processed)
+	s.matched.Add(c.Matched)
+	s.restarts.Add(c.Restarts)
+	s.quarantined.Add(c.Quarantined)
+	s.pmCreatedBase += c.BaseCreated
+	s.pmDroppedBase += c.BaseDropped
 }
 
 // indexTail collects a tail's Q records above the floor (seqs replay
@@ -1141,39 +1204,6 @@ func indexTail(recs []checkpoint.Record, haveFloor bool, floor uint64) (skips ma
 		}
 	}
 	return skips, suppress
-}
-
-// replayEvent re-processes one WAL event during recovery. No WAL append
-// (the record is already on disk), no latency sample (the enqueue
-// instant is long gone — the strategy's control step sees the surviving
-// EWMA), and counters only on the boot path, where they restore the
-// pre-crash totals the snapshot missed.
-func (s *shard) replayEvent(e *event.Event, boot bool, suppress map[string]bool) {
-	if boot {
-		s.eventsIn.Add(1)
-	}
-	s.lastSeq, s.lastTime, s.hasSeq = e.Seq, int64(e.Time), true
-	if !s.strat.AdmitEvent(e, e.Time) {
-		if boot {
-			s.eventsShed.Add(1)
-		}
-		return
-	}
-	if s.cfg.BeforeProcess != nil {
-		// Fault hooks fire in replay too: a deterministic poison event
-		// panics again here, gets quarantined with a Q record, and the
-		// NEXT recovery skips it — the crash loop terminates.
-		s.cfg.BeforeProcess(s.id, e)
-	}
-	s.res = s.en.Process(e)
-	if boot {
-		s.processed.Add(1)
-	}
-	s.strat.Observe(&s.res, e.Time)
-	if len(s.res.Matches) > 0 {
-		s.deliver(s.res.Matches, e.Seq, suppress, boot)
-	}
-	s.control(e.Time, event.Time(math.Float64frombits(s.ewma.Load())))
 }
 
 // finish runs when the input channel closes. A clean drain takes a final
@@ -1220,7 +1250,9 @@ func (s *shard) finish() {
 						s.cfg.Logf("runtime: shard %d: final snapshot panicked: %v", s.id, p)
 					}
 				}()
-				s.takeSnapshot()
+				if err := s.takeSnapshot(); err != nil && s.cfg.Logf != nil {
+					s.cfg.Logf("runtime: %v", err)
+				}
 			}()
 			s.ckpt.Close()
 		}

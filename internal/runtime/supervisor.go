@@ -216,11 +216,12 @@ func (s *shard) quantum(r *Runtime) bool {
 	// engine the in-flight capture pins, and the next recovery reads the
 	// very snapshot files the background write is producing.
 	s.settleSnapshot(true)
-	// A panic during BOOT replay must not bump the quarantined counter
-	// here: the retry re-runs recovery from the snapshot counters and
-	// its skip-path counts the poisoned seq exactly once. Counting it
-	// now too would double it and break the conservation law.
-	s.quarantine(r, []item{poison}, fmt.Sprintf("panic: %v", pv), !s.bootPending)
+	// A panic inside a restore must not bump the quarantined counter: the
+	// restore put its counters back, so the poison's arrival is not
+	// counted either. A boot retry counts the seq once through its skip
+	// path; a post-panic replay's poison was already counted live; an
+	// import's is the source's until a retry succeeds.
+	s.quarantine(r, []item{poison}, fmt.Sprintf("panic: %v", pv), !s.recovering.Swap(false))
 	s.restarts.Add(1)
 	pol := s.cfg.Restart
 	now := time.Now()
@@ -243,8 +244,7 @@ func (s *shard) quantum(r *Runtime) bool {
 		// so the panic costs at most the in-flight event — not every
 		// partial match the shard had open. bootPending (still true if
 		// THIS panic interrupted boot replay) tells recoverReplay whether
-		// to resume boot counter composition or treat the retry as a
-		// post-panic in-process rebuild.
+		// the retry restores the boot way or the post-panic way.
 		s.needRecover = true
 		s.needRecoverFlag.Store(true)
 	}
@@ -283,7 +283,7 @@ func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 		// next quantum retries recovery with the poison seq skipped.
 		s.needRecover = false
 		s.needRecoverFlag.Store(false)
-		s.recoverReplay(&s.curItem)
+		s.recoverReplay()
 		worked = true
 	}
 	s.booted.Store(true)
@@ -358,8 +358,8 @@ func (it item) seq() uint64 {
 
 // quarantine dead-letters items this shard will never process: a
 // poison event, or what a failed shard drains from its queue. Each is
-// counted in quarantined (count=false for boot-replay panics, whose
-// retry counts the seq through the replay skip-path) and, when durable,
+// counted in quarantined (count=false for panics inside a restore,
+// which counted nothing) and, when durable,
 // gets a Q record — all flushed at once — so replay after the NEXT
 // crash (or restart) skips it: a deterministic poison event cannot
 // re-crash recovery forever. The ring gets one letter for the lot, the
