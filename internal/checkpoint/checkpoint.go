@@ -83,11 +83,15 @@ type LoadResult struct {
 	// State is the newest decodable snapshot, nil when none exists (fresh
 	// directory or all generations corrupt — CorruptSnaps tells which).
 	State *ShardState
-	// Records are the shard's readable log tail, in log order: the events
-	// its routing accepts (minus its query's refusals) or that are tagged
-	// for it, and its own match and skip records. Events at or below
+	// Records are the events of the shard's readable log tail, in log
+	// order: those its routing accepts (minus its query's refusals) and
+	// those tagged for it, all as RecEvent. Events at or below
 	// State.LastSeq are still included; the caller skips them.
 	Records []Record
+	// Marks are the shard's own match and skip records, in log order: the
+	// matches it already delivered and the seqs it quarantined. A boot
+	// read shares them with the log's decoded set; they are read-only.
+	Marks []Record
 	// UsedPrev reports that the current snapshot was missing or corrupt
 	// and the previous generation was restored instead.
 	UsedPrev bool
@@ -129,10 +133,6 @@ type ShardStore struct {
 	hasFloor bool
 	// ceded: the state migrated away; see CedeShard.
 	ceded bool
-	// bootEnd is the log's end when the store opened: boot recovery
-	// replays events up to it and no further, since later ones were
-	// offered to this incarnation's queues.
-	bootEnd LogPos
 	// staleWAL: see LoadResult.StaleWAL.
 	staleWAL int
 }
@@ -192,7 +192,7 @@ func (l *Log) Store(cfg Config, shard int, fp uint64, t Tag, routes func(*event.
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &ShardStore{cfg: cfg, shard: shard, fp: fp, log: l, tag: t, routes: routes, bootEnd: l.End()}
+	s := &ShardStore{cfg: cfg, shard: shard, fp: fp, log: l, tag: t, routes: routes}
 	for _, suf := range []string{".wal", ".wal.prev"} {
 		if err := os.Remove(s.path(suf)); err == nil {
 			s.staleWAL++
@@ -239,9 +239,6 @@ func (s *ShardStore) Retire() error {
 	}
 	return CedeShard(s.cfg.Dir, s.shard)
 }
-
-// Shard returns the shard index this store belongs to.
-func (s *ShardStore) Shard() int { return s.shard }
 
 // EveryEvents returns the effective snapshot interval.
 func (s *ShardStore) EveryEvents() int { return s.cfg.EveryEvents }
@@ -400,13 +397,15 @@ func (s *ShardStore) PublishFloor() error {
 // Load reads the newest usable snapshot plus the shard's readable log
 // records. The log is flushed first so records appended this process
 // lifetime are visible; it stays open for further appends.
-func (s *ShardStore) Load() (*LoadResult, error) { return s.load(nil) }
+func (s *ShardStore) Load() (*LoadResult, error) { return s.load(false) }
 
-// LoadBoot is Load for boot recovery: on a shared log it reads only the
-// records that existed when the store opened.
-func (s *ShardStore) LoadBoot() (*LoadResult, error) { return s.load(&s.bootEnd) }
+// LoadBoot is Load for boot recovery: it filters what the log's open
+// scan decoded, sharing its events and marks, and takes no event
+// appended since, as those were offered to this incarnation's queues.
+// It fails once the log's owner has called EndBoot.
+func (s *ShardStore) LoadBoot() (*LoadResult, error) { return s.load(true) }
 
-func (s *ShardStore) load(end *LogPos) (*LoadResult, error) {
+func (s *ShardStore) load(boot bool) (*LoadResult, error) {
 	res := &LoadResult{Ceded: s.ceded, StaleWAL: s.staleWAL}
 	if s.ceded {
 		return res, nil
@@ -418,14 +417,9 @@ func (s *ShardStore) load(end *LogPos) (*LoadResult, error) {
 	if s.routes == nil {
 		return res, nil // this shard replays nothing
 	}
-	recs, torn, err := s.log.Tail(s.tag, s.routes, end)
-	res.Records, res.Torn = recs, torn
+	var err error
+	res.Records, res.Marks, res.Torn, err = s.log.tail(s.tag, s.routes, boot)
 	return res, err
-}
-
-// loadSnapshots fills res with the newest decodable snapshot generation.
-func (s *ShardStore) loadSnapshots(res *LoadResult) {
-	loadSnapshots(res, s.path, s.fp)
 }
 
 // LoadSnapshots reads one shard's newest decodable snapshot from dir
@@ -438,11 +432,12 @@ func LoadSnapshots(dir string, shard int, fp uint64) *LoadResult {
 		res.Ceded = true
 		return res
 	}
-	loadSnapshots(res, s.path, fp)
+	s.loadSnapshots(res)
 	return res
 }
 
-func loadSnapshots(res *LoadResult, path func(string) string, fp uint64) {
+// loadSnapshots fills res with the newest decodable snapshot generation.
+func (s *ShardStore) loadSnapshots(res *LoadResult) {
 	loadSnap := func(path string) *ShardState {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -451,16 +446,16 @@ func loadSnapshots(res *LoadResult, path func(string) string, fp uint64) {
 			}
 			return nil
 		}
-		st, err := DecodeShardState(data, fp)
+		st, err := DecodeShardState(data, s.fp)
 		if err != nil {
 			res.CorruptSnaps++
 			return nil
 		}
 		return st
 	}
-	res.State = loadSnap(path(".snap"))
+	res.State = loadSnap(s.path(".snap"))
 	if res.State == nil {
-		if st := loadSnap(path(".snap.prev")); st != nil {
+		if st := loadSnap(s.path(".snap.prev")); st != nil {
 			res.State = st
 			res.UsedPrev = true
 		}
@@ -602,6 +597,3 @@ func DecodeDeadLetters(data []byte) (*DeadLetterState, error) {
 	}
 	return st, nil
 }
-
-// TakenNow is the wall-clock stamp recorded into snapshots.
-func TakenNow() int64 { return time.Now().UnixNano() }

@@ -68,7 +68,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 				"ID": event.Int(1), "V": event.Int(2),
 			}))
 		}
-		if recs, torn, err := DecodeWAL(data, fuzzFP); err == nil && torn && recs == nil {
+		if recs, torn, err := decodeWAL(data, fuzzFP); err == nil && torn && recs == nil {
 			_ = recs // torn with zero records is legal (header-only file)
 		}
 		if st, err := DecodeDeadLetters(data); err == nil && st == nil {

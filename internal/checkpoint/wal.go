@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
+	"slices"
 	"time"
 
 	"cepshed/internal/event"
@@ -16,9 +18,10 @@ import (
 //	kind u8  payloadLen u32 LE  crc u32 LE  payload
 //
 // where crc is CRC32-IEEE over the kind byte followed by the payload.
-// The reader tolerates a truncated or corrupt tail — it returns every
-// record up to the first anomaly and flags the file as torn — because a
-// crash mid-append is the WAL's normal ending, not an error.
+// The reader (readSegment) tolerates a truncated or corrupt tail — it
+// returns every record up to the first anomaly and flags the file as
+// torn — because a crash mid-append is the WAL's normal ending, not an
+// error.
 
 // WAL record kinds. M, Q and T records carry a Tag naming the
 // (query, shard) they belong to; E records name none — recovery routes
@@ -64,9 +67,8 @@ type Record struct {
 
 // walWriter appends records to an open WAL file through a buffer.
 type walWriter struct {
-	f   *os.File
-	bw  *bufio.Writer
-	enc Encoder
+	f  *os.File
+	bw *bufio.Writer
 
 	fsync bool
 	// pending / pendingBytes / firstPendingNs describe the current flush
@@ -81,19 +83,9 @@ type walWriter struct {
 }
 
 // openWAL opens (creating and writing the header if empty) path for
-// append. An existing file is repaired first: everything past the last
-// valid frame — the torn remnant of a crash mid-write — is truncated,
-// because the reader stops at the first bad frame, so records appended
-// after a torn point would be unreachable on the next recovery (a
-// second crash would then lose post-boot events and re-deliver matches
-// whose M records sit beyond the tear). A file whose header does not
-// match this process (foreign magic, version, or fingerprint) is
-// rotated aside to .corrupt rather than appended to, for the same
-// reason.
+// append. An existing file must already be repaired: openLog truncates
+// the newest segment to its valid prefix before it reopens it.
 func openWAL(path string, fp uint64, fsync bool) (*walWriter, error) {
-	if err := repairWAL(path, fp); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -113,67 +105,14 @@ func openWAL(path string, fp uint64, fsync bool) (*walWriter, error) {
 		// The header reaches the OS now but is deliberately NOT fsynced:
 		// no record is durable before its own flush's fsync, and that
 		// fsync covers the whole file, header included. A crash before
-		// the first record flush leaves an empty or torn header that
-		// repairWAL handles like any other torn tail.
+		// the first record flush leaves an empty or torn header, which
+		// the next open rotates aside like any foreign one.
 		if err := w.bw.Flush(); err != nil {
 			f.Close()
 			return nil, err
 		}
 	}
 	return w, nil
-}
-
-// repairWAL makes an existing WAL file safe to append to: torn tails
-// truncate to the last valid frame (losing only bytes no reader could
-// use), alien headers rotate the whole file aside. Missing or empty
-// files need no repair.
-func repairWAL(path string, fp uint64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	valid, headerOK := validWALPrefix(data, fp)
-	if !headerOK {
-		return os.Rename(path, path+".corrupt")
-	}
-	if valid < int64(len(data)) {
-		return os.Truncate(path, valid)
-	}
-	return nil
-}
-
-// validWALPrefix returns the byte length of the header plus every valid
-// frame (the prefix DecodeWAL would read), and whether the header
-// itself was acceptable.
-func validWALPrefix(data []byte, fp uint64) (int64, bool) {
-	rest, err := checkHeader(data, walMagic, fp)
-	if err != nil {
-		return 0, false
-	}
-	n := int64(headerLen)
-	for len(rest) >= 9 {
-		plen := binary.LittleEndian.Uint32(rest[1:5])
-		crc := binary.LittleEndian.Uint32(rest[5:9])
-		if plen > maxWALRecord || uint64(plen) > uint64(len(rest)-9) {
-			break
-		}
-		payload := rest[9 : 9+plen]
-		if frameCRC(rest[:1], payload) != crc {
-			break
-		}
-		if _, ok := decodeRecord(rest[0], payload); !ok {
-			break
-		}
-		n += int64(9 + plen)
-		rest = rest[9+plen:]
-	}
-	return n, true
 }
 
 // frameCRC is CRC32-IEEE over the kind byte (a one-byte slice of the
@@ -240,60 +179,69 @@ func (w *walWriter) abort() {
 	w.f.Close()
 }
 
-// readWALFile decodes a WAL file, handing each record to fn. A missing
-// file yields (false, nil); a bad header yields an error; a truncated or
-// corrupt record tail stops the scan cleanly with torn=true.
-func readWALFile(path string, fp uint64, fn func(Record)) (torn bool, err error) {
-	data, err := os.ReadFile(path)
+// readSegment is the log's one frame reader: it streams the segment at
+// path from byte offset from (0, or a frame boundary) and hands each
+// record to fn as it is decoded. It returns the valid prefix (header
+// and frames up to the first bad one) and torn when a bad frame ended
+// the scan, a crash's normal ending. A missing file reads as empty; a
+// short or foreign header is an error wrapping ErrCorrupt.
+func readSegment(path string, fp uint64, from int64, fn func(Record)) (valid int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return false, nil
+			return 0, false, nil
 		}
-		return false, err
+		return 0, false, err
 	}
-	rest, err := checkHeader(data, walMagic, fp)
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	return decodeFrames(rest, fn), nil
+	return readFrames(f, info.Size(), fp, from, fn)
 }
 
-// DecodeWAL parses a WAL image. Exposed for the fuzz target.
-func DecodeWAL(data []byte, fp uint64) (recs []Record, torn bool, err error) {
-	rest, err := checkHeader(data, walMagic, fp)
-	if err != nil {
-		return nil, false, err
+// readFrames is readSegment over the first size bytes of an image; a
+// frame claiming more bytes than remain is torn before any allocation.
+func readFrames(r io.ReaderAt, size int64, fp uint64, from int64, fn func(Record)) (valid int64, torn bool, err error) {
+	var head [headerLen]byte
+	if n, err := r.ReadAt(head[:], 0); err != nil && err != io.EOF {
+		return 0, false, err
+	} else if _, err := checkHeader(head[:n], walMagic, fp); err != nil {
+		return 0, false, err
 	}
-	torn = decodeFrames(rest, func(r Record) { recs = append(recs, r) })
-	return recs, torn, nil
-}
-
-// decodeFrames parses the records of a WAL image past its header and
-// hands each to fn as it is decoded, so a reader keeps only the records
-// it wants; it stops cleanly (torn) at the first bad frame.
-func decodeFrames(rest []byte, fn func(Record)) (torn bool) {
-	for len(rest) > 0 {
-		if len(rest) < 9 {
-			return true
+	valid = max(from, headerLen)
+	br := bufio.NewReaderSize(io.NewSectionReader(r, valid, size-valid), 1<<16)
+	var frame []byte
+	for ; valid < size; valid += int64(len(frame)) {
+		if size-valid < 9 {
+			return valid, true, nil
 		}
-		kind := rest[0]
-		plen := binary.LittleEndian.Uint32(rest[1:5])
-		crc := binary.LittleEndian.Uint32(rest[5:9])
-		if plen > maxWALRecord || uint64(plen) > uint64(len(rest)-9) {
-			return true
+		frame = slices.Grow(frame[:0], 9)[:9]
+		if _, err = io.ReadFull(br, frame); err != nil {
+			break
 		}
-		payload := rest[9 : 9+plen]
-		if frameCRC(rest[:1], payload) != crc {
-			return true
+		plen := binary.LittleEndian.Uint32(frame[1:5])
+		if plen > maxWALRecord || int64(plen) > size-valid-9 {
+			return valid, true, nil
 		}
-		rec, ok := decodeRecord(kind, payload)
+		frame = slices.Grow(frame, int(plen))[:9+plen]
+		if _, err = io.ReadFull(br, frame[9:]); err != nil {
+			break
+		}
+		if frameCRC(frame[:1], frame[9:]) != binary.LittleEndian.Uint32(frame[5:9]) {
+			return valid, true, nil
+		}
+		rec, ok := decodeRecord(frame[0], frame[9:])
 		if !ok {
-			return true
+			return valid, true, nil
 		}
 		fn(rec)
-		rest = rest[9+plen:]
 	}
-	return false
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return valid, true, nil // the file shrank under the read
+	}
+	return valid, false, err
 }
 
 func decodeRecord(kind byte, payload []byte) (Record, bool) {

@@ -22,8 +22,8 @@ func hostOf(tn *tcNode) string { return strings.TrimPrefix(tn.srv.URL, "http://"
 // factory the harness wants.
 func netChaosFleet(names []string) (map[string]*fault.NetChaos, func(string) http.RoundTripper) {
 	ncs := map[string]*fault.NetChaos{}
-	for i, name := range names {
-		ncs[name] = fault.NewNetChaos(int64(i+1), nil)
+	for _, name := range names {
+		ncs[name] = fault.NewNetChaos(nil)
 	}
 	return ncs, func(name string) http.RoundTripper { return ncs[name] }
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -630,23 +629,13 @@ func TestRouterLogsEachLocalEventOnce(t *testing.T) {
 	peer.kill()
 	count := func(tn *tcNode) map[byte]int {
 		n := map[byte]int{}
-		var segs []string
 		for _, spec := range tn.top.Nodes {
-			if spec.Name == tn.name {
-				segs, _ = filepath.Glob(filepath.Join(spec.StateDir, "log", "log-*.wal"))
+			if spec.Name != tn.name {
+				continue
 			}
-		}
-		for _, seg := range segs {
-			data, err := os.ReadFile(seg)
-			if err != nil {
+			if _, err := checkpoint.ReadLog(filepath.Join(spec.StateDir, "log"), checkpoint.Fingerprint("registry", "input-log"),
+				func(r checkpoint.Record) { n[r.Kind]++ }); err != nil {
 				t.Fatal(err)
-			}
-			recs, _, err := checkpoint.DecodeWAL(data, checkpoint.Fingerprint("registry", "input-log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				n[r.Kind]++
 			}
 		}
 		return n

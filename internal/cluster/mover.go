@@ -380,7 +380,7 @@ func (n *Node) takeover(in *registry.Instance, dead NodeSpec, slot int) error {
 			return fmt.Errorf("load dead store: %w", err)
 		}
 		h.State = res.State
-		h.Tail = res.Records
+		h.Tail = append(res.Records, res.Marks...)
 		if res.CorruptSnaps > 0 || res.Torn {
 			n.cfg.Logf("cluster: takeover %s slot %d: corrupt_snaps=%d torn_wal=%v (expected after SIGKILL)",
 				in.Spec().ID(), slot, res.CorruptSnaps, res.Torn)

@@ -4,29 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // NetChaos is an http.RoundTripper wrapper that injects network faults
 // per destination host: full blocks (partitions), transient errors,
-// latency, and the nastiest one — drop-after-send, where the request
+// and the nastiest one — drop-after-send, where the request
 // IS delivered but the response is discarded, so the caller cannot
 // tell delivery from loss. Wrapping each node's HTTP client with its
 // own NetChaos makes asymmetric partitions trivial: block A→B without
 // touching B→A.
 //
 // Faults are keyed by req.URL.Host and driven by explicit per-link
-// request counters plus a seeded RNG, never the wall clock, so a chaos
+// request counters, never the wall clock or a random draw, so a chaos
 // run replays identically. Safe for concurrent use.
 type NetChaos struct {
 	next http.RoundTripper
 
 	mu    sync.Mutex
-	rng   *rand.Rand
 	links map[string]*linkFaults
 
 	// Injection counters, for test assertions.
@@ -36,11 +33,9 @@ type NetChaos struct {
 }
 
 type linkFaults struct {
-	blocked  bool          // partition: fail before the request is sent
-	errNext  int           // fail the next N requests before sending
-	dropNext int           // deliver the next N requests, discard responses
-	failP    float64       // probabilistic pre-send failure
-	latency  time.Duration // added before every request
+	blocked  bool // partition: fail before the request is sent
+	errNext  int  // fail the next N requests before sending
+	dropNext int  // deliver the next N requests, discard responses
 	// flapUp/flapDown, when set, cycle the link by request count:
 	// flapUp requests pass, then flapDown requests are blocked.
 	flapUp, flapDown int
@@ -52,17 +47,12 @@ type linkFaults struct {
 var ErrInjected = errors.New("fault: injected network error")
 
 // NewNetChaos wraps next (nil: http.DefaultTransport) with a
-// fault-free injector; arm faults with the setters. The seed drives
-// probabilistic failures only — counted faults need no randomness.
-func NewNetChaos(seed int64, next http.RoundTripper) *NetChaos {
+// fault-free injector; arm faults with the setters.
+func NewNetChaos(next http.RoundTripper) *NetChaos {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &NetChaos{
-		next:  next,
-		rng:   rand.New(rand.NewSource(seed)),
-		links: map[string]*linkFaults{},
-	}
+	return &NetChaos{next: next, links: map[string]*linkFaults{}}
 }
 
 func (c *NetChaos) link(host string) *linkFaults {
@@ -112,20 +102,6 @@ func (c *NetChaos) DropAfterSend(host string, n int) {
 	c.link(host).dropNext = n
 }
 
-// SetLatency adds a fixed delay before every request to host.
-func (c *NetChaos) SetLatency(host string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.link(host).latency = d
-}
-
-// SetFailP fails each request to host with probability p (seeded).
-func (c *NetChaos) SetFailP(host string, p float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.link(host).failP = p
-}
-
 // Flap cycles the link to host deterministically by request count:
 // `up` requests pass, then `down` requests are blocked, repeating.
 // up+down <= 0 clears the flap schedule.
@@ -157,13 +133,9 @@ func (c *NetChaos) Counts() (blocked, errored, dropped uint64) {
 func (c *NetChaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.mu.Lock()
 	lf := c.links[req.URL.Host]
-	var (
-		latency time.Duration
-		verdict int // 0 pass, 1 blocked, 2 errored, 3 drop-after-send
-	)
+	verdict := 0 // 0 pass, 1 blocked, 2 errored, 3 drop-after-send
 	if lf != nil {
 		lf.reqs++
-		latency = lf.latency
 		switch {
 		case lf.blocked:
 			verdict = 1
@@ -172,8 +144,6 @@ func (c *NetChaos) RoundTrip(req *http.Request) (*http.Response, error) {
 		case lf.errNext > 0:
 			lf.errNext--
 			verdict = 2
-		case lf.failP > 0 && c.rng.Float64() < lf.failP:
-			verdict = 2
 		case lf.dropNext > 0:
 			lf.dropNext--
 			verdict = 3
@@ -181,9 +151,6 @@ func (c *NetChaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	c.mu.Unlock()
 
-	if latency > 0 {
-		time.Sleep(latency)
-	}
 	switch verdict {
 	case 1:
 		c.blockedCount.Add(1)

@@ -23,7 +23,7 @@ func TestNetChaosFaultModes(t *testing.T) {
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
 
-	nc := NewNetChaos(1, nil)
+	nc := NewNetChaos(nil)
 	client := &http.Client{Transport: nc}
 
 	get := func() error {
@@ -94,7 +94,7 @@ func TestNetChaosFlapDeterministic(t *testing.T) {
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
 
-	nc := NewNetChaos(7, nil)
+	nc := NewNetChaos(nil)
 	nc.Flap(host, 2, 3) // 2 pass, 3 blocked, repeat
 	client := &http.Client{Transport: nc}
 

@@ -1,10 +1,12 @@
 package registry
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +16,9 @@ import (
 	"cepshed/internal/checkpoint"
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
+	"cepshed/internal/gen"
 	"cepshed/internal/nfa"
+	"cepshed/internal/query"
 	"cepshed/internal/runtime"
 	"cepshed/internal/shed"
 )
@@ -223,25 +227,13 @@ func TestMultiQueryCrashRecoveryDifferential(t *testing.T) {
 	}
 
 	// Exactly one event record per accepted event.
-	segs, err := filepath.Glob(filepath.Join(dir, logDir, "log-*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no log segments: %v", err)
-	}
 	var got []uint64
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
+	if _, err := checkpoint.ReadLog(filepath.Join(dir, logDir), logFP, func(r checkpoint.Record) {
+		if r.Kind == checkpoint.RecEvent {
+			got = append(got, r.Seq)
 		}
-		recs, _, err := checkpoint.DecodeWAL(data, logFP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if r.Kind == checkpoint.RecEvent {
-				got = append(got, r.Seq)
-			}
-		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	sort.Slice(logged, func(i, j int) bool { return logged[i] < logged[j] })
@@ -474,34 +466,21 @@ func TestConcurrentProducersKeepLogOrder(t *testing.T) {
 	wg.Wait()
 	g.Close()
 
-	segs, err := filepath.Glob(filepath.Join(dir, logDir, "log-*.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(segs)
 	want := map[string][]uint64{}
 	refused := map[uint64]map[uint64]bool{}
 	var events []*event.Event
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, _, err := checkpoint.DecodeWAL(data, logFP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			switch r.Kind {
-			case checkpoint.RecEvent:
-				events = append(events, r.Event)
-			case checkpoint.RecRefused:
-				if refused[r.Tag.FP] == nil {
-					refused[r.Tag.FP] = map[uint64]bool{}
-				}
-				refused[r.Tag.FP][r.Seq] = true
+	if _, err := checkpoint.ReadLog(filepath.Join(dir, logDir), logFP, func(r checkpoint.Record) {
+		switch r.Kind {
+		case checkpoint.RecEvent:
+			events = append(events, r.Event)
+		case checkpoint.RecRefused:
+			if refused[r.Tag.FP] == nil {
+				refused[r.Tag.FP] = map[uint64]bool{}
 			}
+			refused[r.Tag.FP][r.Seq] = true
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	for name, in := range ins {
 		for _, e := range events {
@@ -557,5 +536,94 @@ func TestPausedQueryReplaysNothingPastItsPause(t *testing.T) {
 	}
 	if total, dups := col.counts("t/abc"); total != 10 || dups != 0 {
 		t.Fatalf("matches = %d (dups %d), want the 10 groups offered before the pause", total, dups)
+	}
+}
+
+// TestBootRecoveryReadsLogOnce boots a durable registry — 2 shards, n
+// identical Q1 queries — from a DS1 tail that is still all in the log
+// (no snapshot covers any of it), after a Kill. The log grows with n,
+// since each query adds its match records, so a boot that reads the log
+// once allocates about a constant per log byte, while one in which
+// every query-shard copies and decodes the whole log allocates more per
+// byte the more queries there are. At 8 queries the boot may allocate
+// at most 1.5× per log byte what it does at 2. Seqs start at 2^60, so
+// match keys, which spell them out, are long and match records make up
+// most of the log. Every match is delivered exactly once across the
+// restart.
+func TestBootRecoveryReadsLogOnce(t *testing.T) {
+	stream := gen.DS1(gen.DS1Config{Events: 6000, Seed: 1})
+	for i, e := range stream {
+		e.Seq = 1<<60 + uint64(i)
+	}
+	m := nfa.MustCompile(query.MustParse(q1Text))
+	var mine event.Stream
+	for _, e := range stream {
+		if e.Type == "A" || e.Type == "B" || e.Type == "C" {
+			mine = append(mine, e)
+		}
+	}
+	var want []string
+	for _, mt := range engine.Sequential(m, engine.DefaultCosts(), mine, false) {
+		want = append(want, mt.Key())
+	}
+	sort.Strings(want)
+
+	allocPerLogByte := func(n int) float64 {
+		dir := t.TempDir()
+		col := newCollector()
+		cfg := Config{Shards: 2, StateDir: dir, OnMatches: col.hook(), Arbiter: ArbiterConfig{Disabled: true}}
+		g, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ins []*Instance
+		for i := 0; i < n; i++ {
+			ins = append(ins, mustAdd(t, g, QuerySpec{Tenant: "t", Name: fmt.Sprintf("q%d", i), Query: q1Text}))
+		}
+		for lo := 0; lo < len(stream); lo += 100 {
+			g.OfferBatch(append(event.Stream(nil), stream[lo:lo+100]...))
+		}
+		for _, in := range ins {
+			drainInst(t, in, uint64(len(mine)))
+		}
+		g.Kill()
+
+		var logBytes int64
+		segs, err := filepath.Glob(filepath.Join(dir, logDir, "log-*.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil {
+				logBytes += fi.Size()
+			}
+		}
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		g, err = Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.WaitRecovered()
+		goruntime.ReadMemStats(&after)
+		if info := g.RecoveryInfo(); info.WALReplayed != uint64(n*len(mine)) {
+			t.Fatalf("%d queries: boot replayed %d events, want the whole tail, %d", n, info.WALReplayed, n*len(mine))
+		}
+		g.Close()
+		for _, in := range ins {
+			got, dups := col.keys(in.spec.ID())
+			if dups != 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %d matches delivered, %d of them more than once; engine.Sequential finds %d",
+					in.spec.ID(), len(got), dups, len(want))
+			}
+		}
+		per := float64(after.TotalAlloc-before.TotalAlloc) / float64(logBytes)
+		t.Logf("%d queries: %d log bytes, boot allocated %.1f bytes per log byte", n, logBytes, per)
+		return per
+	}
+	small, large := allocPerLogByte(2), allocPerLogByte(8)
+	if large > 1.5*small {
+		t.Fatalf("boot allocates %.1f bytes per log byte at 8 queries, %.1f at 2: more than 1.5×, so some reader scales with the query count",
+			large, small)
 	}
 }

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 
 	"cepshed/internal/checkpoint"
@@ -103,9 +102,8 @@ func (in *Instance) ReadSlot(root string, slot int) (*checkpoint.LoadResult, err
 		return res, nil
 	}
 	routes := func(e *event.Event) bool { return in.subscribes(e.Type) && in.rt.ShardIndexFor(e) == slot }
-	recs, torn, err := checkpoint.ReadLogTail(filepath.Join(root, logDir), logFP,
-		checkpoint.LogPos{Seg: math.MaxUint64}, checkpoint.Tag{FP: in.fp, Shard: slot}, routes)
-	res.Records, res.Torn = recs, torn
+	var err error
+	res.Records, res.Marks, res.Torn, err = checkpoint.ReadLogTail(filepath.Join(root, logDir), logFP, checkpoint.Tag{FP: in.fp, Shard: slot}, routes)
 	return res, err
 }
 

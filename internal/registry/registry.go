@@ -332,16 +332,27 @@ func Open(cfg Config) (*Registry, error) {
 				g.logf("registry: manifest rotate failed: %v", rerr)
 			}
 		}
+		var boot []*Instance
 		if ok {
 			for _, t := range man.Tenants {
 				g.tenants[t.Name] = t.withDefaults()
 			}
 			for _, spec := range man.Queries {
-				if _, err := g.add(spec, false); err != nil {
+				in, err := g.add(spec, false)
+				if err != nil {
 					g.logf("registry: manifest query %s not restored: %v", spec.ID(), err)
+					continue
 				}
+				boot = append(boot, in)
 			}
 		}
+		// The manifest's queries are the log's only boot readers.
+		go func() {
+			for _, in := range boot {
+				<-in.readyCh
+			}
+			log.EndBoot()
+		}()
 	}
 	g.arb = newArbiter(g, cfg.Arbiter)
 	return g, nil

@@ -127,7 +127,7 @@ func (s *shard) ctlImport(h *checkpoint.Handoff) ctlReply {
 	}
 	// A capture of the empty shard may still be in flight (coverIdle).
 	s.settleSnapshot(true)
-	if err := s.restore(h.State, h.Tail, restoreImport, -1, true); err != nil {
+	if err := s.restore(h.State, h.Tail, h.Tail, restoreImport, -1, true); err != nil {
 		return ctlReply{err: fmt.Errorf("import: %w", err)}
 	}
 	return ctlReply{maxSeq: s.lastSeq, hasSeq: s.hasSeq}

@@ -366,6 +366,13 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 		r.wg.Add(1)
 		go r.worker(w)
 	}
+	if r.ownLog && r.log != nil {
+		// The shards are the log's only boot readers.
+		go func() {
+			r.recoverWG.Wait()
+			r.log.EndBoot()
+		}()
+	}
 	return r
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -881,7 +882,7 @@ func (s *shard) buildStateShell() *checkpoint.ShardState {
 		LastSeq:      s.lastSeq,
 		HasSeq:       s.hasSeq,
 		LastTime:     s.lastTime,
-		TakenNs:      checkpoint.TakenNow(),
+		TakenNs:      time.Now().UnixNano(),
 		Counters:     s.counters(),
 		StrategyName: s.strat.Name(),
 	}
@@ -959,7 +960,7 @@ func (s *shard) recoverReplay() {
 	}
 	// A ceded shard's state lives on another node now: it restores and
 	// replays nothing, and floors itself above the whole log.
-	if err := s.restore(res.State, res.Records, kind, limit, res.Ceded); err != nil {
+	if err := s.restore(res.State, res.Records, res.Marks, kind, limit, res.Ceded); err != nil {
 		// Decodable but structurally unusable (format drift inside one
 		// version, or a machine mismatch the fingerprint missed): a counted
 		// cold start that replays the whole tail.
@@ -967,7 +968,7 @@ func (s *shard) recoverReplay() {
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("runtime: %v; cold start", err)
 		}
-		_ = s.restore(nil, res.Records, kind, limit, false) // no state, no import: nothing to fail
+		_ = s.restore(nil, res.Records, res.Marks, kind, limit, false) // no state, no import: nothing to fail
 	}
 	if res.Torn && s.cfg.Logf != nil {
 		s.cfg.Logf("runtime: shard %d: WAL tail torn (expected after a crash)", s.id)
@@ -1022,9 +1023,10 @@ func (s *shard) reset(m mark) {
 
 // restore is the one way a shard takes on state it did not build live:
 // boot, post-panic recovery, a handoff import and a ceded slot. It
-// installs st (nil: none), replays tail above st's seq floor — Q-recorded
-// seqs skipped, matches an M record says were delivered suppressed, at
-// most limit events (-1: all) — and commits: the matches the replay
+// installs st (nil: none), replays tail's events above st's seq floor —
+// seqs a Q record in marks quarantined skipped, matches an M record
+// there says were delivered suppressed, at most limit events (-1: all) —
+// and commits: the matches the replay
 // completes anew are held, one snapshot counts them, and only then are
 // they queued for the sink. They are inside that snapshot and in no M
 // record, so no later recovery replays them. aboveLog floors the shard
@@ -1035,7 +1037,7 @@ func (s *shard) reset(m mark) {
 // leaves the engine empty, so the caller can retry it. A boot or
 // post-panic commit that fails disables durability instead: the state is
 // in memory, and availability wins, as for any failed log write.
-func (s *shard) restore(st *checkpoint.ShardState, tail []checkpoint.Record, kind restoreKind, limit int, aboveLog bool) error {
+func (s *shard) restore(st *checkpoint.ShardState, tail, marks []checkpoint.Record, kind restoreKind, limit int, aboveLog bool) error {
 	if st != nil {
 		if err := s.en.Restore(st.Engine); err != nil {
 			return fmt.Errorf("shard %d: snapshot restore rejected: %w", s.id, err)
@@ -1076,7 +1078,7 @@ func (s *shard) restore(st *checkpoint.ShardState, tail []checkpoint.Record, kin
 	wantCreated, wantDropped := s.pmCreatedBase, s.pmDroppedBase
 
 	count := kind != restorePanic
-	skips, suppress := indexTail(tail, haveFloor, floor)
+	skips, suppress := indexTail(marks, haveFloor, floor)
 	var held []engine.Match
 	var replayed uint64
 	s.consumed, s.snapConsumed = 0, 0
@@ -1122,8 +1124,9 @@ func (s *shard) restore(st *checkpoint.ShardState, tail []checkpoint.Record, kin
 		}
 		s.strat.Observe(&s.res, e.Time)
 		for _, m := range s.res.Matches {
+			_, delivered := slices.BinarySearch(suppress, m.Key())
 			switch {
-			case !suppress[m.Key()]:
+			case !delivered:
 				held = append(held, m)
 			case kind == restoreBoot:
 				s.matched.Add(1)
@@ -1188,11 +1191,12 @@ func (s *shard) addCounters(c checkpoint.Counters) {
 	s.pmDroppedBase += c.BaseDropped
 }
 
-// indexTail collects a tail's Q records above the floor (seqs replay
-// must skip: the poison-crash-loop breaker) and its M records (matches
-// already delivered: the duplicate-emission breaker).
-func indexTail(recs []checkpoint.Record, haveFloor bool, floor uint64) (skips map[uint64]bool, suppress map[string]bool) {
-	skips, suppress = map[uint64]bool{}, map[string]bool{}
+// indexTail collects a shard's Q records above the floor (seqs replay
+// must skip: the poison-crash-loop breaker) and its M records' keys,
+// sorted (matches already delivered: the duplicate-emission breaker) —
+// a slice, not a set, because at boot every shard holds one at once.
+func indexTail(recs []checkpoint.Record, haveFloor bool, floor uint64) (skips map[uint64]bool, suppress []string) {
+	skips = map[uint64]bool{}
 	for _, rec := range recs {
 		switch rec.Kind {
 		case checkpoint.RecSkip:
@@ -1200,9 +1204,10 @@ func indexTail(recs []checkpoint.Record, haveFloor bool, floor uint64) (skips ma
 				skips[rec.Seq] = true
 			}
 		case checkpoint.RecMatch:
-			suppress[rec.Key] = true
+			suppress = append(suppress, rec.Key)
 		}
 	}
+	slices.Sort(suppress)
 	return skips, suppress
 }
 
