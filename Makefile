@@ -40,11 +40,11 @@ loc:
 # degradation ladder, corrupt-input, crash-recovery differentials (one
 # runtime and a multi-query registry), every restore path (boot replay,
 # restart, handoff import), kill-during-snapshot, node failure
-# detection, cluster failover, and concurrent fault-injection tests,
-# always under the race detector.
+# detection, cluster failover, concurrent fault-injection tests and the
+# shared worker pool's bounds, always under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Supervisor|CircuitBreaker|AllShardsFailed|DeadLetter|Rebuild|Degradation|Ladder|Admission|LineDecoder|Panic|Switchable|Chain|Corrupter|Stall|Healthz|Ingest|Recover|Recovery|Replay|Restart|Snapshot|Durab|WAL|Checkpoint|Torn|Monotone|FailStage|Failover|Placement|Detector|Takeover|Handoff|Cluster|Rendezvous|Steal|WorkSteal' \
+		-run 'Chaos|Supervisor|CircuitBreaker|AllShardsFailed|DeadLetter|Rebuild|Degradation|Ladder|Admission|LineDecoder|Panic|Switchable|Chain|Corrupter|Stall|Healthz|Ingest|Recover|Recovery|Replay|Restart|Snapshot|Durab|WAL|Checkpoint|Torn|Monotone|FailStage|Failover|Placement|Detector|Takeover|Handoff|Cluster|Rendezvous|Steal|WorkSteal|Pool' \
 		./internal/runtime ./internal/fault ./internal/shed ./internal/checkpoint ./internal/cluster ./internal/registry ./cmd/cepserved
 
 # End-to-end durability drill: run the real server, SIGKILL it

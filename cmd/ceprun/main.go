@@ -139,7 +139,7 @@ func (r *runner) runWallclock(name string, frac float64, seed int64, shards int,
 	}
 
 	wallBound := event.Time(frac * float64(baseStat.Nanoseconds()))
-	factory := func(i int) shed.Strategy { return r.buildStrategy(name, wallBound, seed+int64(i), true) }
+	factory := func(i int) shed.Strategy { return r.buildStrategy(name, wallBound, seed+int64(i)) }
 	snap, got, elapsed := feed(factory)
 	fmt.Printf("\n  strategy %s at %.0f%% wall %s bound (%s):\n", name, frac*100, r.stat, time.Duration(wallBound))
 	fmt.Printf("    recall      %.1f%%\n", 100*metrics.Recall(truth.MatchSet(), got))
@@ -193,7 +193,7 @@ func (r *runner) boundAt(frac float64) event.Time {
 }
 
 func (r *runner) run(name string, frac float64, seed int64) *metrics.RunResult {
-	strat := r.buildStrategy(name, r.boundAt(frac), seed, false)
+	strat := r.buildStrategy(name, r.boundAt(frac), seed)
 	return metrics.Run(r.m, r.work, metrics.RunConfig{
 		Strategy: strat, BoundStat: r.stat, DeferredNegation: r.m.Query.HasNegation(),
 	})
@@ -201,10 +201,9 @@ func (r *runner) run(name string, frac float64, seed int64) *metrics.RunResult {
 
 // buildStrategy constructs a fresh strategy instance for the given
 // latency bound — virtual time for metrics.Run, wall-clock nanoseconds
-// for the sharded runtime (the unit maps 1:1). freshModel forces a
-// per-call cost model: the online adapter mutates it, so concurrent
-// shards must never share one instance.
-func (r *runner) buildStrategy(name string, bound event.Time, seed int64, freshModel bool) shed.Strategy {
+// for the sharded runtime (the unit maps 1:1). The cost model is trained
+// once and each strategy gets a clone: online adaptation mutates it.
+func (r *runner) buildStrategy(name string, bound event.Time, seed int64) shed.Strategy {
 	var strat shed.Strategy
 	switch name {
 	case "RI":
@@ -225,14 +224,10 @@ func (r *runner) buildStrategy(name string, bound event.Time, seed int64, freshM
 		}
 		strat = baseline.NewSelectivityState(r.sel, bound, seed)
 	case "Hybrid", "HyI", "HyS":
-		model := r.model
-		if model == nil || freshModel {
-			model = core.MustTrain(r.m, r.train, core.TrainConfig{
+		if r.model == nil {
+			r.model = core.MustTrain(r.m, r.train, core.TrainConfig{
 				Slices: 4, Seed: 1, DeferredNegation: r.m.Query.HasNegation(),
 			})
-			if !freshModel {
-				r.model = model
-			}
 		}
 		mode := core.ModeHybrid
 		if name == "HyI" {
@@ -240,7 +235,7 @@ func (r *runner) buildStrategy(name string, bound event.Time, seed int64, freshM
 		} else if name == "HyS" {
 			mode = core.ModeStateOnly
 		}
-		strat = core.NewHybrid(model, core.Config{Bound: bound, Mode: mode, Adapt: true})
+		strat = core.NewHybrid(r.model.Clone(), core.Config{Bound: bound, Mode: mode, Adapt: true})
 	default:
 		fmt.Fprintf(os.Stderr, "ceprun: unknown strategy %q\n", name)
 		os.Exit(2)

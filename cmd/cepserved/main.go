@@ -115,7 +115,6 @@ func main() {
 		tcpIdle   = flag.Duration("tcp-idle", time.Minute, "TCP ingest read deadline; a connection idle longer is closed")
 		httpRead  = flag.Duration("http-read-timeout", 5*time.Minute, "HTTP read timeout (bounds one /ingest request body)")
 		shards    = flag.Int("shards", 4, "engine shards (state partitions) per query; 0 = auto (GOMAXPROCS)")
-		workers   = flag.Int("workers", 0, "worker goroutines servicing each query's shards; 0 = one per shard")
 		queueLen  = flag.Int("queue", 1024, "per-shard bounded queue capacity")
 		dataset   = flag.String("dataset", "", "replay dataset: ds1, ds2, citibike, gcluster (empty: ingest only)")
 		events    = flag.Int("events", 100000, "replay stream length (trips/tasks for the case studies)")
@@ -215,7 +214,6 @@ func main() {
 
 	cfg := registry.Config{
 		Shards:       *shards,
-		Workers:      *workers,
 		QueueLen:     *queueLen,
 		DefaultTheta: *bound,
 		StateDir:     *stateDir,

@@ -100,11 +100,9 @@ func (s QuerySpec) ID() string { return s.Tenant + "/" + s.Name }
 
 // Config configures a Registry.
 type Config struct {
-	// Shards / Workers / QueueLen are per-query runtime defaults (see
-	// runtime.Config). Workers <= 0 keeps the runtime default of one
-	// worker per shard.
+	// Shards / QueueLen are per-query runtime defaults (runtime.Config);
+	// every query's shards share the registry's one worker pool.
 	Shards   int
-	Workers  int
 	QueueLen int
 	// DefaultTheta is the latency bound for tenants that don't set one.
 	// Zero disables the degradation ladder for such queries.
@@ -126,8 +124,6 @@ type Config struct {
 	// call — and must tolerate concurrent calls from different shards
 	// and queries.
 	OnMatches func(spec QuerySpec, shard int, ms []engine.Match)
-	// CollectMatches retains matches in memory per query (tests).
-	CollectMatches bool
 	// DeferredNegation selects witness-based negation semantics.
 	DeferredNegation bool
 	// Arbiter configures the cross-query shedding arbiter.
@@ -235,6 +231,7 @@ type DeadLetter struct {
 type Registry struct {
 	cfg     Config
 	arb     *arbiter
+	pool    *runtime.Pool     // serves every query's shards
 	dur     checkpoint.Config // resolved template (Dir unset), valid when durable
 	durable bool
 
@@ -297,6 +294,7 @@ func Open(cfg Config) (*Registry, error) {
 		cfg:     cfg,
 		insts:   map[string]*Instance{},
 		tenants: map[string]Tenant{},
+		pool:    runtime.NewPool(),
 	}
 	g.route.Store(&routeTable{byType: map[string][]routeRef{}})
 	if cfg.StateDir != "" {
@@ -503,12 +501,10 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 
 	rc := runtime.Config{
 		Shards:           shards,
-		Workers:          g.cfg.Workers,
 		QueueLen:         g.cfg.QueueLen,
 		KeySalt:          in.fp,
 		NewStrategy:      newStrat,
 		DeferredNegation: g.cfg.DeferredNegation,
-		CollectMatches:   g.cfg.CollectMatches,
 		Bound:            bound,
 		Logf: func(format string, args ...any) {
 			g.logf("%s: "+format, append([]any{spec.ID()}, args...)...)
@@ -544,7 +540,7 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 	if !persist && !spec.Paused {
 		accept = func(e *event.Event) bool { return in.subscribes(e.Type) }
 	}
-	in.rt = runtime.NewShared(m, rc, g.log, accept)
+	in.rt = runtime.NewShared(m, rc, g.pool, g.log, accept)
 	g.insts[spec.ID()] = in
 	g.mu.Unlock()
 
@@ -1271,4 +1267,5 @@ func (g *Registry) shutdown(stop func(*Instance)) {
 		}(in)
 	}
 	wg.Wait()
+	g.pool.Stop()
 }

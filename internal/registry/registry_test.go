@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -781,4 +782,36 @@ func (c *collector) keys(id string) (keys []string, dups int) {
 	}
 	sort.Strings(keys)
 	return keys, dups
+}
+
+// TestPoolGoroutinesBoundedByCores registers 32 queries of 2 shards
+// each — multiquery-wal's shape — and requires the goroutines they add
+// to stay within GOMAXPROCS plus a few (the arbiter loop, activation
+// goroutines on their way out): every query's shards share the
+// registry's one worker pool instead of bringing a worker per shard.
+func TestPoolGoroutinesBoundedByCores(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	g, err := Open(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var in *Instance
+	for i := 0; i < 32; i++ {
+		in = mustAdd(t, g, QuerySpec{Tenant: "t", Name: fmt.Sprintf("q%02d", i), Query: q1Text})
+	}
+	procs := goruntime.GOMAXPROCS(0)
+	if w := in.Runtime().Snapshot().Workers; w != min(procs, 64) {
+		t.Errorf("snapshot reports %d workers, want the pool's min(GOMAXPROCS=%d, 64 shards)", w, procs)
+	}
+	const edge = 4
+	added := 0
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if added = goruntime.NumGoroutine() - before; added <= procs+edge || time.Now().After(deadline) {
+			break
+		}
+	}
+	if added > procs+edge {
+		t.Fatalf("32 queries x 2 shards added %d goroutines, want <= GOMAXPROCS (%d) + %d", added, procs, edge)
+	}
 }

@@ -17,7 +17,7 @@ import (
 func TestProcessZeroAlloc(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := newShard(0, m, Config{QueueLen: 1}.withDefaults(), nil, metrics.NewHistogram())
-	s.x = &excess{}
+	s.rt = &Runtime{}
 	// B with no open A: the engine matches nothing and creates nothing,
 	// so every allocation left would be the serving path's own.
 	e := event.New("B", event.Millisecond, map[string]event.Value{"ID": event.Int(1), "V": event.Int(2)})

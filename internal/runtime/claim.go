@@ -163,6 +163,6 @@ func (r *Runtime) send(sh *shard, b batch, n int) bool {
 	}
 	sh.depth.Add(int64(n))
 	sh.ch <- b
-	r.wakeOne()
+	r.pool.wakeOne()
 	return true
 }

@@ -121,15 +121,6 @@ type Config struct {
 	// unit of STATE: a single-writer engine partition with its own queue,
 	// strategy, and WAL.
 	Shards int
-	// Workers is the number of worker goroutines servicing the shard
-	// queues (default: Shards). A worker is the unit of CPU: it services
-	// its home shards first, then steals whole backlogged shards from
-	// busy peers — never individual events, so per-key ordering and the
-	// single-writer invariant survive. Workers < Shards decouples state
-	// parallelism from CPU parallelism (e.g. many shards for fine-grained
-	// failure isolation on a small core count); Workers > Shards wastes
-	// goroutines and is clamped down.
-	Workers int
 	// QueueLen is the per-shard bounded channel capacity (default 1024).
 	// When a shard's queue is full, Offer blocks: backpressure propagates
 	// to the producer instead of growing an unbounded buffer.
@@ -198,9 +189,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Workers <= 0 || c.Workers > c.Shards {
-		c.Workers = c.Shards
-	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
 	}
@@ -220,12 +208,10 @@ type Runtime struct {
 	key    func(*event.Event) uint64
 	global *metrics.Histogram // merged latency across shards
 
-	// Worker pool (workers.go): workers is the pool size, wake is the
-	// buffered token channel idle workers block on, steals counts
-	// quanta a worker ran on a non-home shard.
-	workers int
-	wake    chan struct{}
-	steals  atomic.Uint64
+	pool    *Pool          // services the shards (workers.go)
+	ownPool bool           // pool is New's private one, which Close stops
+	steals  atomic.Uint64  // this runtime's quanta run by a non-home worker
+	done    sync.WaitGroup // shards not yet retired
 
 	dlq               DeadLetterRing
 	level             atomic.Int32
@@ -263,33 +249,37 @@ type Runtime struct {
 	// Close — always completes.
 	mu     sync.RWMutex
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
-// New builds and starts a runtime for a compiled machine. Shard worker
-// goroutines start immediately; the runtime is ready for Offer. With
-// Config.Durability it owns a private input log in Durability.Dir.
-func New(m *nfa.Machine, cfg Config) *Runtime { return newRuntime(m, cfg, nil, nil) }
+// New builds and starts a runtime for a compiled machine on a private
+// worker pool (min(GOMAXPROCS, Shards) workers) that Close stops; the
+// runtime is ready for Offer. With Config.Durability it owns a private
+// input log in Durability.Dir.
+func New(m *nfa.Machine, cfg Config) *Runtime { return newRuntime(m, cfg, nil, nil, nil) }
 
-// NewShared is New for a runtime whose input log belongs to its caller
-// (the registry), which appends every event to log before offering it.
-// The shards' records are tagged with Config.KeySalt (the registry's
-// query fingerprint); a shard replays the log's untagged events that
-// accept admits and its key hashes to it, and nothing at all when
-// accept is nil. Without Config.Durability it is New.
-func NewShared(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
-	return newRuntime(m, cfg, log, accept)
+// NewShared is New for a runtime served by its caller's worker pool
+// (the registry's, one per process) and whose input log belongs to the
+// caller, which appends every event to log before offering it. The
+// shards' records are tagged with Config.KeySalt (the registry's query
+// fingerprint); a shard replays the log's untagged events that accept
+// admits and its key hashes to it, and nothing at all when accept is
+// nil. Without Config.Durability the log is unused.
+func NewShared(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
+	return newRuntime(m, cfg, pool, log, accept)
 }
 
-func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
+func newRuntime(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
 	cfg = cfg.withDefaults()
 	r := &Runtime{
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
 		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
+		pool:   pool,
 	}
-	r.workers = cfg.Workers
-	r.wake = make(chan struct{}, cfg.Workers)
+	if pool == nil {
+		r.pool, r.ownPool = NewPool(), true
+	}
+	r.done.Add(cfg.Shards)
 	var dur checkpoint.Config
 	if cfg.Durability != nil {
 		dur = cfg.Durability.WithDefaults()
@@ -324,8 +314,6 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 			strat = cfg.NewStrategy(i)
 		}
 		sh := newShard(i, m, cfg, strat, r.global)
-		sh.killed = &r.killed
-		sh.x = &r.x
 		sh.log = r.log
 		if r.log != nil {
 			var routes func(*event.Event) bool // nil: replay nothing
@@ -336,7 +324,7 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 			}
 			want := func() {
 				sh.covWant.Store(true)
-				r.wakeOne()
+				r.pool.wakeOne()
 			}
 			store, err := r.log.Store(dur, i, r.fp, checkpoint.Tag{FP: tagFP, Shard: i}, routes, want)
 			if err != nil {
@@ -359,13 +347,10 @@ func newRuntime(m *nfa.Machine, cfg Config, log *checkpoint.Log, accept func(*ev
 			sh.recoverDone = r.recoverWG.Done
 			sh.saveDLQ = func() { r.saveDeadLetters(owner) }
 		}
-		sh.wakeFn = r.wakeOne
+		sh.rt = r
 		r.shards = append(r.shards, sh)
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		r.wg.Add(1)
-		go r.worker(w)
-	}
+	r.pool.register(r)
 	if r.ownLog && r.log != nil {
 		// The shards are the log's only boot readers.
 		go func() {
@@ -470,7 +455,7 @@ func (r *Runtime) Kill() {
 }
 
 // closeLog closes (Kill: aborts) the runtime's own input log once every
-// worker has exited; a shared log is its owner's to close.
+// shard has retired; a shared log is its owner's to close.
 func (r *Runtime) closeLog() {
 	if !r.ownLog || r.log == nil {
 		return
@@ -725,13 +710,13 @@ func (r *Runtime) shardFor(slot int, e *event.Event) *shard {
 
 // Close drains the runtime gracefully: input channels are closed, every
 // shard finishes its queued events (emitting any final matches they
-// complete), engines flush their remaining state, and the workers exit.
-// Close is idempotent and safe to call while producers are still
-// offering — their in-flight sends finish first, later ones are
-// rejected.
+// complete), engines flush their remaining state, and the shards leave
+// the worker pool (a private pool stops). Close is idempotent and safe
+// to call while producers are still offering — their in-flight sends
+// finish first, later ones are rejected.
 func (r *Runtime) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
-		r.wg.Wait()
+		r.done.Wait()
 		return
 	}
 	r.mu.Lock()
@@ -739,10 +724,14 @@ func (r *Runtime) Close() {
 		close(sh.ch)
 	}
 	r.mu.Unlock()
-	// Wake every worker so none stays blocked on r.wake with no producer
-	// left to send tokens; they observe the closed channels and exit.
-	r.wakeAll()
-	r.wg.Wait()
+	// Wake every worker so none stays blocked on the pool's tokens with no
+	// producer left to send them; they observe the closed channels.
+	r.pool.wakeAll()
+	r.done.Wait()
+	r.pool.unregister(r)
+	if r.ownPool {
+		r.pool.Stop()
+	}
 	r.closeLog()
 }
 
@@ -862,9 +851,9 @@ type ShardSnapshot struct {
 type Snapshot struct {
 	Shards []ShardSnapshot `json:"shards"`
 
-	// Workers is the worker-pool size; Steals counts service quanta a
-	// worker ran on a non-home shard (nonzero means work stealing is
-	// actually redistributing load).
+	// Workers is the size of the pool serving the runtime (under a
+	// registry, the process-wide one); Steals counts this runtime's quanta
+	// a non-home worker ran (nonzero: stealing redistributes load).
 	Workers int    `json:"workers"`
 	Steals  uint64 `json:"steals"`
 
@@ -945,7 +934,7 @@ type Snapshot struct {
 // any goroutine.
 func (r *Runtime) Snapshot() Snapshot {
 	var s Snapshot
-	s.Workers = r.workers
+	s.Workers = int(r.pool.size.Load())
 	s.Steals = r.steals.Load()
 	for _, sh := range r.shards {
 		ss := sh.snapshot()

@@ -70,34 +70,24 @@ type shard struct {
 	strat shed.Strategy
 	cfg   Config
 
-	// Worker-pool state (workers.go). svc is the claim lock: at most one
-	// worker services the shard at a time, which is what preserves the
-	// single-writer invariant now that workers outnumber or undernumber
-	// shards. booted flips after the first quantum (so trafficless shards
-	// still get one boot pass for recovery and WaitRecovered); doneFlag
-	// retires the shard from the pool after finish; needRecoverFlag
-	// mirrors needRecover for the unlocked needsService probe; notBefore
-	// is the restart-backoff deadline (unix ns) that replaced the old
-	// supervisor's time.Sleep — the shard goes dormant instead of a
-	// goroutine sleeping.
-	svc             sync.Mutex
-	booted          atomic.Bool
-	doneFlag        atomic.Bool
-	needRecoverFlag atomic.Bool
-	notBefore       atomic.Int64
-	chClosed        bool // claim-owned: input channel observed closed
+	// Worker-pool state (workers.go).
+	rt              *Runtime     // owner: its closed flag, steals and done
+	svc             sync.Mutex   // claim lock: one servicing worker at a time
+	booted          atomic.Bool  // first quantum ran (trafficless shards still recover)
+	doneFlag        atomic.Bool  // retired from the pool after finish
+	needRecoverFlag atomic.Bool  // needRecover, for the unlocked needsService probe
+	notBefore       atomic.Int64 // restart-backoff deadline (unix ns): dormant until then
+	chClosed        bool         // claim-owned: input channel observed closed
 
-	// Supervisor restart bookkeeping, claim-owned (moved from
-	// runSupervised locals when the per-shard goroutine dissolved).
+	// Supervisor restart bookkeeping, claim-owned.
 	recent []time.Time
 	rng    *rand.Rand
 
 	// Async snapshot state (claim-owned except snapFinalize, which the
-	// background goroutine sets to request finalization). wakeFn pokes
-	// the worker pool so an idle shard finalizes promptly.
+	// background goroutine sets to request finalization, then pokes the
+	// worker pool so an idle shard finalizes promptly).
 	pendingSnap  *pendingSnap
 	snapFinalize atomic.Bool
-	wakeFn       func()
 
 	hist      *metrics.Histogram // per-shard latency
 	global    *metrics.Histogram // runtime-wide latency (shared)
@@ -105,7 +95,6 @@ type shard struct {
 	lastNs    atomic.Int64       // wall instant of the last latency sample
 	stratName atomic.Value       // string; s.strat itself is worker-owned
 	planRep   atomic.Value       // shed.PlanReporter, when the strategy is one
-	x         *excess            // the runtime's; tightens the bound the strategy sees
 
 	// Shed-decision-path observability. admitNs is extrapolated wall
 	// time spent in ρI admission: every admitSamplePeriod-th decision is
@@ -163,8 +152,7 @@ type shard struct {
 	// the degraded state walFailed leaves behind). All non-atomic fields
 	// below are worker-owned.
 	ckpt      *checkpoint.ShardStore
-	killed    *atomic.Bool // Runtime.killed: drain-and-discard on Kill
-	lastSeq   uint64       // seq/time of the last event the shard consumed
+	lastSeq   uint64 // seq/time of the last event the shard consumed
 	lastTime  int64
 	hasSeq    bool // lastSeq/lastTime are meaningful (seq numbering starts at 0)
 	sinceSnap int  // events since the last snapshot
@@ -292,7 +280,7 @@ func tighten(lat event.Time, x float64) event.Time {
 
 // control runs the strategy's control step on the smoothed latency,
 // tightened by the runtime's current excess fraction.
-func (s *shard) control(now, lat event.Time) { s.strat.Control(now, tighten(lat, s.x.load())) }
+func (s *shard) control(now, lat event.Time) { s.strat.Control(now, tighten(lat, s.rt.x.load())) }
 
 // admitSamplePeriod is the ρI timing sample stride (power of two so the
 // stride test is a mask and the extrapolation a shift).
@@ -305,22 +293,24 @@ const admitSamplePeriod = 64
 // statsSyncBatch constant to the whole batch drain.
 const batchBudget = 64
 
-// quantumBudget bounds how many events one shard claim may consume
-// before the worker releases the shard and rescans: the fairness knob
-// that keeps one deep queue from starving other shards when workers
-// are outnumbered by shards.
-const quantumBudget = 4 * batchBudget
+// quantumBudget and quantumWall bound one shard claim (events, and batch
+// time checked per received batch), so neither one deep queue nor one
+// expensive query starves the other shards on a shared worker.
+const (
+	quantumBudget = 4 * batchBudget
+	quantumWall   = 2 * time.Millisecond
+)
 
 // needsService reports whether a worker should claim this shard now
 // (ready) or soon (waiting: pending work held off by a restart
 // backoff). It reads only atomics — every worker pass probes every
 // shard with it, unlocked.
-func (s *shard) needsService(now int64, closed bool) (ready, waiting bool) {
+func (s *shard) needsService(now int64) (ready, waiting bool) {
 	if s.doneFlag.Load() {
 		return false, false
 	}
 	if s.depth.Load() <= 0 && s.booted.Load() && !s.snapFinalize.Load() &&
-		!s.needRecoverFlag.Load() && !s.covWant.Load() && !closed {
+		!s.needRecoverFlag.Load() && !s.covWant.Load() && !s.rt.closed.Load() {
 		return false, false
 	}
 	if nb := s.notBefore.Load(); nb > now {
@@ -331,12 +321,13 @@ func (s *shard) needsService(now int64, closed bool) (ready, waiting bool) {
 
 // drainQuantum is the batched consume loop: opportunistic receives
 // until batchBudget events are in hand or the queue is momentarily
-// empty, then one explicit endBatch; up to quantumBudget events per
-// call. Never blocks — an empty queue returns to the worker, which
-// sleeps on the wake channel instead of inside a shard claim. closed
-// reports that the input channel closed.
+// empty, then one explicit endBatch; up to quantumBudget events or
+// quantumWall of batches per call. Never blocks — an empty queue returns to the worker, which sleeps on
+// the wake channel instead of inside a shard claim. closed reports that
+// the input channel closed.
 func (s *shard) drainQuantum() (worked, closed bool) {
-	for consumed := 0; consumed < quantumBudget && !s.chClosed; {
+	var spent time.Duration
+	for consumed := 0; consumed < quantumBudget && spent < quantumWall && !s.chClosed; {
 		n := 0
 		var t0 time.Time
 	fill:
@@ -353,6 +344,9 @@ func (s *shard) drainQuantum() (worked, closed bool) {
 					t0 = time.Now()
 				}
 				n += s.consumeBatch(b)
+				if spent+time.Since(t0) >= quantumWall {
+					break fill
+				}
 			default:
 				break fill
 			}
@@ -363,7 +357,9 @@ func (s *shard) drainQuantum() (worked, closed bool) {
 		worked = true
 		s.endBatch()
 		s.handOut()
-		s.busyNs.Add(time.Since(t0).Nanoseconds())
+		d := time.Since(t0)
+		s.busyNs.Add(d.Nanoseconds())
+		spent += d
 		consumed += n
 	}
 	return worked, s.chClosed
@@ -372,11 +368,11 @@ func (s *shard) drainQuantum() (worked, closed bool) {
 // markDone retires the shard from the worker pool: its channel closed
 // and finish (or a failed shard's drain) completed. signalRecovered
 // backstops WaitRecovered against shards that die before boot recovery
-// ran; wakeAll lets every worker re-check the pool exit condition.
+// ran; r.done releases Close once every shard has retired.
 func (s *shard) markDone(r *Runtime) {
 	s.doneFlag.Store(true)
 	s.signalRecovered()
-	r.wakeAll()
+	r.done.Done()
 }
 
 // consumeBatch processes every item of one received batch, maintaining
@@ -430,7 +426,7 @@ func (s *shard) endBatch() {
 	if s.ckpt == nil {
 		return
 	}
-	if s.killed != nil && s.killed.Load() {
+	if s.rt.killed.Load() {
 		s.releaseDurable()
 		return
 	}
@@ -575,7 +571,7 @@ func (s *shard) syncEngineStats() {
 // strategy's control step, and the periodic snapshot. It is the only
 // code a supervisor-caught panic can come from.
 func (s *shard) process(it item) {
-	if s.killed != nil && s.killed.Load() {
+	if s.rt.killed.Load() {
 		// Kill(): drain-and-discard so blocked producers unblock, but no
 		// event reaches the engine or the WAL — the crash already happened.
 		return
@@ -758,7 +754,7 @@ func (s *shard) takeSnapshotAsync() {
 	s.sinceSnap = 0
 	ps := &pendingSnap{ref: ref, st: s.buildStateShell(), consumedAt: s.consumed, done: make(chan struct{})}
 	s.pendingSnap = ps
-	ckpt, killed, wake := s.ckpt, s.killed, s.wakeFn
+	ckpt, rt := s.ckpt, s.rt
 	go func() {
 		defer close(ps.done)
 		defer func() {
@@ -766,12 +762,10 @@ func (s *shard) takeSnapshotAsync() {
 				ps.err = fmt.Errorf("snapshot encode/write panic: %v", p)
 			}
 			s.snapFinalize.Store(true)
-			if wake != nil {
-				wake()
-			}
+			rt.pool.wakeOne()
 		}()
 		ps.st.Engine = ref.Encode()
-		if killed != nil && killed.Load() {
+		if rt.killed.Load() {
 			// Kill() raced the write: leave the files alone — the abandoned
 			// WAL tail IS the simulated crash state.
 			ps.err = fmt.Errorf("runtime killed during snapshot")
@@ -820,7 +814,7 @@ func (s *shard) settleSnapshot(block bool) {
 		}
 		return
 	}
-	if s.ckpt == nil || (s.killed != nil && s.killed.Load()) {
+	if s.ckpt == nil || s.rt.killed.Load() {
 		return
 	}
 	// Settle the open flush group BEFORE publishing the floor: that
@@ -852,7 +846,7 @@ func (s *shard) settleSnapshot(block bool) {
 // floor; an idle shard then stops pinning the log at its next segment.
 func (s *shard) coverIdle() {
 	s.covWant.Store(false)
-	if s.ckpt == nil || s.exported || s.pendingSnap != nil || (s.killed != nil && s.killed.Load()) {
+	if s.ckpt == nil || s.exported || s.pendingSnap != nil || s.rt.killed.Load() {
 		return
 	}
 	// The watermark is read before the queue checks: every event below
@@ -1218,7 +1212,7 @@ func indexTail(recs []checkpoint.Record, haveFloor bool, floor uint64) (skips ma
 func (s *shard) finish() {
 	s.settleSnapshot(true)
 	if s.ckpt != nil {
-		if s.killed != nil && s.killed.Load() {
+		if s.rt.killed.Load() {
 			s.releaseDurable()
 			s.ckpt.Abort()
 			return

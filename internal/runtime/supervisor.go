@@ -498,7 +498,7 @@ func (s *shard) dropFailed(r *Runtime, items []item) {
 	if len(items) == 0 {
 		return
 	}
-	if s.killed == nil || !s.killed.Load() {
+	if !s.rt.killed.Load() {
 		for _, it := range items {
 			if it.e != nil {
 				s.eventsIn.Add(1)

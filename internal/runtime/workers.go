@@ -2,69 +2,110 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"runtime/pprof"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// This file is the worker pool: M worker goroutines servicing N shard
-// queues. Shards and workers used to be the same thing (one goroutine
-// per shard), which wasted cores under key skew — a zipfian hot shard
-// saturated its one goroutine while the goroutines of cold shards sat
-// parked. Decoupling the two keeps the shard as the unit of state
-// (single-writer engine partitions, per-key ordering) and makes the
-// worker the unit of CPU.
+// This file is the worker pool: W worker goroutines servicing the shard
+// queues of every runtime registered with it. The shard is the unit of
+// state (single-writer engine partition, per-key order), the worker the
+// unit of CPU. A worker claims a shard by TryLock on its svc mutex, so
+// everything the shard owns is owned by "the worker holding svc" for
+// any worker/shard ratio. Stealing moves WHOLE SHARDS, never events, so
+// one key's events still pass through one queue in order. A claim is
+// bounded (quantumBudget, quantumWall).
 //
-// Invariants:
-//
-//   - A shard is serviced by at most one worker at a time: workers claim
-//     a shard by TryLock on its svc mutex. Everything the old per-shard
-//     goroutine owned (engine, strategy, WAL, pend, rem, recovery state)
-//     is now owned by "the worker holding svc", and since claims never
-//     overlap, the single-writer story is unchanged.
-//   - Work stealing moves WHOLE SHARDS, never individual events: an idle
-//     worker claims somebody else's backlogged shard and services it in
-//     place. Events of one key still pass through one queue in order.
-//   - A claim is bounded (quantumBudget events) so a worker cannot camp
-//     on one deep queue while other shards back up.
-//
-// Wakeups: producers send a token on r.wake (non-blocking, capacity =
-// workers) after enqueueing; an idle worker blocks on the channel.
-// Because the token is sent AFTER the channel send and the channel is
-// buffered, a worker that drains the token and finds nothing will still
-// see the item on its next pass — the token cannot be lost between a
-// depth check and the blocking receive. Shards that are waiting rather
-// than ready (restart backoff) are polled on a short timer instead.
+// Wakeups: producers send a token on p.wake (non-blocking, capacity =
+// the worker cap) after enqueueing; an idle worker blocks on the
+// channel. Because the token is sent AFTER the channel send and the
+// channel is buffered, a worker that drains the token and finds nothing
+// will still see the item on its next pass — the token cannot be lost
+// between a depth check and the blocking receive — unless the shard is
+// claimed, whose holder may have looked past the item already. Claimed
+// and backed-off shards are therefore polled on a short timer instead.
 
 // idlePoll is the fallback poll interval while some shard has pending
-// work that cannot run yet (restart backoff, in-flight snapshot).
+// work that cannot run yet (restart backoff, another worker's claim).
 const idlePoll = 2 * time.Millisecond
 
+// Pool is a set of worker goroutines servicing the shards of every
+// runtime registered with it. Workers start lazily, one per registered
+// shard up to GOMAXPROCS, and run until Stop.
+type Pool struct {
+	shards atomic.Pointer[[]*shard] // registered shards, copy-on-write under mu
+	size   atomic.Int32             // workers started
+	wake   chan struct{}            // capacity: the worker cap
+	quit   chan struct{}
+	stop   sync.Once
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+}
+
+// NewPool builds an empty pool of at most GOMAXPROCS workers.
+func NewPool() *Pool { return newPool(goruntime.GOMAXPROCS(0)) }
+
+func newPool(limit int) *Pool {
+	p := &Pool{wake: make(chan struct{}, limit), quit: make(chan struct{})}
+	p.shards.Store(new([]*shard))
+	return p
+}
+
+// Stop ends the workers and waits for them to exit; call it once every
+// runtime on the pool has closed.
+func (p *Pool) Stop() {
+	p.stop.Do(func() { close(p.quit) })
+	p.wg.Wait()
+}
+
+// register adds r's shards and starts the workers they entitle it to.
+func (p *Pool) register(r *Runtime) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	next := append(slices.Clone(*p.shards.Load()), r.shards...)
+	p.shards.Store(&next)
+	for w := int(p.size.Load()); w < min(cap(p.wake), len(next)); w++ {
+		p.size.Add(1)
+		p.wg.Add(1)
+		go p.worker(w)
+	}
+	p.wakeAll() // the new shards need their boot quantum
+}
+
+// unregister drops r's retired shards (the old list shows them done).
+func (p *Pool) unregister(r *Runtime) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	next := slices.DeleteFunc(slices.Clone(*p.shards.Load()), func(s *shard) bool { return s.rt == r })
+	p.shards.Store(&next)
+}
+
 // worker is one pool goroutine. wid's home shards are {i : i ≡ wid mod
-// workers}; each pass services homes first (cache affinity, and with
-// Workers == Shards the pool degenerates to the old one-goroutine-per-
-// shard layout), then steals any other claimable shard.
+// W} of the registered list; each pass services homes first (cache
+// affinity), then steals any other claimable shard.
 // Workers run under the pprof label cep_role=worker so CPU profiles can
 // prove what runs on the serving path: `make profile-shed` fails the
 // build if shedding-set selection symbols ever appear under this label
 // (they belong under cep_role=shed_planner).
-func (r *Runtime) worker(wid int) {
-	defer r.wg.Done()
+func (p *Pool) worker(wid int) {
+	defer p.wg.Done()
 	pprof.Do(context.Background(), pprof.Labels("cep_role", "worker"), func(context.Context) {
-		r.workerLoop(wid)
+		p.workerLoop(wid)
 	})
 }
 
-func (r *Runtime) workerLoop(wid int) {
-	n := len(r.shards)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
+func (p *Pool) workerLoop(wid int) {
 	for {
+		shards := *p.shards.Load()
+		n, w := len(shards), int(p.size.Load())
 		worked, waiting := false, false
 		now := time.Now().UnixNano()
-		closed := r.closed.Load()
-		for i := wid; i < n; i += r.workers {
-			w, wait := r.tryService(r.shards[i], now, closed)
-			worked = worked || w
+		for i := wid; i < n; i += w {
+			wk, wait := tryService(shards[i], now)
+			worked = worked || wk
 			waiting = waiting || wait
 		}
 		if !worked {
@@ -74,13 +115,13 @@ func (r *Runtime) workerLoop(wid int) {
 			// full pass — home shards keep priority.
 			for off := 1; off < n && !worked; off++ {
 				i := (wid + off) % n
-				if r.workers > 0 && i%r.workers == wid {
+				if i%w == wid {
 					continue // home shard, already tried
 				}
-				w, wait := r.tryService(r.shards[i], now, closed)
-				if w {
+				wk, wait := tryService(shards[i], now)
+				if wk {
 					worked = true
-					r.steals.Add(1)
+					shards[i].rt.steals.Add(1)
 				}
 				waiting = waiting || wait
 			}
@@ -88,69 +129,54 @@ func (r *Runtime) workerLoop(wid int) {
 		if worked {
 			continue
 		}
-		if r.allDone() {
-			// Re-wake siblings so no worker stays blocked on r.wake after
-			// the last shard retires.
-			r.wakeAll()
-			return
-		}
+		var poll <-chan time.Time // nil: block until woken
 		if waiting {
-			timer.Reset(idlePoll)
-			select {
-			case <-r.wake:
-			case <-timer.C:
-			}
-		} else {
-			<-r.wake
+			poll = time.After(idlePoll)
+		}
+		select {
+		case <-p.wake:
+		case <-poll:
+		case <-p.quit:
+			return
 		}
 	}
 }
 
 // tryService claims and services one shard if it both needs service and
-// is unclaimed. waiting reports pending-but-backed-off work the caller
-// should poll for rather than block on.
-func (r *Runtime) tryService(s *shard, now int64, closed bool) (worked, waiting bool) {
-	ready, wait := s.needsService(now, closed)
+// is unclaimed. waiting reports work the caller should poll for rather
+// than block on: backed off, or claimed by another worker.
+func tryService(s *shard, now int64) (worked, waiting bool) {
+	ready, wait := s.needsService(now)
 	if !ready {
 		return false, wait
 	}
 	if !s.svc.TryLock() {
-		// Another worker owns the shard; it will drain or go idle and the
-		// shard gets rescanned. Not a waiting state.
-		return false, false
+		// The holder may already have looked past what made s ready (an
+		// offer, Close) and this worker took its wake token: poll, or
+		// both may sleep with work queued.
+		return false, true
 	}
-	worked = s.quantum(r)
+	worked = s.quantum(s.rt)
 	s.svc.Unlock()
 	return worked, false
 }
 
 // wakeOne drops one wake token, never blocking: with the channel full,
 // every sleeping worker already has a token waiting.
-func (r *Runtime) wakeOne() {
+func (p *Pool) wakeOne() {
 	select {
-	case r.wake <- struct{}{}:
+	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
 // wakeAll tops the token channel up to one token per worker.
-func (r *Runtime) wakeAll() {
-	for i := 0; i < r.workers; i++ {
+func (p *Pool) wakeAll() {
+	for i := int32(0); i < p.size.Load(); i++ {
 		select {
-		case r.wake <- struct{}{}:
+		case p.wake <- struct{}{}:
 		default:
 			return
 		}
 	}
-}
-
-// allDone reports whether every shard has retired (channel closed and
-// finish/forwarding complete) — the workers' exit condition.
-func (r *Runtime) allDone() bool {
-	for _, sh := range r.shards {
-		if !sh.doneFlag.Load() {
-			return false
-		}
-	}
-	return true
 }

@@ -39,6 +39,15 @@ func zipfStream(events int, seed int64) event.Stream {
 	return b.Finish()
 }
 
+// onPool is New on a pool capped at workers instead of GOMAXPROCS, so a
+// test fixes the worker/shard ratio on any host. The pool stops when
+// the test ends.
+func onPool(t *testing.T, workers int, m *nfa.Machine, cfg Config) *Runtime {
+	p := newPool(workers)
+	t.Cleanup(p.Stop)
+	return newRuntime(m, cfg, p, nil, nil)
+}
+
 // With fewer workers than shards (2 workers, 8 shards) and a zipfian key
 // distribution, shards are serviced by whichever worker claims them —
 // the claim lock migrates shards between workers constantly. Two
@@ -54,9 +63,8 @@ func TestWorkStealingZipfianConservationAndOrdering(t *testing.T) {
 	var mu sync.Mutex
 	lastSeq := map[int64]uint64{}
 	violations := 0
-	r := New(m, Config{
-		Shards:  8,
-		Workers: 2,
+	r := onPool(t, 2, m, Config{
+		Shards: 8,
 		BeforeProcess: func(_ int, e *event.Event) {
 			id := e.Int("ID")
 			mu.Lock()
@@ -118,9 +126,8 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 
 	gate := make(chan struct{})
-	r := New(m, Config{
+	r := onPool(t, 2, m, Config{
 		Shards:         4,
-		Workers:        2,
 		CollectMatches: true,
 		Durability: &checkpoint.Config{
 			Dir:         t.TempDir(),
@@ -175,5 +182,64 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 	}
 	if len(want) == 0 {
 		t.Fatal("reference run found no matches; test is vacuous")
+	}
+}
+
+// TestPoolOneWorkerKeepsVictimBound shares one worker between two
+// runtimes: a neighbour whose every event costs 1ms, offered more than
+// it can process, and a cheap victim. Only the quantum's wall-time
+// bound lets the worker leave the neighbour's deep queue before
+// quantumBudget events (over 250ms of its work) are through, so the
+// victim's p99 stays under the 250ms TestArbiterIsolation holds a
+// victim to.
+func TestPoolOneWorkerKeepsVictimBound(t *testing.T) {
+	p := newPool(1)
+	t.Cleanup(p.Stop)
+	bad := newRuntime(nfa.MustCompile(query.Q1("8ms")), Config{
+		QueueLen:      16,
+		BeforeProcess: func(int, *event.Event) { time.Sleep(time.Millisecond) },
+	}, p, nil, nil)
+	good := newRuntime(nfa.MustCompile(query.MustParse(`PATTERN SEQ(X x, Y y) WHERE x.ID = y.ID WITHIN 8ms`)), Config{}, p, nil, nil)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	feed := func(r *Runtime, types []string, n int, every time.Duration) {
+		defer wg.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var b event.Builder
+			for k := 0; k < n; k++ {
+				b.Add(event.New(types[k%len(types)], event.Time(i)*event.Millisecond,
+					map[string]event.Value{"ID": event.Int(i), "V": event.Int(1)}))
+			}
+			r.OfferBatch(b.Finish())
+			time.Sleep(every)
+		}
+	}
+	wg.Add(2)
+	go feed(bad, []string{"A", "B", "C"}, 30, 20*time.Millisecond)
+	go feed(good, []string{"X", "Y"}, 2, 2*time.Millisecond)
+	time.Sleep(1500 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	good.Close()
+	bad.Close()
+
+	if s := bad.Snapshot(); s.EventsProcessed < quantumBudget {
+		t.Fatalf("neighbour processed %d events; it never filled one quantum, so the test is vacuous", s.EventsProcessed)
+	}
+	gs := good.Snapshot()
+	if gs.Workers != 1 {
+		t.Fatalf("snapshot reports %d workers, want the pool's 1", gs.Workers)
+	}
+	if gs.EventsProcessed == 0 || gs.EventsProcessed != gs.EventsIn {
+		t.Fatalf("victim processed %d of %d events", gs.EventsProcessed, gs.EventsIn)
+	}
+	if gs.P99 > 250*time.Millisecond {
+		t.Errorf("victim p99 = %v, want < 250ms while the neighbour overloads the shared worker", gs.P99)
 	}
 }
