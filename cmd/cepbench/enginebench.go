@@ -192,7 +192,7 @@ func measureAdmission() BenchWorkload {
 		en.Process(e)
 	}
 	last := live[999]
-	ss := model.SelectSheddingSet(en.PartialMatches(), last.Time, last.Seq, 0.5, 0)
+	ss := model.SelectSheddingSet(en, last.Time, last.Seq, 0.5, 0)
 	if ss == nil {
 		panic("overload-admission: no shedding set selected; the workload measures nothing")
 	}

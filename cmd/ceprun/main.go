@@ -15,10 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"cepshed/internal/baseline"
 	"cepshed/internal/core"
+	"cepshed/internal/engine"
 	"cepshed/internal/event"
 	"cepshed/internal/gen"
 	"cepshed/internal/metrics"
@@ -112,10 +114,18 @@ func main() {
 // latency domains end up side by side in the output.
 func (r *runner) runWallclock(name string, frac float64, seed int64, shards int, truth *metrics.RunResult) {
 	feed := func(factory func(int) shed.Strategy) (rtime.Snapshot, metrics.MatchSet, time.Duration) {
+		var mu sync.Mutex
+		got := metrics.MatchSet{}
 		rt := rtime.New(r.m, rtime.Config{
-			Shards:           shards,
-			NewStrategy:      factory,
-			CollectMatches:   true,
+			Shards:      shards,
+			NewStrategy: factory,
+			OnMatches: func(_ int, ms []engine.Match) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, m := range ms {
+					got[m.Key()] = true
+				}
+			},
 			DeferredNegation: r.m.Query.HasNegation(),
 		})
 		start := time.Now()
@@ -124,7 +134,7 @@ func (r *runner) runWallclock(name string, frac float64, seed int64, shards int,
 		}
 		rt.Close()
 		elapsed := time.Since(start)
-		return rt.Snapshot(), metrics.Keys(rt.MatchKeys()), elapsed
+		return rt.Snapshot(), got, elapsed
 	}
 
 	base, baseMatches, baseElapsed := feed(nil)

@@ -41,89 +41,81 @@ type RouteResult struct {
 // hops is caught in a partition, and unbounded bouncing would loop.
 const maxRedirects = 3
 
-// OfferBatch routes one ingest batch the cluster way. For each
-// (event, query) pair: compute the shard slot (deterministic hash —
-// identical on every node), look up the slot's owner, then either
-// offer locally (stamping seq here, at the owner) or enqueue the
-// event's NDJSON encoding to the owner's forwarder. Events with no
-// explicit timestamp get their arrival time stamped at this edge, so
-// a forwarded event keeps its true arrival time rather than its
-// delivery time at the owner.
+// OfferBatch routes one ingest batch the cluster way: through the
+// registry's fan-out pass (registry.OfferPlaced) with a Place callback
+// that, for each (event, query) pair, computes the shard slot
+// (deterministic hash — identical on every node) and looks up the
+// slot's owner. A local pair runs here, the event's seq stamped at its
+// first local pair; a remote one has the event's NDJSON encoding
+// queued to the owner's forwarder. Events with no explicit timestamp
+// get their arrival time stamped at this edge first, so a forwarded
+// event keeps its true arrival time rather than its delivery time at
+// the owner.
 func (n *Node) OfferBatch(batch []Input) RouteResult {
 	var res RouteResult
-	res.Events = len(batch)
 	if len(batch) == 0 {
 		return res
 	}
-	var groups []registry.Share
-	var local []*event.Event // events with a local pair, in batch order
-	for _, item := range batch {
-		e := item.E
+	events := make([]*event.Event, len(batch))
+	for i, item := range batch {
 		if !item.HasTime {
-			n.cfg.StampTime(e)
+			n.cfg.StampTime(item.E)
 		}
-		var line []byte // lazy: encoded once, shared by every remote owner
-		stamped := false
-		routed := n.reg.RouteEach(e, func(in *registry.Instance) {
-			n.edgePairs.Add(1)
-			fp := in.Fingerprint()
-			slot := in.ShardSlot(e)
-			owner, ok := n.place.Owner(fp, slot)
-			if !ok {
-				res.DroppedPairs++
-				n.forwardDrop.Add(1)
-				return
-			}
-			if owner == n.cfg.Self {
-				if !stamped {
-					n.cfg.StampSeq(e)
-					stamped = true
-					local = append(local, e)
-				}
-				gi := -1
-				for i := range groups {
-					if groups[i].In == in && groups[i].Slot == slot {
-						gi = i
-						break
-					}
-				}
-				if gi < 0 {
-					groups = append(groups, registry.Share{In: in, Slot: slot})
-					gi = len(groups) - 1
-				}
-				groups[gi].Events = append(groups[gi].Events, e)
-				return
-			}
-			pl, ok := n.peer(owner)
-			if !ok || n.place.IsDown(owner) {
-				res.DroppedPairs++
-				n.forwardDrop.Add(1)
-				if ok {
-					pl.dropped.Add(1)
-				}
-				return
-			}
-			if line == nil {
-				line = runtime.EncodeEvent(e)
-			}
-			spec := in.Spec()
-			select {
-			case pl.q <- fwdItem{tenant: spec.Tenant, query: spec.Name, fp: fp, slot: slot, line: line}:
-				n.inFlight.Add(1)
-				res.ForwardedPairs++
-			default:
-				// Queue overflow: the loud, metered shed the retry queue
-				// degrades to during a sustained partition.
-				res.DroppedPairs++
-				n.forwardDrop.Add(1)
-				pl.dropped.Add(1)
-			}
-		})
-		if routed == 0 {
-			res.Unrouted++
-		}
+		events[i] = item.E
 	}
-	res.Add(n.reg.OfferShares(groups, local))
+	var (
+		cur     *event.Event // the event whose pairs are being placed
+		stamped bool
+		line    []byte // cur's encoding, shared by every remote owner
+	)
+	drop := func(pl *peerLink) (int, bool) {
+		res.DroppedPairs++
+		n.forwardDrop.Add(1)
+		if pl != nil {
+			pl.dropped.Add(1)
+		}
+		return 0, false
+	}
+	res.OfferResult = n.reg.OfferPlaced(events, func(in *registry.Instance, e *event.Event) (int, bool) {
+		if e != cur {
+			cur, stamped, line = e, false, nil
+		}
+		n.edgePairs.Add(1)
+		fp := in.Fingerprint()
+		slot := in.ShardSlot(e)
+		owner, ok := n.place.Owner(fp, slot)
+		if !ok {
+			return drop(nil)
+		}
+		if owner == n.cfg.Self {
+			if !stamped {
+				n.cfg.StampSeq(e)
+				stamped = true
+			}
+			return slot, true
+		}
+		pl, ok := n.peer(owner)
+		if !ok {
+			return drop(nil)
+		}
+		if n.place.IsDown(owner) {
+			return drop(pl)
+		}
+		if line == nil {
+			line = runtime.EncodeEvent(e)
+		}
+		spec := in.Spec()
+		select {
+		case pl.q <- fwdItem{tenant: spec.Tenant, query: spec.Name, fp: fp, slot: slot, line: line}:
+			n.inFlight.Add(1)
+			res.ForwardedPairs++
+			return 0, false
+		default:
+			// Queue overflow: the loud, metered shed the retry queue
+			// degrades to during a sustained partition.
+			return drop(pl)
+		}
+	})
 	return res
 }
 

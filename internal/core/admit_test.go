@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestAdmitCompiledMatchesInterpreted(t *testing.T) {
 					var ss *SheddingSet
 					if round%2 == 0 {
 						last := live[499]
-						ss = model.SelectSheddingSet(en.PartialMatches(), last.Time, last.Seq,
+						ss = model.SelectSheddingSet(en, last.Time, last.Seq,
 							0.1+rng.Float64()*0.8, knapsack.Exact)
 						if ss == nil {
 							continue
@@ -205,7 +206,7 @@ func TestAdmitEventZeroAlloc(t *testing.T) {
 		en.Process(e)
 	}
 	last := live[499]
-	ss := model.SelectSheddingSet(en.PartialMatches(), last.Time, last.Seq, 0.5, knapsack.Exact)
+	ss := model.SelectSheddingSet(en, last.Time, last.Seq, 0.5, knapsack.Exact)
 	if ss == nil {
 		t.Fatal("no shedding set selected")
 	}
@@ -254,7 +255,7 @@ func TestSelectSheddingSetDeterministic(t *testing.T) {
 	var want string
 	for trial := 0; trial < 6; trial++ {
 		rng.Shuffle(len(pms), func(i, j int) { pms[i], pms[j] = pms[j], pms[i] })
-		ss := model.SelectSheddingSet(pms, last.Time, last.Seq, 0.4, knapsack.Exact)
+		ss := selectFromPMs(model, pms, last.Time, last.Seq, 0.4, knapsack.Exact)
 		if ss == nil {
 			t.Fatal("no set selected")
 		}
@@ -282,7 +283,7 @@ func TestPlanCellSelectionMatchesPMSelection(t *testing.T) {
 			continue
 		}
 		for _, violation := range []float64{0.15, 0.4, 0.6} {
-			fromPMs := model.SelectSheddingSet(en.PartialMatches(), e.Time, e.Seq, violation, knapsack.Exact)
+			fromPMs := selectFromPMs(model, en.PartialMatches(), e.Time, e.Seq, violation, knapsack.Exact)
 			cells := model.snapshotPlanCells(en, e.Time, e.Seq, nil)
 			fromCells := selectFromPlanCells(cells, violation, knapsack.Exact)
 			if (fromPMs == nil) != (fromCells == nil) {
@@ -307,4 +308,54 @@ func TestPlanCellSelectionMatchesPMSelection(t *testing.T) {
 			}
 		}
 	}
+}
+
+// selectFromPMs is the selection oracle: it walks the live partial
+// matches themselves into cost-model cells, computes per-cell relative
+// contribution Δ+ and consumption Δ− (Eqs. 5 and 7), and solves the
+// covering knapsack of Eq. 8. Cells are ordered by (state, class,
+// slice) before the solve, so the selection is a deterministic function
+// of the population. SelectSheddingSet reads the same populations from
+// the engine's class buckets instead.
+func selectFromPMs(model *Model,
+	pms []*engine.PartialMatch,
+	now event.Time, nowSeq uint64,
+	violation float64,
+	solver knapsack.Solver,
+) *SheddingSet {
+	if violation <= 0 || len(pms) == 0 {
+		return nil
+	}
+	counts := map[cellKey]int{}
+	for _, pm := range pms {
+		class := pm.Class
+		if class < 0 {
+			class = 0
+		}
+		cell := cellKey{pm.State(), class, model.SliceOf(pm, now, nowSeq)}
+		counts[cell]++
+	}
+	keys := make([]cellKey, 0, len(counts))
+	for cell := range counts {
+		keys = append(keys, cell)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.state != b.state {
+			return a.state < b.state
+		}
+		if a.class != b.class {
+			return a.class < b.class
+		}
+		return a.slice < b.slice
+	})
+	cells := make([]planCell, 0, len(keys))
+	for _, cell := range keys {
+		contrib, consume := model.Estimate(cell.state, cell.class, cell.slice)
+		cells = append(cells, planCell{
+			state: cell.state, class: cell.class, slice: cell.slice,
+			count: counts[cell], contrib: contrib, consume: consume,
+		})
+	}
+	return selectFromPlanCells(cells, violation, solver)
 }

@@ -188,12 +188,11 @@ func TestSelectSheddingSetCoversViolation(t *testing.T) {
 		en.Process(e)
 		last = e
 	}
-	pms := en.PartialMatches()
-	if len(pms) == 0 {
+	if len(en.PartialMatches()) == 0 {
 		t.Fatal("no live PMs")
 	}
 	for _, solver := range []knapsack.Solver{knapsack.Exact, knapsack.Greedy} {
-		ss := model.SelectSheddingSet(pms, last.Time, last.Seq, 0.5, solver)
+		ss := model.SelectSheddingSet(en, last.Time, last.Seq, 0.5, solver)
 		if ss == nil {
 			t.Fatal("nil shedding set")
 		}
@@ -216,8 +215,8 @@ func TestSelectSheddingSetCoversViolation(t *testing.T) {
 }
 
 func TestSelectSheddingSetEdgeCases(t *testing.T) {
-	_, model := trainDS1(t, TrainConfig{Slices: 4, Seed: 9})
-	if model.SelectSheddingSet(nil, 0, 0, 0.5, knapsack.Exact) != nil {
+	m, model := trainDS1(t, TrainConfig{Slices: 4, Seed: 9})
+	if model.SelectSheddingSet(engine.New(m, engine.DefaultCosts()), 0, 0, 0.5, knapsack.Exact) != nil {
 		t.Error("no PMs must yield nil set")
 	}
 	var none *SheddingSet

@@ -212,7 +212,10 @@ func (h *Hybrid) Control(now event.Time, lat event.Time) vclock.Cost {
 		return work
 	}
 	t0 := time.Now()
-	ss := h.model.SelectSheddingSet(h.en.PartialMatches(), h.now, h.nowSeq, h.violation(lat), h.cfg.Solver)
+	// The planner's scratch is free: Control never reaches here with
+	// AsyncPlan set.
+	cells := h.model.snapshotPlanCells(h.en, h.now, h.nowSeq, &h.snapScratch)
+	ss := selectFromPlanCells(cells, h.violation(lat), h.cfg.Solver)
 	if ss == nil {
 		return work
 	}

@@ -160,52 +160,19 @@ func selectFromPlanCells(cells []planCell, violation float64, solver knapsack.So
 	return ss
 }
 
-// SelectSheddingSet aggregates the live partial matches into cost-model
-// cells, computes per-cell relative contribution Δ+ and consumption Δ−
-// (Eqs. 5 and 7), and solves the covering knapsack of Eq. 8. Cells are
-// ordered by (state, class, slice) before the solve, so the selection is
-// a deterministic function of the population (the previous map-iteration
-// item order could flip which of two equal-score cells a solver tie
-// broke toward).
+// SelectSheddingSet selects the shedding set for en's live partial
+// matches: it reads their class-bucket populations into cost-model
+// cells (snapshotPlanCells), takes each cell's relative contribution Δ+
+// and consumption Δ− (Eqs. 5 and 7), and solves the covering knapsack
+// of Eq. 8 (selectFromPlanCells) — the route the async planner takes.
 func (model *Model) SelectSheddingSet(
-	pms []*engine.PartialMatch,
+	en *engine.Engine,
 	now event.Time, nowSeq uint64,
 	violation float64,
 	solver knapsack.Solver,
 ) *SheddingSet {
-	if violation <= 0 || len(pms) == 0 {
+	if violation <= 0 {
 		return nil
 	}
-	counts := map[cellKey]int{}
-	for _, pm := range pms {
-		class := pm.Class
-		if class < 0 {
-			class = 0
-		}
-		cell := cellKey{pm.State(), class, model.SliceOf(pm, now, nowSeq)}
-		counts[cell]++
-	}
-	keys := make([]cellKey, 0, len(counts))
-	for cell := range counts {
-		keys = append(keys, cell)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.state != b.state {
-			return a.state < b.state
-		}
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		return a.slice < b.slice
-	})
-	cells := make([]planCell, 0, len(keys))
-	for _, cell := range keys {
-		contrib, consume := model.Estimate(cell.state, cell.class, cell.slice)
-		cells = append(cells, planCell{
-			state: cell.state, class: cell.class, slice: cell.slice,
-			count: counts[cell], contrib: contrib, consume: consume,
-		})
-	}
-	return selectFromPlanCells(cells, violation, solver)
+	return selectFromPlanCells(model.snapshotPlanCells(en, now, nowSeq, nil), violation, solver)
 }

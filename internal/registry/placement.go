@@ -3,31 +3,19 @@ package registry
 import (
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"cepshed/internal/checkpoint"
-
 	"cepshed/internal/event"
-	"cepshed/internal/runtime"
 	"cepshed/internal/shed"
 )
 
 // Placement hooks: the cluster router owns the decision of WHERE an
 // (event, query) pair runs, so it needs the registry to expose the
-// routing inputs (which queries subscribe to a type, which shard slot
-// an event hashes to) and the per-slot offer the fan-out path itself
-// ends in. Everything here stays lock-free on the hot path: route-table
-// loads and atomics only.
-
-// RouteEach calls visit for every active (ready, unpaused) instance
-// subscribed to the event's type and returns the number visited. A
-// zero return means the event is unrouted, and has been counted so.
-func (g *Registry) RouteEach(e *event.Event, visit func(in *Instance)) int {
-	refs := g.subscribers(g.route.Load(), e)
-	for _, ref := range refs {
-		visit(ref.inst)
-	}
-	return len(refs)
-}
+// routing inputs (the active queries, which shard slot an event hashes
+// to) and the per-slot offer a forwarded batch ends in. The pairs of an
+// ingest batch go through the one fan-out pass (Registry.OfferPlaced)
+// with the router's Place callback.
 
 // ActiveInstances returns the current route table's active (ready,
 // unpaused) instances, sorted by id. The slice is shared with the
@@ -45,51 +33,22 @@ func (in *Instance) ShardSlot(e *event.Event) int { return in.rt.ShardIndexFor(e
 func (in *Instance) NumSlots() int { return in.rt.NumShards() }
 
 // OfferSlot runs one query's admission chain over a batch and offers
-// what it admits to shard slot — slot < 0: each event to the shard its
-// key hashes to. Events must already be stamped (seq assigned by this
-// node — the slot owner stamps, forwarded events arrive unstamped). A
-// durable registry logs the admitted events tagged with the query and
-// slot, their single target (see Registry.OfferShares). The events
-// slice is filtered in place; callers must own it.
+// what it admits to shard slot. Events must already be stamped (seq
+// assigned by this node — the slot owner stamps, forwarded events
+// arrive unstamped). A durable registry logs each admitted event as a T
+// record tagged with the query and slot, its single target.
 func (in *Instance) OfferSlot(slot int, events []*event.Event) OfferResult {
-	res := in.reg.OfferShares([]Share{{In: in, Slot: slot, Events: events}}, nil)
-	res.Events = len(events)
-	return res
-}
-
-// door is the registry half of the query's admission chain: the
-// recovery floor, then the runtime door's verdict for shard slot (< 0:
-// each event's key), taken once for the batch so that what a durable
-// registry logs is what it offers. It counts the pairs it refuses in
-// the query's ledger and returns the rest, filtered in place.
-func (in *Instance) door(slot int, events []*event.Event) ([]*event.Event, OfferResult) {
-	var res OfferResult
-	kept := events[:0]
+	g := in.reg
+	f := g.getFan()
+	g.offerMu.Lock()
+	now, sh := time.Now(), f.add(in)
 	for _, e := range events {
-		if in.admit(e) == shed.FloorSkipped {
-			res.FloorSkipped++
-		} else {
-			kept = append(kept, e)
+		f.local(e)
+		if sh.admit(e, slot, now) && g.log != nil {
+			g.batch.Tagged = append(g.batch.Tagged, checkpoint.Tagged{Tag: checkpoint.Tag{FP: in.fp, Shard: slot}, E: e})
 		}
 	}
-	if n := len(kept); n > 0 {
-		kept = in.rt.Door(slot, kept)
-		res.DoorRejected = n - len(kept)
-	}
-	in.disp.Add(shed.Rejected, res.DoorRejected)
-	in.disp.Add(shed.FloorSkipped, res.FloorSkipped)
-	return kept, res
-}
-
-// deliver sends c, the claim of n events that passed door, and counts
-// their dispositions.
-func (in *Instance) deliver(c *runtime.Claim, n int) OfferResult {
-	var res OfferResult
-	res.Deliveries = in.rt.Deliver(c)
-	res.DoorRejected = n - res.Deliveries
-	in.disp.Add(shed.Delivered, res.Deliveries)
-	in.disp.Add(shed.Rejected, res.DoorRejected)
-	return res
+	return g.finish(f, OfferResult{Events: len(events)})
 }
 
 // ReadSlot reads what the node whose state root is root made durable

@@ -14,10 +14,11 @@
 // compiles and validates the query text and its strategy before
 // anything is activated, and membership changes swap an immutable route
 // table under an atomic pointer, so the fan-out path never takes the
-// lifecycle lock. With durability enabled the registry keeps one input
-// log for the stream (StateDir/log): each accepted event is appended
-// once, before fan-out, with a refusal record for every pair a query's
-// door turned away. Each query keeps its shard snapshots in its own
+// lifecycle lock. One fan-out pass (OfferPlaced) walks each event's
+// subscribers once and decides every (event, query) pair where it walks
+// it. With durability enabled the registry keeps one input log for the
+// stream (StateDir/log): the pass appends each accepted event once,
+// with a refusal record for every subscriber that did not take it. Each query keeps its shard snapshots in its own
 // fingerprinted directory and the membership itself is recorded in a
 // manifest (registry.json), so a restart re-registers every query and
 // recovers each one's shards by re-routing the log from their snapshots
@@ -168,9 +169,6 @@ type Instance struct {
 	// route table; readyCh closes at the same moment (WaitReady).
 	ready   atomic.Bool
 	readyCh chan struct{}
-	// route is the newest route table that lists the instance.
-	route atomic.Pointer[routeTable]
-
 	// floor is the exactly-once gate after recovery: events with
 	// Seq < floor were already applied by this instance's restored state
 	// and are dropped at fan-out. Zero: nothing was restored (a restored
@@ -178,8 +176,8 @@ type Instance struct {
 	floor atomic.Uint64
 
 	// disp counts the door-tier disposition of every pair routed to
-	// this query (door and deliver, under OfferShares, add to it); it
-	// feeds the registry's ledger, which outlives Remove.
+	// this query (the fan-out pass's share.settle adds to it); it feeds
+	// the registry's ledger, which outlives Remove.
 	disp *shed.Ledger
 
 	// Arbiter scratch, owned by the arbiter goroutine (see arbiter.go).
@@ -238,16 +236,15 @@ type Registry struct {
 	route atomic.Pointer[routeTable]
 
 	// log is the stream's input log when durable. offerMu orders every
-	// offer's door verdicts and queue claims — with the append that
-	// precedes them, so that log order is each shard's queue order,
-	// which replay depends on — against each other and against route
-	// table changes, so a query's membership and the log agree. batch
-	// and hits are the append scratch, under offerMu. Lock order:
-	// offerMu, then mu.
+	// offer's pass — its verdicts, log records and queue claims, so that
+	// log order is each shard's queue order, which replay depends on —
+	// against each other and against route table changes, so a query's
+	// membership and the log agree. batch is the append scratch, under
+	// offerMu. Lock order: offerMu, then mu, then the locks a Place
+	// callback takes; nothing takes offerMu while holding one of those.
 	log     *checkpoint.Log
 	offerMu sync.Mutex
 	batch   checkpoint.Batch
-	hits    []int32 // appendLog's per-event scratch, under offerMu
 	// sending counts offers between their claims and the end of their
 	// sends; shutdown waits for them before closing any runtime.
 	sending sync.WaitGroup
@@ -712,7 +709,6 @@ func (g *Registry) rebuildRouteLocked() {
 		}
 		ref := routeRef{inst: in, idx: len(rt.insts)}
 		rt.insts = append(rt.insts, in)
-		in.route.Store(rt)
 		for _, typ := range in.types {
 			rt.byType[typ] = append(rt.byType[typ], ref)
 		}
@@ -760,37 +756,6 @@ func (g *Registry) MinDegradation() int {
 	return min
 }
 
-// getFan returns the scratch for one OfferBatch over rt: a share per
-// active instance, each routing by key.
-func (g *Registry) getFan(rt *routeTable) *fan {
-	f, _ := g.fanPool.Get().(*fan)
-	if f == nil {
-		f = &fan{}
-	}
-	f.shares = f.shares[:0]
-	for _, in := range rt.insts {
-		n := len(f.shares)
-		if n < cap(f.shares) {
-			f.shares = f.shares[:n+1]
-			sh := &f.shares[n] // keeps its slices' capacity
-			sh.In, sh.Slot, sh.Events = in, -1, sh.Events[:0]
-		} else {
-			f.shares = append(f.shares, Share{In: in, Slot: -1})
-		}
-	}
-	f.keyed = f.keyed[:0]
-	return f
-}
-
-func (g *Registry) putFan(f *fan) {
-	for i := range f.shares {
-		clear(f.shares[i].Events)
-		f.shares[i].In = nil
-	}
-	clear(f.keyed)
-	g.fanPool.Put(f)
-}
-
 // admit is the per-query half of the admission chain
 // (docs/ROBUSTNESS.md): the recovery floor. shed.Delivered means "not
 // refused here" — the runtime's door has the last word.
@@ -801,194 +766,222 @@ func (in *Instance) admit(e *event.Event) shed.Disposition {
 	return shed.Delivered
 }
 
-// subscribers returns the active instances subscribed to the event's
-// type, counting the event unrouted when there are none.
-func (g *Registry) subscribers(rt *routeTable, e *event.Event) []routeRef {
-	refs := rt.byType[e.Type]
-	if len(refs) == 0 {
-		g.disp.Add(shed.Unrouted, 1)
-	}
-	return refs
+// fan is one offer's scratch, reused through fanPool: a share per
+// instance the offer can reach (the route table's, in its order) and the
+// current event's per-subscriber "taken by key" flags.
+type fan struct {
+	shares []share
+	byKey  []bool
+	// top is the highest seq among the events with a pair on this node;
+	// routed says there was one.
+	top    uint64
+	routed bool
 }
 
-// OfferBatch fans a decoded batch out to every subscribed query: one
-// route-table load covers the whole batch, and each query receives its
-// events as one share (order preserved per query). Blocking semantics
-// per query match runtime.OfferBatch: a query whose shard queues are
-// full exerts backpressure on the caller; queries at LevelReject refuse
-// their pairs without blocking anyone else.
-func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
-	rt := g.route.Load()
-	f := g.getFan(rt)
-	unrouted := 0
-	for _, e := range events {
-		refs := g.subscribers(rt, e)
-		if len(refs) == 0 {
-			unrouted++
-			continue
-		}
-		f.keyed = append(f.keyed, e)
-		for _, ref := range refs {
-			f.shares[ref.idx].Events = append(f.shares[ref.idx].Events, e)
-		}
+// share is one query's part of an offer: the pairs its door admitted,
+// each with its target slot (< 0: its key's shard), and the pairs its
+// recovery floor skipped. The query's door opens — its ladder refreshes
+// — at its first pair of the offer.
+type share struct {
+	in     *Instance
+	gate   runtime.Gate
+	open   bool
+	events []*event.Event
+	slots  []int
+	floor  int
+	claim  runtime.Claim
+}
+
+func (g *Registry) getFan() *fan {
+	f, _ := g.fanPool.Get().(*fan)
+	if f == nil {
+		f = &fan{}
 	}
-	res := g.OfferShares(f.shares, f.keyed)
-	res.Events, res.Unrouted = len(events), unrouted
-	g.putFan(f)
+	return f
+}
+
+func (g *Registry) putFan(f *fan) {
+	for i := range f.shares {
+		sh := &f.shares[i]
+		clear(sh.events)
+		*sh = share{events: sh.events[:0], slots: sh.slots[:0], claim: sh.claim}
+	}
+	f.shares, f.top, f.routed = f.shares[:0], 0, false
+	g.fanPool.Put(f)
+}
+
+// add appends in's share, keeping the capacity a pooled fan had.
+func (f *fan) add(in *Instance) *share {
+	n := len(f.shares)
+	if n < cap(f.shares) {
+		f.shares = f.shares[:n+1]
+	} else {
+		f.shares = append(f.shares, share{})
+	}
+	sh := &f.shares[n]
+	sh.in = in
+	return sh
+}
+
+// local notes an event with a pair on this node: the log's routed
+// watermark covers it once the offer has claimed its queue places.
+func (f *fan) local(e *event.Event) {
+	f.top, f.routed = max(f.top, e.Seq), true
+}
+
+// admit runs the query's admission chain over one pair bound for shard
+// slot (< 0: its key's shard): the recovery floor, then the runtime
+// door. An admitted pair joins the share.
+func (sh *share) admit(e *event.Event, slot int, now time.Time) bool {
+	if sh.in.admit(e) == shed.FloorSkipped {
+		sh.floor++
+		return false
+	}
+	if !sh.open {
+		sh.gate, sh.open = sh.in.rt.Gate(now), true
+	}
+	if !sh.gate.Admits(slot, e) {
+		return false
+	}
+	sh.events, sh.slots = append(sh.events, e), append(sh.slots, slot)
+	return true
+}
+
+// settle delivers the share's claim — sent after the offer released
+// offerMu — and counts every pair's disposition in the query's ledger.
+func (sh *share) settle() OfferResult {
+	res := OfferResult{FloorSkipped: sh.floor}
+	if sh.open {
+		res.DoorRejected = sh.gate.Done()
+	}
+	if n := len(sh.events); n > 0 {
+		res.Deliveries = sh.in.rt.Deliver(&sh.claim)
+		res.DoorRejected += n - res.Deliveries
+	}
+	sh.in.disp.Add(shed.Delivered, res.Deliveries)
+	sh.in.disp.Add(shed.Rejected, res.DoorRejected)
+	sh.in.disp.Add(shed.FloorSkipped, res.FloorSkipped)
 	return res
 }
 
-// Share is one query's part of a batch: its events, to be offered to
-// shard Slot (< 0: each to the shard its key hashes to).
-type Share struct {
-	In     *Instance
-	Slot   int
-	Events []*event.Event
+// Place decides where one (event, query) pair runs, for a caller that
+// spreads a query's shard slots over several nodes (the cluster router).
+// It returns local=true and the pair's shard slot when the pair runs on
+// this node, local=false when it does not — the callback has then
+// forwarded or dropped the pair and counted that. It runs under the
+// registry's offer lock, so it must neither offer nor wait on anything
+// that does.
+type Place func(in *Instance, e *event.Event) (slot int, local bool)
 
-	claim runtime.Claim
+// OfferBatch fans a decoded batch out to every subscribed query, each
+// pair to the shard its key hashes to (see OfferPlaced). Blocking
+// semantics per query match runtime.OfferBatch: a query whose shard
+// queues are full exerts backpressure on the caller; queries at
+// LevelReject refuse their pairs without blocking anyone else.
+func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
+	return g.OfferPlaced(events, nil)
 }
 
-// fan is OfferBatch's pooled scratch.
-type fan struct {
-	shares []Share
-	keyed  []*event.Event
-}
-
-// OfferShares runs each share's admission chain — the query's recovery
-// floor, then its runtime door, one verdict per share — and offers what
-// it admits. Share event slices are filtered in place; callers must own
-// them.
+// OfferPlaced is the fan-out pass: one walk over each event's
+// subscribers that gives every (event, query) pair its verdict where it
+// is decided — not local (place said so), skipped below the query's
+// recovery floor, refused by its door, or admitted to the shard its key
+// hashes to or to the explicit slot place chose. A nil place runs every
+// pair here, on its key's shard. Each query's admitted pairs reach its
+// shards as one share, in batch order.
 //
-// Door verdicts and the admitted events' places in their shard queues
-// are taken under offerMu — with, when durable, the batch's append to
-// the input log, so that log order is every shard's queue order — and
-// the events are sent after releasing it, so a full queue holds back
-// only the producers behind it on that shard. What a durable registry
-// logs:
-//   - keyed lists, in batch order, the events routed by key — each share
-//     holds a subsequence of it. Each one some query admitted to the
-//     shard its key hashes to is logged once as an untagged E record,
-//     however many queries it reaches, with an R record for every other
-//     query the route table subscribes to it (refused, forwarded away,
-//     or offered elsewhere), so that replay re-routes it exactly as the
-//     fan-out did.
-//   - Every other admitted event is logged T, tagged with its (query,
-//     slot): a peer's forward, or a pair a slot-routed share offered to
-//     a shard its key does not pick.
-func (g *Registry) OfferShares(shares []Share, keyed []*event.Event) OfferResult {
-	var res OfferResult
+// The walk, the verdicts and the admitted pairs' places in their shard
+// queues are taken under offerMu — with, when durable, the batch's
+// append to the input log, so that log order is every shard's queue
+// order — and the pairs are sent after releasing it, so a full queue
+// holds back only the producers behind it on that shard. offerMu also
+// orders every route-table change, so the table the walk loads is the
+// one the log describes. What a durable registry logs per event:
+//   - one untagged E record if some query took it by key, however many
+//     did, with an R record for every other subscriber (refused, not
+//     local, or offered an explicit slot), so that replay re-routes it
+//     exactly as the pass did;
+//   - a T record, tagged with its (query, slot), for every pair
+//     admitted to an explicit slot its key does not pick.
+func (g *Registry) OfferPlaced(events []*event.Event, place Place) OfferResult {
+	res := OfferResult{Events: len(events)}
+	f := g.getFan()
 	g.offerMu.Lock()
-	for i := range shares {
-		if sh := &shares[i]; len(sh.Events) > 0 {
-			var dr OfferResult
-			sh.Events, dr = sh.In.door(sh.Slot, sh.Events)
-			res.Add(dr)
+	now, rt := time.Now(), g.route.Load()
+	for _, in := range rt.insts {
+		f.add(in)
+	}
+	b := &g.batch
+	for _, e := range events {
+		refs := rt.byType[e.Type]
+		if len(refs) == 0 {
+			res.Unrouted++
+			continue
+		}
+		f.byKey = f.byKey[:0]
+		took := false
+		for _, ref := range refs {
+			slot, local := -1, true
+			if place != nil {
+				slot, local = place(ref.inst, e)
+			}
+			byKey := false
+			if local {
+				f.local(e)
+				if slot >= 0 && slot == ref.inst.rt.ShardIndexFor(e) {
+					slot = -1
+				}
+				if f.shares[ref.idx].admit(e, slot, now) {
+					byKey = slot < 0
+					if !byKey && g.log != nil {
+						b.Tagged = append(b.Tagged, checkpoint.Tagged{Tag: checkpoint.Tag{FP: ref.inst.fp, Shard: slot}, E: e})
+					}
+				}
+			}
+			took = took || byKey
+			f.byKey = append(f.byKey, byKey)
+		}
+		if took && g.log != nil {
+			b.Events = append(b.Events, e)
+			for i, ref := range refs {
+				if !f.byKey[i] {
+					b.Refused = append(b.Refused, checkpoint.Refusal{FP: ref.inst.fp, Seq: e.Seq})
+				}
+			}
 		}
 	}
-	top, seen := g.appendLog(shares, keyed)
-	for i := range shares {
-		if sh := &shares[i]; len(sh.Events) > 0 {
-			sh.In.rt.Claim(&sh.claim, sh.Slot, sh.Events)
+	g.disp.Add(shed.Unrouted, res.Unrouted)
+	return g.finish(f, res)
+}
+
+// finish ends an offer that holds offerMu: it appends the offer's log
+// records, claims every share's queue places and advances the log's
+// routed watermark, then releases offerMu and delivers. A failed append
+// is logged here; the shards' next flush of the same log fails too and
+// disables their durability loudly (runtime walFailed).
+func (g *Registry) finish(f *fan, res OfferResult) OfferResult {
+	if g.log != nil {
+		if err := g.log.AppendBatch(&g.batch); err != nil {
+			g.logf("registry: input log append: %v", err)
+		}
+		g.batch.Reset()
+	}
+	for i := range f.shares {
+		if sh := &f.shares[i]; len(sh.events) > 0 {
+			sh.in.rt.Claim(&sh.claim, sh.events, sh.slots)
 		}
 	}
-	if seen {
-		g.log.MarkRouted(top)
+	if f.routed && g.log != nil {
+		g.log.MarkRouted(f.top)
 	}
 	g.sending.Add(1)
 	g.offerMu.Unlock()
-	for i := range shares {
-		if sh := &shares[i]; len(sh.Events) > 0 {
-			res.Add(sh.In.deliver(&sh.claim, len(sh.Events)))
-		}
+	for i := range f.shares {
+		res.Add(f.shares[i].settle())
 	}
 	g.sending.Done()
+	g.putFan(f)
 	return res
-}
-
-// appendLog logs one admitted batch (see OfferShares) and returns its
-// highest seq (seen=false: the batch was empty, or the registry is not
-// durable). A failed append is logged here; the shards' next flush of
-// the same log fails too and disables their durability loudly (runtime
-// walFailed).
-func (g *Registry) appendLog(shares []Share, keyed []*event.Event) (top uint64, seen bool) {
-	if g.log == nil {
-		return 0, false
-	}
-	b := &g.batch
-	// hits[i]: queries that admitted keyed[i] to the shard its key picks.
-	hits := append(g.hits[:0], make([]int32, len(keyed))...)
-	seen = len(keyed) > 0
-	for _, e := range keyed {
-		top = max(top, e.Seq)
-	}
-	for _, sh := range shares {
-		i := 0 // a share is a subsequence of keyed, or not keyed at all
-		for _, e := range sh.Events {
-			top, seen = max(top, e.Seq), true
-			j := i
-			for j < len(keyed) && keyed[j] != e {
-				j++
-			}
-			if j < len(keyed) {
-				i = j
-				if sh.Slot < 0 || sh.In.rt.ShardIndexFor(e) == sh.Slot {
-					hits[j]++
-					continue
-				}
-			}
-			b.Tagged = append(b.Tagged, checkpoint.Tagged{Tag: checkpoint.Tag{FP: sh.In.fp, Shard: sh.Slot}, E: e})
-		}
-	}
-	// Counting hits against the subscribers is exact only when every
-	// share's query is in the current route table; a membership change
-	// since the caller routed checks each pair.
-	rt := g.route.Load()
-	fresh := true
-	for _, sh := range shares {
-		fresh = fresh && (len(sh.Events) == 0 || sh.In.route.Load() == rt)
-	}
-	var took map[checkpoint.Refusal]bool // (query, seq) pairs logged E, built only when some query did not take one
-	for i, e := range keyed {
-		if hits[i] == 0 {
-			continue
-		}
-		b.Events = append(b.Events, e)
-		subs := rt.byType[e.Type]
-		if fresh && int(hits[i]) == len(subs) {
-			continue
-		}
-		if took == nil {
-			took = g.took(shares, keyed)
-		}
-		for _, ref := range subs {
-			if r := (checkpoint.Refusal{FP: ref.inst.fp, Seq: e.Seq}); !took[r] {
-				b.Refused = append(b.Refused, r)
-			}
-		}
-	}
-	g.hits = hits
-	if err := g.log.AppendBatch(b); err != nil {
-		g.logf("registry: input log append: %v", err)
-	}
-	b.Reset()
-	return top, seen
-}
-
-// took indexes the (query, seq) pairs appendLog logs untagged.
-func (g *Registry) took(shares []Share, keyed []*event.Event) map[checkpoint.Refusal]bool {
-	inKeyed := make(map[*event.Event]bool, len(keyed))
-	for _, e := range keyed {
-		inKeyed[e] = true
-	}
-	took := map[checkpoint.Refusal]bool{}
-	for _, sh := range shares {
-		for _, e := range sh.Events {
-			if inKeyed[e] && (sh.Slot < 0 || sh.In.rt.ShardIndexFor(e) == sh.Slot) {
-				took[checkpoint.Refusal{FP: sh.In.fp, Seq: e.Seq}] = true
-			}
-		}
-	}
-	return took
 }
 
 // Offer routes a single event (the paced replay's path). It returns

@@ -27,14 +27,15 @@ func TestChaosNoMatchLostExceptByQuarantine(t *testing.T) {
 	const shards = 4
 
 	poison := map[uint64]bool{311: true, 1207: true, 2404: true, 3333: true, 4747: true}
-	r := New(m, Config{
-		Shards:         shards,
-		Restart:        fastRestart(),
-		CollectMatches: true,
+	cfg := Config{
+		Shards:  shards,
+		Restart: fastRestart(),
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
 			return poison[e.Seq]
 		}, "chaos poison"),
-	})
+	}
+	matches := collectMatches(&cfg)
+	r := New(m, cfg)
 	feedAll(r, s)
 	snap := r.Snapshot()
 
@@ -67,7 +68,7 @@ func TestChaosNoMatchLostExceptByQuarantine(t *testing.T) {
 		wantKeys[mt.Key()] = mt
 	}
 	got := map[string]bool{}
-	for _, mt := range r.Matches() {
+	for _, mt := range matches() {
 		k := mt.Key()
 		if _, ok := wantKeys[k]; !ok {
 			t.Errorf("runtime invented match %s not in the sequential reference", k)

@@ -68,26 +68,27 @@ type claimPart struct {
 	ticket uint64
 }
 
-// split groups events by target shard — slot, or by key when slot < 0
-// — into parts, reusing its capacity. A closed runtime, or a slot it
-// does not have, rejects them all. It returns slices rather than
+// split groups events by target shard — slots[i], or the shard the
+// event's key hashes to when slots is nil or slots[i] < 0 — into parts,
+// reusing its capacity. Every target must have passed the door (Gate);
+// a closed runtime rejects them all. It returns slices rather than
 // filling a Claim so that a caller's stack array can back them.
-func (r *Runtime) split(parts []claimPart, slot int, events []*event.Event, enq time.Time) (_ []claimPart, rejected int) {
+func (r *Runtime) split(parts []claimPart, events []*event.Event, slots []int, enq time.Time) (_ []claimPart, rejected int) {
 	parts = parts[:0]
-	if slot >= len(r.shards) || r.closed.Load() {
+	if r.closed.Load() {
 		return parts, len(events)
 	}
 	if len(events) == 1 {
 		e := events[0]
-		return append(parts, claimPart{sh: r.shardFor(slot, e), b: batch{one: item{e: e, enq: enq}}, n: 1}), 0
+		return append(parts, claimPart{sh: r.shardFor(slotOf(slots, 0), e), b: batch{one: item{e: e, enq: enq}}, n: 1}), 0
 	}
 	var fixed [16]int32 // part index + 1 per shard, on the stack for up to 16 shards
 	at := fixed[:min(len(r.shards), len(fixed))]
 	if len(r.shards) > len(fixed) {
 		at = make([]int32, len(r.shards))
 	}
-	for _, e := range events {
-		sh := r.shardFor(slot, e)
+	for i, e := range events {
+		sh := r.shardFor(slotOf(slots, i), e)
 		p := at[sh.id]
 		if p == 0 {
 			parts = append(parts, claimPart{sh: sh, b: batch{items: getItems()}})
@@ -101,14 +102,23 @@ func (r *Runtime) split(parts []claimPart, slot int, events []*event.Event, enq 
 	return parts, 0
 }
 
-// Claim splits events that passed Door by target shard (slot < 0: by
-// key) and takes each part's place in its shard's queue order. Deliver
-// sends them. A caller claims under whatever lock orders its own
-// records of the events, and delivers after releasing it. A runtime
-// that owns its input log logs the events here, as routed by key: only
-// a runtime whose log belongs to its caller is claimed a slot.
-func (r *Runtime) Claim(c *Claim, slot int, events []*event.Event) {
-	c.parts, c.rejected = r.split(c.parts, slot, events, time.Now())
+// slotOf is event i's target in split's slots: < 0 for its key's shard.
+func slotOf(slots []int, i int) int {
+	if slots == nil {
+		return -1
+	}
+	return slots[i]
+}
+
+// Claim splits events that passed the door by target shard (slots as
+// in Gate.Admits, parallel to events; nil: each by its key) and takes
+// each part's place in its shard's queue order. Deliver sends them. A
+// caller claims under whatever lock orders its own records of the
+// events, and delivers after releasing it. A runtime that owns its
+// input log logs the events here, as routed by key: only a runtime
+// whose log belongs to its caller is claimed a slot.
+func (r *Runtime) Claim(c *Claim, events []*event.Event, slots []int) {
+	c.parts, c.rejected = r.split(c.parts, events, slots, time.Now())
 	r.claim(c.parts, c.rejected, events)
 }
 

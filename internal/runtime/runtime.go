@@ -43,7 +43,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,9 +145,6 @@ type Config struct {
 	NewStrategy func(shard int) shed.Strategy
 	// DeferredNegation selects witness-based negation semantics.
 	DeferredNegation bool
-	// CollectMatches keeps every match in memory so Matches() can return
-	// the merged set after Close. Disable for long-running servers.
-	CollectMatches bool
 	// OnMatches, when set, receives the matches a shard cleared for
 	// delivery since its previous call, in detection order, from the
 	// worker holding the shard: once per drained batch that produced any,
@@ -522,7 +518,7 @@ func (r *Runtime) offer(events []*event.Event) int {
 		return 0
 	}
 	var fixed [16]claimPart // the call's parts, on the stack for up to 16 shards
-	parts, rejected := r.split(fixed[:0], -1, events, enq)
+	parts, rejected := r.split(fixed[:0], events, nil, enq)
 	r.claim(parts, rejected, events)
 	return r.deliver(parts, rejected)
 }
@@ -569,36 +565,72 @@ func (r *Runtime) Offer(e *event.Event) bool { return r.offer([]*event.Event{e})
 func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(events) }
 
 // Door refreshes the degradation ladder and returns the events it
-// admits now, filtered in place: none at LevelReject or after Close,
-// and never one whose target shard — slot, or for slot < 0 the shard
-// its key hashes to — has failed. Refusals count in
-// Snapshot.AdmissionRejected. A caller that logs events before offering
-// them takes the verdict here, logs what passed, and offers that with
-// Claim and Deliver, so the log and the door cannot disagree.
+// admits now, filtered in place: the Gate verdict for each, against
+// target shard slot (< 0: the shard its key hashes to). A caller that
+// logs events before offering them takes the verdict here, logs what
+// passed, and offers that with Claim and Deliver, so the log and the
+// door cannot disagree.
 func (r *Runtime) Door(slot int, events []*event.Event) []*event.Event {
 	return r.door(slot, events, time.Now())
 }
 
 func (r *Runtime) door(slot int, events []*event.Event, now time.Time) []*event.Event {
-	kept := events
-	if r.closed.Load() || r.updateLevel(now) >= LevelReject {
-		kept = events[:0]
-	} else if r.failedShards.Load() > 0 { // one load per batch while every shard is healthy
-		kept = events[:0]
-		for _, e := range events {
-			s := slot
-			if s < 0 {
-				s = r.ShardIndexFor(e)
-			}
-			if s >= len(r.shards) || !r.shards[s].failed.Load() {
-				kept = append(kept, e)
-			}
+	g := r.Gate(now)
+	kept := events[:0]
+	for _, e := range events {
+		if g.Admits(slot, e) {
+			kept = append(kept, e)
 		}
 	}
-	if n := len(events) - len(kept); n > 0 {
-		r.admissionRejected.Add(uint64(n))
-	}
+	g.Done()
 	return kept
+}
+
+// Gate is the door's state for one batch: the ladder is refreshed once,
+// when the gate opens, and Admits then rules on each (event, target)
+// pair. Done counts the refusals in Snapshot.AdmissionRejected.
+type Gate struct {
+	r       *Runtime
+	shut    bool // closed, or at LevelReject: every pair is refused
+	failed  bool // some shard has failed: each pair's target is checked
+	refused int
+}
+
+// Gate refreshes the degradation ladder and opens the door for one batch.
+func (r *Runtime) Gate(now time.Time) Gate {
+	return Gate{
+		r:      r,
+		shut:   r.closed.Load() || r.updateLevel(now) >= LevelReject,
+		failed: r.failedShards.Load() > 0, // one load per batch while every shard is healthy
+	}
+}
+
+// Admits reports whether the door admits e to target shard slot (< 0:
+// the shard its key hashes to): never at LevelReject or after Close,
+// and never to a shard that does not exist or has failed.
+func (g *Gate) Admits(slot int, e *event.Event) bool {
+	ok := !g.shut && slot < len(g.r.shards)
+	if ok && g.failed {
+		if slot < 0 {
+			slot = g.r.ShardIndexFor(e)
+		}
+		ok = !g.r.shards[slot].failed.Load()
+	}
+	if !ok {
+		g.refused++
+	}
+	return ok
+}
+
+// Done counts the gate's refusals in Snapshot.AdmissionRejected and
+// returns how many there were.
+func (g *Gate) Done() int {
+	if g.refused > 0 {
+		g.r.admissionRejected.Add(uint64(g.refused))
+	}
+	n := g.refused
+	g.refused = 0
+	return n
 }
 
 // ladderSignals gathers the two inputs of the ladder: the worst
@@ -733,34 +765,6 @@ func (r *Runtime) Close() {
 		r.pool.Stop()
 	}
 	r.closeLog()
-}
-
-// Matches returns the merged match set, sorted by detection time then
-// match key (the deterministic "sorted merge" order). Only valid after
-// Close and only when Config.CollectMatches was set.
-func (r *Runtime) Matches() []engine.Match {
-	var out []engine.Match
-	for _, sh := range r.shards {
-		out = append(out, sh.matches...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Detected != out[j].Detected {
-			return out[i].Detected < out[j].Detected
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out
-}
-
-// MatchKeys returns the sorted-merge match identities (engine.Match.Key)
-// in the same order as Matches.
-func (r *Runtime) MatchKeys() []string {
-	ms := r.Matches()
-	keys := make([]string, len(ms))
-	for i, m := range ms {
-		keys[i] = m.Key()
-	}
-	return keys
 }
 
 // ShardSnapshot is the point-in-time state of one shard.

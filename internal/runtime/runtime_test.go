@@ -30,6 +30,30 @@ func sortedKeys(ms []engine.Match) []string {
 	return keys
 }
 
+// collectMatches points cfg.OnMatches at a sink that keeps every match;
+// the returned func, valid after Close, gives them in sorted-merge
+// order: by detection time, then key.
+func collectMatches(cfg *Config) func() []engine.Match {
+	var mu sync.Mutex
+	var all []engine.Match
+	cfg.OnMatches = func(_ int, ms []engine.Match) {
+		mu.Lock()
+		all = append(all, ms...)
+		mu.Unlock()
+	}
+	return func() []engine.Match {
+		mu.Lock()
+		defer mu.Unlock()
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Detected != all[j].Detected {
+				return all[i].Detected < all[j].Detected
+			}
+			return all[i].Key() < all[j].Key()
+		})
+		return all
+	}
+}
+
 func feedAll(r *Runtime, s event.Stream) {
 	for _, e := range s {
 		r.Offer(e)
@@ -43,10 +67,10 @@ func equivalence(t *testing.T, m *nfa.Machine, s event.Stream, shards int) {
 	t.Helper()
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 
-	r := New(m, Config{Shards: shards, CollectMatches: true})
-	feedAll(r, s)
-	got := r.MatchKeys()
-	sort.Strings(got)
+	cfg := Config{Shards: shards}
+	matches := collectMatches(&cfg)
+	feedAll(New(m, cfg), s)
+	got := sortedKeys(matches())
 
 	if len(want) == 0 {
 		t.Fatal("reference run found no matches; test is vacuous")
@@ -265,22 +289,28 @@ func TestDrainedMeansDelivered(t *testing.T) {
 	}
 }
 
+// Each shard hands its matches to OnMatches in detection order, so a
+// sorted merge of the per-shard streams is a merge, never a reorder.
 func TestMatchesSortedMergeOrder(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	s := gen.DS1(gen.DS1Config{Events: 6000, Seed: 5, InterArrival: 15 * event.Microsecond})
-	r := New(m, Config{Shards: 4, CollectMatches: true})
+	var mu sync.Mutex
+	last := map[int]event.Time{}
+	n := 0
+	r := New(m, Config{Shards: 4, OnMatches: func(shard int, ms []engine.Match) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, mt := range ms {
+			if mt.Detected < last[shard] {
+				t.Errorf("shard %d handed out a match detected at %d after one at %d", shard, mt.Detected, last[shard])
+			}
+			last[shard] = mt.Detected
+			n++
+		}
+	}})
 	feedAll(r, s)
-	ms := r.Matches()
-	if len(ms) == 0 {
+	if n == 0 {
 		t.Fatal("no matches")
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Detected < ms[i-1].Detected {
-			t.Fatalf("matches not sorted by detection time at %d", i)
-		}
-		if ms[i].Detected == ms[i-1].Detected && ms[i].Key() < ms[i-1].Key() {
-			t.Fatalf("ties not broken by key at %d", i)
-		}
 	}
 }
 

@@ -140,8 +140,7 @@ type shard struct {
 	// local would escape to the heap once per (event, query) pair.
 	res engine.Result
 
-	matches []engine.Match // collected matches (worker-only until Close)
-	out     []engine.Match // cleared for delivery, not yet handed to OnMatches (claim-owned)
+	out []engine.Match // cleared for delivery, not yet handed to OnMatches (claim-owned)
 	// inHand is set while the worker holds events taken off the queue
 	// whose matches have not yet been through handOut. Snapshot counts it
 	// as one more queued item, so a reader that sees a drained queue also
@@ -488,9 +487,6 @@ func (s *shard) emit(m engine.Match) {
 
 // queue hands one match, already counted, to the sink's next hand-out.
 func (s *shard) queue(m engine.Match) {
-	if s.cfg.CollectMatches {
-		s.matches = append(s.matches, m)
-	}
 	if s.cfg.OnMatches != nil {
 		s.out = append(s.out, m)
 	}

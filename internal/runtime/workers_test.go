@@ -3,7 +3,6 @@ package runtime
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -126,9 +125,8 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 
 	gate := make(chan struct{})
-	r := onPool(t, 2, m, Config{
-		Shards:         4,
-		CollectMatches: true,
+	cfg := Config{
+		Shards: 4,
 		Durability: &checkpoint.Config{
 			Dir:         t.TempDir(),
 			EveryEvents: 150,
@@ -141,7 +139,9 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 			}
 		},
-	})
+	}
+	matches := collectMatches(&cfg)
+	r := onPool(t, 2, m, cfg)
 	r.WaitRecovered()
 	// Shard 3's share of the stream fits its queue, so Offer never blocks
 	// on the held shard.
@@ -175,8 +175,7 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 	if got := snap.EventsShed + snap.EventsProcessed + snap.ShardQuarantined; got != snap.EventsIn {
 		t.Fatalf("conservation violated: events_in=%d != shed+processed+quarantined=%d", snap.EventsIn, got)
 	}
-	got := r.MatchKeys()
-	sort.Strings(got)
+	got := sortedKeys(matches())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("match set diverged: got %d matches, reference %d", len(got), len(want))
 	}
