@@ -168,6 +168,10 @@ func openLog(cfg Config, dir, prefix string, fp uint64) (*Log, error) {
 	return l, nil
 }
 
+// Config returns the log's resolved config: the flush and segment
+// settings every store on the log shares (Log.Store).
+func (l *Log) Config() Config { return l.cfg }
+
 func (l *Log) path(id uint64) string { return segPath(l.dir, l.prefix, id) }
 
 func (l *Log) last() *segment { return &l.segs[len(l.segs)-1] }

@@ -30,9 +30,10 @@ type Config struct {
 	// source line carried none. It runs at the INGEST edge, so a
 	// forwarded event keeps its true arrival time.
 	StampTime func(e *event.Event)
-	// StampSeq assigns the node-local sequence number. It runs only at
-	// the slot's OWNER — forwarded events travel with time but no seq —
-	// so each node's WAL sequence space stays monotone under its own
+	// StampSeq assigns the node-local sequence number: at ingest, to
+	// each event with a subscriber, and at a slot's OWNER, to each
+	// forwarded event — forwarded events travel with time but no seq — so
+	// each node's input-log sequence space stays monotone under its own
 	// counter regardless of which node ingested the event.
 	StampSeq func(e *event.Event)
 	// BumpSeq raises the node's sequence counter to at least min —

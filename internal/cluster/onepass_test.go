@@ -51,7 +51,7 @@ func TestOnePassRegistryAndRouterAgree(t *testing.T) {
 	const prefix = 60
 	// stream builds events from seq on: A, B, C over many keys, with every
 	// fourth event a Z no query subscribes to (unstamped: the router stamps
-	// only events with a local pair).
+	// only events with a pair).
 	stream := func(seq uint64, n int, id func(i int) int64) []*event.Event {
 		out := make([]*event.Event, n)
 		for i := range out {
@@ -65,10 +65,6 @@ func TestOnePassRegistryAndRouterAgree(t *testing.T) {
 		}
 		return out
 	}
-	// The query ids order the subscriber walk: the keyed query comes
-	// first, so the router has stamped each event before it places the
-	// keyless query's pair, whose slot then hashes the same seq the
-	// registry's walk does.
 	specs := []registry.QuerySpec{
 		{Tenant: "t", Name: "a-keyed", Query: q1Text},
 		{Tenant: "t", Name: "b-keyless", Query: keylessText},
@@ -215,16 +211,15 @@ func TestOnePassRegistryAndRouterAgree(t *testing.T) {
 	}
 }
 
-// TestRouterLogsKeylessPairTagged routes a batch through a durable
+// TestRouterLogsKeylessPairByKey routes a batch through a durable
 // two-node cluster whose ingest node owns every slot of a keyed query
 // (Q1) and of a keyless one that sorts first in the subscriber walk.
-// The router places the keyless query's pair before the event is
-// stamped, on the slot the unstamped seq hashes to, and the stamp then
-// hashes most events elsewhere: each such pair runs on an explicit slot
-// and logs a T record tagged with it plus an R record for the keyless
-// query, beside the E record the keyed query's pair logs — never a
-// second E.
-func TestRouterLogsKeylessPairTagged(t *testing.T) {
+// The router stamps each event's seq at its first pair, before it
+// computes the keyless query's slot from that seq, so the keyless
+// query's pairs spread over its slots and each runs on the shard its
+// key (the seq) picks: every event is logged as one E record, with no
+// T or R record beside it.
+func TestRouterLogsKeylessPairByKey(t *testing.T) {
 	col := newMatchCollector()
 	nodes := newTestCluster(t, []string{"n1", "n2"}, 4, col, slowDetector())
 	var kl *registry.Instance
@@ -249,41 +244,41 @@ func TestRouterLogsKeylessPairTagged(t *testing.T) {
 		ids = append(ids, id)
 	}
 	batch := abcEvents(ids, "A", "B", "C")
-	slot := kl.ShardSlot(batch[0].E) // what every unstamped event hashes to
 	ingest.node.OfferBatch(batch)
 	drainQueues(t, ingest)
-
-	wantT := map[uint64]bool{}
-	for _, item := range batch {
-		if item.E.Type != "C" && kl.ShardSlot(item.E) != slot {
-			wantT[item.E.Seq] = true
+	pairs := uint64(2 * len(ids)) // the keyless query takes each id's A and B
+	var slots int
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		snap := kl.Runtime().Snapshot()
+		if snap.EventsIn == pairs {
+			slots = 0
+			for _, ss := range snap.Shards {
+				if ss.EventsIn > 0 {
+					slots++
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the keyless query took %d events, want %d", snap.EventsIn, pairs)
 		}
 	}
+	if slots < 2 {
+		t.Errorf("the keyless query's %d pairs ran on %d of its %d slots, want them spread over at least 2", pairs, slots, kl.NumSlots())
+	}
 	ingest.kill()
-	var e, tagged, refused int
+	var e, other int
 	if _, err := checkpoint.ReadLog(filepath.Join(ingest.top.Nodes[0].StateDir, "log"), checkpoint.Fingerprint("registry", "input-log"), func(r checkpoint.Record) {
 		switch r.Kind {
 		case checkpoint.RecEvent:
 			e++
-		case checkpoint.RecTagged:
-			tagged++
-			if r.Tag != (checkpoint.Tag{FP: kl.Fingerprint(), Shard: slot}) || !wantT[r.Seq] {
-				t.Errorf("T record %v for seq %d: want the keyless query's slot %d, on a seq its key hashes elsewhere", r.Tag, r.Seq, slot)
-			}
-		case checkpoint.RecRefused:
-			refused++
-			if r.Tag.FP != kl.Fingerprint() || !wantT[r.Seq] {
-				t.Errorf("R record for query %x seq %d: only the keyless query's tagged pairs are refused here", r.Tag.FP, r.Seq)
-			}
+		case checkpoint.RecTagged, checkpoint.RecRefused:
+			other++
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e != len(batch) || tagged != len(wantT) || refused != len(wantT) {
-		t.Fatalf("ingest log: %d E, %d T, %d R records; want %d E (one per event), %d T and %d R (the keyless query's explicit-slot pairs)",
-			e, tagged, refused, len(batch), len(wantT), len(wantT))
-	}
-	if len(wantT) == 0 {
-		t.Fatal("every stamped seq hashed to the placed slot; the T-plus-R case was not exercised")
+	if e != len(batch) || other != 0 {
+		t.Fatalf("ingest log: %d E and %d T or R records; want %d E (one per event) and no other", e, other, len(batch))
 	}
 }

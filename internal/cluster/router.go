@@ -45,9 +45,12 @@ const maxRedirects = 3
 // registry's fan-out pass (registry.OfferPlaced) with a Place callback
 // that, for each (event, query) pair, computes the shard slot
 // (deterministic hash — identical on every node) and looks up the
-// slot's owner. A local pair runs here, the event's seq stamped at its
-// first local pair; a remote one has the event's NDJSON encoding
-// queued to the owner's forwarder. Events with no explicit timestamp
+// slot's owner. The event's seq is stamped at its first pair, before any
+// slot is computed, so a keyless query's slot hashes the stamped seq. A
+// local pair runs here, on the shard that slot names; a remote one has
+// the event's NDJSON encoding, which carries no seq, queued to the
+// owner's forwarder (an event with no local pair leaves a gap in this
+// node's seq space). Events with no explicit timestamp
 // get their arrival time stamped at this edge first, so a forwarded
 // event keeps its true arrival time rather than its delivery time at
 // the owner.
@@ -64,21 +67,21 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 		events[i] = item.E
 	}
 	var (
-		cur     *event.Event // the event whose pairs are being placed
-		stamped bool
-		line    []byte // cur's encoding, shared by every remote owner
+		cur  *event.Event // the event whose pairs are being placed
+		line []byte       // cur's encoding, shared by every remote owner
 	)
-	drop := func(pl *peerLink) (int, bool) {
+	drop := func(pl *peerLink) bool {
 		res.DroppedPairs++
 		n.forwardDrop.Add(1)
 		if pl != nil {
 			pl.dropped.Add(1)
 		}
-		return 0, false
+		return false
 	}
-	res.OfferResult = n.reg.OfferPlaced(events, func(in *registry.Instance, e *event.Event) (int, bool) {
+	res.OfferResult = n.reg.OfferPlaced(events, func(in *registry.Instance, e *event.Event) bool {
 		if e != cur {
-			cur, stamped, line = e, false, nil
+			cur, line = e, nil
+			n.cfg.StampSeq(e)
 		}
 		n.edgePairs.Add(1)
 		fp := in.Fingerprint()
@@ -88,11 +91,7 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 			return drop(nil)
 		}
 		if owner == n.cfg.Self {
-			if !stamped {
-				n.cfg.StampSeq(e)
-				stamped = true
-			}
-			return slot, true
+			return true
 		}
 		pl, ok := n.peer(owner)
 		if !ok {
@@ -109,7 +108,7 @@ func (n *Node) OfferBatch(batch []Input) RouteResult {
 		case pl.q <- fwdItem{tenant: spec.Tenant, query: spec.Name, fp: fp, slot: slot, line: line}:
 			n.inFlight.Add(1)
 			res.ForwardedPairs++
-			return 0, false
+			return false
 		default:
 			// Queue overflow: the loud, metered shed the retry queue
 			// degrades to during a sustained partition.

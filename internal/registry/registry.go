@@ -125,8 +125,6 @@ type Config struct {
 	// call — and must tolerate concurrent calls from different shards
 	// and queries.
 	OnMatches func(spec QuerySpec, shard int, ms []engine.Match)
-	// DeferredNegation selects witness-based negation semantics.
-	DeferredNegation bool
 	// Arbiter configures the cross-query shedding arbiter.
 	Arbiter ArbiterConfig
 	// TuneRuntime, when set, may adjust each query's runtime.Config
@@ -497,12 +495,11 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 	sort.Strings(in.types)
 
 	rc := runtime.Config{
-		Shards:           shards,
-		QueueLen:         g.cfg.QueueLen,
-		KeySalt:          in.fp,
-		NewStrategy:      newStrat,
-		DeferredNegation: g.cfg.DeferredNegation,
-		Bound:            bound,
+		Shards:      shards,
+		QueueLen:    g.cfg.QueueLen,
+		KeySalt:     in.fp,
+		NewStrategy: newStrat,
+		Bound:       bound,
 		Logf: func(format string, args ...any) {
 			g.logf("%s: "+format, append([]any{spec.ID()}, args...)...)
 		},
@@ -511,10 +508,7 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 		rc.OnMatches = func(shard int, ms []engine.Match) { onMatches(spec, shard, ms) }
 	}
 	if g.durable {
-		dur := g.dur
-		dur.Dir = filepath.Join(g.cfg.StateDir, fmt.Sprintf("q-%016x", in.fp))
-		rc.Durability = &dur
-		in.dir = dur.Dir
+		in.dir = filepath.Join(g.cfg.StateDir, in.StateDirName())
 	}
 	if g.cfg.TuneRuntime != nil {
 		g.cfg.TuneRuntime(spec, &rc)
@@ -537,7 +531,7 @@ func (g *Registry) add(spec QuerySpec, persist bool) (*Instance, error) {
 	if !persist && !spec.Paused {
 		accept = func(e *event.Event) bool { return in.subscribes(e.Type) }
 	}
-	in.rt = runtime.NewShared(m, rc, g.pool, g.log, accept)
+	in.rt = runtime.NewShared(m, rc, g.pool, g.log, in.dir, accept)
 	g.insts[spec.ID()] = in
 	g.mu.Unlock()
 
@@ -864,14 +858,15 @@ func (sh *share) settle() OfferResult {
 	return res
 }
 
-// Place decides where one (event, query) pair runs, for a caller that
-// spreads a query's shard slots over several nodes (the cluster router).
-// It returns local=true and the pair's shard slot when the pair runs on
-// this node, local=false when it does not — the callback has then
-// forwarded or dropped the pair and counted that. It runs under the
-// registry's offer lock, so it must neither offer nor wait on anything
-// that does.
-type Place func(in *Instance, e *event.Event) (slot int, local bool)
+// Place decides whether one (event, query) pair runs on this node, for
+// a caller that spreads a query's shard slots over several nodes (the
+// cluster router), placing each pair by the slot its key hashes to
+// (Instance.ShardSlot, after stamping the event's seq). It returns true
+// when the pair runs here, on that slot, and false when it does not —
+// the callback has then forwarded or dropped the pair and counted that.
+// It runs under the registry's offer lock, so it must neither offer nor
+// wait on anything that does.
+type Place func(in *Instance, e *event.Event) (local bool)
 
 // OfferBatch fans a decoded batch out to every subscribed query, each
 // pair to the shard its key hashes to (see OfferPlaced). Blocking
@@ -886,9 +881,8 @@ func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
 // subscribers that gives every (event, query) pair its verdict where it
 // is decided — not local (place said so), skipped below the query's
 // recovery floor, refused by its door, or admitted to the shard its key
-// hashes to or to the explicit slot place chose. A nil place runs every
-// pair here, on its key's shard. Each query's admitted pairs reach its
-// shards as one share, in batch order.
+// hashes to. A nil place runs every pair here. Each query's admitted
+// pairs reach its shards as one share, in batch order.
 //
 // The walk, the verdicts and the admitted pairs' places in their shard
 // queues are taken under offerMu — with, when durable, the batch's
@@ -896,13 +890,10 @@ func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
 // order — and the pairs are sent after releasing it, so a full queue
 // holds back only the producers behind it on that shard. offerMu also
 // orders every route-table change, so the table the walk loads is the
-// one the log describes. What a durable registry logs per event:
-//   - one untagged E record if some query took it by key, however many
-//     did, with an R record for every other subscriber (refused, not
-//     local, or offered an explicit slot), so that replay re-routes it
-//     exactly as the pass did;
-//   - a T record, tagged with its (query, slot), for every pair
-//     admitted to an explicit slot its key does not pick.
+// one the log describes. A durable registry logs one untagged E record
+// per event some query took, however many did, with an R record for
+// every other subscriber (refused or not local), so that replay
+// re-routes it exactly as the pass did.
 func (g *Registry) OfferPlaced(events []*event.Event, place Place) OfferResult {
 	res := OfferResult{Events: len(events)}
 	f := g.getFan()
@@ -921,22 +912,10 @@ func (g *Registry) OfferPlaced(events []*event.Event, place Place) OfferResult {
 		f.byKey = f.byKey[:0]
 		took := false
 		for _, ref := range refs {
-			slot, local := -1, true
-			if place != nil {
-				slot, local = place(ref.inst, e)
-			}
 			byKey := false
-			if local {
+			if place == nil || place(ref.inst, e) {
 				f.local(e)
-				if slot >= 0 && slot == ref.inst.rt.ShardIndexFor(e) {
-					slot = -1
-				}
-				if f.shares[ref.idx].admit(e, slot, now) {
-					byKey = slot < 0
-					if !byKey && g.log != nil {
-						b.Tagged = append(b.Tagged, checkpoint.Tagged{Tag: checkpoint.Tag{FP: ref.inst.fp, Shard: slot}, E: e})
-					}
-				}
+				byKey = f.shares[ref.idx].admit(e, -1, now)
 			}
 			took = took || byKey
 			f.byKey = append(f.byKey, byKey)
@@ -1225,8 +1204,9 @@ func (g *Registry) Close() {
 }
 
 // Kill simulates a whole-process crash for tests: every query's
-// runtime is killed (buffered WAL tails abandoned, no final
-// snapshots), leaving exactly the on-disk state a SIGKILL would.
+// runtime is killed (no final snapshots) and the input log aborted
+// (buffered records abandoned), leaving exactly the on-disk state a
+// SIGKILL would.
 func (g *Registry) Kill() {
 	g.shutdown(func(in *Instance) { in.rt.Kill() })
 	if g.log != nil {

@@ -114,23 +114,19 @@ func slotOf(slots []int, i int) int {
 // in Gate.Admits, parallel to events; nil: each by its key) and takes
 // each part's place in its shard's queue order. Deliver sends them. A
 // caller claims under whatever lock orders its own records of the
-// events, and delivers after releasing it. A runtime that owns its
-// input log logs the events here, as routed by key: only a runtime
-// whose log belongs to its caller is claimed a slot.
+// events, and delivers after releasing it.
 func (r *Runtime) Claim(c *Claim, events []*event.Event, slots []int) {
 	c.parts, c.rejected = r.split(c.parts, events, slots, time.Now())
-	r.claim(c.parts, c.rejected, events)
+	r.claim(c.parts)
 }
 
-// claim takes the tickets of split parts, then logs their events when
-// the runtime owns its input log.
-func (r *Runtime) claim(parts []claimPart, rejected int, events []*event.Event) {
+// claim takes the tickets of split parts.
+func (r *Runtime) claim(parts []claimPart) {
 	r.claimMu.Lock()
 	for i := range parts {
 		p := &parts[i]
 		p.ticket = p.sh.order.take(p.n)
 	}
-	r.logClaim(parts, rejected, events)
 	r.claimMu.Unlock()
 }
 

@@ -84,7 +84,7 @@ func (c *collector) keys() []string {
 // drainTo polls until the runtime has appended (and begun processing)
 // exactly want events, so a Kill afterwards cannot discard queued input
 // that never reached the WAL.
-func drainTo(t *testing.T, r *Runtime, want uint64) {
+func drainTo(t *testing.T, r interface{ Snapshot() Snapshot }, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -149,9 +149,9 @@ func runCrashDifferential(t *testing.T, shards int, seed int64, events int) {
 	dir := t.TempDir()
 	dur := &checkpoint.Config{Dir: dir, EveryEvents: 200, FlushEvery: 1}
 	col := newCollector(t)
-	cfg := Config{Shards: shards, OnMatches: col.hook(), Durability: dur}
+	cfg := Config{Shards: shards, OnMatches: col.hook()}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range s[:cut] {
 		r1.Offer(e)
@@ -159,7 +159,7 @@ func runCrashDifferential(t *testing.T, shards int, seed int64, events int) {
 	drainTo(t, r1, uint64(cut))
 	r1.Kill()
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	info := r2.RecoveryInfo()
 	if info.ColdStarts != 0 {
@@ -205,16 +205,16 @@ func TestGracefulRestartNoReplay(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 500, FlushEvery: 8}
 	col := newCollector(t)
-	cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
+	cfg := Config{Shards: 1, OnMatches: col.hook()}
 	cut := len(s) / 2
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	for _, e := range s[:cut] {
 		r1.Offer(e)
 	}
 	r1.Close()
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	info := r2.RecoveryInfo()
 	if info.WALReplayed != 0 {
@@ -248,12 +248,13 @@ func TestPreV3StateColdStartsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	var logs []string
-	cfg := Config{Shards: 1, Durability: &checkpoint.Config{Dir: dir, EveryEvents: 200}, Logf: func(format string, args ...any) {
+	dur := &checkpoint.Config{Dir: dir, EveryEvents: 200}
+	cfg := Config{Shards: 1, Logf: func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}}
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	for _, e := range s {
 		r1.Offer(e)
 	}
@@ -269,7 +270,7 @@ func TestPreV3StateColdStartsLoudly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "log-*.wal"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "log", "log-*.wal"))
 	for _, seg := range segs {
 		os.Remove(seg) // a v2 directory has no input log
 	}
@@ -279,7 +280,7 @@ func TestPreV3StateColdStartsLoudly(t *testing.T) {
 		}
 	}
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	info := r2.RecoveryInfo()
 	r2.Close()
@@ -317,7 +318,7 @@ func TestTornWALTailRecovery(t *testing.T) {
 	dur := &checkpoint.Config{Dir: dir, EveryEvents: 400, FlushEvery: 1}
 	cut := 1000
 
-	r1 := New(m, Config{Shards: 1, Durability: dur})
+	r1 := OpenRig(t, m, Config{Shards: 1}, nil, dur)
 	for _, e := range s[:cut] {
 		r1.Offer(e)
 	}
@@ -326,7 +327,7 @@ func TestTornWALTailRecovery(t *testing.T) {
 
 	// The torn tail is the newest segment; older ones may already be
 	// compacted away under a snapshot.
-	segs, err := filepath.Glob(filepath.Join(dir, "log-*.wal"))
+	segs, err := filepath.Glob(filepath.Join(dir, "log", "log-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no log segment after the crash (glob: %v)", err)
 	}
@@ -344,7 +345,7 @@ func TestTornWALTailRecovery(t *testing.T) {
 	}
 
 	col := newCollector(t)
-	r2 := New(m, Config{Shards: 1, OnMatches: col.hook(), Durability: dur})
+	r2 := OpenRig(t, m, Config{Shards: 1, OnMatches: col.hook()}, nil, dur)
 	r2.WaitRecovered()
 	if info := r2.RecoveryInfo(); info.ColdStarts != 0 {
 		t.Fatalf("torn tail caused %d cold starts, want graceful partial replay", info.ColdStarts)
@@ -374,9 +375,10 @@ func TestHandoffImportMatchesSurviveCrash(t *testing.T) {
 		e.Seq = uint64(i)
 		tail[i] = checkpoint.Record{Kind: checkpoint.RecEvent, Seq: e.Seq, Event: e}
 	}
-	cfg := Config{Shards: 1, Durability: &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20, FlushEvery: 1}}
+	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20, FlushEvery: 1}
+	cfg := Config{Shards: 1}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	if _, _, err := r1.ImportShard(&checkpoint.Handoff{Shard: 0, Tail: tail}); err != nil {
 		t.Fatal(err)
@@ -387,7 +389,7 @@ func TestHandoffImportMatchesSurviveCrash(t *testing.T) {
 	}
 	r1.Kill()
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	defer r2.Close()
 	if after := r2.Snapshot().Matches; after != before {
@@ -409,17 +411,16 @@ func TestHandoffImportPanicDeliversNothing(t *testing.T) {
 	}
 	var armed atomic.Bool
 	var delivered atomic.Int64
-	r := New(m, Config{
-		Shards: 1,
-		Durability: &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20, FlushEvery: 1,
-			OnStage: func(_ int, stage string) {
-				if stage == "encoded" && armed.Load() {
-					panic("crash in the import commit")
-				}
-			}},
+	r := OpenRig(t, m, Config{
+		Shards:    1,
 		OnMatches: func(_ int, ms []engine.Match) { delivered.Add(int64(len(ms))) },
 		Restart:   RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
-	})
+	}, nil, &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20, FlushEvery: 1,
+		OnStage: func(_ int, stage string) {
+			if stage == "encoded" && armed.Load() {
+				panic("crash in the import commit")
+			}
+		}})
 	r.WaitRecovered()
 	armed.Store(true)
 	if _, _, err := r.ImportShard(&checkpoint.Handoff{Shard: 0, Tail: tail}); err == nil {
@@ -455,8 +456,8 @@ func TestHandoffImportCommitFailureLeavesSlotEmpty(t *testing.T) {
 	}
 	dir := t.TempDir()
 	col := newCollector(t)
-	r := New(m, Config{Shards: 1, OnMatches: col.hook(),
-		Durability: &checkpoint.Config{Dir: dir, EveryEvents: 1 << 20, FlushEvery: 1}})
+	r := OpenRig(t, m, Config{Shards: 1, OnMatches: col.hook()}, nil,
+		&checkpoint.Config{Dir: dir, EveryEvents: 1 << 20, FlushEvery: 1})
 	r.WaitRecovered()
 	blocker := filepath.Join(dir, "shard-000.snap.tmp")
 	if err := os.Mkdir(blocker, 0o755); err != nil {
@@ -497,10 +498,10 @@ func TestBootRecoveryIsCheckpointed(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
 	col := newCollector(t)
-	cfg := Config{Shards: 2, OnMatches: col.hook(), Durability: dur}
+	cfg := Config{Shards: 2, OnMatches: col.hook()}
 	cut := len(s) / 2
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range s[:cut] {
 		r1.Offer(e)
@@ -508,14 +509,14 @@ func TestBootRecoveryIsCheckpointed(t *testing.T) {
 	drainTo(t, r1, uint64(cut))
 	r1.Kill() // no snapshot yet: the whole first half is log tail
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	if n := r2.RecoveryInfo().WALReplayed; n != uint64(cut) {
 		t.Fatalf("the first boot replayed %d events, want the %d-event tail", n, cut)
 	}
 	r2.Kill()
 
-	r3 := New(m, cfg)
+	r3 := OpenRig(t, m, cfg, nil, dur)
 	r3.WaitRecovered()
 	if n := r3.RecoveryInfo().WALReplayed; n != 0 {
 		t.Fatalf("the second boot replayed %d events; the first boot's replay was not checkpointed", n)
@@ -547,15 +548,14 @@ func TestCountersMonotoneAcrossRecovery(t *testing.T) {
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 300, FlushEvery: 1}
 	const poisonSeq = 777
 	cfg := Config{
-		Shards:     1,
-		Durability: dur,
+		Shards: 1,
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
 			return e.Seq == poisonSeq
 		}, "poison"),
 		Restart: RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	stop := make(chan struct{})
 	var monoErr error
 	var wg sync.WaitGroup
@@ -596,7 +596,7 @@ func TestCountersMonotoneAcrossRecovery(t *testing.T) {
 	r1.Kill()
 
 	// Boot restore: counters resume at or above the pre-kill values.
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	post := r2.Snapshot()
 	if post.CreatedPMs < pre.CreatedPMs || post.DroppedPMs < pre.DroppedPMs {
@@ -649,23 +649,23 @@ func TestChaosKillDuringSnapshot(t *testing.T) {
 	cfg := Config{
 		Shards:    1,
 		OnMatches: col.hook(),
-		Durability: &checkpoint.Config{
-			Dir:         t.TempDir(),
-			EveryEvents: 250,
-			FlushEvery:  1,
-			OnStage: func(shard int, stage string) {
-				defer func() {
-					if p := recover(); p != nil {
-						close(failed)
-						panic(p)
-					}
-				}()
-				failStage(shard, stage)
-			},
+	}
+	dur := &checkpoint.Config{
+		Dir:         t.TempDir(),
+		EveryEvents: 250,
+		FlushEvery:  1,
+		OnStage: func(shard int, stage string) {
+			defer func() {
+				if p := recover(); p != nil {
+					close(failed)
+					panic(p)
+				}
+			}()
+			failStage(shard, stage)
 		},
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	crashed := func() bool {
 		select {
@@ -696,7 +696,7 @@ func TestChaosKillDuringSnapshot(t *testing.T) {
 		t.Fatalf("snapshots = %d before the crash; there is no previous good generation to fall back to", pre.Snapshots)
 	}
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	info := r2.RecoveryInfo()
 	if info.ColdStarts != 0 {
@@ -740,15 +740,14 @@ func TestDeadLetterCheckpointSurvivesCrash(t *testing.T) {
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
 	const poisonSeq = 42
 	cfg := Config{
-		Shards:     2,
-		Durability: dur,
+		Shards: 2,
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
 			return e.Seq == poisonSeq
 		}, "poison"),
 		Restart: RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range s {
 		r1.Offer(e)
@@ -759,7 +758,7 @@ func TestDeadLetterCheckpointSurvivesCrash(t *testing.T) {
 	}
 	r1.Kill()
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	defer r2.Close()
 	if got := r2.Snapshot().Quarantined; got != 1 {
@@ -797,10 +796,10 @@ func TestRecoveryBeforeFirstSnapshot(t *testing.T) {
 	// EveryEvents past the cut: the crash lands before the first snapshot.
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
 	col := newCollector(t)
-	cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
+	cfg := Config{Shards: 1, OnMatches: col.hook()}
 	const cut = 60
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range s[:cut] {
 		r1.Offer(e)
@@ -808,7 +807,7 @@ func TestRecoveryBeforeFirstSnapshot(t *testing.T) {
 	drainTo(t, r1, cut)
 	r1.Kill()
 
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	info := r2.RecoveryInfo()
 	if !info.Restored {
@@ -848,15 +847,14 @@ func TestQuarantinedSeqZeroSkippedOnReplay(t *testing.T) {
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
 	var armed atomic.Bool
 	cfg := Config{
-		Shards:     1,
-		Durability: dur,
+		Shards: 1,
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
 			return armed.Load() && e.Seq == 0
 		}, "poison"),
 		Restart: RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range s {
 		r1.Offer(e)
@@ -868,7 +866,7 @@ func TestQuarantinedSeqZeroSkippedOnReplay(t *testing.T) {
 	r1.Kill()
 
 	armed.Store(true)
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	snap := r2.Snapshot()
 	r2.Close()
@@ -903,15 +901,14 @@ func TestBootReplayPanicKeepsConservation(t *testing.T) {
 	poisonSeq := s[len(head)].Seq
 	var armed atomic.Bool
 	cfg := Config{
-		Shards:     1,
-		Durability: dur,
+		Shards: 1,
 		BeforeProcess: fault.PanicIf(func(_ int, e *event.Event) bool {
 			return armed.Load() && e.Seq == poisonSeq
 		}, "replay-poison"),
 		Restart: RestartPolicy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for _, e := range head {
 		r1.Offer(e)
@@ -919,11 +916,9 @@ func TestBootReplayPanicKeepsConservation(t *testing.T) {
 	drainTo(t, r1, uint64(len(head)))
 	r1.Close() // the final snapshot covers the whole head
 
-	tailCfg := cfg
 	tailDur := *dur
 	tailDur.EveryEvents = 1 << 30
-	tailCfg.Durability = &tailDur
-	r1b := New(m, tailCfg)
+	r1b := OpenRig(t, m, cfg, nil, &tailDur)
 	r1b.WaitRecovered()
 	for _, e := range s[len(head):] {
 		r1b.Offer(e)
@@ -943,7 +938,7 @@ func TestBootReplayPanicKeepsConservation(t *testing.T) {
 	r1b.Kill()
 
 	armed.Store(true)
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	snap := r2.Snapshot()
 	r2.Close()
@@ -976,7 +971,7 @@ func TestWALFailureDegradesLoudly(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 200, FlushEvery: 1}
 	col := newCollector(t)
-	r := New(m, Config{Shards: 1, OnMatches: col.hook(), Durability: dur})
+	r := OpenRig(t, m, Config{Shards: 1, OnMatches: col.hook()}, nil, dur)
 	r.WaitRecovered()
 	// Close the WAL's file descriptor out from under the store: every
 	// subsequent append flush fails. WaitRecovered ordered this write
@@ -1027,9 +1022,9 @@ func TestCrashRecoveryDifferentialGroupCommit(t *testing.T) {
 		dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 300,
 			FlushEvery: flushEvery, FlushBytes: 1 << 30, FlushInterval: time.Hour}
 		col := newCollector(t)
-		cfg := Config{Shards: 1, OnMatches: col.hook(), Durability: dur}
+		cfg := Config{Shards: 1, OnMatches: col.hook()}
 
-		r1 := New(m, cfg)
+		r1 := OpenRig(t, m, cfg, nil, dur)
 		r1.WaitRecovered()
 		for _, e := range s[:cut] {
 			r1.Offer(e)
@@ -1037,7 +1032,7 @@ func TestCrashRecoveryDifferentialGroupCommit(t *testing.T) {
 		pre := r1.Snapshot()
 		r1.Kill() // SIGKILL-equivalent: queued events and the open flush group die
 
-		r2 := New(m, cfg)
+		r2 := OpenRig(t, m, cfg, nil, dur)
 		r2.WaitRecovered()
 		info := r2.RecoveryInfo()
 		next := uint64(0)
@@ -1088,8 +1083,8 @@ func TestWALFailureMidGroupDeliversBufferedMatches(t *testing.T) {
 		FlushEvery: 512, FlushBytes: 1 << 30, FlushInterval: time.Hour}
 	col := newCollector(t)
 	gate := make(chan struct{})
-	r := New(m, Config{
-		Shards: 1, QueueLen: 1024, OnMatches: col.hook(), Durability: dur,
+	r := OpenRig(t, m, Config{
+		Shards: 1, QueueLen: 1024, OnMatches: col.hook(),
 		// Hold the worker at the first event until every offer is queued:
 		// the queue stays deep, so no idle flush closes the group before
 		// the 512-record policy flush hits the broken descriptor.
@@ -1098,7 +1093,7 @@ func TestWALFailureMidGroupDeliversBufferedMatches(t *testing.T) {
 				<-gate
 			}
 		},
-	})
+	}, nil, dur)
 	r.WaitRecovered()
 	// Close the WAL's file descriptor out from under the store: every
 	// subsequent flush fails. WaitRecovered ordered this write after the
@@ -1145,7 +1140,7 @@ func TestPanicMidBatchDeliversClearedMatches(t *testing.T) {
 		}
 		const poison = 3
 		col := newCollector(t)
-		var r *Runtime
+		var r *Rig
 		var processedAtDelivery atomic.Int64
 		hook := col.hook()
 		cfg := Config{
@@ -1157,11 +1152,12 @@ func TestPanicMidBatchDeliversClearedMatches(t *testing.T) {
 				hook(shard, ms)
 			},
 		}
+		var dur *checkpoint.Config
 		if durable {
-			cfg.Durability = &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20,
+			dur = &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20,
 				FlushEvery: 512, FlushBytes: 1 << 30, FlushInterval: time.Hour}
 		}
-		r = New(m, cfg)
+		r = OpenRig(t, m, cfg, nil, dur)
 		r.WaitRecovered()
 		if n := r.OfferBatch(batch); n != len(batch) {
 			t.Fatalf("durable=%v: OfferBatch accepted %d of %d", durable, n, len(batch))
@@ -1192,7 +1188,7 @@ func TestPanicMidBatchDeliversClearedMatches(t *testing.T) {
 func TestShardFinishesOnce(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	dur := &checkpoint.Config{Dir: t.TempDir()}
-	r1 := New(m, Config{Shards: 1, Durability: dur})
+	r1 := OpenRig(t, m, Config{Shards: 1}, nil, dur)
 	for i, typ := range []string{"A", "B"} {
 		e := event.New(typ, event.Time(i), map[string]event.Value{"ID": event.Int(1), "V": event.Int(1)})
 		e.Seq = uint64(i)
@@ -1201,10 +1197,10 @@ func TestShardFinishesOnce(t *testing.T) {
 	r1.Close()
 	sh := r1.shards[0]
 	sh.svc.Lock()
-	sh.quantum(r1)
+	sh.quantum(r1.Runtime)
 	sh.svc.Unlock()
 
-	r2 := New(m, Config{Shards: 1, Durability: dur})
+	r2 := OpenRig(t, m, Config{Shards: 1}, nil, dur)
 	defer r2.Close()
 	r2.WaitRecovered()
 	if live := r2.Snapshot().LivePMs; live != 2 {

@@ -118,7 +118,7 @@ const MaxExcess = 0.95
 type Config struct {
 	// Shards is the number of engine shards (default 1). A shard is the
 	// unit of STATE: a single-writer engine partition with its own queue,
-	// strategy, and WAL.
+	// strategy, and (when durable) snapshots.
 	Shards int
 	// QueueLen is the per-shard bounded channel capacity (default 1024).
 	// When a shard's queue is full, Offer blocks: backpressure propagates
@@ -167,15 +167,6 @@ type Config struct {
 	// It exists for fault injection (internal/fault): it may panic or
 	// sleep, and the supervisor treats either as it would a real fault.
 	BeforeProcess func(shard int, e *event.Event)
-	// Durability, when non-nil, enables per-shard checkpointing: each
-	// shard snapshots its full state (live partial matches, counters,
-	// strategy state) every EveryEvents events, and the events in
-	// between sit in one input log (the runtime's own in Dir, or the
-	// registry's shared one — NewShared), so a crash or restart loses at
-	// most one log flush interval of work instead of every open partial
-	// match. See docs/DURABILITY.md. A shard whose store cannot be opened
-	// runs without durability (logged), never fails to start.
-	Durability *checkpoint.Config
 	// Logf receives supervisor and ladder lifecycle messages (restarts,
 	// breaker trips, level transitions). Nil: silent.
 	Logf func(format string, args ...any)
@@ -215,27 +206,23 @@ type Runtime struct {
 	failedShards      atomic.Int32 // shards the breaker failed; the door's fast path reads it
 	x                 excess       // shared by every shard; see tighten
 
-	// Durability plumbing (inert without Config.Durability): fp binds
-	// checkpoints to this query/sharding configuration, dur is the
-	// resolved checkpoint config (nil when durability is off), recoverWG
-	// releases WaitRecovered once every shard has finished (or skipped)
-	// recovery, and killed switches Close into Kill's crash-simulation
-	// mode.
+	// Durability plumbing (inert without a log): fp binds checkpoints to
+	// this query/sharding configuration, dur is the shards' store config
+	// (the log's own, in the query's state directory; nil without a log),
+	// recoverWG releases WaitRecovered once every shard has finished (or
+	// skipped) recovery, and killed switches Close into Kill's
+	// crash-simulation mode.
 	fp        uint64
 	dur       *checkpoint.Config
 	recoverWG sync.WaitGroup
 	killed    atomic.Bool
 
-	// log is the input log the shards' records live in. A runtime built
-	// by New owns it (ownLog): Claim appends each accepted event to it
-	// while it claims the events' places in the shard queues (claimMu),
-	// so that log order is every shard's queue order. NewShared's log
-	// belongs to the registry, which appends before fan-out itself.
-	// claimMu orders multi-shard claims (claim.go).
+	// log is the input log the shards' records live in. It belongs to the
+	// caller of NewShared, which appends each event before it claims the
+	// event's places in the shard queues, so that log order is every
+	// shard's queue order. claimMu orders multi-shard claims (claim.go).
 	log     *checkpoint.Log
-	ownLog  bool
 	claimMu sync.Mutex
-	batch   checkpoint.Batch // under claimMu
 
 	// mu excludes producer sends against Close closing the shard
 	// channels: producers hold the read side around a send, Close takes
@@ -247,62 +234,56 @@ type Runtime struct {
 	closed atomic.Bool
 }
 
-// New builds and starts a runtime for a compiled machine on a private
-// worker pool (min(GOMAXPROCS, Shards) workers) that Close stops; the
-// runtime is ready for Offer. With Config.Durability it owns a private
-// input log in Durability.Dir.
-func New(m *nfa.Machine, cfg Config) *Runtime { return newRuntime(m, cfg, nil, nil, nil) }
+// New builds and starts a runtime without durability for a compiled
+// machine on a private worker pool (min(GOMAXPROCS, Shards) workers)
+// that Close stops; the runtime is ready for Offer.
+func New(m *nfa.Machine, cfg Config) *Runtime { return NewShared(m, cfg, nil, nil, "", nil) }
 
-// NewShared is New for a runtime served by its caller's worker pool
-// (the registry's, one per process) and whose input log belongs to the
-// caller, which appends every event to log before offering it. The
-// shards' records are tagged with Config.KeySalt (the registry's query
-// fingerprint); a shard replays the log's untagged events that accept
-// admits and its key hashes to it, and nothing at all when accept is
-// nil. Without Config.Durability the log is unused.
-func NewShared(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
-	return newRuntime(m, cfg, pool, log, accept)
-}
-
-func newRuntime(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, accept func(*event.Event) bool) *Runtime {
+// NewShared builds a runtime served by its caller's worker pool (the
+// registry's, one per process; nil: a private one, as for New) and, when
+// log is non-nil, durable on that log, which belongs to the caller: every
+// shard snapshots its full state (live partial matches, counters,
+// strategy state) into dir every EveryEvents events of the log's config,
+// and the events in between sit in the log, so a crash or restart loses
+// at most one log flush interval of work instead of every open partial
+// match (docs/DURABILITY.md). The caller appends every event to the log
+// and offers it through Gate, Claim and Deliver, advancing the log's
+// routed watermark under the lock that orders its appends and claims
+// (Offer bypasses the log); it ends the log's boot (EndBoot) once
+// WaitRecovered returns, and closes or aborts the log after Close or
+// Kill. The shards' records are tagged with Config.KeySalt (the
+// registry's query fingerprint); a shard replays the log's untagged
+// events that accept admits and its key hashes to it, and nothing at all
+// when accept is nil. A shard whose store cannot be opened runs without
+// durability (logged), never fails to start.
+func NewShared(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, dir string, accept func(*event.Event) bool) *Runtime {
 	cfg = cfg.withDefaults()
 	r := &Runtime{
 		cfg:    cfg,
 		global: metrics.NewHistogram(),
 		key:    keyByAttr(InferPartitionKey(m.Query), cfg.KeySalt),
 		pool:   pool,
+		log:    log,
 	}
 	if pool == nil {
 		r.pool, r.ownPool = NewPool(), true
 	}
 	r.done.Add(cfg.Shards)
-	var dur checkpoint.Config
-	if cfg.Durability != nil {
-		dur = cfg.Durability.WithDefaults()
+	if log != nil {
+		dur := log.Config()
+		dur.Dir = dir
 		r.dur = &dur
 		r.fp = checkpoint.Fingerprint(
 			m.Query.String(),
 			fmt.Sprintf("shards=%d", cfg.Shards),
 			fmt.Sprintf("defneg=%v", cfg.DeferredNegation),
 		)
-		if st, err := checkpoint.LoadDeadLetters(dur.Dir); err != nil {
+		if st, err := checkpoint.LoadDeadLetters(dir); err != nil {
 			r.logf("runtime: dead-letter checkpoint unreadable, starting empty: %v", err)
 		} else {
 			r.dlq.Seed(st)
 		}
 		r.recoverWG.Add(cfg.Shards)
-		r.log = log
-		if log == nil {
-			var err error
-			if r.log, err = checkpoint.OpenLog(dur, dur.Dir, r.fp); err != nil {
-				r.logf("runtime: input log unavailable, running without durability: %v", err)
-			}
-			r.ownLog = true
-		}
-	}
-	tagFP := cfg.KeySalt
-	if log == nil {
-		tagFP = r.fp
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		var strat shed.Strategy
@@ -310,19 +291,17 @@ func newRuntime(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, acc
 			strat = cfg.NewStrategy(i)
 		}
 		sh := newShard(i, m, cfg, strat, r.global)
-		sh.log = r.log
-		if r.log != nil {
+		sh.log = log
+		if log != nil {
 			var routes func(*event.Event) bool // nil: replay nothing
-			if slot := i; log == nil || accept != nil {
-				routes = func(e *event.Event) bool {
-					return (accept == nil || accept(e)) && r.ShardIndexFor(e) == slot
-				}
+			if slot := i; accept != nil {
+				routes = func(e *event.Event) bool { return accept(e) && r.ShardIndexFor(e) == slot }
 			}
 			want := func() {
 				sh.covWant.Store(true)
 				r.pool.wakeOne()
 			}
-			store, err := r.log.Store(dur, i, r.fp, checkpoint.Tag{FP: tagFP, Shard: i}, routes, want)
+			store, err := log.Store(*r.dur, i, r.fp, checkpoint.Tag{FP: cfg.KeySalt, Shard: i}, routes, want)
 			if err != nil {
 				// A shard must start even when its store cannot: durability
 				// degrades, availability does not.
@@ -337,8 +316,6 @@ func newRuntime(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, acc
 				// restores the boot way.
 				sh.bootPending = true
 			}
-		}
-		if cfg.Durability != nil {
 			owner := i
 			sh.recoverDone = r.recoverWG.Done
 			sh.saveDLQ = func() { r.saveDeadLetters(owner) }
@@ -347,13 +324,6 @@ func newRuntime(m *nfa.Machine, cfg Config, pool *Pool, log *checkpoint.Log, acc
 		r.shards = append(r.shards, sh)
 	}
 	r.pool.register(r)
-	if r.ownLog && r.log != nil {
-		// The shards are the log's only boot readers.
-		go func() {
-			r.recoverWG.Wait()
-			r.log.EndBoot()
-		}()
-	}
 	return r
 }
 
@@ -442,25 +412,13 @@ func (r *Runtime) LoadStats() LoadStats {
 }
 
 // Kill simulates a crash for tests: shards stop touching the engine and
-// the WAL, buffered WAL tails are abandoned unflushed, and no final
-// snapshot is taken — exactly the on-disk state a SIGKILL would leave.
-// The runtime still drains its channels so blocked producers unblock.
+// the log, and no final snapshot is taken; with the log's owner then
+// aborting it (buffered records abandoned unflushed), that is exactly
+// the on-disk state a SIGKILL would leave. The runtime still drains its
+// channels so blocked producers unblock.
 func (r *Runtime) Kill() {
 	r.killed.Store(true)
 	r.Close()
-}
-
-// closeLog closes (Kill: aborts) the runtime's own input log once every
-// shard has retired; a shared log is its owner's to close.
-func (r *Runtime) closeLog() {
-	if !r.ownLog || r.log == nil {
-		return
-	}
-	if r.killed.Load() {
-		r.log.Abort()
-	} else if err := r.log.Close(); err != nil {
-		r.logf("runtime: input log close: %v", err)
-	}
 }
 
 // saveDeadLetters checkpoints the runtime-wide dead-letter ring when
@@ -495,8 +453,8 @@ func (r *Runtime) logf(format string, args ...any) {
 }
 
 // offer is the runtime's own entry point, the sequence a registry runs
-// too: Door, then Claim, then Deliver (the chain it is the last link of:
-// docs/ROBUSTNESS.md). One clock read and one ladder update cover the
+// too: the Gate, then Claim, then Deliver (the chain it is the last link
+// of: docs/ROBUSTNESS.md). One clock read and one ladder update cover the
 // call. At LevelReject or after Close every event is refused, and an
 // event whose key hashes to a failed shard always is; the rest go to
 // the shards their keys hash to. Refusals count in
@@ -514,44 +472,21 @@ func (r *Runtime) offer(events []*event.Event) int {
 		return 0 // everything was shed upstream: not worth a ladder update
 	}
 	enq := time.Now() // also the ladder's staleness reference
-	if events = r.door(-1, events, enq); len(events) == 0 {
+	g := r.Gate(enq)
+	kept := events[:0]
+	for _, e := range events {
+		if g.Admits(-1, e) {
+			kept = append(kept, e)
+		}
+	}
+	g.Done()
+	if len(kept) == 0 {
 		return 0
 	}
 	var fixed [16]claimPart // the call's parts, on the stack for up to 16 shards
-	parts, rejected := r.split(fixed[:0], events, nil, enq)
-	r.claim(parts, rejected, events)
+	parts, rejected := r.split(fixed[:0], kept, nil, enq)
+	r.claim(parts)
 	return r.deliver(parts, rejected)
-}
-
-// logClaim appends the events parts queue to the runtime's own input
-// log, if it owns one, and advances the log's routed watermark over
-// events. Caller holds claimMu and has taken the parts' tickets.
-func (r *Runtime) logClaim(parts []claimPart, rejected int, events []*event.Event) {
-	if !r.ownLog || r.log == nil {
-		return
-	}
-	var top uint64
-	for _, e := range events {
-		top = max(top, e.Seq)
-	}
-	if rejected == 0 {
-		r.batch.Events = append(r.batch.Events, events...)
-	} else {
-		for _, p := range parts {
-			if p.b.items == nil {
-				r.batch.Events = append(r.batch.Events, p.b.one.e)
-				continue
-			}
-			for _, it := range *p.b.items {
-				r.batch.Events = append(r.batch.Events, it.e)
-			}
-		}
-	}
-	if err := r.log.AppendBatch(&r.batch); err != nil {
-		r.logf("runtime: input log append: %v", err)
-	}
-	r.batch.Reset()
-	r.log.MarkRouted(top)
 }
 
 // Offer routes the event to its shard, blocking while that shard's queue
@@ -563,28 +498,6 @@ func (r *Runtime) Offer(e *event.Event) bool { return r.offer([]*event.Event{e})
 // it returns how many were accepted. The door filters events in place
 // when it refuses some; callers must own the slice.
 func (r *Runtime) OfferBatch(events []*event.Event) int { return r.offer(events) }
-
-// Door refreshes the degradation ladder and returns the events it
-// admits now, filtered in place: the Gate verdict for each, against
-// target shard slot (< 0: the shard its key hashes to). A caller that
-// logs events before offering them takes the verdict here, logs what
-// passed, and offers that with Claim and Deliver, so the log and the
-// door cannot disagree.
-func (r *Runtime) Door(slot int, events []*event.Event) []*event.Event {
-	return r.door(slot, events, time.Now())
-}
-
-func (r *Runtime) door(slot int, events []*event.Event, now time.Time) []*event.Event {
-	g := r.Gate(now)
-	kept := events[:0]
-	for _, e := range events {
-		if g.Admits(slot, e) {
-			kept = append(kept, e)
-		}
-	}
-	g.Done()
-	return kept
-}
 
 // Gate is the door's state for one batch: the ladder is refreshed once,
 // when the gate opens, and Admits then rules on each (event, target)
@@ -764,7 +677,6 @@ func (r *Runtime) Close() {
 	if r.ownPool {
 		r.pool.Stop()
 	}
-	r.closeLog()
 }
 
 // ShardSnapshot is the point-in-time state of one shard.
@@ -888,7 +800,7 @@ type Snapshot struct {
 	ExportedShards   int    `json:"exported_shards,omitempty"`
 	ShardQuarantined uint64 `json:"shard_quarantined"`
 
-	// Durability aggregates (zero without Config.Durability).
+	// Durability aggregates (zero without durability).
 	// Recovering is true while any shard is still restoring/replaying;
 	// OldestSnapshotUnixNs, the basis of the snapshot-age gauge, is the
 	// stalest snapshot instant among the shards that have taken one (0

@@ -165,16 +165,15 @@ func TestCircuitBreakerRestartExactlyOnce(t *testing.T) {
 	poisonFrom.Store(math.MaxUint64)
 	dur := &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 30, FlushEvery: 1}
 	cfg := Config{
-		Shards:     2,
-		OnMatches:  col.hook(),
-		Durability: dur,
-		Restart:    RestartPolicy{BackoffBase: 100 * time.Microsecond, BackoffMax: time.Millisecond, MaxRestarts: 1, Window: time.Minute},
+		Shards:    2,
+		OnMatches: col.hook(),
+		Restart:   RestartPolicy{BackoffBase: 100 * time.Microsecond, BackoffMax: time.Millisecond, MaxRestarts: 1, Window: time.Minute},
 		BeforeProcess: fault.PanicIf(func(shard int, e *event.Event) bool {
 			return shard == 0 && e.Seq >= poisonFrom.Load()
 		}, "poisoned shard"),
 	}
 
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	for i := 0; i < 100; i++ {
 		r1.OfferBatch(group())
@@ -195,7 +194,7 @@ func TestCircuitBreakerRestartExactlyOnce(t *testing.T) {
 	shardConservation(t, r1.Snapshot(), "first run")
 
 	cfg.BeforeProcess = nil
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	r2.Close()
 	shardConservation(t, r2.Snapshot(), "reopened run")
@@ -233,13 +232,13 @@ func TestCircuitBreakerDrainsQueueInOnePass(t *testing.T) {
 	const queueLen = 64
 	s := gen.DS1(gen.DS1Config{Events: queueLen + 1, Seed: 3, InterArrival: 15 * event.Microsecond})
 	dir := t.TempDir()
+	dur := &checkpoint.Config{Dir: dir, EveryEvents: 1 << 30, FlushEvery: 1}
 	taken, release := make(chan struct{}), make(chan struct{})
 	var first sync.Once
 	cfg := Config{
-		Shards:     1,
-		QueueLen:   queueLen,
-		Durability: &checkpoint.Config{Dir: dir, EveryEvents: 1 << 30, FlushEvery: 1},
-		Restart:    RestartPolicy{BackoffBase: 100 * time.Microsecond, BackoffMax: time.Millisecond, MaxRestarts: 1, Window: time.Minute},
+		Shards:   1,
+		QueueLen: queueLen,
+		Restart:  RestartPolicy{BackoffBase: 100 * time.Microsecond, BackoffMax: time.Millisecond, MaxRestarts: 1, Window: time.Minute},
 		// Every event panics; the first holds the worker until the
 		// queue behind it is full.
 		BeforeProcess: func(int, *event.Event) {
@@ -247,7 +246,7 @@ func TestCircuitBreakerDrainsQueueInOnePass(t *testing.T) {
 			panic("sick shard")
 		},
 	}
-	r1 := New(m, cfg)
+	r1 := OpenRig(t, m, cfg, nil, dur)
 	r1.WaitRecovered()
 	r1.Offer(s[0])
 	<-taken
@@ -284,7 +283,7 @@ func TestCircuitBreakerDrainsQueueInOnePass(t *testing.T) {
 	}
 
 	cfg.BeforeProcess = nil
-	r2 := New(m, cfg)
+	r2 := OpenRig(t, m, cfg, nil, dur)
 	r2.WaitRecovered()
 	r2.Close()
 	snap = r2.Snapshot()

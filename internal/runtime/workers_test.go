@@ -44,7 +44,7 @@ func zipfStream(events int, seed int64) event.Stream {
 func onPool(t *testing.T, workers int, m *nfa.Machine, cfg Config) *Runtime {
 	p := newPool(workers)
 	t.Cleanup(p.Stop)
-	return newRuntime(m, cfg, p, nil, nil)
+	return NewShared(m, cfg, p, nil, "", nil)
 }
 
 // With fewer workers than shards (2 workers, 8 shards) and a zipfian key
@@ -125,14 +125,14 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 	want := sortedKeys(engine.Sequential(m, engine.DefaultCosts(), s, false))
 
 	gate := make(chan struct{})
+	dur := &checkpoint.Config{
+		Dir:         t.TempDir(),
+		EveryEvents: 150,
+		FlushEvery:  1,
+		OnStage:     fault.FailStageOnce("tmp-written", 2),
+	}
 	cfg := Config{
 		Shards: 4,
-		Durability: &checkpoint.Config{
-			Dir:         t.TempDir(),
-			EveryEvents: 150,
-			FlushEvery:  1,
-			OnStage:     fault.FailStageOnce("tmp-written", 2),
-		},
 		BeforeProcess: func(shard int, _ *event.Event) {
 			if shard == 3 {
 				<-gate
@@ -141,7 +141,9 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 		},
 	}
 	matches := collectMatches(&cfg)
-	r := onPool(t, 2, m, cfg)
+	p := newPool(2)
+	t.Cleanup(p.Stop)
+	r := OpenRig(t, m, cfg, p, dur)
 	r.WaitRecovered()
 	// Shard 3's share of the stream fits its queue, so Offer never blocks
 	// on the held shard.
@@ -194,11 +196,11 @@ func TestChaosStealDuringSnapshot(t *testing.T) {
 func TestPoolOneWorkerKeepsVictimBound(t *testing.T) {
 	p := newPool(1)
 	t.Cleanup(p.Stop)
-	bad := newRuntime(nfa.MustCompile(query.Q1("8ms")), Config{
+	bad := NewShared(nfa.MustCompile(query.Q1("8ms")), Config{
 		QueueLen:      16,
 		BeforeProcess: func(int, *event.Event) { time.Sleep(time.Millisecond) },
-	}, p, nil, nil)
-	good := newRuntime(nfa.MustCompile(query.MustParse(`PATTERN SEQ(X x, Y y) WHERE x.ID = y.ID WITHIN 8ms`)), Config{}, p, nil, nil)
+	}, p, nil, "", nil)
+	good := NewShared(nfa.MustCompile(query.MustParse(`PATTERN SEQ(X x, Y y) WHERE x.ID = y.ID WITHIN 8ms`)), Config{}, p, nil, "", nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
