@@ -85,15 +85,17 @@ chaos-net:
 # Replay the checked-in fuzz corpora (seeds plus any minimized crashers)
 # as a plain regression suite; part of `make check`.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/runtime ./internal/query ./internal/checkpoint ./internal/cluster
+	$(GO) test -run 'Fuzz' ./internal/runtime ./internal/query ./internal/checkpoint ./internal/cluster ./internal/mlkit
 
-# Explore new inputs, FUZZTIME per target: the stream decoder, then the
-# line parser against its encoding/json oracle. Crashers land in
-# testdata/fuzz/ — check them in.
+# Explore new inputs, FUZZTIME per target: the stream decoder, the line
+# parser against its encoding/json oracle, then the k-means kernel and
+# gap statistic against their straightforward oracles (bit for bit, rng
+# draws included). Crashers land in testdata/fuzz/ — check them in.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNDJSON$$' -fuzztime $(FUZZTIME) ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEventFast$$' -fuzztime $(FUZZTIME) ./internal/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzKMeansMatchesOracle$$' -fuzztime $(FUZZTIME) ./internal/mlkit
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

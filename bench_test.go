@@ -7,6 +7,7 @@ package cepshed_test
 // throughput with and without structural load.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,6 +163,40 @@ func BenchmarkTrainCostModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.MustTrain(m, train, core.TrainConfig{})
 	}
+}
+
+// BenchmarkTrain times the cost-model trainings the served workloads make
+// before they score: multiquery-wal's 32 Q1 variants (windows 1-4 ms, V
+// offsets 0-7) on the server's 2 000-event DS1 training stream, and Q1 on
+// the 10 000-event one q1-steady trains on (the bench harness's
+// trainingStream: seed 1001, 15 µs spacing, half the warm-up events).
+func BenchmarkTrain(b *testing.B) {
+	training := func(events int) event.Stream {
+		return gen.DS1(gen.DS1Config{Events: events, Seed: 1001, InterArrival: 15 * event.Microsecond})
+	}
+	cfg := core.TrainConfig{Slices: 4, Seed: 1}
+	b.Run("multiquery-wal-32", func(b *testing.B) {
+		var machines []*nfa.Machine
+		for i := 0; i < 32; i++ {
+			machines = append(machines, nfa.MustCompile(query.MustParse(fmt.Sprintf(
+				"PATTERN SEQ(A a, B b, C c) WHERE a.ID = b.ID AND a.ID = c.ID AND a.V + b.V = c.V + %d WITHIN %dms", i/4, 1+i%4))))
+		}
+		train := training(2000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, m := range machines {
+				core.MustTrain(m, train, cfg)
+			}
+		}
+	})
+	b.Run("q1-steady", func(b *testing.B) {
+		m := nfa.MustCompile(query.Q1("8ms"))
+		train := training(10000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.MustTrain(m, train, cfg)
+		}
+	})
 }
 
 // Ablation: full hybrid run vs no-shedding run on the same stream.

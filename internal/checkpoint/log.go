@@ -68,6 +68,42 @@ type bootRecords struct {
 	torn   bool
 }
 
+// chunks gathers records in chunks that double up to chunkLen records,
+// so a long scan never copies what it has gathered the way a growing
+// slice does, and a short list stays small; flat joins them once, in
+// order.
+type chunks [][]Record
+
+const chunkLen = 1024
+
+func (c *chunks) add(r Record) {
+	n := len(*c)
+	if n == 0 || len((*c)[n-1]) == cap((*c)[n-1]) {
+		size := 16
+		if n > 0 {
+			size = min(2*cap((*c)[n-1]), chunkLen)
+		}
+		*c = append(*c, make([]Record, 0, size))
+		n++
+	}
+	(*c)[n-1] = append((*c)[n-1], r)
+}
+
+func (c chunks) flat() []Record {
+	n := 0
+	for _, ch := range c {
+		n += len(ch)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	for _, ch := range c {
+		out = append(out, ch...)
+	}
+	return out
+}
+
 type segment struct {
 	id     uint64
 	maxSeq uint64
@@ -120,6 +156,8 @@ func openLog(cfg Config, dir, prefix string, fp uint64) (*Log, error) {
 		return nil, err
 	}
 	boot := &bootRecords{marks: map[Tag][]Record{}}
+	var events chunks
+	marks := map[Tag]*chunks{}
 	var valid int64 // the newest segment's valid prefix, and whether a tear follows it
 	var torn bool
 	for _, id := range ids {
@@ -127,12 +165,17 @@ func openLog(cfg Config, dir, prefix string, fp uint64) (*Log, error) {
 		v, tn, err := readSegment(l.path(id), fp, 0, func(r Record) {
 			switch r.Kind {
 			case RecMatch, RecSkip:
-				boot.marks[r.Tag] = append(boot.marks[r.Tag], r)
+				m := marks[r.Tag]
+				if m == nil {
+					m = &chunks{}
+					marks[r.Tag] = m
+				}
+				m.add(r)
 				return
 			case RecEvent, RecTagged:
 				sg.note(r.Seq)
 			}
-			boot.events = append(boot.events, r)
+			events.add(r)
 		})
 		if errors.Is(err, ErrCorrupt) {
 			if err := os.Rename(l.path(id), l.path(id)+".corrupt"); err != nil {
@@ -146,6 +189,10 @@ func openLog(cfg Config, dir, prefix string, fp uint64) (*Log, error) {
 		boot.torn = boot.torn || torn
 		valid, torn = v, tn
 		l.segs = append(l.segs, sg)
+	}
+	boot.events = events.flat()
+	for t, m := range marks {
+		boot.marks[t] = m.flat()
 	}
 	l.boot = boot
 	if len(l.segs) == 0 {

@@ -29,12 +29,15 @@ type Adapter struct {
 	// W is the update weight (paper: 0.5).
 	W float64
 
-	// A (state, class) pair is row base[state]+class; created holds one
-	// counter per row, contrib and consume one per (row, slice) at
-	// row*slices+slice. dirty is set once any counter moved this epoch.
-	base                      []int
+	// A (state, class) pair is row base[state]+class of state stateOf[row];
+	// created holds one counter per row, contrib and consume one per
+	// (row, slice) at row*slices+slice. born lists the rows whose created
+	// counter left 0 this epoch, the only ones a fold updates. dirty is
+	// set once any counter moved this epoch.
+	base, stateOf             []int
 	slices                    int
 	created, contrib, consume []uint64
+	born                      []int
 	dirty                     bool
 
 	// An epoch is epochLen of event time (time windows) or of sequence
@@ -63,6 +66,9 @@ func NewAdapter(model *Model) *Adapter {
 	for s, sm := range model.states {
 		a.base[s] = rows
 		rows += sm.k
+		for range sm.k {
+			a.stateOf = append(a.stateOf, s)
+		}
 	}
 	a.created = make([]uint64, rows)
 	a.contrib = make([]uint64, rows*a.slices)
@@ -101,6 +107,9 @@ func (a *Adapter) credit(counts []uint64, pm *engine.PartialMatch, delta uint64,
 // the originating partial matches are incremented", §V-B).
 func (a *Adapter) OnCreate(pm *engine.PartialMatch, now event.Time, nowSeq uint64) {
 	if r := a.row(pm); r >= 0 {
+		if a.created[r] == 0 {
+			a.born = append(a.born, r)
+		}
 		a.created[r]++
 		a.dirty = true
 	}
@@ -136,29 +145,29 @@ func (a *Adapter) fold() {
 	if !a.dirty {
 		return // nothing created or credited: every estimate stands
 	}
-	for state, sm := range a.model.states {
-		for class := 0; class < sm.k; class++ {
-			r := a.base[state] + class
-			created := float64(a.created[r])
-			if created == 0 {
-				continue // no evidence this epoch
+	// A row that created nothing this epoch has no evidence and keeps
+	// its estimates; cells are independent, so the born rows fold in
+	// any order.
+	for _, r := range a.born {
+		state := a.stateOf[r]
+		sm, class := a.model.states[state], r-a.base[state]
+		created := float64(a.created[r])
+		for slice := 0; slice < a.slices; slice++ {
+			incContrib := float64(a.contrib[r*a.slices+slice]) / countScale / created
+			incConsume := float64(a.consume[r*a.slices+slice]) / countScale / created
+			oldC, oldW := sm.contrib[class][slice], sm.consume[class][slice]
+			newC := (1-a.W)*oldC + a.W*incContrib
+			newW := (1-a.W)*oldW + a.W*incConsume
+			if !a.model.cfg.ResourceCosts {
+				// Without explicit resource costs every match weighs
+				// 1; adaptation only moves contribution.
+				newW = oldW
 			}
-			for slice := 0; slice < a.slices; slice++ {
-				incContrib := float64(a.contrib[r*a.slices+slice]) / countScale / created
-				incConsume := float64(a.consume[r*a.slices+slice]) / countScale / created
-				oldC, oldW := sm.contrib[class][slice], sm.consume[class][slice]
-				newC := (1-a.W)*oldC + a.W*incContrib
-				newW := (1-a.W)*oldW + a.W*incConsume
-				if !a.model.cfg.ResourceCosts {
-					// Without explicit resource costs every match weighs
-					// 1; adaptation only moves contribution.
-					newW = oldW
-				}
-				a.model.setEstimate(state, class, slice, newC, newW)
-			}
+			a.model.setEstimate(state, class, slice, newC, newW)
 		}
+		a.created[r] = 0
 	}
-	clear(a.created)
+	a.born = a.born[:0]
 	clear(a.contrib)
 	clear(a.consume)
 	a.dirty = false

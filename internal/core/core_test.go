@@ -253,8 +253,10 @@ func TestAdapterMovesEstimates(t *testing.T) {
 	_, model := trainDS1(t, TrainConfig{Slices: 2, Seed: 12})
 	adapter := NewAdapter(model)
 	before, _ := model.Estimate(0, 0, 0)
-	// Manually drive one epoch with heavy contribution on cell (0,0,0).
+	// Manually drive one epoch with heavy contribution on cell (0,0,0),
+	// marking the row born the way OnCreate does.
 	adapter.created[adapter.base[0]] = 10
+	adapter.born = append(adapter.born, adapter.base[0])
 	adapter.contrib[adapter.base[0]*adapter.slices] = 10 * countScale * 100 // 100 matches per PM
 	adapter.dirty = true
 	adapter.fold()

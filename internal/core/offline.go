@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -114,10 +115,17 @@ func (model *Model) Clone() *Model {
 	return &c
 }
 
+// cloneCells copies a [class][slice] table into one backing array.
 func cloneCells(cells [][]float64) [][]float64 {
+	n := 0
+	for _, row := range cells {
+		n += len(row)
+	}
+	flat := make([]float64, 0, n)
 	out := make([][]float64, len(cells))
 	for i, row := range cells {
-		out[i] = append([]float64(nil), row...)
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
 	}
 	return out
 }
@@ -272,22 +280,23 @@ func (model *Model) fitState(s int, recs []*pmRecord, rng *rand.Rand) *stateMode
 		sm.freq = []float64{1}
 		return sm
 	}
-	// Group records by feature vector.
+	// Group records by feature vector, keyed by its floats' bits.
 	index := map[string]*featureGroup{}
 	var groups []*featureGroup
+	var key []byte
 	for _, r := range recs {
-		key := fmt.Sprint(r.features)
-		g := index[key]
+		key = featureKey(key[:0], r.features)
+		g := index[string(key)]
 		if g == nil {
 			g = &featureGroup{features: r.features}
-			index[key] = g
+			index[string(key)] = g
 			groups = append(groups, g)
 		}
 		g.recs = append(g.recs, r)
 	}
 
 	// Cluster the normalized per-group mean (Γ+, Γ−).
-	points := make([][]float64, len(groups))
+	points := make([][2]float64, len(groups))
 	maxC, maxW := 0.0, 0.0
 	means := make([][2]float64, len(groups))
 	for i, g := range groups {
@@ -314,7 +323,7 @@ func (model *Model) fitState(s int, recs []*pmRecord, rng *rand.Rand) *stateMode
 		maxW = 1
 	}
 	for i := range groups {
-		points[i] = []float64{means[i][0] / maxC, means[i][1] / maxW}
+		points[i] = [2]float64{means[i][0] / maxC, means[i][1] / maxW}
 	}
 	k := 0
 	if cfg.FixedClusters != nil {
@@ -379,6 +388,19 @@ func (model *Model) fitState(s int, recs []*pmRecord, rng *rand.Rand) *stateMode
 		}
 	}
 	return sm
+}
+
+// featureKey appends the bits of a feature vector's floats to key. Two
+// vectors share a key exactly when they print alike: every NaN maps to
+// one key, as every NaN prints "NaN", while -0 and +0 stay apart.
+func featureKey(key []byte, features []float64) []byte {
+	for _, v := range features {
+		if v != v {
+			v = math.NaN()
+		}
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	}
+	return key
 }
 
 func constSlices(v float64, n int) []float64 {

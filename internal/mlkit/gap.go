@@ -5,12 +5,15 @@ import (
 	"math/rand"
 )
 
-// GapStatistic estimates the optimal number of clusters in points using
-// the gap statistic of Tibshirani, Walther & Hastie (2001): compare the
-// within-cluster dispersion against its expectation under B uniform
+// GapStatistic estimates the optimal number of clusters in 2-D points
+// using the gap statistic of Tibshirani, Walther & Hastie (2001): compare
+// the within-cluster dispersion against its expectation under B uniform
 // reference datasets drawn from the bounding box, and pick the smallest k
 // with Gap(k) >= Gap(k+1) - s(k+1). Returns a k in [1, maxK].
-func GapStatistic(points [][]float64, maxK, refSets int, rng *rand.Rand) int {
+//
+// All maxK·(1+refSets) k-means runs share one kernel's scratch and one
+// reference buffer, and draw from rng in a fixed order.
+func GapStatistic(points [][2]float64, maxK, refSets int, rng *rand.Rand) int {
 	n := len(points)
 	if n == 0 {
 		return 1
@@ -24,11 +27,7 @@ func GapStatistic(points [][]float64, maxK, refSets int, rng *rand.Rand) int {
 	if refSets < 1 {
 		refSets = 5
 	}
-	dim := len(points[0])
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	copy(lo, points[0])
-	copy(hi, points[0])
+	lo, hi := points[0], points[0]
 	for _, p := range points {
 		for d, v := range p {
 			if v < lo[d] {
@@ -39,25 +38,21 @@ func GapStatistic(points [][]float64, maxK, refSets int, rng *rand.Rand) int {
 			}
 		}
 	}
+	span := [2]float64{hi[0] - lo[0], hi[1] - lo[1]}
 
-	logW := make([]float64, maxK+1)
+	var km kmeans
+	ref := make([][2]float64, n)
+	refLogs := make([]float64, refSets)
 	gap := make([]float64, maxK+1)
 	sk := make([]float64, maxK+1)
 	for k := 1; k <= maxK; k++ {
-		res := KMeans(points, k, rng)
-		logW[k] = logDispersion(res.Inertia)
-
-		refLogs := make([]float64, refSets)
-		for b := 0; b < refSets; b++ {
-			ref := make([][]float64, n)
+		logW := logDispersion(km.fit(points, k, rng))
+		for b := range refLogs {
 			for i := range ref {
-				p := make([]float64, dim)
-				for d := range p {
-					p[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
-				}
-				ref[i] = p
+				ref[i][0] = lo[0] + rng.Float64()*span[0]
+				ref[i][1] = lo[1] + rng.Float64()*span[1]
 			}
-			refLogs[b] = logDispersion(KMeans(ref, k, rng).Inertia)
+			refLogs[b] = logDispersion(km.fit(ref, k, rng))
 		}
 		var mean float64
 		for _, v := range refLogs {
@@ -69,7 +64,7 @@ func GapStatistic(points [][]float64, maxK, refSets int, rng *rand.Rand) int {
 			sd += (v - mean) * (v - mean)
 		}
 		sd = math.Sqrt(sd / float64(refSets))
-		gap[k] = mean - logW[k]
+		gap[k] = mean - logW
 		sk[k] = sd * math.Sqrt(1+1/float64(refSets))
 	}
 	for k := 1; k < maxK; k++ {

@@ -11,35 +11,54 @@ import (
 
 // KMeansResult holds the outcome of a k-means run.
 type KMeansResult struct {
-	Centroids [][]float64 // k centroids
-	Labels    []int       // cluster index per input point
-	Inertia   float64     // sum of squared distances to assigned centroids
+	Centroids [][2]float64 // k centroids
+	Labels    []int        // cluster index per input point
+	Inertia   float64      // sum of squared distances to assigned centroids
 }
 
-// KMeans clusters points into k clusters using k-means++ seeding and
-// Lloyd's algorithm, deterministic under the given rng. Points must share
-// a dimension; k is clamped to [1, len(points)].
-func KMeans(points [][]float64, k int, rng *rand.Rand) KMeansResult {
-	n := len(points)
-	if n == 0 {
+// KMeans clusters 2-D points into k clusters using k-means++ seeding and
+// Lloyd's algorithm, deterministic under the given rng; k is clamped to
+// [1, len(points)].
+func KMeans(points [][2]float64, k int, rng *rand.Rand) KMeansResult {
+	if len(points) == 0 {
 		return KMeansResult{}
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	dim := len(points[0])
-	centroids := seedPlusPlus(points, k, rng)
-	labels := make([]int, n)
+	var km kmeans
+	inertia := km.fit(points, k, rng)
+	return KMeansResult{Centroids: km.cents, Labels: km.labels, Inertia: inertia}
+}
+
+// kmeans is the clustering kernel with its scratch, which the gap
+// statistic reuses across all its runs. Every run draws from rng, breaks
+// distance ties toward the lowest centroid index and sums distances,
+// centroid coordinates and inertia in point order, so a run's outcome
+// and the draws it leaves for the next are fixed by (points, k, rng).
+type kmeans struct {
+	labels []int
+	cents  [][2]float64
+	sums   [][2]float64
+	counts []int
+	minD   []float64 // k-means++: each point's distance to its nearest chosen centroid
+}
+
+// fit runs k-means on points (len(points) > 0), leaving labels and
+// centroids in km.labels and km.cents, and returns the inertia.
+func (km *kmeans) fit(points [][2]float64, k int, rng *rand.Rand) float64 {
+	n := len(points)
+	k = max(1, min(k, n))
+	km.labels = resize(km.labels, n) // iteration 0 assigns every label
+	km.cents = resize(km.cents, k)
+	km.sums = resize(km.sums, k)
+	km.counts = resize(km.counts, k)
+	km.seed(points, rng)
+	labels, cents, sums, counts := km.labels, km.cents, km.sums, km.counts
 	const maxIter = 100
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := sqDist(p, cent); d < bestD {
+			for c := range cents {
+				if d := sqDist(p, cents[c]); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -51,83 +70,79 @@ func KMeans(points [][]float64, k int, rng *rand.Rand) KMeansResult {
 		if !changed && iter > 0 {
 			break
 		}
-		sums := make([][]float64, k)
-		counts := make([]int, k)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
+		clear(sums)
+		clear(counts)
 		for i, p := range points {
 			c := labels[i]
 			counts[c]++
-			for d, v := range p {
-				sums[c][d] += v
-			}
+			sums[c][0] += p[0]
+			sums[c][1] += p[1]
 		}
-		for c := range centroids {
+		for c := range cents {
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at a random point.
-				centroids[c] = clone(points[rng.Intn(n)])
+				cents[c] = points[rng.Intn(n)]
 				continue
 			}
-			for d := range centroids[c] {
-				centroids[c][d] = sums[c][d] / float64(counts[c])
-			}
+			cents[c] = [2]float64{sums[c][0] / float64(counts[c]), sums[c][1] / float64(counts[c])}
 		}
 	}
 	var inertia float64
 	for i, p := range points {
-		inertia += sqDist(p, centroids[labels[i]])
+		inertia += sqDist(p, cents[labels[i]])
 	}
-	return KMeansResult{Centroids: centroids, Labels: labels, Inertia: inertia}
+	return inertia
 }
 
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(points)
-	centroids := make([][]float64, 0, k)
-	centroids = append(centroids, clone(points[rng.Intn(n)]))
-	dists := make([]float64, n)
-	for len(centroids) < k {
+// seed picks len(km.cents) initial centroids by k-means++: each next one
+// is a point drawn with probability proportional to its squared distance
+// to the nearest centroid already chosen, which km.minD keeps up to date
+// one new centroid at a time.
+func (km *kmeans) seed(points [][2]float64, rng *rand.Rand) {
+	n, cents := len(points), km.cents
+	km.minD = resize(km.minD, n)
+	minD := km.minD
+	for i := range minD {
+		minD[i] = math.Inf(1)
+	}
+	cents[0] = points[rng.Intn(n)]
+	for c := 1; c < len(cents); c++ {
+		last := cents[c-1]
 		var total float64
 		for i, p := range points {
-			d := math.Inf(1)
-			for _, c := range centroids {
-				if sd := sqDist(p, c); sd < d {
-					d = sd
-				}
+			if d := sqDist(p, last); d < minD[i] {
+				minD[i] = d
 			}
-			dists[i] = d
-			total += d
+			total += minD[i]
 		}
 		if total == 0 {
 			// All points coincide with chosen centroids; duplicate one.
-			centroids = append(centroids, clone(points[rng.Intn(n)]))
+			cents[c] = points[rng.Intn(n)]
 			continue
 		}
 		target := rng.Float64() * total
 		idx := 0
-		for i, d := range dists {
+		for i, d := range minD {
 			target -= d
 			if target <= 0 {
 				idx = i
 				break
 			}
 		}
-		centroids = append(centroids, clone(points[idx]))
+		cents[c] = points[idx]
 	}
-	return centroids
 }
 
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
+func sqDist(a, b [2]float64) float64 {
+	d0, d1 := a[0]-b[0], a[1]-b[1]
+	return d0*d0 + d1*d1
 }
 
-func clone(p []float64) []float64 {
-	c := make([]float64, len(p))
-	copy(c, p)
-	return c
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -7,15 +7,15 @@ import (
 	"testing/quick"
 )
 
-func twoBlobs(rng *rand.Rand, n int) ([][]float64, []int) {
-	pts := make([][]float64, 0, 2*n)
+func twoBlobs(rng *rand.Rand, n int) ([][2]float64, []int) {
+	pts := make([][2]float64, 0, 2*n)
 	labels := make([]int, 0, 2*n)
 	for i := 0; i < n; i++ {
-		pts = append(pts, []float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3})
+		pts = append(pts, [2]float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3})
 		labels = append(labels, 0)
 	}
 	for i := 0; i < n; i++ {
-		pts = append(pts, []float64{10 + rng.NormFloat64()*0.3, 10 + rng.NormFloat64()*0.3})
+		pts = append(pts, [2]float64{10 + rng.NormFloat64()*0.3, 10 + rng.NormFloat64()*0.3})
 		labels = append(labels, 1)
 	}
 	return pts, labels
@@ -49,7 +49,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	if res := KMeans(nil, 3, rng); res.Labels != nil {
 		t.Error("empty input should return zero result")
 	}
-	pts := [][]float64{{1, 1}}
+	pts := [][2]float64{{1, 1}}
 	res := KMeans(pts, 5, rng) // k clamps to n
 	if len(res.Centroids) != 1 || res.Labels[0] != 0 {
 		t.Error("k > n not clamped")
@@ -62,7 +62,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 
 func TestKMeansIdenticalPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	pts := [][]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
+	pts := [][2]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
 	res := KMeans(pts, 2, rng)
 	if res.Inertia != 0 {
 		t.Errorf("inertia = %v, want 0", res.Inertia)
@@ -97,9 +97,9 @@ func TestGapStatisticFindsTwoClusters(t *testing.T) {
 
 func TestGapStatisticUniformPrefersFewClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	pts := make([][]float64, 120)
+	pts := make([][2]float64, 120)
 	for i := range pts {
-		pts[i] = []float64{rng.Float64(), rng.Float64()}
+		pts[i] = [2]float64{rng.Float64(), rng.Float64()}
 	}
 	k := GapStatistic(pts, 6, 5, rng)
 	if k > 3 {
@@ -112,7 +112,7 @@ func TestGapStatisticEdgeCases(t *testing.T) {
 	if k := GapStatistic(nil, 5, 3, rng); k != 1 {
 		t.Errorf("empty input: k=%d", k)
 	}
-	pts := [][]float64{{1}, {2}}
+	pts := [][2]float64{{1, 0}, {2, 0}}
 	if k := GapStatistic(pts, 10, 3, rng); k < 1 || k > 2 {
 		t.Errorf("k=%d out of range", k)
 	}

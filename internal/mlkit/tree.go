@@ -9,18 +9,21 @@ import (
 // vectors (CART with Gini impurity). The paper uses "balanced decision
 // trees, setting the maximal depths to the number of clusters for the
 // respective state" (§V-B); callers pass that depth.
+//
+// The nodes sit in one slice in pre-order: a split's left child follows
+// it, its right child is at index right, so a prediction walks one array.
 type Tree struct {
-	root    *node
+	nodes   []node
 	classes int
 	dim     int
+	depth   int
 }
 
 type node struct {
-	feature   int // split feature (leaf if left == nil)
-	threshold float64
-	left      *node // feature <= threshold
-	right     *node // feature > threshold
-	label     int
+	threshold float64 // split: left if x[feature] <= threshold
+	feature   int32   // split feature, or -1 at a leaf
+	right     int32   // split: index of the right child
+	label     int32   // leaf: predicted class
 }
 
 // TrainTree fits a tree on the samples with the given labels (0-based
@@ -47,11 +50,14 @@ func TrainTree(samples [][]float64, labels []int, maxDepth, minLeaf int) *Tree {
 		idx[i] = i
 	}
 	t := &Tree{classes: classes, dim: len(samples[0])}
-	t.root = t.build(samples, labels, idx, maxDepth, minLeaf)
+	t.build(samples, labels, idx, maxDepth, minLeaf, 0)
 	return t
 }
 
-func (t *Tree) build(samples [][]float64, labels []int, idx []int, depth, minLeaf int) *node {
+// build appends the subtree over idx in pre-order; level is its root's
+// depth.
+func (t *Tree) build(samples [][]float64, labels []int, idx []int, depth, minLeaf, level int) {
+	t.depth = max(t.depth, level)
 	counts := make([]int, t.classes)
 	for _, i := range idx {
 		counts[labels[i]]++
@@ -66,12 +72,15 @@ func (t *Tree) build(samples [][]float64, labels []int, idx []int, depth, minLea
 			pure = false
 		}
 	}
+	leaf := node{feature: -1, label: int32(majority)}
 	if pure || depth == 0 || len(idx) < 2*minLeaf {
-		return &node{label: majority}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
 	feature, threshold, ok := bestSplit(samples, labels, idx, t.classes, minLeaf)
 	if !ok {
-		return &node{label: majority}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
 	var li, ri []int
 	for _, i := range idx {
@@ -82,15 +91,14 @@ func (t *Tree) build(samples [][]float64, labels []int, idx []int, depth, minLea
 		}
 	}
 	if len(li) == 0 || len(ri) == 0 {
-		return &node{label: majority}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
-	return &node{
-		feature:   feature,
-		threshold: threshold,
-		left:      t.build(samples, labels, li, depth-1, minLeaf),
-		right:     t.build(samples, labels, ri, depth-1, minLeaf),
-		label:     majority,
-	}
+	at := len(t.nodes)
+	t.nodes = append(t.nodes, node{feature: int32(feature), threshold: threshold})
+	t.build(samples, labels, li, depth-1, minLeaf, level+1)
+	t.nodes[at].right = int32(len(t.nodes))
+	t.build(samples, labels, ri, depth-1, minLeaf, level+1)
 }
 
 func bestSplit(samples [][]float64, labels []int, idx []int, classes, minLeaf int) (int, float64, bool) {
@@ -150,29 +158,34 @@ func gini(counts []int, n int) float64 {
 
 // Predict classifies one feature vector.
 func (t *Tree) Predict(x []float64) int {
-	n := t.root
-	for n.left != nil {
+	i := 0
+	for {
+		n := &t.nodes[i]
+		if n.feature < 0 {
+			return int(n.label)
+		}
 		if x[n.feature] <= n.threshold {
-			n = n.left
+			i++
 		} else {
-			n = n.right
+			i = int(n.right)
 		}
 	}
-	return n.label
 }
 
 // Depth returns the depth of the trained tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
+func (t *Tree) Depth() int { return t.depth }
 
-func depthOf(n *node) int {
-	if n == nil || n.left == nil {
-		return 0
+// Walk visits the nodes in pre-order (a split's left subtree before its
+// right one): a split reports its feature and threshold, a leaf its
+// label.
+func (t *Tree) Walk(fn func(leaf bool, feature int, threshold float64, label int)) {
+	for _, n := range t.nodes {
+		if n.feature < 0 {
+			fn(true, 0, 0, int(n.label))
+		} else {
+			fn(false, int(n.feature), n.threshold, 0)
+		}
 	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // Region is a hyperrectangle over the feature space: for each feature an
@@ -204,23 +217,30 @@ func (t *Tree) ClassRegions(label int) []Region {
 		lo[d] = math.Inf(-1)
 		hi[d] = math.Inf(1)
 	}
-	var walk func(n *node, lo, hi []float64)
-	walk = func(n *node, lo, hi []float64) {
-		if n.left == nil {
-			if n.label == label {
+	var walk func(i int)
+	walk = func(i int) {
+		n := t.nodes[i]
+		if n.feature < 0 {
+			if int(n.label) == label {
 				regions = append(regions, Region{Lo: clone(lo), Hi: clone(hi)})
 			}
 			return
 		}
 		oldHi := hi[n.feature]
 		hi[n.feature] = math.Min(oldHi, n.threshold)
-		walk(n.left, lo, hi)
+		walk(i + 1)
 		hi[n.feature] = oldHi
 		oldLo := lo[n.feature]
 		lo[n.feature] = math.Max(oldLo, n.threshold)
-		walk(n.right, lo, hi)
+		walk(int(n.right))
 		lo[n.feature] = oldLo
 	}
-	walk(t.root, lo, hi)
+	walk(0)
 	return regions
+}
+
+func clone(p []float64) []float64 {
+	c := make([]float64, len(p))
+	copy(c, p)
+	return c
 }
