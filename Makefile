@@ -41,13 +41,15 @@ loc:
 # runtime and a multi-query registry), every restore path (boot replay,
 # restart, handoff import), kill-during-snapshot, node failure
 # detection, cluster failover, concurrent fault-injection tests, the
-# shared worker pool's bounds and the one fan-out pass (entry-point
+# shared worker pool's bounds, the one fan-out pass (entry-point
 # parity, log order under concurrent producers, what the router logs,
-# the registry and router twins), the runtime test rig's input log held
-# to the registry's (RigWrites), always under the race detector.
+# the registry and router twins), the shard queue's bound and its
+# isolation of queries under backpressure (OfferBlocks, Backpressure),
+# and the runtime test rig's input log held to the registry's
+# (RigWrites), always under the race detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Supervisor|CircuitBreaker|AllShardsFailed|DeadLetter|Rebuild|Degradation|Ladder|Admission|LineDecoder|Panic|Switchable|Chain|Corrupter|Stall|Healthz|Ingest|Recover|Recovery|Replay|Restart|Snapshot|Durab|WAL|Checkpoint|Torn|Monotone|FailStage|Failover|Placement|Detector|Takeover|Handoff|Cluster|Rendezvous|Steal|WorkSteal|Pool|EntryPointParity|LogOrder|RouterLogs|OnePass|RigWrites' \
+		-run 'Chaos|Supervisor|CircuitBreaker|AllShardsFailed|DeadLetter|Rebuild|Degradation|Ladder|Admission|LineDecoder|Panic|Switchable|Chain|Corrupter|Stall|Healthz|Ingest|Recover|Recovery|Replay|Restart|Snapshot|Durab|WAL|Checkpoint|Torn|Monotone|FailStage|Failover|Placement|Detector|Takeover|Handoff|Cluster|Rendezvous|Steal|WorkSteal|Pool|EntryPointParity|LogOrder|RouterLogs|OnePass|RigWrites|OfferBlocks|Backpressure' \
 		./internal/runtime ./internal/fault ./internal/shed ./internal/checkpoint ./internal/cluster ./internal/registry ./cmd/cepserved
 
 # End-to-end durability drill: run the real server, SIGKILL it

@@ -68,12 +68,32 @@ func (h *Histogram) Record(v event.Time) {
 	h.counts[histBucket(x)].Add(1)
 	h.n.Add(1)
 	h.sum.Add(x)
+	h.raiseMax(x)
+}
+
+// raiseMax lifts the recorded maximum to x if x is larger.
+func (h *Histogram) raiseMax(x int64) {
 	for {
 		m := h.max.Load()
 		if x <= m || h.max.CompareAndSwap(m, x) {
-			break
+			return
 		}
 	}
+}
+
+// Merge adds o's samples to h, as if each had been recorded into h as
+// well: quantiles, mean and max of h then describe the union. Samples o
+// records during the merge may land in some counters and not others,
+// the same momentary view Quantile gives.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.counts {
+		if c := o.counts[i].Load(); c > 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.n.Add(o.n.Load())
+	h.sum.Add(o.sum.Load())
+	h.raiseMax(o.max.Load())
 }
 
 // Count returns the number of recorded samples.

@@ -78,3 +78,30 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("count = %d, want %d", h.Count(), 8*5000)
 	}
 }
+
+// Merging per-part histograms reads exactly like one histogram fed the
+// union: a runtime's latency quantiles are its shards' merged on read.
+func TestHistogramMergeEqualsUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	union := NewHistogram()
+	parts := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram(), NewHistogram()}
+	for i := 0; i < 30000; i++ {
+		v := event.Time(int64(1) << uint(rng.Intn(36)))
+		v += event.Time(rng.Int63n(int64(v)))
+		union.Record(v)
+		parts[rng.Intn(len(parts)-1)].Record(v) // the last part stays empty
+	}
+	merged := NewHistogram()
+	for _, p := range parts {
+		merged.Merge(p)
+	}
+	if merged.Count() != union.Count() || merged.Mean() != union.Mean() || merged.Max() != union.Max() {
+		t.Fatalf("merged count/mean/max = %d/%d/%d, union %d/%d/%d",
+			merged.Count(), merged.Mean(), merged.Max(), union.Count(), union.Mean(), union.Max())
+	}
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		if got, want := merged.Quantile(q), union.Quantile(q); got != want {
+			t.Errorf("q%.3f: merged %d, union %d", q, got, want)
+		}
+	}
+}

@@ -404,6 +404,85 @@ func testBackpressureStaysWithItsQuery(t *testing.T, durable bool) {
 	<-blocked
 }
 
+// TestBackpressureKeepsOtherPairsMoving: an offer that waits for room
+// on a parked query's queue has already queued its pairs for every other
+// query. a-slow (parked worker, two-batch queue) comes first in the
+// route table and b-fast subscribes to the same types, so an offer that
+// pushed its pairs in route order only after each full queue had room
+// would hold b-fast's share of the blocked batch back with it.
+func TestBackpressureKeepsOtherPairsMoving(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	g, err := Open(Config{
+		Shards:   1,
+		QueueLen: 2,
+		Arbiter:  ArbiterConfig{Disabled: true},
+		TuneRuntime: func(spec QuerySpec, rc *runtime.Config) {
+			if spec.Name == "a-slow" {
+				rc.BeforeProcess = func(int, *event.Event) { <-release }
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		unpark()
+		g.Close()
+	}()
+	mustAdd(t, g, QuerySpec{Tenant: "t", Name: "a-slow", Query: q1Text})
+	fast := mustAdd(t, g, QuerySpec{Tenant: "t", Name: "b-fast", Query: q1Text})
+
+	const batches, per = 10, 5
+	var offered atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			b := make([]*event.Event, per)
+			for j := range b {
+				seq := uint64(i*per + j)
+				b[j] = event.New("A", event.Time(seq), map[string]event.Value{"ID": event.Int(int64(j)), "V": event.Int(1)})
+				b[j].Seq = seq
+			}
+			g.OfferBatch(b)
+			offered.Add(1)
+		}
+	}()
+	// Wait until the producer stops making progress: it is blocked on
+	// a-slow's queue inside offer number n+1.
+	n := int64(-1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if cur := offered.Load(); cur != n {
+			n = cur
+		} else {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the producer never settled")
+		}
+	}
+	if n >= batches {
+		t.Fatalf("all %d offers to a parked query with a two-batch queue completed", batches)
+	}
+	want := uint64(n+1) * per // the blocked offer's batch included
+	var got uint64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got = fast.Runtime().Snapshot().EventsProcessed; got >= want {
+			break
+		}
+	}
+	if offered.Load() != n {
+		t.Fatal("the blocked offer completed while b-fast was being checked")
+	}
+	if got != want {
+		t.Fatalf("b-fast processed %d events while offer %d waited on a-slow, want %d: its share of the blocked batch was held back", got, n+1, want)
+	}
+	unpark()
+	<-done
+}
+
 // TestConcurrentProducersKeepLogOrder has four producers offer to a
 // durable registry at once, with small queues so that sends wait their
 // turns, while a fifth query pauses and resumes (barrier control

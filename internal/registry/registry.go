@@ -234,18 +234,16 @@ type Registry struct {
 	route atomic.Pointer[routeTable]
 
 	// log is the stream's input log when durable. offerMu orders every
-	// offer's pass — its verdicts, log records and queue claims, so that
+	// offer's pass — its verdicts, log records and queue pushes, so that
 	// log order is each shard's queue order, which replay depends on —
 	// against each other and against route table changes, so a query's
-	// membership and the log agree. batch is the append scratch, under
+	// membership and the log agree, and whoever takes offerMu finds every
+	// logged pair in its queue. batch is the append scratch, under
 	// offerMu. Lock order: offerMu, then mu, then the locks a Place
 	// callback takes; nothing takes offerMu while holding one of those.
 	log     *checkpoint.Log
 	offerMu sync.Mutex
 	batch   checkpoint.Batch
-	// sending counts offers between their claims and the end of their
-	// sends; shutdown waits for them before closing any runtime.
-	sending sync.WaitGroup
 
 	// mu guards lifecycle: insts/tenants maps, route rebuilds, manifest
 	// saves. The offer path never takes it.
@@ -607,10 +605,10 @@ func (g *Registry) Remove(tenant, name string, purge bool) error {
 	g.persistManifestLocked()
 	g.mu.Unlock()
 	g.offerMu.Unlock()
-	// Close outside mu: draining can take a while and must not block
-	// unrelated lifecycle operations. In-flight offers that still hold
-	// the old route table land on a closing runtime, which rejects them
-	// — the same race a plain runtime already tolerates.
+	// Close outside the locks: draining can take a while and must not
+	// block offers or unrelated lifecycle operations. Every offer that
+	// routed to the query pushed its pairs under offerMu, before it left
+	// the route table.
 	in.rt.Close()
 	if purge && in.dir != "" {
 		if err := os.RemoveAll(in.dir); err != nil {
@@ -783,7 +781,7 @@ type share struct {
 	events []*event.Event
 	slots  []int
 	floor  int
-	claim  runtime.Claim
+	claim  runtime.Claim // the admitted pairs, pushed onto their shard queues
 }
 
 func (g *Registry) getFan() *fan {
@@ -818,7 +816,7 @@ func (f *fan) add(in *Instance) *share {
 }
 
 // local notes an event with a pair on this node: the log's routed
-// watermark covers it once the offer has claimed its queue places.
+// watermark covers it once the offer has pushed its pairs.
 func (f *fan) local(e *event.Event) {
 	f.top, f.routed = max(f.top, e.Seq), true
 }
@@ -841,8 +839,9 @@ func (sh *share) admit(e *event.Event, slot int, now time.Time) bool {
 	return true
 }
 
-// settle delivers the share's claim — sent after the offer released
-// offerMu — and counts every pair's disposition in the query's ledger.
+// settle waits for room where the share's claim filled a queue — after
+// the offer released offerMu — and counts every pair's disposition in
+// the query's ledger.
 func (sh *share) settle() OfferResult {
 	res := OfferResult{FloorSkipped: sh.floor}
 	if sh.open {
@@ -871,8 +870,9 @@ type Place func(in *Instance, e *event.Event) (local bool)
 // OfferBatch fans a decoded batch out to every subscribed query, each
 // pair to the shard its key hashes to (see OfferPlaced). Blocking
 // semantics per query match runtime.OfferBatch: a query whose shard
-// queues are full exerts backpressure on the caller; queries at
-// LevelReject refuse their pairs without blocking anyone else.
+// queues are full makes the caller wait, after every query has its
+// pairs; queries at LevelReject refuse their pairs without blocking
+// anyone.
 func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
 	return g.OfferPlaced(events, nil)
 }
@@ -884,13 +884,14 @@ func (g *Registry) OfferBatch(events []*event.Event) OfferResult {
 // hashes to. A nil place runs every pair here. Each query's admitted
 // pairs reach its shards as one share, in batch order.
 //
-// The walk, the verdicts and the admitted pairs' places in their shard
-// queues are taken under offerMu — with, when durable, the batch's
-// append to the input log, so that log order is every shard's queue
-// order — and the pairs are sent after releasing it, so a full queue
-// holds back only the producers behind it on that shard. offerMu also
-// orders every route-table change, so the table the walk loads is the
-// one the log describes. A durable registry logs one untagged E record
+// The walk, the verdicts and the pushes of the admitted pairs onto
+// their shard queues happen under offerMu — with, when durable, the
+// batch's append to the input log, so that log order is every shard's
+// queue order. A push never blocks: the offer waits for room on a queue
+// it filled past QueueLen only after releasing offerMu, so a full queue
+// holds back neither other producers nor other queries' pairs. offerMu
+// also orders every route-table change, so the table the walk loads is
+// the one the log describes. A durable registry logs one untagged E record
 // per event some query took, however many did, with an R record for
 // every other subscriber (refused or not local), so that replay
 // re-routes it exactly as the pass did.
@@ -934,10 +935,10 @@ func (g *Registry) OfferPlaced(events []*event.Event, place Place) OfferResult {
 }
 
 // finish ends an offer that holds offerMu: it appends the offer's log
-// records, claims every share's queue places and advances the log's
-// routed watermark, then releases offerMu and delivers. A failed append
-// is logged here; the shards' next flush of the same log fails too and
-// disables their durability loudly (runtime walFailed).
+// records, pushes every share's pairs onto their queues and advances the
+// log's routed watermark, then releases offerMu and waits for room. A
+// failed append is logged here; the shards' next flush of the same log
+// fails too and disables their durability loudly (runtime walFailed).
 func (g *Registry) finish(f *fan, res OfferResult) OfferResult {
 	if g.log != nil {
 		if err := g.log.AppendBatch(&g.batch); err != nil {
@@ -953,12 +954,10 @@ func (g *Registry) finish(f *fan, res OfferResult) OfferResult {
 	if f.routed && g.log != nil {
 		g.log.MarkRouted(f.top)
 	}
-	g.sending.Add(1)
 	g.offerMu.Unlock()
 	for i := range f.shares {
 		res.Add(f.shares[i].settle())
 	}
-	g.sending.Done()
 	g.putFan(f)
 	return res
 }
@@ -1229,7 +1228,6 @@ func (g *Registry) shutdown(stop func(*Instance)) {
 	}
 	g.route.Store(&routeTable{byType: map[string][]routeRef{}})
 	g.mu.Unlock()
-	g.sending.Wait() // every logged event reaches its queues before they close
 	g.arb.stopLoop()
 	var wg sync.WaitGroup
 	for _, in := range insts {

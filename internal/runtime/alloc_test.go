@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cepshed/internal/event"
-	"cepshed/internal/metrics"
 	"cepshed/internal/nfa"
 	"cepshed/internal/query"
 )
@@ -16,7 +15,7 @@ import (
 // the strategy's Observe would move to the heap once per pair.
 func TestProcessZeroAlloc(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
-	s := newShard(0, m, Config{QueueLen: 1}.withDefaults(), nil, metrics.NewHistogram())
+	s := newShard(0, m, Config{QueueLen: 1}.withDefaults())
 	s.rt = &Runtime{}
 	// B with no open A: the engine matches nothing and creates nothing,
 	// so every allocation left would be the serving path's own.

@@ -14,7 +14,7 @@ import (
 // one shard, hand its state out, and install a shipped state into the
 // matching (empty) shard of another runtime. All five operations —
 // these four and the registry's Barrier — travel the shard's own input
-// channel as control messages, so they are ordered behind every queued
+// queue as control messages, so they are ordered behind every queued
 // event: ExportShard observes a drained shard by construction, with no
 // cross-goroutine locking of the engine.
 //
@@ -35,7 +35,7 @@ const (
 	ctlBarrier
 )
 
-// shardCtl is a control message on the shard channel; reply must be
+// shardCtl is a control message on the shard queue; reply must be
 // buffered (the worker never blocks on it).
 type shardCtl struct {
 	op    ctlOp
@@ -107,7 +107,9 @@ func (s *shard) ctlExport() ctlReply {
 	}
 	s.exported = true
 	s.exportedFlag.Store(true)
-	return ctlReply{state: s.buildState()}
+	st := s.buildStateShell()
+	st.Engine = s.en.Snapshot()
+	return ctlReply{state: st}
 }
 
 // ctlImport installs a shipped shard state into this (empty) shard and
@@ -154,7 +156,7 @@ func (s *shard) ctlRetire() ctlReply {
 	return ctlReply{}
 }
 
-// ctlBarrier snapshots the shard behind everything claimed for it, with
+// ctlBarrier snapshots the shard behind everything pushed to it, with
 // its floor raised to seq: the registry's activation barrier, after
 // which the shard's replay starts above seq. A failed snapshot is the
 // reply's error.
@@ -169,14 +171,14 @@ func (s *shard) ctlBarrier(seq uint64, has bool) ctlReply {
 			return ctlReply{err: err}
 		}
 		s.releasePend()
-		if err := s.takeSnapshot(); err != nil {
+		if err := s.saveSnapshot(); err != nil {
 			return ctlReply{err: err}
 		}
 	}
 	return ctlReply{}
 }
 
-// Barrier snapshots every shard behind the events claimed for it with
+// Barrier snapshots every shard behind the events pushed to it with
 // its replay floor raised to seq (has=false: no floor to claim). A
 // registry raises the barrier when a query joins the fan-out after a
 // gap — added or resumed — so that no recovery replays the events it
@@ -192,24 +194,18 @@ func (r *Runtime) Barrier(seq uint64, has bool) error {
 	return errors.Join(errs...)
 }
 
-// sendCtl delivers one control message to shard i, behind every batch
-// claimed before it, and waits for the worker's answer. The send
-// mirrors the producer protocol (its turn, then RLock against Close);
-// the receive happens outside the lock — if Close races in, the worker
-// still drains the queued control message before exiting, so the reply
-// always arrives. Control messages count toward depth so an
-// otherwise-idle shard still reads as needing service; the ctl branches
-// decrement on consume.
+// sendCtl pushes one control message onto shard i's queue, behind every
+// batch pushed before it, and waits for the worker's answer; it never
+// waits for room. If Close races in after the push, the worker still
+// drains the queued message before exiting, so the reply always
+// arrives. Control messages count toward depth so an otherwise-idle
+// shard still reads as needing service; the ctl branches decrement on
+// consume.
 func (r *Runtime) sendCtl(i int, c *shardCtl) (ctlReply, error) {
 	if i < 0 || i >= len(r.shards) {
 		return ctlReply{}, fmt.Errorf("runtime: shard %d out of range [0,%d)", i, len(r.shards))
 	}
-	sh := r.shards[i]
-	t := sh.order.take(0)
-	sh.order.await(t)
-	sent := r.send(sh, batch{ctl: c}, 1)
-	sh.order.pass(0)
-	if !sent {
+	if ok, _ := r.shards[i].push(batch{ctl: c}, 1); !ok {
 		return ctlReply{}, fmt.Errorf("runtime: closed")
 	}
 	rep := <-c.reply

@@ -488,6 +488,46 @@ func TestHandoffImportCommitFailureLeavesSlotEmpty(t *testing.T) {
 	}
 }
 
+// TestBarrierSnapshotPanicIsAnError: a quiescent save runs the same
+// snapshot protocol as a periodic one, so a panic in its write (here at
+// the "encoded" stage of the barrier's snapshot) is a failed save that
+// Barrier returns, not a worker panic that restarts the shard. The next
+// barrier saves.
+func TestBarrierSnapshotPanicIsAnError(t *testing.T) {
+	m := nfa.MustCompile(query.Q1("8ms"))
+	s := gen.DS1(gen.DS1Config{Events: 200, Seed: 3, InterArrival: 15 * event.Microsecond})
+	var armed atomic.Bool
+	r := OpenRig(t, m, Config{Shards: 1}, nil, &checkpoint.Config{Dir: t.TempDir(), EveryEvents: 1 << 20, FlushEvery: 1,
+		OnStage: func(_ int, stage string) {
+			if stage == "encoded" && armed.Load() {
+				panic("crash in the barrier snapshot")
+			}
+		}})
+	defer r.Close()
+	r.WaitRecovered()
+	for i, e := range s {
+		e.Seq = uint64(i)
+		r.Offer(e)
+	}
+	drainTo(t, r, uint64(len(s)))
+	armed.Store(true)
+	err := r.Barrier(0, false)
+	armed.Store(false)
+	if err == nil {
+		t.Fatal("Barrier succeeded through a panicking snapshot write")
+	}
+	if n := r.Snapshot().Restarts; n != 0 {
+		t.Fatalf("restarts = %d after a failed barrier snapshot, want 0", n)
+	}
+	before := r.Snapshot().Snapshots
+	if err := r.Barrier(0, false); err != nil {
+		t.Fatalf("the next barrier: %v", err)
+	}
+	if n := r.Snapshot().Snapshots; n != before+1 {
+		t.Fatalf("snapshots = %d after the next barrier, want %d", n, before+1)
+	}
+}
+
 // TestBootRecoveryIsCheckpointed: boot recovery commits its replay with
 // a snapshot, so a crash right after boot replays none of the tail that
 // boot already replayed, and every match is delivered exactly once across

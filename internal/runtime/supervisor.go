@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"cepshed/internal/checkpoint"
-	"cepshed/internal/engine"
 	"cepshed/internal/event"
-	"cepshed/internal/shed"
 )
 
 // This file is the shard supervisor: the layer that turns "a panic in
@@ -23,13 +21,13 @@ import (
 // same queue. A circuit breaker marks the shard permanently failed after
 // MaxRestarts restarts inside Window; from then on the door refuses the
 // shard's key range, with a counted refusal, and the dead worker only
-// quarantines what was already queued so in-flight sends never strand.
+// quarantines what was already queued, so waiting producers never strand.
 //
 // State machine per shard:
 //
 //	running ──panic──► quarantine + restart++ ──breaker ok──► backoff ──► running
 //	   │                                   └──breaker trips──► failed (refusing)
-//	   └──channel closed──► drained (clean exit)
+//	   └──queue closed──► drained (clean exit)
 
 // RestartPolicy tunes the supervisor's backoff and circuit breaker.
 // The zero value means "use the defaults".
@@ -182,10 +180,11 @@ func (q *DeadLetterRing) State() *checkpoint.DeadLetterState {
 
 // quantum services one claimed shard (the caller holds s.svc) for one
 // bounded slice of the processing loop, through recover(), and returns
-// whether any work was done. A clean pass that observes the channel
-// closed finishes the shard; a panic runs the full quarantine / restart
-// / breaker protocol and parks the shard behind a notBefore backoff
-// deadline instead of sleeping a goroutine; a failed shard only drains.
+// whether any work was done. A clean pass that observes the queue
+// closed and drained finishes the shard; a panic runs the full
+// quarantine / restart / breaker protocol and parks the shard behind a
+// notBefore backoff deadline instead of sleeping a goroutine; a failed
+// shard only drains.
 func (s *shard) quantum(r *Runtime) bool {
 	if s.doneFlag.Load() {
 		// Another worker finished the shard after this one read it as
@@ -231,6 +230,7 @@ func (s *shard) quantum(r *Runtime) bool {
 	}
 	if len(s.recent) > pol.MaxRestarts || !s.rebuild() {
 		s.failed.Store(true)
+		s.q.wake(false) // producers waiting for room stop waiting
 		r.failedShards.Add(1)
 		s.signalRecovered()
 		r.logf("runtime: shard %d circuit breaker tripped after %d restarts in %s; refusing its key range",
@@ -257,12 +257,12 @@ func (s *shard) quantum(r *Runtime) bool {
 
 // quantumOnce runs one bounded processing slice under recover():
 // pending recovery, salvaged remainder, then up to quantumBudget queued
-// events. closed reports the input channel closed with the queue
-// drained. On a panic pv holds the panic value and poison the item
-// being processed; the batch's unprocessed tail is salvaged into s.rem
-// — those events were popped from the channel but never reached the
-// engine or the WAL, so the next incarnation consumes them as live
-// input right after recovery.
+// events. closed reports the input queue closed and drained. On a
+// panic pv holds the panic value and poison the item being processed;
+// the batch's unprocessed tail is salvaged into s.rem — those events
+// were popped from the queue but never reached the engine or the WAL,
+// so the next incarnation consumes them as live input right after
+// recovery.
 func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -422,20 +422,7 @@ func (s *shard) rebuild() (ok bool) {
 	is := s.en.IndexStats()
 	s.indexBase.Visited += is.Visited
 	s.indexBase.Pruned += is.Pruned
-	en := engine.New(s.m, s.cfg.Costs)
-	en.DeferredNegation = s.cfg.DeferredNegation
-	var strat shed.Strategy = shed.None{}
-	if s.cfg.NewStrategy != nil {
-		if ns := s.cfg.NewStrategy(s.id); ns != nil {
-			strat = ns
-		}
-	}
-	strat.Attach(en)
-	s.en, s.strat = en, strat
-	s.stratName.Store(strat.Name())
-	if pr, ok := strat.(shed.PlanReporter); ok {
-		s.planRep.Store(pr)
-	}
+	s.build()
 	s.livePMs.Store(0)
 	return true
 }
@@ -445,46 +432,39 @@ func (s *shard) rebuild() (ok bool) {
 // tripped or raced past the door: every such item, including a batch
 // tail a panic salvaged into s.rem, is quarantined with reason "shard
 // failed", one quarantine call per pass, so no later recovery replays
-// it; control ops are answered with an error. Producers blocked on the
-// queue never deadlock and Close still drains. An empty queue reports
+// it; control ops are answered with an error. Producers never wait on
+// a failed shard's queue and Close still drains. An empty queue reports
 // no work, so the worker parks instead of spinning.
 func (s *shard) drainFailed(r *Runtime) bool {
 	worked := len(s.rem) > 0
 	drop := s.rem
 	s.rem = nil
-	closed := false
-drain:
 	for consumed := 0; consumed < quantumBudget; consumed++ {
-		select {
-		case b, ok := <-s.ch:
-			if !ok {
-				closed = true
-				break drain
-			}
-			worked = true
-			switch {
-			case b.ctl != nil:
-				// The engine behind this shard is dead (and possibly
-				// inconsistent mid-panic), so control ops answer with an
-				// error instead of touching it.
-				s.depth.Add(-1)
-				select {
-				case b.ctl.reply <- ctlReply{err: fmt.Errorf("shard %d: failed; cannot service control op", s.id)}:
-				default:
-				}
-			case b.items == nil:
-				drop = append(drop, b.one)
+		b, ok, closed := s.q.pop()
+		if !ok {
+			s.drained = closed
+			break
+		}
+		worked = true
+		switch {
+		case b.ctl != nil:
+			// The engine behind this shard is dead (and possibly
+			// inconsistent mid-panic), so control ops answer with an error
+			// instead of touching it.
+			s.depth.Add(-1)
+			select {
+			case b.ctl.reply <- ctlReply{err: fmt.Errorf("shard %d: failed; cannot service control op", s.id)}:
 			default:
-				drop = append(drop, *b.items...)
-				putItems(b.items)
 			}
+		case b.items == nil:
+			drop = append(drop, b.one)
 		default:
-			break drain
+			drop = append(drop, *b.items...)
+			putItems(b.items)
 		}
 	}
 	s.dropFailed(r, drop)
-	if closed {
-		s.chClosed = true
+	if s.drained {
 		s.markDone(r)
 	}
 	return worked

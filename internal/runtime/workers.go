@@ -21,7 +21,7 @@ import (
 //
 // Wakeups: producers send a token on p.wake (non-blocking, capacity =
 // the worker cap) after enqueueing; an idle worker blocks on the
-// channel. Because the token is sent AFTER the channel send and the
+// channel. Because the token is sent AFTER the push and the token
 // channel is buffered, a worker that drains the token and finds nothing
 // will still see the item on its next pass — the token cannot be lost
 // between a depth check and the blocking receive — unless the shard is
