@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race loc bench bench-runtime bench-harness bench-e2e bench-pairs bench-baseline bench-compare chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
+.PHONY: check vet build test race loc bench bench-runtime bench-harness bench-e2e bench-pairs bench-baseline bench-compare fig-diff chaos chaos-net fuzz-seeds fuzz recover-smoke multiquery-smoke cluster-smoke profile profile-shed
 
 check: vet build race fuzz-seeds chaos chaos-net recover-smoke multiquery-smoke cluster-smoke bench-harness profile-shed bench-compare
 
@@ -179,3 +179,11 @@ PAIRS ?= 10
 SEED0 ?= 1
 bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED0)
+
+# Byte-identical figure check against a parent revision
+# (scripts/fig-diff.sh): cepbench -all -quick in both trees, or -all with
+# FULL=1, diffed without the timing lines; fails on any difference.
+# Usage: make fig-diff PARENT=<rev> [FULL=1]
+FULL ?=
+fig-diff:
+	bash scripts/fig-diff.sh $(PARENT) $(FULL)

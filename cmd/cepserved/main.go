@@ -1011,10 +1011,12 @@ func appendMatchLines(dst []byte, spec registry.QuerySpec, shard int, ms []engin
 }
 
 // strategyFactory builds the per-shard strategy constructor. Every shard
-// gets its own instance (strategies are stateful). Hybrid trains its cost
-// model once per factory (training is seeded: every shard would get the
-// same model) and hands each shard a clone, so online adaptation never
-// shares state.
+// gets its own instance (strategies are stateful), but nothing is
+// trained twice: the SI/SS/PI utility estimates are read-only once built,
+// so every shard and every supervisor rebuild shares the one the first
+// shard builds; Hybrid trains its cost model once per factory (training
+// is seeded: every shard would get the same model) and hands each shard
+// a clone, so online adaptation never shares state.
 func strategyFactory(name string, m *nfa.Machine, train event.Stream, bound event.Time, seed int64) (func(int) shed.Strategy, error) {
 	needTrain := func() error {
 		if len(train) == 0 {
@@ -1029,27 +1031,21 @@ func strategyFactory(name string, m *nfa.Machine, train event.Stream, bound even
 		return func(i int) shed.Strategy { return baseline.NewRandomInput(bound, seed+int64(i)) }, nil
 	case "RS":
 		return func(i int) shed.Strategy { return baseline.NewRandomState(bound, seed+int64(i)) }, nil
-	case "SI":
+	case "SI", "SS":
 		if err := needTrain(); err != nil {
 			return nil, err
 		}
-		return func(i int) shed.Strategy {
-			return baseline.NewSelectivityInput(baseline.EstimateSelectivity(m, train), bound, seed+int64(i))
-		}, nil
-	case "SS":
-		if err := needTrain(); err != nil {
-			return nil, err
+		sel := sync.OnceValue(func() *baseline.Selectivity { return baseline.EstimateSelectivity(m, train) })
+		if name == "SS" {
+			return func(i int) shed.Strategy { return baseline.NewSelectivityState(sel(), bound, seed+int64(i)) }, nil
 		}
-		return func(i int) shed.Strategy {
-			return baseline.NewSelectivityState(baseline.EstimateSelectivity(m, train), bound, seed+int64(i))
-		}, nil
+		return func(i int) shed.Strategy { return baseline.NewSelectivityInput(sel(), bound, seed+int64(i)) }, nil
 	case "PI":
 		if err := needTrain(); err != nil {
 			return nil, err
 		}
-		return func(i int) shed.Strategy {
-			return baseline.NewPositionInput(baseline.EstimatePositionUtility(m, train), bound, seed+int64(i))
-		}, nil
+		util := sync.OnceValue(func() *baseline.PositionUtility { return baseline.EstimatePositionUtility(m, train) })
+		return func(i int) shed.Strategy { return baseline.NewPositionInput(util(), bound, seed+int64(i)) }, nil
 	case "Hybrid", "HyI", "HyS":
 		if err := needTrain(); err != nil {
 			return nil, err

@@ -54,6 +54,19 @@ func TestTrainFixedClusters(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsMoreThan64Slices pins the cap a plan's drop masks
+// rely on: one uint64 holds every slice of a (state, class) pair.
+func TestTrainRejectsMoreThan64Slices(t *testing.T) {
+	m := nfa.MustCompile(query.Q1("8ms"))
+	training := gen.DS1(gen.DS1Config{Events: 500, Seed: 11, InterArrival: testIA})
+	if _, err := Train(m, training, TrainConfig{Slices: 65, Seed: 1}); err == nil {
+		t.Fatal("Train accepted 65 slices")
+	}
+	if _, err := Train(m, training, TrainConfig{Slices: 64, Seed: 1}); err != nil {
+		t.Fatalf("Train refused 64 slices: %v", err)
+	}
+}
+
 func TestTrainEmptyStreamFails(t *testing.T) {
 	m := nfa.MustCompile(query.Q1("8ms"))
 	if _, err := Train(m, nil, TrainConfig{}); err == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"cepshed/internal/engine"
 	"cepshed/internal/event"
@@ -40,16 +39,16 @@ type Config struct {
 	Solver knapsack.Solver
 	// Adapt enables online adaptation of the cost model (§V-B).
 	Adapt bool
-	// AsyncPlan moves shedding-set selection and admission-table
-	// compilation to a planner goroutine: on a bound violation the worker
-	// snapshots per-cell populations (cheap, from the engine's class
-	// buckets) and keeps processing; the planner solves the knapsack and
-	// publishes a compiled plan the worker applies on a later Control
-	// call, unless the partial-match population it was built for has been
-	// retired (drop-epoch fence). Off (synchronous selection, effective
-	// on the triggering event) by default — the paper-reproduction
-	// experiments run under the virtual clock and need the trigger to
-	// take effect deterministically in-line.
+	// AsyncPlan decides where the trigger's steps run (planner.go). Off,
+	// the snapshot, the build and the apply all run whole inside the
+	// Control call that triggered, so the shed takes effect on the
+	// triggering event — the paper-reproduction experiments run under
+	// the virtual clock and need that determinism. On, the worker
+	// snapshots per-cell populations and drops partial matches in
+	// bounded chunks across Control calls, and the knapsack and table
+	// compilation run on a planner goroutine; a finished plan is applied
+	// on a later Control call unless the partial-match population it was
+	// built for has been retired (drop-epoch fence).
 	AsyncPlan bool
 }
 
@@ -83,16 +82,16 @@ type Hybrid struct {
 	ownBuf []float64
 	pmBuf  []float64
 
-	// Async-planner state (planner.go). planPending is the built-and-not-
-	// yet-applied plan; planInFlight serializes to at most one build;
-	// dropping is the plan whose state drop is being applied in bounded
-	// chunks (worker-owned — only Control touches it).
+	// Trigger state (planner.go). planPending is the built-and-not-yet-
+	// applied plan; planInFlight serializes to at most one trigger in
+	// flight; dropping is the plan whose state drop is being applied
+	// (worker-owned — only Control touches it).
 	planPending  atomic.Pointer[shedPlan]
 	planInFlight atomic.Bool
 	dropping     *shedPlan
-	// Incremental population-snapshot accumulation (worker-owned; active
-	// while planInFlight is held): the walk cursor, the epoch the
-	// accumulation started at, and the reused cell/planCell storage.
+	// Population-snapshot accumulation (worker-owned; active while
+	// planInFlight is held): the walk cursor, the epoch the accumulation
+	// started at, and the reused cell/planCell storage.
 	snapping    bool
 	snapEpoch   uint64
 	snapCur     engine.CellCursor
@@ -120,12 +119,10 @@ func NewHybrid(model *Model, cfg Config) *Hybrid {
 	if cfg.Adapt {
 		h.adapter = NewAdapter(model)
 	}
-	if cfg.AsyncPlan {
-		// Warm the snapshot scratch so the first trigger's launch pause
-		// does not include growing these from nil.
-		h.snapScratch.cc = make([]engine.CellCount, 0, 256)
-		h.snapScratch.cells = make([]planCell, 0, 256)
-	}
+	// Warm the snapshot scratch so the first trigger's pause does not
+	// include growing these from nil.
+	h.snapScratch.cc = make([]engine.CellCount, 0, 256)
+	h.snapScratch.cells = make([]planCell, 0, 256)
 	return h
 }
 
@@ -189,41 +186,6 @@ func (h *Hybrid) Observe(res *engine.Result, now event.Time) {
 	}
 }
 
-// Control triggers shedding when the smoothed latency violates the bound:
-// it selects a shedding set sized by the relative violation (Eq. 6),
-// drops the partial matches it covers (ρS), and activates the derived
-// input filter until the bound is satisfied again. With AsyncPlan the
-// selection runs on the planner goroutine and the worker only snapshots
-// populations and applies finished plans.
-func (h *Hybrid) Control(now event.Time, lat event.Time) vclock.Cost {
-	h.sinceShed++
-	var work vclock.Cost
-	if h.adapter != nil {
-		h.adapter.MaybeFold(h.now, h.nowSeq)
-	}
-	if h.cfg.AsyncPlan {
-		return h.controlAsync(lat, work)
-	}
-	if lat <= h.cfg.Bound {
-		h.inputActive = false
-		return work
-	}
-	if h.sinceShed < h.cfg.DelayEvents {
-		return work
-	}
-	t0 := time.Now()
-	// The planner's scratch is free: Control never reaches here with
-	// AsyncPlan set.
-	cells := h.model.snapshotPlanCells(h.en, h.now, h.nowSeq, &h.snapScratch)
-	ss := selectFromPlanCells(cells, h.violation(lat), h.cfg.Solver)
-	if ss == nil {
-		return work
-	}
-	work += h.applySet(ss, ss.ClassPairs(), nil)
-	h.noteStall(t0)
-	return work
-}
-
 // violation is the relative bound violation (Eq. 6), capped per trigger:
 // the smoothed latency lags the queue state, so a very large apparent
 // violation would select nearly every cell and blank the system;
@@ -234,35 +196,6 @@ func (h *Hybrid) violation(lat event.Time) float64 {
 		v = 0.6
 	}
 	return v
-}
-
-// applySet makes a selected shedding set effective: ρS over exactly the
-// class buckets the set covers, then the compiled input filter. table
-// may be a pre-compiled table from the planner (nil compiles in-line).
-func (h *Hybrid) applySet(ss *SheddingSet, pairs [][2]int, table *AdmitTable) vclock.Cost {
-	h.current = ss
-	h.sinceShed = 0
-	h.ShedTriggers++
-	work := EstimationWork(ss.Items)
-
-	if h.cfg.Mode != ModeInputOnly {
-		_, dropWork := h.en.DropClasses(pairs, func(pm *engine.PartialMatch) bool {
-			class := pm.Class
-			if class < 0 {
-				class = 0
-			}
-			return ss.Contains(pm.State(), class, h.model.SliceOf(pm, h.now, h.nowSeq))
-		})
-		work += dropWork
-	}
-	if h.cfg.Mode != ModeStateOnly {
-		if table == nil {
-			table = h.model.CompileAdmitTable(ss)
-		}
-		h.table.Store(table)
-		h.inputActive = true
-	}
-	return work
 }
 
 // InputActive reports whether the input filter is currently applied.

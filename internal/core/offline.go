@@ -18,7 +18,7 @@ import (
 // TrainConfig configures offline cost-model estimation (§V-B).
 type TrainConfig struct {
 	// Slices is the number of time slices the window is split into
-	// (§V-A); Fig 10 sweeps 1-6. Default 4.
+	// (§V-A); Fig 10 sweeps 1-6. Default 4; Train rejects more than 64.
 	Slices int
 	// MaxClusters caps the cluster count chosen by the gap statistic per
 	// state. Default 10 (the paper's classifier depth bound).
@@ -162,6 +162,10 @@ func futureFrom(series []float64, s int) float64 {
 // per state, and fits the per-state classifiers (§V-B offline estimation).
 func Train(m *nfa.Machine, training event.Stream, cfg TrainConfig) (*Model, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Slices > 64 {
+		// A plan's drop predicate keeps a cell's slices in one uint64.
+		return nil, fmt.Errorf("core: %d slices, at most 64 supported", cfg.Slices)
+	}
 	model := &Model{
 		machine: m,
 		spec:    newFeatureSpec(m, training),

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -150,4 +153,85 @@ func TestAsyncPlannerDiscardsStale(t *testing.T) {
 	if got := h.PlanStats(); got.PlansApplied != 1 || got.PlansStale != 1 {
 		t.Fatalf("replan after stale discard not applied: %+v", got)
 	}
+}
+
+// TestSyncAndAsyncTriggersAgree seeds one partial-match population into
+// two engines and gives a synchronous and an asynchronous Hybrid the same
+// violated latency. AsyncPlan only says where the trigger's steps run,
+// so once the async plan has landed both must hold the same shedding
+// set, keep the same live partial matches and give the same admission
+// verdicts; the in-line trigger counts its plan like the planner does.
+func TestSyncAndAsyncTriggersAgree(t *testing.T) {
+	m, model := trainDS1(t, TrainConfig{Slices: 4, Seed: 1})
+	live := gen.DS1(gen.DS1Config{Events: 2000, Seed: 21, InterArrival: testIA})
+	const bound = 10 * event.Microsecond
+	for _, mode := range []Mode{ModeHybrid, ModeStateOnly, ModeInputOnly} {
+		for _, lat := range []event.Time{bound * 5 / 4, 2 * bound, event.Millisecond} {
+			newSide := func(async bool) (*Hybrid, *engine.Engine) {
+				h := NewHybrid(model, Config{Bound: bound, Mode: mode, DelayEvents: 1000, AsyncPlan: async})
+				en := engine.New(m, engine.DefaultCosts())
+				h.Attach(en)
+				feedAsync(h, en, live[:800], 0)
+				return h, en
+			}
+			sh, sen := newSide(false)
+			ah, aen := newSide(true)
+			name := fmt.Sprintf("%s/lat=%v", sh.Name(), lat)
+
+			sh.Control(sh.now, lat)
+			// The async side snapshots chunk by chunk, builds off the
+			// worker, applies on the next call and drops chunk by chunk.
+			for i := 0; i == 0 || ah.snapping; i++ {
+				if i == 1000 {
+					t.Fatalf("%s: async snapshot did not complete", name)
+				}
+				ah.Control(ah.now, lat)
+			}
+			waitPlans(t, ah, 1)
+			ah.Control(ah.now, lat)
+			driveDrop(t, ah)
+
+			if sh.CurrentSet() == nil {
+				t.Fatalf("%s: no shedding set selected", name)
+			}
+			if !reflect.DeepEqual(sh.CurrentSet(), ah.CurrentSet()) {
+				t.Fatalf("%s: shedding sets differ:\nsync  %+v\nasync %+v", name, sh.CurrentSet(), ah.CurrentSet())
+			}
+			if s, a := liveIDs(sen), liveIDs(aen); !reflect.DeepEqual(s, a) {
+				t.Fatalf("%s: surviving partial matches differ: sync %d live, async %d live", name, len(s), len(a))
+			}
+			if mode != ModeInputOnly && sen.Stats().DroppedPMs == 0 {
+				t.Fatalf("%s: the trigger dropped no partial matches", name)
+			}
+			shed := 0
+			for _, e := range live[800:1400] {
+				s, a := sh.AdmitEvent(e, e.Time), ah.AdmitEvent(e, e.Time)
+				if s != a {
+					t.Fatalf("%s: seq %d admitted=%v in-line, %v async", name, e.Seq, s, a)
+				}
+				if !s {
+					shed++
+				}
+			}
+			if mode != ModeStateOnly && shed == 0 {
+				t.Fatalf("%s: the input filter shed no probe event", name)
+			}
+			if ps := sh.PlanStats(); ps.PlansBuilt != 1 || ps.PlansApplied != 1 || sh.ShedTriggers != 1 {
+				t.Fatalf("%s: in-line trigger counted built=%d applied=%d triggers=%d, want 1 each",
+					name, ps.PlansBuilt, ps.PlansApplied, sh.ShedTriggers)
+			}
+		}
+	}
+}
+
+// liveIDs lists the ids of en's live partial matches in ascending order.
+func liveIDs(en *engine.Engine) []uint64 {
+	var ids []uint64
+	for _, pm := range en.PartialMatches() {
+		if pm.Alive() {
+			ids = append(ids, pm.ID())
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

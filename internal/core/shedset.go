@@ -76,8 +76,8 @@ type planCell struct {
 	contrib, consume    float64 // per-member estimates at snapshot time
 }
 
-// planScratch is reusable snapshot storage. The async trigger path owns
-// one: planInFlight serializes plan builds, and the planner goroutine is
+// planScratch is reusable snapshot storage. The trigger owns one:
+// planInFlight serializes plan builds, and the planner goroutine is
 // finished with the cell slice before the flag is released, so reusing
 // the buffers across launches never races with a reader.
 type planScratch struct {
@@ -102,16 +102,21 @@ func (model *Model) snapshotPlanCells(en *engine.Engine, now event.Time, nowSeq 
 	if len(cc) == 0 {
 		return nil
 	}
-	cells := scratch.cells[:0]
+	scratch.cells = model.planCellsOf(cc, scratch.cells[:0])
+	return scratch.cells
+}
+
+// planCellsOf appends to buf one plan cell per counted cell, carrying
+// the model's current estimates, in the order of cc.
+func (model *Model) planCellsOf(cc []engine.CellCount, buf []planCell) []planCell {
 	for _, c := range cc {
 		contrib, consume := model.Estimate(c.State, c.Class, c.Slice)
-		cells = append(cells, planCell{
+		buf = append(buf, planCell{
 			state: c.State, class: c.Class, slice: c.Slice,
 			count: c.Count, contrib: contrib, consume: consume,
 		})
 	}
-	scratch.cells = cells
-	return cells
+	return buf
 }
 
 // selectFromPlanCells solves the covering knapsack of Eq. 8 over

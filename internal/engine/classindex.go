@@ -157,10 +157,9 @@ func (en *Engine) DropEpoch() uint64 { return en.dropEpoch }
 // applied arithmetically, exactly like the per-event scan charge in
 // Process.
 func (en *Engine) DropClasses(pairs [][2]int, shed func(*PartialMatch) bool) (int, vclock.Cost) {
-	liveBefore := en.live
 	var cur DropCursor
-	n, _ := en.dropClassesWalk(pairs, shed, -1, &cur)
-	return n, vclock.Cost(liveBefore)*en.costs.PerScan + vclock.Cost(n)*en.costs.PerDrop
+	n, cost, _ := en.DropClassesBounded(pairs, shed, -1, &cur)
+	return n, cost
 }
 
 // DropCursor is a resumable position in a bounded class-drop walk: the
@@ -176,7 +175,7 @@ type DropCursor struct {
 // DropClassesBounded is DropClasses with an examination budget: the walk
 // stops after touching budget bucket entries (live or stale) and reports
 // done=false, so a caller on the hot path can retire a large shedding
-// set in bounded pauses across several calls (the async planner's
+// set in bounded pauses across several calls (the async trigger's
 // incremental plan application). The budget bounds entries EXAMINED, not
 // matches dropped — a covered bucket whose members rarely satisfy the
 // predicate costs scan time, not drop time, and an unbounded scan is
@@ -186,18 +185,16 @@ type DropCursor struct {
 // the plan's population and are not part of what it covers. The virtual
 // charge is per live entry actually examined plus PerDrop per removal,
 // matching the physical work of the bounded pass rather than DropIf's
-// full-scan identity (bounded application is an asynchronous-mode
-// mechanism; the paper's synchronous experiments use DropClasses/DropIf,
-// whose cost contract is unchanged). Store compaction is deferred to the
-// next Process call, which compacts anyway (engine.go).
+// full-scan identity; store compaction is deferred to the next Process
+// call, which compacts anyway (engine.go). A negative budget is
+// DropClasses: one whole walk, charged and compacted as DropIf is — the
+// paper's synchronous experiments depend on that cost contract.
 func (en *Engine) DropClassesBounded(pairs [][2]int, shed func(*PartialMatch) bool, budget int, cur *DropCursor) (n int, cost vclock.Cost, done bool) {
-	if budget < 0 {
-		liveBefore := en.live
-		var full DropCursor
-		n, _ := en.dropClassesWalk(pairs, shed, -1, &full)
-		return n, vclock.Cost(liveBefore)*en.costs.PerScan + vclock.Cost(n)*en.costs.PerDrop, true
-	}
+	liveBefore := en.live
 	n, scanned := en.dropClassesWalk(pairs, shed, budget, cur)
+	if budget < 0 {
+		scanned = liveBefore // the paper's shedder inspects every live match
+	}
 	return n, vclock.Cost(scanned)*en.costs.PerScan + vclock.Cost(n)*en.costs.PerDrop, cur.pair >= len(pairs)
 }
 

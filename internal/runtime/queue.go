@@ -45,6 +45,23 @@ func (q *queue) pop() (b batch, ok, closed bool) {
 	return b, true, false
 }
 
+// requeue puts b back at the head of the queue: the unprocessed tail of
+// a batch a panic interrupted. Its events were counted in depth and
+// accepted (before any Close) when first pushed, so it counts nothing
+// and is taken even on a closed queue.
+func (q *queue) requeue(b batch) {
+	q.mu.Lock()
+	if q.head > 0 {
+		q.head--
+		q.buf[q.head] = b
+	} else {
+		q.buf = append(q.buf, batch{})
+		copy(q.buf[1:], q.buf)
+		q.buf[0] = b
+	}
+	q.mu.Unlock()
+}
+
 // wake rouses every waiting producer to recheck its condition; shut
 // also refuses every later push (the worker still drains the queue).
 func (q *queue) wake(shut bool) {

@@ -175,14 +175,13 @@ type shard struct {
 	pendLSN []uint64 // the log position each held match's M record ends at
 
 	// curBatch/curIdx/curItem track the batch being consumed so a panic
-	// can report the poison item and salvage the unprocessed remainder
-	// into rem; rem is consumed as live input after the post-panic
-	// recovery (those events never reached the WAL, so they come after
-	// the replayed tail).
+	// can report the poison item and put the unprocessed remainder back
+	// onto the head of the queue, where it is popped as live input after
+	// the post-panic recovery (those events never reached the engine, so
+	// they come after the replayed prefix).
 	curBatch []item
 	curIdx   int
 	curItem  item
-	rem      []item
 
 	// needRecover is consumed at the top of the worker loop: true at boot
 	// (restore snapshot + replay WAL) and after every supervisor rebuild.
@@ -842,7 +841,7 @@ func (s *shard) coverIdle() {
 	// The watermark is read before the queue checks: every event below
 	// it was pushed, and counted in depth, before the watermark was
 	// published, and stays counted until processed.
-	if w, ok := s.log.Routed(); ok && len(s.rem) == 0 && s.depth.Load() == 0 &&
+	if w, ok := s.log.Routed(); ok && s.depth.Load() == 0 &&
 		(!s.hasSeq || w > s.lastSeq) {
 		s.lastSeq, s.hasSeq = w, true
 	}
@@ -929,8 +928,8 @@ func (s *shard) recoverReplay() {
 			s.id, res.StaleWAL, checkpoint.FormatVersion)
 	}
 	// The log holds this shard's events past the poison too (queued, or
-	// salvaged into rem): after a panic only the consumed prefix replays,
-	// and the rest arrives live. Boot replays the whole tail.
+	// put back by the panic): after a panic only the consumed prefix
+	// replays, and the rest arrives live. Boot replays the whole tail.
 	limit := -1
 	if kind == restorePanic {
 		limit = int(s.consumed - s.snapConsumed)

@@ -256,20 +256,17 @@ func (s *shard) quantum(r *Runtime) bool {
 }
 
 // quantumOnce runs one bounded processing slice under recover():
-// pending recovery, salvaged remainder, then up to quantumBudget queued
-// events. closed reports the input queue closed and drained. On a
-// panic pv holds the panic value and poison the item being processed;
-// the batch's unprocessed tail is salvaged into s.rem — those events
-// were popped from the queue but never reached the engine or the WAL,
-// so the next incarnation consumes them as live input right after
-// recovery.
+// pending recovery, then up to quantumBudget queued events. closed
+// reports the input queue closed and drained. On a panic pv holds the
+// panic value and poison the item being processed; the batch's
+// unprocessed tail goes back onto the head of the queue — those events
+// were popped but never reached the engine, so the next incarnation
+// pops them as live input right after recovery.
 func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			pv, poison, worked = p, s.curItem, true
-			if tail := s.panicRemainder(); len(tail) > 0 {
-				s.rem = append(tail, s.rem...)
-			}
+			s.requeueTail()
 			s.curBatch, s.curIdx = nil, 0
 			if s.cfg.Logf != nil {
 				s.cfg.Logf("runtime: shard %d panic: %v\n%s", s.id, p, debug.Stack())
@@ -292,45 +289,20 @@ func (s *shard) quantumOnce() (pv any, poison item, worked, closed bool) {
 	if s.covWant.Load() {
 		s.coverIdle()
 	}
-	if len(s.rem) > 0 {
-		s.consumeRemainder()
-		worked = true
-	}
 	dw, dc := s.drainQuantum()
 	return nil, item{}, worked || dw, dc
 }
 
-// panicRemainder copies the unprocessed tail of the batch a panic
-// interrupted (everything after the poison item).
-func (s *shard) panicRemainder() []item {
+// requeueTail puts the unprocessed tail of the batch a panic
+// interrupted (everything after the poison item) back onto the head of
+// the queue as one batch.
+func (s *shard) requeueTail() {
 	if s.curBatch == nil || s.curIdx+1 >= len(s.curBatch) {
-		return nil
-	}
-	tail := make([]item, len(s.curBatch)-s.curIdx-1)
-	copy(tail, s.curBatch[s.curIdx+1:])
-	return tail
-}
-
-// consumeRemainder feeds events salvaged from a panic-interrupted batch
-// back through processing. Each item is popped before it runs, so a
-// second poison among them quarantines cleanly and leaves the rest in
-// s.rem for the incarnation after that.
-func (s *shard) consumeRemainder() {
-	if len(s.rem) == 0 {
 		return
 	}
-	t0 := time.Now()
-	s.holdOut()
-	for len(s.rem) > 0 {
-		it := s.rem[0]
-		s.rem = s.rem[1:]
-		s.curItem = it
-		s.depth.Add(-1)
-		s.process(it)
-	}
-	s.rem = nil
-	s.endBatch()
-	s.busyNs.Add(time.Since(t0).Nanoseconds())
+	tail := getItems()
+	*tail = append(*tail, s.curBatch[s.curIdx+1:]...)
+	s.q.requeue(batch{items: tail})
 }
 
 // flushPendOnPanic settles the flush group a panic left open: flush the
@@ -430,15 +402,14 @@ func (s *shard) rebuild() (ok bool) {
 // drainFailed services a permanently failed shard. The door refuses
 // its key range, so what reaches it was queued before the breaker
 // tripped or raced past the door: every such item, including a batch
-// tail a panic salvaged into s.rem, is quarantined with reason "shard
-// failed", one quarantine call per pass, so no later recovery replays
-// it; control ops are answered with an error. Producers never wait on
-// a failed shard's queue and Close still drains. An empty queue reports
-// no work, so the worker parks instead of spinning.
+// tail a panic put back, is quarantined with reason "shard failed", one
+// quarantine call per pass, so no later recovery replays it; control
+// ops are answered with an error. Producers never wait on a failed
+// shard's queue and Close still drains. An empty queue reports no work,
+// so the worker parks instead of spinning.
 func (s *shard) drainFailed(r *Runtime) bool {
-	worked := len(s.rem) > 0
-	drop := s.rem
-	s.rem = nil
+	worked := false
+	var drop []item
 	for consumed := 0; consumed < quantumBudget; consumed++ {
 		b, ok, closed := s.q.pop()
 		if !ok {

@@ -222,6 +222,44 @@ func TestCircuitBreakerRestartExactlyOnce(t *testing.T) {
 	}
 }
 
+// A panic puts its batch's unprocessed tail back with requeue: it must
+// be popped before everything queued behind it, also once Close has
+// refused further pushes (those events were accepted before Close).
+// Both sides of requeue run: with popped 0 the head slot is taken, with
+// popped 1 the freed one is reused.
+func TestQueueRequeueGoesFirstOnClosedQueue(t *testing.T) {
+	for popped := 0; popped < 2; popped++ {
+		q := queue{limit: 4}
+		q.room.L = &q.mu
+		for seq := uint64(1); seq <= 3; seq++ {
+			q.buf = append(q.buf, batch{one: item{e: &event.Event{Seq: seq}}})
+		}
+		want := []uint64{0}
+		for i := 0; i < popped; i++ {
+			q.pop()
+		}
+		for seq := uint64(popped + 1); seq <= 3; seq++ {
+			want = append(want, seq)
+		}
+		q.requeue(batch{one: item{e: &event.Event{Seq: 0}}})
+		q.wake(true)
+		var got []uint64
+		for {
+			b, ok, closed := q.pop()
+			if !ok {
+				if !closed {
+					t.Fatalf("popped %d: empty queue not reported closed", popped)
+				}
+				break
+			}
+			got = append(got, b.one.e.Seq)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("popped %d: pop order %v, want %v", popped, got, want)
+		}
+	}
+}
+
 // A breaker that trips with a full queue behind it quarantines the
 // queue in one pass: every queued event is counted and logged skipped
 // (one flush for the lot, TestAppendSkipFlushesOnce), but the ring gets

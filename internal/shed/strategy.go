@@ -52,16 +52,16 @@ type DurableStrategy interface {
 // and how much the decision path pauses the worker. Counters are
 // cumulative; *Ns fields are gauges in nanoseconds.
 type PlanStats struct {
-	// PlansBuilt / PlansApplied / PlansStale count planner products:
-	// built by the planner goroutine, applied by the worker, and
-	// discarded because the partial-match population they were built for
-	// had been retired (drop-epoch fence). All zero when planning is
-	// synchronous.
+	// PlansBuilt / PlansApplied / PlansStale count shedding plans: built
+	// (on the planner goroutine, or in-line when planning is
+	// synchronous), applied by the worker, and discarded because the
+	// partial-match population they were built for had been retired
+	// (drop-epoch fence; never in-line).
 	PlansBuilt   uint64
 	PlansApplied uint64
 	PlansStale   uint64
-	// BuildNsLast / BuildNsMax time the planner's selection + table
-	// compilation off the hot path.
+	// BuildNsLast / BuildNsMax time a plan's selection + table
+	// compilation.
 	BuildNsLast int64
 	BuildNsMax  int64
 	// StallNsMax is the worst worker-side pause a shedding trigger
